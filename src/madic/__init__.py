@@ -67,6 +67,7 @@ from .solver import (
 from .weierstrass import (
     DistinguishedPolynomial,
     LinearChange,
+    PreparedDivisor,
     divide_series,
     generic_euclid,
     prepare,

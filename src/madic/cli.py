@@ -155,8 +155,6 @@ def _solver_config(pf, args):
     jl = pf.get_int("jet_length")
     if jl:
         cfg.jet_length = jl
-    if args.seed is not None:
-        cfg.seed = args.seed
     if pf.get("K"):
         cfg.K = pf.get_int("K")
     return cfg
@@ -276,7 +274,6 @@ def build_parser():
         p.add_argument("--target-order", type=int, default=None, dest="target_order")
         p.add_argument("--strategy", choices=["newton", "jet-search"], default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
     return ap
 
 

@@ -12,7 +12,7 @@ import os
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ParseError
+from .errors import ParseError, PrecisionError
 from .fields import QQ, PrimeField
 from .parse import parse_polynomial, parse_series
 from .series import SeriesVector, TruncatedSeries
@@ -39,7 +39,6 @@ _SCALAR = {
     "target_order",
     "order",
     "strategy",
-    "seed",
     "jet_length",
     "m",
     "d",
@@ -149,10 +148,25 @@ class ProblemFile:
         return [parse_polynomial(t, vars, fld) for t in self.get_list(key)]
 
     def series_value(self, text, precision=None, fld=None):
+        """The series literal `text`, truncated to `precision` when given.
+
+        A precision above the literal's O(m^N) would claim digits the input
+        does not determine, so it is refused.
+        """
         fld = fld or self.field()
         poly, prec = parse_series(text, self.series_vars(), fld)
-        prec = precision or prec
+        if precision is not None:
+            if precision > prec:
+                raise PrecisionError(
+                    f"requested precision {precision} exceeds the written O(m^{prec})"
+                )
+            prec = precision
         return TruncatedSeries.from_polynomial(poly, prec)
+
+    def _uniform_vector(self, texts, precision, fld):
+        entries = [self.series_value(t, precision, fld) for t in texts]
+        prec = min(s.precision for s in entries)
+        return SeriesVector([s.truncate(prec) for s in entries])
 
     def approx_vector(self, precision=None, fld=None):
         texts = self.require_list("approx")
@@ -160,10 +174,7 @@ class ProblemFile:
             raise ParseError(
                 f"{len(self.unknowns())} unknowns but {len(texts)} approx lines"
             )
-        fld = fld or self.field()
-        entries = [self.series_value(t, fld=fld) for t in texts]
-        prec = precision or min(s.precision for s in entries)
-        return SeriesVector([s.truncate(min(prec, s.precision)) for s in entries])
+        return self._uniform_vector(texts, precision, fld or self.field())
 
     def family_vectors(self, precision=None, fld=None):
         """Expand `family` template lines over the `family_range` indices.
@@ -177,12 +188,8 @@ class ProblemFile:
         out = []
         labels = []
         for k in range(lo, hi + 1):
-            entries = [
-                self.series_value(t.replace("{k}", str(k)), fld=fld)
-                for t in templates
-            ]
-            prec = precision or min(s.precision for s in entries)
-            out.append(SeriesVector([s.truncate(min(prec, s.precision)) for s in entries]))
+            texts = [t.replace("{k}", str(k)) for t in templates]
+            out.append(self._uniform_vector(texts, precision, fld))
             labels.append(f"k={k}")
         return out, labels
 

@@ -13,7 +13,7 @@ distance checks; the existence-only rate function only enters reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .bounds import default_a_fn, gamma
 from .errors import (
@@ -34,6 +34,7 @@ from .series import (
 )
 from .weierstrass import (
     DistinguishedPolynomial,
+    PreparedDivisor,
     divide_series,
     generic_euclid,
     prepare,
@@ -52,7 +53,6 @@ class SolverConfig:
     strategy: str = "newton"
     jet_length: int = 4
     jet_cap: int = 1_000_000
-    seed: int = 0
     max_steps: int = 64
     # display constants for probe reports; existence-only in the theory
     K: int = 2
@@ -130,8 +130,6 @@ def _lift(s, precision):
     working precision.  All final certificates are re-checked at that
     precision.
     """
-    if s.precision >= precision:
-        return TruncatedSeries(s.field, s.vars, precision, s.terms)
     return TruncatedSeries(s.field, s.vars, precision, s.terms)
 
 
@@ -231,13 +229,19 @@ def select_minor(fs, zbar, assignment, s):
     return best
 
 
-def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
+def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
+                    prepared=None):
     """Newton iteration under the Tougeron hypothesis.
 
     Requires each residual f_i(zbar) to be an exact multiple of
     delta(zbar)^2 with quotient of order >= c.  Updates only the selected
     coordinates through the adjugate of the square Jacobian submatrix, so the
     only divisions are by delta(zbar)^2 (certified above) and by units.
+
+    delta(zbar)^2 and delta(zbar) are each prepared once, on first use, and
+    shared by every division of the run and the final distance audit.
+    `prepared`, a PreparedDivisor from an earlier stage, stands in for
+    delta(zbar)^2 when its series equals delta(zbar)^2 exactly.
     """
     fs = list(fs)
     if len(fs) != len(columns):
@@ -248,6 +252,9 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
     if not dord.finite:
         raise HypothesisError("minor vanishes at the approximate solution")
     dsq = _lift(dbar * dbar, N)
+    if prepared is None or prepared.u != dsq:
+        prepared = PreparedDivisor(dsq)
+    dsq_div, dbar_div = prepared, PreparedDivisor(dbar)
 
     residuals = [evaluate(f, zbar, assignment) for f in fs]
     quotients = []
@@ -256,7 +263,7 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
             quotients.append(TruncatedSeries.zero(zbar.vars, N, zbar.field))
             continue
         try:
-            q = divide_series(res, dsq)
+            q = divide_series(res, dsq_div)
         except MadicError as exc:
             raise HypothesisError(
                 f"residual is not an exact multiple of the squared minor: {exc}"
@@ -292,7 +299,7 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
         ]
         det = _series_det(rows)
         try:
-            w = divide_series(det, dbar)
+            w = divide_series(det, dbar_div)
         except MadicError as exc:
             status = STATUS_STALLED
             break
@@ -317,7 +324,7 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
                 new_quotients.append(TruncatedSeries.zero(zbar.vars, N, zbar.field))
                 continue
             try:
-                new_quotients.append(_lift(divide_series(res, dsq), N))
+                new_quotients.append(_lift(divide_series(res, dsq_div), N))
             except MadicError:
                 status = STATUS_STALLED
                 res = None
@@ -359,7 +366,7 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64):
                 if diff.is_zero_to_precision():
                     continue
                 try:
-                    divide_series(diff, dbar, order_check=c)
+                    divide_series(diff, dbar_div, order_check=c)
                 except MadicError:
                     cert.status = STATUS_STALLED
                     break
@@ -383,11 +390,10 @@ class OneVarSystem:
     point: SeriesVector
     r: int
     degree_bounds: dict
-    # reconstruction data
-    dist: DistinguishedPolynomial | None = None
+    # reconstruction data: the prepared squared minor carries the shear
+    # and the distinguished polynomial
+    divisor: PreparedDivisor | None = None
     w_quotients: list | None = None
-    unit: TruncatedSeries | None = None
-    change: object | None = None
     selection: MinorSelection | None = None
     num_unknowns: int = 0  # m of the ambient problem
 
@@ -521,10 +527,8 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         point=point,
         r=r,
         degree_bounds=deg_bounds,
-        dist=dist,
+        divisor=PreparedDivisor.from_preparation(dsq_bar, change, unit, dist),
         w_quotients=w_quotients,
-        unit=unit,
-        change=change,
         selection=selection,
         num_unknowns=m,
     )
@@ -673,8 +677,9 @@ def _reconstruct(sys, solved, N):
             zi = zi + biv * yser ** j
         entries.append(_lift(zi, N))
     vec = SeriesVector(entries)
-    if not sys.change.is_identity():
-        inv = sys.change.inverse()
+    change = sys.divisor.change
+    if not change.is_identity():
+        inv = change.inverse()
         vec = SeriesVector([inv.apply_series(s) for s in vec])
     return vec
 
@@ -736,7 +741,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         z2 = _reconstruct(sys, solved, N)
         cert = tougeron_refine(
             sel_fs, selection.minor, selection.columns, z2, assignment, c,
-            config.max_steps,
+            config.max_steps, prepared=sys.divisor,
         )
         # distances in the certificate must refer to the original input
         cert.coordinate_orders = [

@@ -7,12 +7,19 @@ into coefficients of powers of x, then solve slice by slice, inverting the
 unit part of the divisor's x^0 slice in k[[y]].  Stored terms are treated as
 the exact representative of the series; results are truncated back to the
 working precision.
+
+Certified division by a fixed divisor goes through a PreparedDivisor: the
+shear, the distinguished polynomial and the unit's inverse (or, for a unit
+or a univariate divisor, its inverse) are computed once, on first use, and
+reused for every dividend.  The per-dividend checks (exactness, precision,
+remainder orders, quotient order) still run on every call, so each quotient
+and each refusal is the one a fresh division would give.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import MadicError, PrecisionError
 from .fields import QQ
@@ -411,46 +418,99 @@ def generic_euclid(P, r, v_var, a_vars):
     return GenericDivisionResult(Q, work, r, v_var)
 
 
+class PreparedDivisor:
+    """A divisor u prepared once for repeated certified exact division.
+
+    Holds what every division by u needs and that depends on u alone: u^-1
+    for a unit; for a univariate u of order k, the inverse of u/x^k at
+    precision u.precision - k, truncated to each dividend's precision (the
+    inverse is unique modulo m^p, so the quotients are those of a fresh
+    division); for a bivariate u of order r, the shear from `regularize`,
+    the distinguished polynomial from `prepare` and the inverse of the
+    unit.  The bivariate preparation runs on the first bivariate division,
+    so constructing a divisor never raises: a u that cannot be prepared
+    raises from `divide`, at the first call site that uses it.
+    """
+
+    def __init__(self, u):
+        self.u = u
+        self.order = u.order()
+        self.change = None
+        self.dist = None
+        self._unit = None
+        self._inverse = None  # u^-1, the shifted inverse, or the unit's
+
+    @classmethod
+    def from_preparation(cls, u, change, unit, dist):
+        """Wrap a preparation already computed for u: `change` is the shear
+        regularize(u) returned and (unit, dist) = prepare of the sheared u."""
+        out = cls(u)
+        out.change, out._unit, out.dist = change, unit, dist
+        return out
+
+    def _prepare(self):
+        if self.dist is None:
+            self.change, u_reg = regularize(self.u)
+            self._unit, self.dist = prepare(u_reg)
+        if self._inverse is None:
+            self._inverse = self._unit.inverse()
+
+    def divide(self, v, order_check=None):
+        """Certified exact division v / u; see `divide_series`."""
+        u = self.u
+        v._check(u)
+        uo = self.order
+        if not uo.finite:
+            raise MadicError("division by a series that vanishes to precision")
+        if uo.value == 0:
+            if self._inverse is None:
+                self._inverse = u.inverse()
+            q = v * self._inverse
+        elif len(v.vars) == 1:
+            k = uo.value
+            if any(e[0] < k for e in v.terms):
+                raise MadicError("series division is not exact")
+            prec = min(v.precision, u.precision) - k
+            fld = v.field
+            shifted_v = TruncatedSeries(fld, v.vars, prec, {(e[0] - k,): c for e, c in v.terms.items()})
+            if self._inverse is None:
+                shifted_u = TruncatedSeries(
+                    fld, u.vars, u.precision - k, {(e[0] - k,): c for e, c in u.terms.items()}
+                )
+                self._inverse = shifted_u.inverse()
+            q = shifted_v * self._inverse.truncate(prec)
+        else:
+            r = uo.value
+            N = min(v.precision, u.precision)
+            if N <= 2 * r + 1:
+                raise PrecisionError("precision too low for series division")
+            self._prepare()
+            change = self.change
+            v_reg = v if change.is_identity() else change.apply_series(v)
+            q_reg, rems = w_divide(v_reg, self.dist)
+            for j, rem in enumerate(rems):
+                ro = rem.order()
+                if ro.finite and ro.value + j < N - 2 * r:
+                    raise MadicError("series division is not exact")
+            q_reg = q_reg * self._inverse
+            q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
+            q = q.truncate(N - r)
+        if order_check is not None and not q.order().ge(order_check):
+            raise MadicError(
+                f"quotient order {q.order()} below required {order_check}"
+            )
+        return q
+
+
 def divide_series(v, u, order_check=None):
     """Certified exact division v / u of truncated series.
 
-    Raises MadicError when v is not a multiple of u to the available
-    precision.  The quotient's precision drops by ord(u).  `order_check`,
-    when given, additionally requires ord(v/u) >= order_check.
+    `u` is a series or a PreparedDivisor; pass a PreparedDivisor to divide
+    many dividends by one u without preparing it again.  Raises MadicError
+    when v is not a multiple of u to the available precision.  The
+    quotient's precision drops by ord(u).  `order_check`, when given,
+    additionally requires ord(v/u) >= order_check.
     """
-    v._check(u)
-    uo = u.order()
-    if not uo.finite:
-        raise MadicError("division by a series that vanishes to precision")
-    if uo.value == 0:
-        q = v * u.inverse()
-    elif len(v.vars) == 1:
-        k = uo.value
-        if any(e[0] < k for e in v.terms):
-            raise MadicError("series division is not exact")
-        prec = min(v.precision, u.precision) - k
-        fld = v.field
-        shifted_v = TruncatedSeries(fld, v.vars, prec, {(e[0] - k,): c for e, c in v.terms.items()})
-        shifted_u = TruncatedSeries(fld, u.vars, prec, {(e[0] - k,): c for e, c in u.terms.items()})
-        q = shifted_v * shifted_u.inverse()
-    else:
-        r = uo.value
-        N = min(v.precision, u.precision)
-        if N <= 2 * r + 1:
-            raise PrecisionError("precision too low for series division")
-        change, u_reg = regularize(u)
-        v_reg = v if change.is_identity() else change.apply_series(v)
-        unit, dist = prepare(u_reg)
-        q_reg, rems = w_divide(v_reg, dist)
-        for j, rem in enumerate(rems):
-            ro = rem.order()
-            if ro.finite and ro.value + j < N - 2 * r:
-                raise MadicError("series division is not exact")
-        q_reg = q_reg * unit.inverse()
-        q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
-        q = q.truncate(N - r)
-    if order_check is not None and not q.order().ge(order_check):
-        raise MadicError(
-            f"quotient order {q.order()} below required {order_check}"
-        )
-    return q
+    if not isinstance(u, PreparedDivisor):
+        u = PreparedDivisor(u)
+    return u.divide(v, order_check)

@@ -135,3 +135,58 @@ def test_duplicate_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", str(bad))
     assert code == 3
     assert "duplicate" in err
+
+
+def test_precision_above_written_is_refused(capsys):
+    # the fixture writes O(m^16); O(m^20) would claim digits it does not fix
+    code, out, err = run(
+        capsys, "prepare", fx("prepare_example.madic"), "--precision", "20", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the written O(m^16)" in err
+
+
+def test_precision_below_written_truncates(capsys):
+    code, out, _ = run(
+        capsys, "prepare", fx("prepare_example.madic"), "--precision", "8", "--json"
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["unit"].endswith("O(m^8)")
+    assert all(c.endswith("O(m^8)") for c in blob["distinguished"]["coeffs"])
+
+
+def test_solve_precision_above_written_is_refused(capsys):
+    # the approximation is written to O(m^24): 40 is not silently capped
+    code, out, err = run(
+        capsys, "solve", fx("solve_basic.madic"), "--precision", "40", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds the written O(m^24)" in err
+
+
+def test_solve_precision_below_written_truncates(capsys):
+    code, out, _ = run(
+        capsys, "solve", fx("solve_basic.madic"), "--precision", "16", "--json"
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["status"] == "certified-to-precision"
+    assert {s["precision"] for s in blob["certificate"]["refined"]} == {16}
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", fx("solve_basic.madic"), "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_seed_key_is_rejected(tmp_path, capsys):
+    bad = tmp_path / "seeded.madic"
+    bad.write_text("seed: 3\n")
+    code, _, err = run(capsys, "bounds", str(bad))
+    assert code == 3
+    assert "unknown key 'seed'" in err

@@ -1,5 +1,6 @@
 """Minor selection, Newton refinement and the end-to-end pipeline."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from madic import (
     HypothesisError,
     MadicError,
     OneVarSystem,
+    PreparedDivisor,
     PrimeField,
     QQ,
     SeriesVector,
@@ -19,11 +21,14 @@ from madic import (
     build_one_var_system,
     evaluate,
     parse_polynomial,
+    parse_series,
     select_minor,
     solve_one_var,
     tougeron_refine,
 )
 from madic.solver import STATUS_OK, SolverConfig
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
 def xs(N, field=QQ):
@@ -144,6 +149,85 @@ def test_refine_two_unknowns():
     assert cert.status == STATUS_OK
     for f in fs:
         assert not evaluate(f, cert.refined, {"z1": 0, "z2": 1}).order().finite
+
+
+XYZ = ("x", "y", "z")
+
+
+def _biv_point(text, N, field=QQ):
+    p, _ = parse_series(f"{text} + O(m^{N})", ("x", "y"), field)
+    return SeriesVector([TruncatedSeries.from_polynomial(p, N)])
+
+
+def test_refine_vanishing_squared_minor_refused_at_first_division():
+    # delta(zbar)^2 = 4x^12 vanishes at precision 10 while the residual x^9
+    # does not: the first residual division refuses the hypothesis
+    f = parse_polynomial("z^2 - x^12 + x^9", XYZ)
+    delta = parse_polynomial("2*z", XYZ)
+    with pytest.raises(HypothesisError, match="vanishes to precision"):
+        tougeron_refine([f], delta, ("z",), _biv_point("x^6", 10), {"z": 0}, 1)
+
+
+def test_refine_unregularizable_squared_minor_refused_at_first_division():
+    # over GF(3), x^3 - x*y^2 is the product of all x - a*y, so no shear
+    # makes delta(zbar)^2 = (x^3 - x*y^2)^2 y-regular
+    gf3 = PrimeField(3)
+    f = parse_polynomial("z^2 - (x^3 - x*y^2)^2 + x^15", XYZ, gf3)
+    delta = parse_polynomial("2*z", XYZ, gf3)
+    zbar = _biv_point("2*x^3 - 2*x*y^2", 16, gf3)
+    with pytest.raises(HypothesisError, match="no shear"):
+        tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 1)
+
+
+def test_refine_unused_squared_minor_never_raises():
+    # delta(zbar)^2 vanishes to precision, but the residual is zero, so no
+    # division by it (or by delta(zbar)) ever runs
+    f = parse_polynomial("z^2 - x^12", XYZ)
+    delta = parse_polynomial("2*z", XYZ)
+    zbar = _biv_point("x^6", 10)
+    cert = tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 1)
+    assert cert.status == STATUS_OK
+    assert cert.iterations == 0
+    assert cert.refined[0] == zbar[0]
+
+
+def test_refine_prepares_squared_minor_afresh_unless_equal():
+    f = parse_polynomial("z^2 - x^2*y^2", XYZ)
+    delta = parse_polynomial("2*z", XYZ)
+    zbar = _biv_point("x*y + x^5*y^5", 16)
+    dsq = evaluate(delta * delta, zbar, {"z": 0})
+    plain = tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 3)
+    assert plain.status == STATUS_OK
+    for prepared in (PreparedDivisor(dsq), PreparedDivisor(zbar[0])):
+        cert = tougeron_refine(
+            [f], delta, ("z",), zbar, {"z": 0}, 3, prepared=prepared
+        )
+        assert cert.to_json() == plain.to_json()
+
+
+def test_pipeline_prepares_each_divisor_once(monkeypatch):
+    from madic import solver, weierstrass
+    from madic.problemfile import load_problem
+
+    calls = []
+    real = weierstrass.prepare
+
+    def counting(u, *args, **kwargs):
+        calls.append(u)
+        return real(u, *args, **kwargs)
+
+    # the solver imported the name too: patch both namespaces
+    monkeypatch.setattr(weierstrass, "prepare", counting)
+    monkeypatch.setattr(solver, "prepare", counting)
+    pf = load_problem(os.path.join(PROBLEMS, "solve_basic.madic"))
+    cert = approximate_solve(
+        pf.equations(), pf.approx_vector(), pf.assignment(),
+        pf.get_int("target_order"),
+    )
+    assert cert.status == STATUS_OK
+    # the squared minor (one-variable reduction, then every Newton
+    # division) and the minor (Newton loop and the distance audit)
+    assert len(calls) == len(set(calls)) == 2
 
 
 # -- one-variable reduction -------------------------------------------

@@ -1,14 +1,18 @@
 """Weierstrass preparation, division, and the generic Euclidean division."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madic import (
     DistinguishedPolynomial,
     LinearChange,
     MadicError,
+    PreparedDivisor,
+    PrimeField,
     QQ,
     TruncatedSeries,
     divide_series,
@@ -20,6 +24,7 @@ from madic import (
     w_divide,
     y_regular_order,
 )
+from madic import weierstrass
 
 XY = ("x", "y")
 
@@ -255,3 +260,92 @@ def test_divide_series_order_check():
     assert divide_series(v, u, order_check=1) is not None
     with pytest.raises(MadicError):
         divide_series(v, u, order_check=2)
+
+
+# -- prepared divisors --------------------------------------------------
+
+GF = PrimeField(32003)
+
+
+def _outcome(fn):
+    """The quotient, or the type and message of the refusal."""
+    try:
+        return fn()
+    except MadicError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _series(draw, field, vars, precision, min_degree=0, lead=None):
+    """A random series with terms of total degree >= min_degree; `lead`,
+    when given, is a monomial forced to a nonzero coefficient."""
+    coeff = st.integers(-3, 3)
+    terms = {}
+    for e in itertools.product(range(precision), repeat=len(vars)):
+        if min_degree <= sum(e) < precision and draw(st.booleans()):
+            terms[e] = field.convert(draw(coeff))
+    if lead is not None:
+        terms[lead] = field.convert(draw(st.sampled_from([-2, -1, 1, 2, 3])))
+    return TruncatedSeries(field, vars, precision, terms)
+
+
+@st.composite
+def _division_case(draw):
+    field = draw(st.sampled_from([QQ, GF]))
+    if draw(st.booleans()):
+        vars, N = ("x",), draw(st.integers(6, 12))
+        k = draw(st.integers(0, 3))
+        u = _series(field, vars, N, k, (k,))
+    else:
+        vars, N = XY, draw(st.integers(6, 9))
+        r = draw(st.integers(0, 2))
+        # a leading x^r usually needs a shear to become y-regular
+        u = _series(field, vars, N, r, draw(st.sampled_from([(0, r), (r, 0)])))
+    u = draw(u)
+    dividends = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(_series(field, vars, N, 0))
+        p = draw(st.sampled_from([N, N, N - 1, N // 2, 1]))
+        dividends.append((u * q).truncate(p))
+    # most likely not a multiple: u*q plus low-order noise
+    noise = draw(_series(field, vars, 3, 0)).terms
+    q = draw(_series(field, vars, N, 0))
+    dividends.append(u * q + TruncatedSeries(field, vars, N, noise))
+    order_check = draw(st.sampled_from([None, None, 0, 1, 3]))
+    return u, dividends, order_check
+
+
+@settings(max_examples=40, deadline=None)
+@given(_division_case())
+def test_prepared_divisor_matches_fresh_division(case):
+    u, dividends, order_check = case
+    prepared = PreparedDivisor(u)
+    for v in dividends:
+        got = _outcome(lambda: divide_series(v, prepared, order_check))
+        want = _outcome(lambda: divide_series(v, u, order_check))
+        assert got == want
+
+
+def test_prepared_divisor_never_raises_until_used():
+    zero = TruncatedSeries.zero(XY, 8)
+    prepared = PreparedDivisor(zero)  # vanishes to precision: no error yet
+    with pytest.raises(MadicError, match="vanishes to precision"):
+        prepared.divide(S("x + O(m^8)"))
+
+
+def test_prepared_divisor_prepares_once(monkeypatch):
+    calls = []
+    real = weierstrass.prepare
+
+    def counting(u, *args, **kwargs):
+        calls.append(u)
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(weierstrass, "prepare", counting)
+    u = S("y^2 + x + x*y + O(m^10)")
+    prepared = PreparedDivisor(u)
+    for text in ("y^3 + x*y + O(m^10)", "x^2 + y^4 + O(m^10)"):
+        v = u * S(text)
+        assert divide_series(v, prepared) == divide_series(v, u)
+    # one preparation for the prepared divisor, one per fresh division
+    assert len(calls) == 3
