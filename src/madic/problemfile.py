@@ -45,9 +45,7 @@ _SCALAR = {
     "n",
     "s",
     "c",
-    "k",
     "K",
-    "inner_constant",
     "series",
     "dividend",
     "divisor",

@@ -7,11 +7,37 @@ truncated series cannot be certified, so `ord` returns a lower-bound marker
 
 Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
+
+Every truncated product of the series layer goes through one exact sparse
+kernel, `mul_terms`, over term dicts keyed by exponent tuples or, for a
+univariate dict, by plain degrees:
+
+- each exponent is packed into one int (the degree; i*cap + j for (i, j)),
+  so that adding packed keys adds exponents;
+- one operand is sorted by total degree, so the inner loop over it stops at
+  the degree cap instead of testing every pair;
+- coefficients are accumulated as plain ints and each output coefficient
+  is reduced once: over GF(p) the residues themselves, over QQ the
+  numerators of each operand over its own lcm denominator, with one
+  Fraction built per output term.  When that lcm is much longer than the
+  largest denominator (many unrelated denominators), the scaled numerators
+  would cost more than Fraction arithmetic, so the Fractions themselves are
+  accumulated instead.
+
+Both fields are exact, so the result does not depend on the accumulation
+order or representation.  `LinearChange.apply_series` accumulates its
+one-pass expansion in the same integer representation, and `evaluate`
+multiplies through the kernel and adds each term's product into one dict.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
 from .fields import QQ, check_same_field
@@ -60,6 +86,114 @@ class Norm:
         return f"<= e^-{self.order.value}"
 
 
+# -- the product kernel ------------------------------------------------
+
+# Over QQ an operand is scaled to integers only while its lcm denominator is
+# at most this many times as long as its largest denominator (plus a word of
+# slack); past that the scaled numerators cost more than Fraction arithmetic.
+_LCM_GROWTH = 64
+
+
+def common_denominator(field, coeffs):
+    """(nums, den) with coeffs[i] == nums[i] / den: over GF(p) the residues
+    over 1, over QQ the numerators over the lcm of the denominators."""
+    if field.characteristic:
+        return list(coeffs), 1
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def integer_coefficients(field, coeffs):
+    """Exact numbers that add and multiply like `coeffs`, over one
+    denominator: `common_denominator`, except that over QQ, when the lcm
+    outgrows the largest denominator (see _LCM_GROWTH), the Fractions
+    themselves over None.  `field_terms` turns sums of their products back
+    into field elements.
+    """
+    nums, den = common_denominator(field, coeffs)
+    if field.characteristic == 0:
+        longest = max(c.denominator for c in coeffs).bit_length()
+        if den.bit_length() > _LCM_GROWTH * longest + 64:
+            return list(coeffs), None
+    return nums, den
+
+
+def field_terms(field, items, den):
+    """The term dict of (key, number) pairs over `den`, one field element
+    per term, without the terms that vanish."""
+    if field.characteristic:
+        p = field.p
+        return {k: r for k, n in items if (r := n % p)}
+    if den is None:
+        return {k: n for k, n in items if n}
+    return {k: Fraction(n, den) for k, n in items if n}
+
+
+def _packed(terms, cap):
+    """(packed key, degree, coefficient) for each term of degree < cap.
+
+    A degree key packs to itself, (i,) to i and (i, j) to i*cap + j, so the
+    sum of two packed keys is the packed key of their product as long as
+    the product's degree stays below cap."""
+    key = next(iter(terms))
+    if isinstance(key, int):
+        return [(e, e, c) for e, c in terms.items() if e < cap]
+    if len(key) == 1:
+        return [(e[0], e[0], c) for e, c in terms.items() if e[0] < cap]
+    return [(i * cap + j, i + j, c) for (i, j), c in terms.items() if i + j < cap]
+
+
+def _unpacked(items, key, cap):
+    """The (packed key, value) pairs with keys of the same kind as `key`."""
+    if isinstance(key, int):
+        return items
+    if len(key) == 1:
+        return (((k,), n) for k, n in items)
+    return ((divmod(k, cap), n) for k, n in items)
+
+
+def mul_terms(a, b, field, cap):
+    """The exact product of term dicts `a` and `b` over `field`, keeping the
+    terms of total degree < cap.
+
+    Keys are exponent tuples, all of one length (1 or 2), or plain degrees
+    for univariate dicts; the product has keys of the same kind.  See the
+    module docstring for how the product is accumulated.
+    """
+    if not a or not b:
+        return {}
+    key = next(iter(a))
+    a, b = _packed(a, cap), _packed(b, cap)
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a single term shifts and scales the other operand
+        ((ka, da, ca),) = a
+        mul, is_zero = field.mul, field.is_zero
+        items = ((ka + kb, mul(ca, cb)) for kb, db, cb in b if da + db < cap)
+        return {k: c for k, c in _unpacked(items, key, cap) if not is_zero(c)}
+    b.sort(key=itemgetter(1))
+    a_nums, a_den = integer_coefficients(field, [c for _, _, c in a])
+    b_nums, b_den = integer_coefficients(field, [c for _, _, c in b])
+    if a_den is None or b_den is None:
+        a_nums, b_nums, den = [c for _, _, c in a], [c for _, _, c in b], None
+    else:
+        den = a_den * b_den
+    b_degs = [d for _, d, _ in b]
+    inner = [(k, n) for (k, _, _), n in zip(b, b_nums)]
+    # a list indexed by packed key, unless fewer pairs than slots
+    size = max(k for k, _, _ in a) + max(k for k, _ in inner) + 1
+    acc = [0] * size if len(a) * len(b) >= size else defaultdict(int)
+    for (ka, da, _), na in zip(a, a_nums):
+        for kb, nb in inner[: bisect_left(b_degs, cap - da)]:
+            acc[ka + kb] += na * nb
+    items = acc.items() if isinstance(acc, dict) else enumerate(acc)
+    return field_terms(field, _unpacked(((k, n) for k, n in items if n), key, cap), den)
+
+
 class TruncatedSeries:
     __slots__ = ("field", "vars", "precision", "terms")
 
@@ -79,6 +213,14 @@ class TruncatedSeries:
         }
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of_product(cls, field, vars, precision, terms):
+        """A series whose terms are already of degree < precision with
+        nonzero coefficients, as `mul_terms` returns them."""
+        out = cls.__new__(cls)
+        out.field, out.vars, out.precision, out.terms = field, vars, precision, terms
+        return out
 
     @classmethod
     def zero(cls, vars, precision, field=QQ):
@@ -169,18 +311,10 @@ class TruncatedSeries:
         if isinstance(other, int):
             other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
         self._check(other)
-        f = self.field
         prec = min(self.precision, other.precision)
-        out = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) >= prec:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(e)
-                out[e] = f.mul(ca, cb) if prev is None else f.add(prev, f.mul(ca, cb))
-        return TruncatedSeries(f, self.vars, prec, out)
+        return TruncatedSeries._of_product(
+            self.field, self.vars, prec, mul_terms(self.terms, other.terms, self.field, prec)
+        )
 
     __rmul__ = __mul__
 
@@ -194,14 +328,16 @@ class TruncatedSeries:
     def __pow__(self, n):
         if n < 0:
             raise MadicError("negative series power")
-        out = TruncatedSeries.constant(1, self.vars, self.precision, self.field)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
+        if out is None:
+            return TruncatedSeries.constant(1, self.vars, self.precision, self.field)
         return out
 
     def inverse(self):
@@ -292,32 +428,56 @@ def evaluate(f, zbar, assignment):
     Series variables of f map to themselves; each other variable must appear
     in `assignment`, a map from variable name to coordinate index of `zbar`.
     The result is exact modulo m^N for N the vector's precision.
+
+    f is grouped as a sum of C_M(series variables) * M over the monomials M
+    in the other variables: each C_M is a series read off f's terms, and
+    the value of each M is built on the cached value of its prefix.
     """
     prec = zbar.precision
     field = zbar.field
     svars = zbar.vars
-    images = {}
-    for v in f.vars:
-        if v in svars:
-            images[v] = TruncatedSeries.variable(v, svars, prec, field)
-        elif v in assignment:
-            images[v] = zbar[assignment[v]]
-        elif any(e[f.vars.index(v)] for e in f.terms):
+    spos = [svars.index(v) if v in svars else None for v in f.vars]
+    for i, (v, p) in enumerate(zip(f.vars, spos)):
+        if p is None and v not in assignment and any(e[i] for e in f.terms):
             raise MadicError(f"unassigned unknown {v!r} in evaluation")
-    out = TruncatedSeries.zero(svars, prec, field)
-    cache = {v: {} for v in images}
+    groups = {}
     for e, c in f.terms.items():
-        term = TruncatedSeries.constant(c, svars, prec, field)
-        for v, x in zip(f.vars, e):
-            if x == 0:
+        sexp = [0] * len(svars)
+        mono = []
+        for v, p, x in zip(f.vars, spos, e):
+            if not x:
                 continue
-            if v not in images:
-                raise MadicError(f"unassigned unknown {v!r} in evaluation")
-            powers = cache[v]
-            if x not in powers:
-                powers[x] = images[v] ** x
-            term = term * powers[x]
-        out = out + term
+            if p is None:
+                mono.append((v, x))
+            else:
+                sexp[p] = x
+        groups.setdefault(tuple(mono), {})[tuple(sexp)] = field.convert(c)
+    out = {}
+    add = field.add
+    products = {}
+    for mono, coeffs in groups.items():
+        term = TruncatedSeries(field, svars, prec, coeffs)
+        if mono and term.terms:
+            term = term * _monomial_value(mono, zbar, assignment, products)
+        for k, c in term.terms.items():
+            out[k] = add(out[k], c) if k in out else c
+    return TruncatedSeries(field, svars, prec, out)
+
+
+def _monomial_value(mono, zbar, assignment, cache):
+    """The product of zbar[assignment[v]]^x over the (v, x) of `mono`, as
+    the cached value of its prefix times the cached power of its last
+    variable, so monomials that share a prefix share its products."""
+    out = cache.get(mono)
+    if out is None:
+        if len(mono) == 1:
+            ((v, x),) = mono
+            out = zbar[assignment[v]] ** x
+        else:
+            out = _monomial_value(mono[:-1], zbar, assignment, cache) * _monomial_value(
+                mono[-1:], zbar, assignment, cache
+            )
+        cache[mono] = out
     return out
 
 

@@ -663,7 +663,7 @@ def _reconstruct(sys, solved, N):
         if not fld.is_zero(a.constant_term()):
             raise MadicError("solved distinguished coefficient has a unit term")
         a_solved.append(_lift(a, N))
-    dist2 = DistinguishedPolynomial(r, a_solved)
+    dist2 = DistinguishedPolynomial(r, a_solved, fld)
     dist2_series = dist2.to_series(svars, N)
     entries = []
     yser = TruncatedSeries.variable(svars[1], svars, N, fld)

@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .errors import MadicError, PrecisionError
-from .fields import QQ
+from .fields import QQ, check_same_field
 from .poly import Polynomial
-from .series import OrderValue, TruncatedSeries
+from .series import (
+    OrderValue,
+    TruncatedSeries,
+    common_denominator,
+    field_terms,
+    integer_coefficients,
+    mul_terms,
+)
 
 
 def y_regular_order(u):
@@ -110,31 +118,59 @@ class LinearChange:
         """Substitute the change into a bivariate truncated series.
 
         Monomials map to homogeneous polynomials of the same degree, so the
-        m-adic order and the precision are preserved.
+        m-adic order and the precision are preserved.  One pass: each term
+        c x^i y^j adds c (ax+by)^i (cx+dy)^j, expanded from the binomial
+        powers of the two images, into one integer accumulator (see the
+        `series` module); for a shear, (cx+dy)^j is the single term y^j.
         """
         if len(s.vars) != 2:
             raise MadicError("linear changes act on bivariate series")
         f = s.field
-        images = self._images_poly(s.vars, f)
-        sx = TruncatedSeries.from_polynomial(images[s.vars[0]], s.precision)
-        sy = TruncatedSeries.from_polynomial(images[s.vars[1]], s.precision)
-        out = TruncatedSeries.zero(s.vars, s.precision, f)
-        cache = ({}, {})
-        for (i, j), c in s.terms.items():
-            term = TruncatedSeries.constant(c, s.vars, s.precision, f)
-            if i:
-                if i not in cache[0]:
-                    cache[0][i] = sx ** i
-                term = term * cache[0][i]
-            if j:
-                if j not in cache[1]:
-                    cache[1][j] = sy ** j
-                term = term * cache[1][j]
-            out = out + term
-        return out
+        N = s.precision
+        if not s.terms:
+            return TruncatedSeries(f, s.vars, N, {})
+        nums, den = integer_coefficients(f, list(s.terms.values()))
+        a, b, c, d = self.matrix
+        (xa, xb), dx = common_denominator(f, [a, b])
+        (yc, yd), dy = common_denominator(f, [c, d])
+        imax = max(i for i, _ in s.terms)
+        jmax = max(j for _, j in s.terms)
+        # x^i y^j -> (xa x + xb y)^i (yc x + yd y)^j / (dx^i dy^j); the
+        # powers carry dx^(imax-i) dy^(jmax-j) to share one denominator
+        xpow = _binomial_powers(xa, xb, dx, imax, f)
+        ypow = _binomial_powers(yc, yd, dy, jmax, f)
+        scale = dx ** imax * dy ** jmax
+        if den is None:
+            nums = [n / scale for n in nums]
+        else:
+            den *= scale
+        # packed key of x^(n-k) y^k is (n-k)*N + k = n*N - k*(N-1)
+        acc = [0] * (N * N)
+        for ((i, j), n) in zip(s.terms, nums):
+            top = (i + j) * N
+            ys = ypow[j]
+            for kx, cx in xpow[i]:
+                ncx = n * cx
+                for ky, cy in ys:
+                    acc[top - (kx + ky) * (N - 1)] += ncx * cy
+        out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), den)
+        return TruncatedSeries(f, s.vars, N, out)
 
     def __repr__(self):
         return f"LinearChange{self.matrix}"
+
+
+def _binomial_powers(u, v, den, top, field):
+    """For n = 0..top, the nonzero (k, coefficient of x^(n-k) y^k) of
+    (u x + v y)^n times den^(top-n), reduced mod p over GF(p)."""
+    out = []
+    for n in range(top + 1):
+        scale = den ** (top - n)
+        row = [(k, comb(n, k) * u ** (n - k) * v ** k * scale) for k in range(n + 1)]
+        if field.characteristic:
+            row = [(k, c % field.p) for k, c in row]
+        out.append([(k, c) for k, c in row if c])
+    return out
 
 
 def regularize(u, seed=0, max_tries=256):
@@ -177,15 +213,23 @@ def regularize(u, seed=0, max_tries=256):
 
 @dataclass
 class DistinguishedPolynomial:
-    """y^r + a_1(x) y^(r-1) + ... + a_r(x) with every a_i(0) = 0."""
+    """y^r + a_1(x) y^(r-1) + ... + a_r(x) with every a_i(0) = 0.
+
+    `field` defaults to the coefficients' field, and to QQ for r = 0 with no
+    field given; `prepare` always passes the field of the prepared series.
+    """
 
     r: int
     coeffs: list  # univariate TruncatedSeries a_1 ... a_r
+    field: object = None
 
     def __post_init__(self):
         if len(self.coeffs) != self.r:
             raise MadicError("need exactly r coefficient series")
+        if self.field is None:
+            self.field = self.coeffs[0].field if self.coeffs else QQ
         for a in self.coeffs:
+            check_same_field(a.field, self.field)
             if len(a.vars) != 1:
                 raise MadicError("coefficients must be univariate")
             if not a.field.is_zero(a.constant_term()):
@@ -193,10 +237,9 @@ class DistinguishedPolynomial:
 
     def to_series(self, vars, precision):
         """The distinguished polynomial as a bivariate series in `vars`."""
+        fld = self.field
         if self.r == 0:
-            fld = QQ
             return TruncatedSeries.constant(1, vars, precision, fld)
-        fld = self.coeffs[0].field
         terms = {(0, self.r): fld.one()}
         for p, a in enumerate(self.coeffs, start=1):
             ypow = self.r - p
@@ -219,36 +262,6 @@ def _x_slices(terms):
     for (i, j), c in terms.items():
         slices.setdefault(i, {})[j] = c
     return slices
-
-
-def _uni_mul(a, b, field, ycap):
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            if i + j > ycap:
-                continue
-            k = i + j
-            prev = out.get(k)
-            out[k] = field.mul(ca, cb) if prev is None else field.add(prev, field.mul(ca, cb))
-    return {k: c for k, c in out.items() if not field.is_zero(c)}
-
-
-def _uni_inverse(a, field, ycap):
-    """Inverse of a unit univariate coefficient dict, to degree ycap."""
-    c0 = a.get(0)
-    if c0 is None or field.is_zero(c0):
-        raise MadicError("not a unit")
-    inv0 = field.inv(c0)
-    out = {0: inv0}
-    for k in range(1, ycap + 1):
-        acc = field.zero()
-        for j, cj in a.items():
-            if 0 < j <= k:
-                acc = field.add(acc, field.mul(cj, out.get(k - j, field.zero())))
-        v = field.neg(field.mul(inv0, acc))
-        if not field.is_zero(v):
-            out[k] = v
-    return out
 
 
 def weierstrass_divide(g, u, r):
@@ -278,7 +291,9 @@ def weierstrass_divide(g, u, r):
     e_unit = {j - r: c for j, c in uslices.get(0, {}).items()}
     if min(e_unit) != 0:
         raise MadicError("divisor x^0 slice has unexpected y-order")
-    e_inv = _uni_inverse(e_unit, fld, ycap)
+    # the unit's inverse to degree ycap, by the series Newton iteration
+    e_inv = TruncatedSeries(fld, g.vars[1:], ycap + 1, {(j,): c for j, c in e_unit.items()})
+    e_inv = {j: c for (j,), c in e_inv.inverse().terms.items()}
 
     q_slices = {}
     rem_slices = {}
@@ -290,7 +305,7 @@ def weierstrass_divide(g, u, r):
             qk = q_slices.get(i - j)
             if not uj or not qk:
                 continue
-            prod = _uni_mul(uj, qk, fld, cap + r)
+            prod = mul_terms(uj, qk, fld, cap + r + 1)
             for k, c in prod.items():
                 v = fld.sub(h.get(k, fld.zero()), c)
                 if fld.is_zero(v):
@@ -299,7 +314,7 @@ def weierstrass_divide(g, u, r):
                     h[k] = v
         rem_slices[i] = {k: c for k, c in h.items() if k < r}
         tail = {k - r: c for k, c in h.items() if k >= r}
-        q_slices[i] = _uni_mul(tail, e_inv, fld, cap)
+        q_slices[i] = mul_terms(tail, e_inv, fld, cap + 1)
 
     q_terms = {}
     for i, sl in q_slices.items():
@@ -334,7 +349,7 @@ def prepare(u, precision=None):
     if r >= u.precision:
         raise PrecisionError("y-regular order at or beyond precision")
     if r == 0:
-        return u, DistinguishedPolynomial(0, [])
+        return u, DistinguishedPolynomial(0, [], u.field)
     fld = u.field
     yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): fld.one()})
     q, rems = weierstrass_divide(yr, u, r)
@@ -342,7 +357,7 @@ def prepare(u, precision=None):
     coeffs = []
     for p in range(1, r + 1):
         coeffs.append(-rems[r - p])
-    dist = DistinguishedPolynomial(r, coeffs)
+    dist = DistinguishedPolynomial(r, coeffs, fld)
     unit = q.inverse()
     return unit, dist
 

@@ -190,3 +190,15 @@ def test_seed_key_is_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", str(bad))
     assert code == 3
     assert "unknown key 'seed'" in err
+
+
+@pytest.mark.parametrize("key", ["k", "inner_constant"])
+def test_dead_keys_are_rejected(tmp_path, capsys, key):
+    # no command ever read these keys, so a file using them is refused
+    # instead of having the value silently ignored
+    bad = tmp_path / "dead.madic"
+    bad.write_text(f"m: 1\n{key}: 3\n")
+    code, out, err = run(capsys, "bounds", str(bad))
+    assert code == 3
+    assert out == ""
+    assert f"unknown key {key!r}" in err

@@ -1,0 +1,272 @@
+"""The sparse truncated-product kernel against naive references.
+
+The references are plain loops: a pairwise product that tests every pair
+against the degree cap and adds with the field's own operations (also on
+degree-keyed dicts, the y-slices of Weierstrass division, with their
+inclusive cap), a linear change expanded term by term from repeated
+products, and an evaluation that multiplies out every term.  They live
+here only, as oracles.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from madic import LinearChange, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries, evaluate
+from madic import series
+from madic.series import integer_coefficients, mul_terms
+
+XY = ("x", "y")
+
+# small primes make sums cancel to 0; 32003 is the benchmark's prime
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)]
+PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
+DENOMINATORS = [1, 2, 3, 4, 6, 8, 9, 12, 16, 27, 36] + PRIMES
+
+
+# -- naive references ---------------------------------------------------
+
+
+def naive_mul_terms(a, b, field, cap):
+    """Every pair, tested against the cap, added with field operations."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if isinstance(ea, int):
+                e, deg = ea + eb, ea + eb
+            else:
+                e = tuple(x + y for x, y in zip(ea, eb))
+                deg = sum(e)
+            if deg >= cap:
+                continue
+            out[e] = field.add(out.get(e, field.zero()), field.mul(ca, cb))
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def naive_mul(a, b):
+    prec = min(a.precision, b.precision)
+    return TruncatedSeries(a.field, a.vars, prec, naive_mul_terms(a.terms, b.terms, a.field, prec))
+
+
+def naive_add(a, b, field):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = field.add(out.get(e, field.zero()), c)
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def naive_pow(terms, n, field, cap, nvars):
+    out = {(0,) * nvars: field.one()}
+    for _ in range(n):
+        out = naive_mul_terms(out, terms, field, cap)
+    return out
+
+
+def naive_apply_series(change, s):
+    f, N = s.field, s.precision
+    a, b, c, d = change.matrix
+    x_img = {(1, 0): a, (0, 1): b}
+    y_img = {(1, 0): c, (0, 1): d}
+    out = {}
+    for (i, j), coeff in s.terms.items():
+        term = naive_mul_terms(naive_pow(x_img, i, f, N, 2), naive_pow(y_img, j, f, N, 2), f, N)
+        out = naive_add(out, {e: f.mul(coeff, v) for e, v in term.items()}, f)
+    return TruncatedSeries(f, s.vars, N, out)
+
+
+def naive_evaluate(poly, zbar, assignment):
+    f, N, svars = zbar.field, zbar.precision, zbar.vars
+    images = {}
+    for k, v in enumerate(svars):
+        e = [0] * len(svars)
+        e[k] = 1
+        images[v] = {tuple(e): f.one()}
+    for v, idx in assignment.items():
+        images[v] = zbar[idx].terms
+    out = {}
+    for e, c in poly.terms.items():
+        term = {(0,) * len(svars): c}
+        for v, x in zip(poly.vars, e):
+            term = naive_mul_terms(term, naive_pow(images[v], x, f, N, len(svars)), f, N)
+        out = naive_add(out, term, f)
+    return TruncatedSeries(f, svars, N, out)
+
+
+# -- strategies -----------------------------------------------------------
+
+
+def coefficients(field):
+    if field == QQ:
+        return st.builds(
+            Fraction, st.integers(-50, 50), st.sampled_from(DENOMINATORS)
+        )
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def term_dicts(draw, field, nvars, maxdeg, max_terms=12):
+    if nvars == 0:  # degree keys, as in a Weierstrass y-slice
+        keys = st.integers(0, maxdeg)
+    else:
+        keys = st.tuples(*[st.integers(0, maxdeg)] * nvars)
+    return draw(st.dictionaries(keys, coefficients(field), max_size=max_terms))
+
+
+@st.composite
+def series_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.sampled_from([1, 2]))
+    vars = XY[:nvars]
+    pa, pb = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    a = TruncatedSeries(field, vars, pa, draw(term_dicts(field, nvars, 13)))
+    b = TruncatedSeries(field, vars, pb, draw(term_dicts(field, nvars, 13)))
+    return a, b
+
+
+@st.composite
+def linear_changes(draw, field):
+    if draw(st.booleans()):
+        lam = draw(coefficients(field))
+        return LinearChange.shear(lam, field)
+    a, b, c, d = (draw(coefficients(field)) for _ in range(4))
+    if field.is_zero(field.sub(field.mul(a, d), field.mul(b, c))):
+        # a singular draw becomes the determinant-one matrix (1, b; c, 1 + bc)
+        a, d = field.one(), field.add(field.one(), field.mul(b, c))
+    return LinearChange(a, b, c, d, field)
+
+
+# -- products -------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_series_product_matches_pairwise_loop(pair):
+    a, b = pair
+    expected = naive_mul(a, b)
+    assert a * b == expected
+    assert b * a == expected
+    assert (a * b).precision == min(a.precision, b.precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), st.sampled_from([10**9, -(10**9)]))
+def test_fraction_and_integer_accumulation_agree(pair, growth):
+    # a huge limit always scales to integers, a negative one always
+    # accumulates Fractions; both must give the pairwise loop's product
+    a, b = pair
+    with mock.patch.object(series, "_LCM_GROWTH", growth):
+        assert a * b == naive_mul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degree_keyed_product_keeps_inclusive_cap(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    ycap = data.draw(st.integers(0, 12))
+    a = data.draw(term_dicts(field, 0, ycap + 3))
+    b = data.draw(term_dicts(field, 0, ycap + 3))
+    got = mul_terms(a, b, field, ycap + 1)
+    assert got == naive_mul_terms(a, b, field, ycap + 1)
+    assert all(k <= ycap for k in got)
+
+
+def test_empty_and_out_of_range_operands():
+    F = PrimeField(5)
+    assert mul_terms({}, {(1,): 2}, F, 4) == {}
+    assert mul_terms({(1,): 2}, {}, F, 4) == {}
+    # every pair at or above the cap
+    assert mul_terms({(4,): 2}, {(0,): 1}, F, 4) == {}
+    assert mul_terms({(2, 1): 2}, {(1, 0): 3}, F, 4) == {}
+    # 2 * 3 = 1 and (1 + x)(1 + 4x) = 1 + 5x + 4x^2 = 1 + 4x^2 over GF(5)
+    assert mul_terms({(0,): 2}, {(0,): 3}, F, 4) == {(0,): 1}
+    assert mul_terms({(0,): 1, (1,): 1}, {(0,): 1, (1,): 4}, F, 4) == {(0,): 1, (2,): 4}
+
+
+def test_distinct_prime_denominators_accumulate_fractions():
+    primes = [p for p in range(1000, 3000) if all(p % d for d in range(2, 46))]
+    a = {(i,): Fraction(i + 1, primes[i]) for i in range(120)}
+    b = {(i,): Fraction(1 - i, primes[120 + i]) for i in range(120)}
+    nums, den = integer_coefficients(QQ, list(a.values()))
+    assert den is None and nums == list(a.values())
+    assert mul_terms(a, b, QQ, 120) == naive_mul_terms(a, b, QQ, 120)
+    # one operand past the limit, the other over a small shared denominator
+    c = {(i,): Fraction(2 * i - 7, 6) for i in range(40)}
+    assert integer_coefficients(QQ, list(c.values()))[1] == 6
+    assert mul_terms(a, c, QQ, 120) == naive_mul_terms(a, c, QQ, 120)
+    assert mul_terms(c, a, QQ, 120) == naive_mul_terms(c, a, QQ, 120)
+
+
+def test_shared_denominator_is_exact():
+    coeffs = [Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9), Fraction(3)]
+    nums, den = integer_coefficients(QQ, coeffs)
+    assert den == 36
+    assert [Fraction(n, den) for n in nums] == coeffs
+
+
+# -- linear changes -----------------------------------------------------------
+
+
+@st.composite
+def change_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    N = draw(st.integers(1, 9))
+    s = TruncatedSeries(field, XY, N, draw(term_dicts(field, 2, N - 1, max_terms=10)))
+    return draw(linear_changes(field)), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(change_cases())
+def test_apply_series_matches_term_by_term_expansion(case):
+    change, s = case
+    out = change.apply_series(s)
+    assert out == naive_apply_series(change, s)
+    assert change.inverse().apply_series(out) == s
+
+
+@settings(max_examples=30, deadline=None)
+@given(change_cases())
+def test_apply_series_fraction_accumulation(case):
+    change, s = case
+    with mock.patch.object(series, "_LCM_GROWTH", -(10**9)):
+        assert change.apply_series(s) == naive_apply_series(change, s)
+
+
+# -- evaluation -------------------------------------------------------------
+
+
+@st.composite
+def evaluation_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.sampled_from([1, 2]))
+    svars = XY[:nvars]
+    N = draw(st.integers(1, 10))
+    unknowns = ("z", "w")
+    vars = svars + unknowns
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(vars)), coefficients(field), max_size=8
+        )
+    )
+    poly = Polynomial(field, vars, terms)
+    entries = [
+        TruncatedSeries(field, svars, N, draw(term_dicts(field, nvars, N - 1, max_terms=6)))
+        for _ in unknowns
+    ]
+    return poly, SeriesVector(entries), {"z": 0, "w": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluation_cases())
+def test_evaluate_matches_term_by_term_loop(case):
+    poly, zbar, assignment = case
+    assert evaluate(poly, zbar, assignment) == naive_evaluate(poly, zbar, assignment)
+
+
+def test_evaluate_converts_coefficients_into_the_vector_field():
+    F = PrimeField(7)
+    poly = Polynomial(QQ, ("x", "z"), {(0, 0): Fraction(1, 2), (1, 1): Fraction(3)})
+    z = TruncatedSeries(F, ("x",), 5, {(0,): 1, (2,): 6})
+    # 1/2 = 4 in GF(7); 3*x*(1 + 6x^2) = 3x + 4x^3
+    expected = TruncatedSeries(F, ("x",), 5, {(0,): 4, (1,): 3, (3,): 4})
+    assert evaluate(poly, SeriesVector([z]), {"z": 0}) == expected

@@ -91,6 +91,27 @@ def test_prepare_unit_input():
     assert unit == u
 
 
+def test_prepare_unit_keeps_field_over_gf():
+    # r = 0: the distinguished polynomial is 1, over the unit's own field
+    F = PrimeField(7)
+    poly, prec = parse_series("3 + x + 5*y^2 + O(m^8)", XY, F)
+    u = TruncatedSeries.from_polynomial(poly, prec)
+    unit, dist = prepare(u)
+    assert dist.r == 0 and dist.field == F
+    one = dist.to_series(XY, 8)
+    assert one == TruncatedSeries.constant(1, XY, 8, F)
+    assert u * one == u
+    q, rems = w_divide(u, dist)
+    assert q == u and rems == []
+
+
+def test_distinguished_polynomial_field_must_match_coefficients():
+    a = TruncatedSeries(PrimeField(7), ("x",), 8, {(1,): 2})
+    assert DistinguishedPolynomial(1, [a]).field == PrimeField(7)
+    with pytest.raises(MadicError):
+        DistinguishedPolynomial(1, [a], QQ)
+
+
 def test_distinguished_coefficients_must_vanish_at_origin():
     one = TruncatedSeries.constant(1, ("x",), 8)
     with pytest.raises(MadicError):
