@@ -5,13 +5,45 @@ approximation pipeline, and the doubly exponential isolated-singularity bound.
 Everything is exact big-integer arithmetic; nothing here is ever a float.
 Display constants (the K's) are user-configurable and non-normative: the
 theory only asserts their existence.
+
+The towers grow doubly exponentially, so every power goes through
+`capped_power`, which bounds the bit length of the result from the exponent
+before building it and raises CapacityError above MAX_BITS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MadicError
+from .errors import CapacityError, MadicError
+
+# Largest bit length of a bound that is built.  Every bound is reported in
+# decimal, and CPython refuses by default to print an int of more than 4300
+# digits (about 14,284 bits).
+MAX_BITS = 14_000
+
+
+def power_bits(base, exp):
+    """An upper bound on the bit length of base ** exp, from the exponent:
+    exact when base is a power of two, otherwise exp * bitlen(base), which
+    is less than twice the true length."""
+    if base < 2 or exp == 0:
+        return 1
+    k = base.bit_length()
+    if base & (base - 1) == 0:
+        return exp * (k - 1) + 1
+    return exp * k
+
+
+def capped_power(base, exp, factor=1):
+    """factor * base ** exp for nonnegative ints, refused with CapacityError
+    when its estimated bit length exceeds MAX_BITS."""
+    bits = power_bits(base, exp)
+    if factor > 1:
+        bits += factor.bit_length()
+    if bits > MAX_BITS:
+        raise CapacityError(f"a bound of more than {MAX_BITS} bits")
+    return factor * base**exp
 
 
 def default_a_fn(m, d):
@@ -39,7 +71,8 @@ def colon_degree_bound(m, d):
     """Degree bound for generators of the colon ideals entering the Jacobian
     ideal (Seidenberg-style elimination bound, implemented verbatim)."""
     _check(m, d)
-    return (m + 2) * ((d + m + 2) ** (m + 2) * d) ** (2 ** (m + 1))
+    base = capped_power(d + m + 2, m + 2, d)
+    return capped_power(base, capped_power(2, m + 1), m + 2)
 
 
 def power_exponent(m, d, n):
@@ -47,7 +80,7 @@ def power_exponent(m, d, n):
     any H with the same radical."""
     if n < 1:
         raise MadicError("need n >= 1")
-    return elkik_degree_bound(m, d) ** min(n, m + 1)
+    return capped_power(elkik_degree_bound(m, d), min(n, m + 1))
 
 
 def gamma(m, d, s, c, a_fn=default_a_fn):
@@ -69,7 +102,7 @@ def beta_estimate(m, d, s, K=2):
     _check(m, d)
     if s < 1 or K < 1:
         raise MadicError("need s >= 1 and K >= 1")
-    return (2 * s + 1) * (4 * m * d * s) ** (K ** (2 * (m + 1) * s))
+    return capped_power(4 * m * d * s, capped_power(K, 2 * (m + 1) * s), 2 * s + 1)
 
 
 def isolated_singularity_bound(d, m, k, c, inner_constant=2):
@@ -83,7 +116,7 @@ def isolated_singularity_bound(d, m, k, c, inner_constant=2):
     if k < 1 or c < 0 or inner_constant < 1:
         raise MadicError("need k >= 1, c >= 0 and inner_constant >= 1")
     D = c - 1
-    return d ** (inner_constant ** (m * k * (D + 1))) * (c + 1)
+    return capped_power(d, capped_power(inner_constant, m * k * (D + 1)), c + 1)
 
 
 def doubly_exponential_bound(c, K=2):
@@ -91,7 +124,7 @@ def doubly_exponential_bound(c, K=2):
     singularities."""
     if c < 0 or K < 1:
         raise MadicError("need c >= 0 and K >= 1")
-    return K ** (K ** c)
+    return capped_power(K, capped_power(K, c))
 
 
 def _check(m, d):

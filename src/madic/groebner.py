@@ -4,14 +4,27 @@ the Elkik Jacobian ideal and radical membership via the Rabinowitsch trick.
 Default order is degrevlex; intersections eliminate a fresh tag variable with
 a block order.  Ideal equality is decided by mutual normal-form reduction of
 generators, never by comparing bases.
+
+Inside the engine a monomial is one packed int laid out for the order (see
+`monomials`): a product is one add, a divisibility test a subtract and a
+mask, an order key one xor.  Exponent tuples appear only at the Polynomial
+boundary, through one table per call, so the polynomials one call returns
+share one tuple per distinct monomial.  Reduction is heap-ordered: a term's
+key is computed once, when it enters the work set.  Every basis element is
+made monic and prepared once, when it joins the basis (leading monomial,
+negated tail, the tail's fieldwise maximum for the overflow check), and an
+Ideal keeps the prepared divisors of its cached basis for membership and
+normal forms.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import itemgetter
 
 from .errors import CapacityError, DomainMismatchError, MadicError
+from .monomials import MAX_EXPONENT, divisor, reduce_terms, shared_packing
 from .poly import Polynomial, exact_div, jacobian, minors
 
 # Fresh variables injected by the engine; the public parser cannot produce
@@ -32,13 +45,14 @@ class MonomialOrder:
         self.kind = kind
         self.split = split
 
-    def key(self, e):
-        if self.kind == "degrevlex":
-            return _drl_key(e)
+    def packing(self, nvars):
+        """The packed monomial layout of this order on `nvars` variables."""
         if self.kind == "lex":
-            return tuple(e)
-        k = self.split
-        return (_drl_key(e[:k]), _drl_key(e[k:]))
+            blocks = [(i, i + 1) for i in range(nvars)]
+        else:
+            k = min(self.split, nvars)
+            blocks = [b for b in ((0, k), (k, nvars)) if b[0] < b[1]]
+        return shared_packing(nvars, tuple(blocks))
 
     def __eq__(self, other):
         return (
@@ -57,67 +71,42 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 
 
-def _drl_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+def normal_form_terms(terms, divisors, packing, field):
+    """Fully reduce a packed term dict, which is consumed, by prepared
+    divisors (see `monomials.reduce_terms`).  Groebner reductions enter the
+    kernel here, so traces count them apart from exact division."""
+    return reduce_terms(terms, divisors, packing, field)
 
 
-def _lt(p, order):
-    return max(p.terms, key=order.key)
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def normal_form_terms(terms, basis_lt, order, field):
-    """Fully reduce a term dict by a list of (lt_exp, lc, terms) divisors."""
-    work = dict(terms)
-    rem = {}
-    while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
-        for glt, glc, gterms in basis_lt:
-            if _divides(glt, e):
-                q = tuple(x - y for x, y in zip(e, glt))
-                fac = field.div(c, glc)
-                for ge, gc in gterms.items():
-                    if ge == glt:
-                        continue
-                    ne = tuple(x + y for x, y in zip(q, ge))
-                    nc = field.sub(
-                        work.get(ne, rem.pop(ne, field.zero())), field.mul(fac, gc)
-                    )
-                    if field.is_zero(nc):
-                        work.pop(ne, None)
-                    else:
-                        work[ne] = nc
-                break
-        else:
-            rem[e] = c
-    return rem
-
-
-def _prepared(basis, order):
-    return [(_lt(g, order), g.terms[_lt(g, order)], g.terms) for g in basis]
+def _divisors(polys, packing, table):
+    """Prepared monic divisors of the nonzero polynomials, in list order."""
+    out = []
+    for g in polys:
+        if not g.is_zero():
+            terms = packing.pack_terms(g.terms, table)
+            out.append(divisor(terms, packing.leading(terms), packing, g.field))
+    return out
 
 
 def normal_form(p, basis, order=DEGREVLEX):
     """Normal form of p modulo a Groebner basis; zero iff p is a member."""
+    table = {}
     if isinstance(basis, Ideal):
-        basis = basis.groebner(order)
-        order = basis.basis_order
-        basis = basis.cached_basis
-    live = [g for g in basis if not g.is_zero()]
-    rem = normal_form_terms(p.terms, _prepared(live, order), order, p.field)
-    return Polynomial(p.field, p.vars, rem)
+        rem, pk = basis.groebner(order)._remainder(p, table)
+    else:
+        pk = order.packing(len(p.vars))
+        divisors = _divisors(basis, pk, table)
+        rem = normal_form_terms(pk.pack_terms(p.terms, table), divisors, pk, p.field)
+    return Polynomial(p.field, p.vars, pk.unpack_terms(rem, table))
 
 
 def buchberger(gens, order=DEGREVLEX):
-    """Reduced Groebner basis of the ideal generated by `gens`."""
+    """Reduced Groebner basis of the ideal generated by `gens`.
+
+    Every basis element is kept as a prepared monic divisor (leading
+    monomial, negated tail, the tail's fieldwise maximum) from the moment it
+    joins, so neither the pair loop nor a reduction re-derives leading data.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -126,99 +115,102 @@ def buchberger(gens, order=DEGREVLEX):
     for g in gens:
         if g.vars != vars or g.field != field:
             raise DomainMismatchError("generators over different rings")
+    pk = order.packing(len(vars))
+    G = pk.guard
+    table = {}
 
     basis = []
     for g in gens:
-        g = normal_form(g, basis, order)
-        if not g.is_zero():
-            basis.append(g)
+        rem = normal_form_terms(pk.pack_terms(g.terms, table), basis, pk, field)
+        if rem:
+            basis.append(divisor(rem, next(iter(rem)), pk, field))
 
-    lts = [_lt(g, order) for g in basis]
+    lts = [d[0] for d in basis]
+    exps = [pk.unpack(lt) for lt in lts]
     pairs = []
     counter = itertools.count()
+
+    def push_pair(i, j):
+        lcm = pk.lcm(exps[i], exps[j])
+        heapq.heappush(pairs, (lcm ^ pk.flip, next(counter), i, j, lcm))
+
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            lcm = _lcm(lts[i], lts[j])
-            heapq.heappush(pairs, (order.key(lcm), next(counter), i, j, lcm))
+            push_pair(i, j)
 
     done = set()
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        # product criterion
-        if all(a + b == c for a, b, c in zip(lts[i], lts[j], lcm)):
+        # product criterion: coprime leading monomials
+        if lcm == lts[i] + lts[j]:
             continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lts[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        # chain criterion: some lt_k divides the lcm and the pairs of k with
+        # i and j are done (k is neither, as no pair (k, k) is ever done)
+        lg = lcm | G
+        if any(
+            (lg - lt) & G == G
+            and ((k, i) if k < i else (i, k)) in done
+            and ((k, j) if k < j else (j, k)) in done
+            for k, lt in enumerate(lts)
+        ):
             continue
-        s = _spoly(basis[i], basis[j], lts[i], lts[j], lcm, field)
-        rem = normal_form_terms(s, _prepared(basis, order), order, field)
+        s = _spoly(basis[i], basis[j], lcm, pk, field)
+        rem = normal_form_terms(s, basis, pk, field)
         if not rem:
             continue
-        g = Polynomial(field, vars, rem)
-        basis.append(g)
-        lts.append(_lt(g, order))
+        lt = next(iter(rem))
+        basis.append(divisor(rem, lt, pk, field))
+        lts.append(lt)
+        exps.append(pk.unpack(lt))
         new = len(basis) - 1
         for k in range(new):
-            lcm = _lcm(lts[k], lts[new])
-            heapq.heappush(pairs, (order.key(lcm), next(counter), k, new, lcm))
+            push_pair(k, new)
 
-    return _reduce_basis(basis, lts, order, field, vars)
+    return _reduce_basis(basis, pk, field, vars, table)
 
 
-def _spoly(f, g, ltf, ltg, lcm, field):
-    uf = tuple(a - b for a, b in zip(lcm, ltf))
-    ug = tuple(a - b for a, b in zip(lcm, ltg))
-    cf = f.terms[ltf]
-    cg = g.terms[ltg]
-    res = {}
-    for e, c in f.terms.items():
-        ne = tuple(a + b for a, b in zip(e, uf))
-        res[ne] = field.add(res.get(ne, field.zero()), field.div(c, cf))
-    for e, c in g.terms.items():
-        ne = tuple(a + b for a, b in zip(e, ug))
-        v = field.sub(res.get(ne, field.zero()), field.div(c, cg))
-        if field.is_zero(v):
+def _spoly(f, g, lcm, pk, field):
+    """S-polynomial, up to sign, of two prepared monic divisors: their
+    leading terms cancel, leaving u_g*tail_g - u_f*tail_f."""
+    ltf, tailf, hif = f
+    ltg, tailg, hig = g
+    uf, ug = lcm - ltf, lcm - ltg
+    if (uf + hif) & pk.guard or (ug + hig) & pk.guard:
+        raise CapacityError(f"an S-polynomial exceeds the exponent cap {MAX_EXPONENT}")
+    res = {uf + e: c for e, c in tailf}
+    sub, is_zero = field.sub, field.is_zero
+    for e, c in tailg:
+        ne = ug + e
+        v = sub(res.get(ne, field.zero()), c)
+        if is_zero(v):
             res.pop(ne, None)
         else:
             res[ne] = v
     return res
 
 
-def _reduce_basis(basis, lts, order, field, vars):
+def _reduce_basis(basis, pk, field, vars, table):
     # minimalize: drop generators whose leading term another one divides
-    keep = []
-    for i, lt in enumerate(lts):
-        if any(
-            j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
+    lts = [d[0] for d in basis]
+    minimal = [
+        basis[i]
+        for i, lt in enumerate(lts)
+        if not any(
+            j != i and pk.divides(lts[j], lt) and (lts[j] != lt or j < i)
             for j in range(len(basis))
-        ):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # tail-reduce each element against the others and make it monic
+        )
+    ]
+    # tail-reduce each element against the others; the leading term stays
+    one, neg = field.one(), field.neg
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (lt, tail, _) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        rem = normal_form_terms(g.terms, _prepared(others, order), order, field)
-        if not rem:
-            continue
-        lt = max(rem, key=order.key)
-        lc = rem[lt]
-        rem = {e: field.div(c, lc) for e, c in rem.items()}
-        reduced.append(Polynomial(field, vars, rem))
-    reduced.sort(key=lambda g: order.key(_lt(g, order)))
-    return reduced
+        terms = {lt: one}
+        terms.update((e, neg(c)) for e, c in tail)
+        reduced.append((lt ^ pk.flip, normal_form_terms(terms, others, pk, field)))
+    reduced.sort(key=itemgetter(0))
+    return [Polynomial(field, vars, pk.unpack_terms(rem, table)) for _, rem in reduced]
 
 
 class Ideal:
@@ -236,20 +228,33 @@ class Ideal:
         self.default_order = order
         self.cached_basis = None
         self.basis_order = None
+        self._divisors = None  # prepared divisors of cached_basis
 
     def groebner(self, order=None):
         order = order or self.default_order
         if self.cached_basis is None or self.basis_order != order:
             self.cached_basis = buchberger(self.generators, order)
             self.basis_order = order
+            self._divisors = None
         return self
+
+    def _remainder(self, p, table):
+        """Packed remainder of p modulo the cached basis, and its packing."""
+        if p.vars != self.vars or p.field != self.field:
+            raise DomainMismatchError("polynomial and ideal over different rings")
+        pk = self.basis_order.packing(len(self.vars))
+        if self._divisors is None:
+            self._divisors = _divisors(self.cached_basis, pk, {})
+        terms = pk.pack_terms(p.terms, table)
+        return normal_form_terms(terms, self._divisors, pk, p.field), pk
 
     def normal_form(self, p):
         self.groebner()
-        return normal_form(p, self.cached_basis, self.basis_order)
+        return normal_form(p, self, self.basis_order)
 
     def contains(self, p):
-        return self.normal_form(p).is_zero()
+        self.groebner()
+        return not self._remainder(p, {})[0]
 
     def is_zero(self):
         return all(g.is_zero() for g in self.generators)

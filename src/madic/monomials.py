@@ -1,0 +1,191 @@
+"""Packed monomials and heap-ordered reduction: the kernel of the ideal engine.
+
+A monomial of n variables is packed into one int, laid out for one monomial
+order.  The order is a list of blocks of variables, the first block deciding
+first (degrevlex is one block, lex one block per variable, an elimination
+order two blocks).  Every exponent gets a field of FIELD_BITS bits whose top
+bit is a guard bit and stays clear; a block of two or more variables also
+gets a field holding its degree, above the fields of its variables; and the
+blocks are stacked with the first block in the most significant bits.  Then
+
+- the product of two monomials is one integer add (degree fields add too);
+- a divides b iff ``((b | G) - a) & G == G`` for G the guard bits, because a
+  field of the difference borrows from its guard bit exactly when the
+  exponent in a is the larger one;
+- the order key is one int, ``m ^ flip``, where flip complements the
+  exponent fields of the blocks of two or more variables: such a block is
+  compared by its degree, then by the complemented exponents with the last
+  variable highest, i.e. reverse lexicographically; a one-variable block is
+  compared by its exponent, so under lex the key is the packed int itself.
+
+Every block degree, and so every exponent, must stay at most MAX_EXPONENT.
+Packing an exponent tuple past it, or a product whose field would reach a
+guard bit, raises CapacityError; nothing wraps around silently.
+
+`reduce_terms` is the reduction kernel: it keeps the not yet reduced terms
+in a dict and their order keys, computed once when a term enters, in a
+heap, pops the largest, and skips the entries of terms that cancelled.  Its
+divisors are prepared once (`divisor`): leading monomial, negated tail of
+the monic divisor and the fieldwise maximum of the tail's monomials, so one
+add and one mask per reduction step tell whether any of its products
+overflows.
+"""
+
+from __future__ import annotations
+
+import functools
+from heapq import heapify, heappop, heappush
+from operator import mul
+
+from .errors import CapacityError
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+_OVERFLOW = f"a monomial exceeds the engine's exponent cap {MAX_EXPONENT}"
+
+
+class Packing:
+    """The packed layout of monomials in `nvars` variables for one monomial
+    order, given as blocks (start, stop) of variables, most significant
+    first; see the module docstring."""
+
+    __slots__ = ("blocks", "units", "offsets", "guard", "flip")
+
+    def __init__(self, nvars, blocks):
+        self.blocks = blocks
+        self.units = [0] * nvars  # the packed monomial of each variable
+        self.offsets = [0] * nvars
+        self.guard = self.flip = 0
+        pos = 0
+        for a, b in reversed(blocks):
+            deg = pos + (b - a) * FIELD_BITS if b - a > 1 else None
+            for i in range(a, b):
+                self.offsets[i] = pos
+                self.units[i] = 1 << pos
+                self.guard |= _GUARD << pos
+                if deg is not None:
+                    self.units[i] |= 1 << deg
+                    self.flip |= MAX_EXPONENT << pos
+                pos += FIELD_BITS
+            if deg is not None:
+                self.guard |= _GUARD << deg
+                pos += FIELD_BITS
+
+    def unpack(self, m):
+        """The exponent tuple of a packed monomial."""
+        return tuple([(m >> o) & MAX_EXPONENT for o in self.offsets])
+
+    def pack_terms(self, terms, table):
+        """Pack a term dict; `table` records each exponent tuple under its
+        packed monomial, so unpacking gives back the same tuple objects."""
+        units = self.units
+        out = {}
+        for e, c in terms.items():
+            if sum(e) > MAX_EXPONENT and any(
+                sum(e[a:b]) > MAX_EXPONENT for a, b in self.blocks
+            ):
+                raise CapacityError(_OVERFLOW)
+            m = sum(map(mul, e, units))
+            table.setdefault(m, e)
+            out[m] = c
+        return out
+
+    def unpack_terms(self, terms, table):
+        """A term dict with exponent tuples, one tuple per packed monomial
+        across every call that shares `table`."""
+        out = {}
+        for m, c in terms.items():
+            e = table.get(m)
+            if e is None:
+                e = table[m] = self.unpack(m)
+            out[e] = c
+        return out
+
+    def lcm(self, a, b):
+        """The packed lcm of two packable exponent tuples.  A degree field
+        may reach its guard bit but never carries past it (it holds at most
+        twice MAX_EXPONENT): the lcm still compares right, a divisibility
+        test against it can only miss, and a product formed from it is
+        checked."""
+        return sum(map(mul, map(max, a, b), self.units))
+
+    def field_max(self, a, b):
+        """Fieldwise maximum of two packed monomials."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit where a >= b
+        sel = ge - (ge >> (FIELD_BITS - 1))  # value bits of those fields
+        return (a & sel) | (b & ~sel)
+
+    def divides(self, a, b):
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def leading(self, terms):
+        """The largest monomial of a nonempty packed term dict."""
+        flip = self.flip
+        return max(m ^ flip for m in terms) ^ flip
+
+
+@functools.lru_cache(maxsize=None)
+def shared_packing(nvars, blocks):
+    """The shared Packing of `nvars` variables and a tuple of blocks."""
+    return Packing(nvars, blocks)
+
+
+def divisor(terms, lt, packing, field):
+    """A prepared divisor (lt, negated tail, fieldwise max of the tail) of
+    the monic multiple of the packed term dict `terms` with leading monomial
+    `lt`.  A product u * tail overflows iff u + (fieldwise max) reaches a
+    guard bit."""
+    lc = terms[lt]
+    if lc == field.one():  # already monic: no inverse to compute
+        tail = [(m, field.neg(c)) for m, c in terms.items() if m != lt]
+    else:
+        ninv = field.neg(field.inv(lc))
+        tail = [(m, field.mul(c, ninv)) for m, c in terms.items() if m != lt]
+    return lt, tail, functools.reduce(packing.field_max, (m for m, _ in tail), 0)
+
+
+def reduce_terms(terms, divisors, packing, field, quotient=None):
+    """Fully reduce the packed term dict `terms`, which is consumed, by
+    prepared divisors.
+
+    Each step takes the largest remaining term and the first divisor whose
+    leading monomial divides it.  Returns the remainder, its terms in
+    decreasing order.  If `quotient` is a dict, each step records its
+    cofactor in it, so with a single divisor it receives the quotient.
+    """
+    G, flip = packing.guard, packing.flip
+    add, fmul, is_zero = field.add, field.mul, field.is_zero
+    work = terms
+    heap = [-(m ^ flip) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = -heappop(heap) ^ flip
+        c = work.pop(m, None)
+        if c is None:
+            continue  # the term cancelled after its key was pushed
+        mg = m | G
+        for lt, tail, hi in divisors:
+            if (mg - lt) & G == G:
+                q = m - lt
+                if (q + hi) & G:
+                    raise CapacityError(_OVERFLOW)
+                if quotient is not None:
+                    quotient[q] = c
+                for t, nc in tail:
+                    n = q + t
+                    old = work.get(n)
+                    if old is None:
+                        work[n] = fmul(c, nc)
+                        heappush(heap, -(n ^ flip))
+                    else:
+                        v = add(old, fmul(c, nc))
+                        if is_zero(v):
+                            del work[n]
+                        else:
+                            work[n] = v
+                break
+        else:
+            rem[m] = c
+    return rem

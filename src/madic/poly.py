@@ -14,6 +14,7 @@ import itertools
 
 from .errors import DomainMismatchError, MadicError
 from .fields import QQ, check_same_field
+from .monomials import divisor, reduce_terms, shared_packing
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -272,35 +273,29 @@ class Polynomial:
 def exact_div(p, g):
     """Exact division p / g; raises MadicError if g does not divide p.
 
-    Single-divisor multivariate division: a lone polynomial is a Groebner
-    basis of the ideal it generates, so the remainder vanishes iff p is a
-    multiple of g.
+    Single-divisor multivariate division by the heap-ordered reduction of
+    the ideal engine, under degrevlex: a lone polynomial is a Groebner basis
+    of the ideal it generates, so the remainder vanishes iff p is a
+    multiple of g, and then the quotient is p / g whatever the order.
     """
     p._check_compatible(g)
     if g.is_zero():
         raise MadicError("division by the zero polynomial")
     f = p.field
-    # leading term of g under degrevlex-ish sort; any fixed term order works
-    glt = max(g.terms, key=lambda e: (sum(e), e))
-    glc = g.terms[glt]
-    rem = dict(p.terms)
+    pk = shared_packing(len(p.vars), ((0, len(p.vars)),))
+    table = {}
+    gterms = pk.pack_terms(g.terms, table)
+    glt = pk.leading(gterms)
     quo = {}
-    while rem:
-        e = max(rem, key=lambda t: (sum(t), t))
-        c = rem[e]
-        if not all(a >= b for a, b in zip(e, glt)):
-            raise MadicError("polynomial division is not exact")
-        qe = tuple(a - b for a, b in zip(e, glt))
-        qc = f.div(c, glc)
-        quo[qe] = f.add(quo.get(qe, f.zero()), qc)
-        for ge, gc in g.terms.items():
-            ne = tuple(a + b for a, b in zip(qe, ge))
-            nc = f.sub(rem.get(ne, f.zero()), f.mul(qc, gc))
-            if f.is_zero(nc):
-                rem.pop(ne, None)
-            else:
-                rem[ne] = nc
-    return Polynomial(f, p.vars, quo)
+    rem = reduce_terms(
+        pk.pack_terms(p.terms, table), [divisor(gterms, glt, pk, f)], pk, f, quo
+    )
+    if rem:
+        raise MadicError("polynomial division is not exact")
+    lc = gterms[glt]
+    if lc != f.one():
+        quo = {q: f.div(c, lc) for q, c in quo.items()}
+    return Polynomial(f, p.vars, pk.unpack_terms(quo, table))
 
 
 class PolyMatrix:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounds import default_a_fn, gamma
+from .bounds import capped_power, default_a_fn, gamma
 from .errors import (
+    CapacityError,
     HypothesisError,
     MadicError,
     PrecisionError,
@@ -880,7 +881,11 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
             rhs = None
             if achieved is not None and hord.finite:
                 dist_order = achieved.value
-                rhs = d ** (config.K ** (m * hord.value)) * (dist_order + 1)
+                try:
+                    inner = capped_power(config.K, m * hord.value)
+                    rhs = capped_power(d, inner, dist_order + 1)
+                except CapacityError:
+                    pass  # too large to state; reported like an unknown rhs
             defect = gamma_met and not (ok and achieved is not None and achieved.ge(c))
             rows.append(
                 ProbeRow(

@@ -7,6 +7,7 @@ import pytest
 
 from madic import (
     BoundReport,
+    CapacityError,
     MadicError,
     beta_estimate,
     colon_degree_bound,
@@ -17,6 +18,7 @@ from madic import (
     power_exponent,
     unit_a_fn,
 )
+from madic.bounds import MAX_BITS, capped_power, power_bits
 
 
 def test_smallest_case_exact_value():
@@ -105,3 +107,51 @@ def test_invalid_parameters_raise():
         elkik_degree_bound(1, 1)
     with pytest.raises(MadicError):
         doubly_exponential_bound(-1)
+
+
+# -- the bit-length cap ---------------------------------------------------
+
+
+def test_power_bits_bounds_the_true_length():
+    for base in range(0, 40):
+        for exp in range(0, 30):
+            true = (base**exp).bit_length() or 1
+            est = power_bits(base, exp)
+            assert true <= est
+            if base > 1 and exp > 0:
+                assert est < 2 * true
+            if base in (2, 4, 8, 16, 32) or exp == 0:
+                assert est == true
+
+
+def test_power_bits_needs_no_big_value():
+    # a tower exponent with thousands of bits is only multiplied, never raised
+    assert power_bits(2, 2**MAX_BITS) == 2**MAX_BITS + 1
+    assert power_bits(3, 10**100) == 2 * 10**100
+
+
+def test_capped_power_at_and_just_over_the_cap():
+    assert capped_power(2, MAX_BITS - 1).bit_length() == MAX_BITS
+    with pytest.raises(CapacityError):
+        capped_power(2, MAX_BITS)
+    with pytest.raises(CapacityError):
+        capped_power(2, MAX_BITS - 1, factor=2)
+
+
+def test_towers_past_the_cap_raise_before_building():
+    assert doubly_exponential_bound(13).bit_length() == 2**13 + 1
+    with pytest.raises(CapacityError):
+        doubly_exponential_bound(14)
+    colon_degree_bound(7, 2)  # about 8.2k bits
+    with pytest.raises(CapacityError):
+        colon_degree_bound(8, 2)
+    with pytest.raises(CapacityError):
+        elkik_degree_bound(10**6, 2)
+    with pytest.raises(CapacityError):
+        power_exponent(6, 2, 7)
+    with pytest.raises(CapacityError):
+        beta_estimate(1, 2, 10**6)
+    with pytest.raises(CapacityError):
+        isolated_singularity_bound(2, 1, 1, 10**6)
+    with pytest.raises(CapacityError):
+        doubly_exponential_bound(10**9, K=10**9)

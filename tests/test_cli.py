@@ -137,6 +137,15 @@ def test_duplicate_key_rejected(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_bounds_past_the_cap_exit_4(tmp_path, capsys):
+    big = tmp_path / "big.madic"
+    big.write_text("m: 8\nd: 2\n")
+    code, out, err = run(capsys, "bounds", str(big), "--json")
+    assert code == 4
+    assert out == ""
+    assert "capacity error" in err
+
+
 def test_precision_above_written_is_refused(capsys):
     # the fixture writes O(m^16); O(m^20) would claim digits it does not fix
     code, out, err = run(

@@ -1,16 +1,26 @@
-"""Groebner bases, ideal operations and the Jacobian ideal."""
+"""Groebner bases, ideal operations and the Jacobian ideal.
+
+The property tests compare the packed, heap-ordered engine with a plain
+reference kept only here: a reduction loop that scans the work set for its
+largest term under order keys computed on exponent tuples.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from madic import (
     DEGREVLEX,
     LEX,
+    CapacityError,
     Ideal,
+    MadicError,
+    MonomialOrder,
     Polynomial,
+    PrimeField,
     QQ,
     buchberger,
     colon,
@@ -21,6 +31,9 @@ from madic import (
     parse_polynomial,
     radical_member,
 )
+from madic.groebner import normal_form_terms
+from madic.monomials import MAX_EXPONENT, divisor
+from madic.poly import exact_div
 
 
 def P(text, vars=("x", "y", "z")):
@@ -182,3 +195,234 @@ def test_single_equation_colons_vanish_mod_I():
         Q = colon(Ideal([f]), I)
         for g in Q.generators:
             assert I.contains(g)
+
+
+# -- the packed, heap-ordered engine against the max-scan reference -------
+
+GF = PrimeField(32003)
+XYZ = ("x", "y", "z")
+ORDERS = [DEGREVLEX, LEX, MonomialOrder("block", split=1)]
+
+
+def _drl_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def tuple_key(order):
+    """The order key on exponent tuples, from the definition of the
+    order."""
+    if order.kind == "degrevlex":
+        return _drl_key
+    if order.kind == "lex":
+        return tuple
+    k = order.split
+    return lambda e: (_drl_key(e[:k]), _drl_key(e[k:]))
+
+
+def max_scan_normal_form(terms, divisors, key, field, returned=None):
+    """Plain reduction: scan for the largest term, divide by the first
+    divisor (lt, lc, terms) whose leading term divides it.  Terms that
+    cancel and come back later are appended to `returned`."""
+    work = dict(terms)
+    rem = {}
+    cancelled = set()
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for glt, glc, gterms in divisors:
+            if all(x <= y for x, y in zip(glt, e)):
+                q = tuple(x - y for x, y in zip(e, glt))
+                fac = field.div(c, glc)
+                for ge, gc in gterms.items():
+                    if ge == glt:
+                        continue
+                    ne = tuple(x + y for x, y in zip(q, ge))
+                    nc = field.sub(work.get(ne, field.zero()), field.mul(fac, gc))
+                    if field.is_zero(nc):
+                        work.pop(ne, None)
+                        cancelled.add(ne)
+                    else:
+                        if ne in cancelled and ne not in work and returned is not None:
+                            returned.append(ne)
+                        work[ne] = nc
+                break
+        else:
+            rem[e] = c
+    return rem
+
+
+def engine_normal_form(terms, divisors, order, field):
+    pk = order.packing(len(XYZ))
+    table = {}
+    prepared = []
+    for g in divisors:
+        packed = pk.pack_terms(g, table)
+        prepared.append(divisor(packed, pk.leading(packed), pk, field))
+    rem = normal_form_terms(pk.pack_terms(terms, table), prepared, pk, field)
+    keys = [m ^ pk.flip for m in rem]
+    assert keys == sorted(keys, reverse=True)  # remainder in decreasing order
+    return pk.unpack_terms(rem, table)
+
+
+def reference_normal_form(terms, divisors, order, field, returned=None):
+    key = tuple_key(order)
+    prepared = []
+    for g in divisors:
+        lt = max(g, key=key)
+        prepared.append((lt, g[lt], g))
+    return max_scan_normal_form(terms, prepared, key, field, returned)
+
+
+exponents = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+@st.composite
+def term_dicts(draw, field, min_size=0):
+    if field == QQ:
+        coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    else:
+        coeffs = st.sampled_from([1, 2, GF.p - 1, GF.p - 2])
+    return draw(st.dictionaries(exponents, coeffs, min_size=min_size, max_size=6))
+
+
+@st.composite
+def reductions(draw):
+    field = draw(st.sampled_from([QQ, GF]))
+    order = draw(st.sampled_from(ORDERS))
+    terms = draw(term_dicts(field))
+    divisors = draw(st.lists(term_dicts(field, min_size=1), min_size=1, max_size=3))
+    return terms, divisors, order, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions())
+def test_heap_reduction_matches_max_scan(case):
+    terms, divisors, order, field = case
+    assert engine_normal_form(terms, divisors, order, field) == reference_normal_form(
+        terms, divisors, order, field
+    )
+
+
+def test_heap_reduction_term_cancels_and_comes_back():
+    # x*z by (z - x*z) cancels z; y by (y + z) brings z back
+    p = parse_polynomial("x*z + y - z", XYZ)
+    gs = [parse_polynomial(t, XYZ).terms for t in ("z - x*z", "y + z")]
+    returned = []
+    want = reference_normal_form(p.terms, gs, DEGREVLEX, QQ, returned)
+    assert returned == [(0, 0, 1)]
+    assert want == {(0, 0, 1): Fraction(-1)}
+    assert engine_normal_form(p.terms, gs, DEGREVLEX, QQ) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS), st.integers(1, 5), st.data())
+def test_packed_monomials_match_exponent_tuples(order, n, data):
+    if order.kind == "block":
+        order = MonomialOrder("block", split=data.draw(st.integers(0, n)))
+    vec = st.tuples(*[st.integers(0, 40)] * n)
+    a, b = data.draw(vec), data.draw(vec)
+    pk = order.packing(n)
+    key = tuple_key(order)
+
+    def pack(e):
+        (m,) = pk.pack_terms({e: 1}, {})
+        return m
+
+    pa, pb = pack(a), pack(b)
+    assert pk.unpack(pa) == a
+    assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (key(a) < key(b))
+    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert pa + pb == pack(tuple(x + y for x, y in zip(a, b)))
+    assert pk.lcm(a, b) == pack(tuple(map(max, a, b)))
+    top = pk.field_max(pa, pb)
+    assert pk.unpack(top) == tuple(map(max, a, b))
+    assert pk.divides(pa, top) and pk.divides(pb, top)
+
+
+def _random_poly(rng, field, vars, max_deg=2, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in vars)
+        terms[e] = field.convert(rng.choice([1, -1, 2, 3]))
+    return Polynomial(field, vars, terms)
+
+
+@st.composite
+def small_systems(draw):
+    names = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    polys = [_random_poly(rng, QQ, names) for _ in range(draw(st.integers(1, 3)))]
+    order, sym_order = draw(st.sampled_from([(DEGREVLEX, "grevlex"), (LEX, "lex")]))
+    return polys, names, order, sym_order
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems())
+def test_buchberger_matches_sympy(case):
+    polys, names, order, sym_order = case
+    assert _our_basis_set(polys, order) == _sympy_basis(polys, " ".join(names), sym_order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF]), st.integers(0, 10**6))
+def test_exact_div_round_trip(field, seed):
+    rng = random.Random(seed)
+    p = _random_poly(rng, field, XYZ, max_terms=5)
+    g = _random_poly(rng, field, XYZ, max_terms=4)
+    assert exact_div(p * g, g) == p
+    if not g.is_constant():
+        with pytest.raises(MadicError):
+            exact_div(p * g + Polynomial.constant(1, XYZ, field), g)
+
+
+def test_exponent_past_the_cap_raises():
+    big = MAX_EXPONENT + 1
+    x = Polynomial.monomial((big, 0), 1, ("x", "y"))
+    with pytest.raises(CapacityError):
+        buchberger([x])
+    with pytest.raises(CapacityError):
+        Ideal([parse_polynomial("x", ("x", "y"))]).contains(x)
+
+
+def test_product_past_the_cap_raises():
+    half = (MAX_EXPONENT + 1) // 2 + 1
+    xy = ("x", "y")
+    # under lex x - y^half leads with x; x^2 reduces to y^(2*half)
+    g = parse_polynomial(f"x - y^{half}", xy)
+    with pytest.raises(CapacityError):
+        normal_form(parse_polynomial("x^2", xy), [g], LEX)
+    # the S-pair lcm x^half*y^half has degree past the cap
+    gens = [parse_polynomial(t, xy) for t in (f"x^{half}*y - 1", f"x*y^{half} - 1")]
+    with pytest.raises(CapacityError):
+        buchberger(gens)
+    # here the S-polynomial y^(half-1)*z^(half+1) - x^(half-1)*z^(half+1)
+    # itself is past the cap
+    xyz = ("x", "y", "z")
+    gens = [
+        parse_polynomial(t, xyz)
+        for t in (f"x^{half}*y + z^{half + 1}", f"x*y^{half} + z^{half + 1}")
+    ]
+    with pytest.raises(CapacityError, match="S-polynomial"):
+        buchberger(gens)
+    # the lcm of a coprime pair is past the cap too, but forms no S-polynomial
+    gens = [parse_polynomial(t, xy) for t in (f"x^{half} - 1", f"y^{half} - 1")]
+    assert buchberger(gens) == gens[::-1]  # ascending leading terms
+    # exponents below the cap are fine
+    y_half = parse_polynomial(f"y^{half}", xy)
+    assert exact_div(y_half * parse_polynomial("x", xy), parse_polynomial("x", xy)) == y_half
+
+
+def test_basis_shares_exponent_tuples():
+    names = ("a", "b", "c", "d")
+    eqs = [
+        "a + b + c + d",
+        "a*b + b*c + c*d + d*a",
+        "a*b*c + b*c*d + c*d*a + d*a*b",
+        "a*b*c*d - 1",
+    ]
+    basis = buchberger([parse_polynomial(e, names) for e in eqs])
+    seen = {}
+    for g in basis:
+        for e in g.terms:
+            assert seen.setdefault(e, e) is e
+    assert sum(len(g.terms) for g in basis) > len(seen)

@@ -415,6 +415,19 @@ def test_probe_monotone_family():
     assert resid == sorted(resid)
 
 
+def test_probe_rhs_past_the_cap_is_unknown():
+    f = parse_polynomial("z^2 - x^2", ("x", "z"))
+    family = [SeriesVector([xs(30) + xs(30) ** 5])]
+    small = artin_probe([f], family, {"z": 0}, [3]).rows[0]
+    assert small.achieved_order is not None and small.elkik_order.finite
+    assert small.rhs_exponent is not None
+    # K^(m*ordH) = 2^20, so d^(2^20) would have about a million bits
+    cfg = SolverConfig(K=2**20)
+    big = artin_probe([f], family, {"z": 0}, [3], cfg).rows[0]
+    assert big.achieved_order == small.achieved_order
+    assert big.rhs_exponent is None
+
+
 def test_probe_exact_family():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(16)
