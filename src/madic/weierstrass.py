@@ -6,7 +6,9 @@ Division is the classical x-adic recursion: slice the dividend and divisor
 into coefficients of powers of x, then solve slice by slice, inverting the
 unit part of the divisor's x^0 slice in k[[y]].  Stored terms are treated as
 the exact representative of the series; results are truncated back to the
-working precision.
+working precision.  Each slice is kept only to the y-degree the output can
+reach, (N-1-i)(1 + r - ord(u)) for slice i at precision N, and its products
+with the divisor's slices are summed in one integer pass.
 
 Certified division by a fixed divisor goes through a PreparedDivisor: the
 shear, the distinguished polynomial and the unit's inverse (or, for a unit
@@ -19,8 +21,9 @@ and each refusal is the one a fresh division would give.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .errors import MadicError, PrecisionError
 from .fields import QQ, check_same_field
@@ -264,6 +267,49 @@ def _x_slices(terms):
     return slices
 
 
+def _y_slice(fld, sl):
+    """A nonempty y-slice {degree: coeff} sorted by degree, as (degrees,
+    numbers, den, coeffs): the numbers over den from `integer_coefficients`
+    (den None when they are the Fractions themselves), and the coefficients
+    for a product whose other factor fell back to Fractions."""
+    degs = sorted(sl)
+    coeffs = [sl[d] for d in degs]
+    nums, den = integer_coefficients(fld, coeffs)
+    return degs, nums, den, coeffs
+
+
+_NO_SLICE = ([], [], 1, [])
+
+
+def _sub_products(fld, g, pairs, top):
+    """g - sum of a*b over the (a, b) in `pairs`, all y-slices as `_y_slice`
+    gives them, to y-degree < top: one integer accumulator over the lcm of
+    the operands' denominators, each output term reduced once."""
+    slices = [g, *(x for pair in pairs for x in pair)]
+    if any(sl[2] is None for sl in slices):
+        # some operand is Fractions already: accumulate Fractions
+        den = None
+        g_nums, g_scale = g[3], 1
+        ops = [(a[0], a[3], b[0], b[3], 1) for a, b in pairs]
+    else:
+        den = lcm(g[2], *(a[2] * b[2] for a, b in pairs))
+        g_nums, g_scale = g[1], den // g[2]
+        ops = [(a[0], a[1], b[0], b[1], den // (a[2] * b[2])) for a, b in pairs]
+    acc = [0] * top
+    g_degs = g[0]
+    for d, n in zip(g_degs[: bisect_left(g_degs, top)], g_nums):
+        acc[d] = n * g_scale
+    for a_degs, a_nums, b_degs, b_nums, scale in ops:
+        for da, na in zip(a_degs, a_nums):
+            lim = top - da
+            if lim <= 0:
+                break
+            na *= scale
+            for db, nb in zip(b_degs[: bisect_left(b_degs, lim)], b_nums):
+                acc[da + db] -= na * nb
+    return field_terms(fld, ((k, n) for k, n in enumerate(acc) if n), den)
+
+
 def weierstrass_divide(g, u, r):
     """Divide g by a y-regular series u of order r:
     g = u*q + sum_j rem_j(x) y^j with j < r.
@@ -280,41 +326,40 @@ def weierstrass_divide(g, u, r):
         raise MadicError(
             "divisor is not y-regular of the stated order; regularize first"
         )
-    # each x-slice step shifts the working y-degrees down by r, so a
-    # truncation error above the cap can migrate into the output after
-    # about cap/r slices; slice i of the quotient therefore needs
-    # y-degrees up to N + r*(N-1-i) to keep all dropped terms
-    # unreachable within the x-range of the output
-    ycap = N + r * N
+    # Write u_j, g_j, q_j for the coefficients of x^j, series in y.  Slice
+    # i of the quotient is q_i = (h_i div y^r) / (u_0 / y^r), with
+    # h_i = g_i - sum_{j>=1} u_j q_{i-j}, and rem_i = h_i mod y^r.  With
+    # s = r - ord(u) >= 0, u_j has y-order >= ord(u) - j, so q_i up to y^D
+    # reads q_{i-j} only up to y^(D+j+s), and rem_i reads it only below
+    # y^(j+s).  The output keeps q_i up to y^(N-1-i), so slice i keeps
+    # y-degrees up to cap_i = (N-1-i)(1+s): these are the smallest caps
+    # with cap_{i-j} >= cap_i + j + s for every j >= 1.  No dropped term
+    # reaches a kept one, so the output is the exact division of the
+    # stored terms, and for s = 0 slice i keeps only N - i degrees.
+    s = r - u.order().value
+    caps = [(N - 1 - i) * (1 + s) for i in range(N)]
     uslices = _x_slices(u.terms)
     gslices = _x_slices(g.terms)
     e_unit = {j - r: c for j, c in uslices.get(0, {}).items()}
     if min(e_unit) != 0:
         raise MadicError("divisor x^0 slice has unexpected y-order")
-    # the unit's inverse to degree ycap, by the series Newton iteration
-    e_inv = TruncatedSeries(fld, g.vars[1:], ycap + 1, {(j,): c for j, c in e_unit.items()})
+    # the unit's inverse to y-degree cap_0, by the series Newton iteration
+    e_inv = TruncatedSeries(fld, g.vars[1:], caps[0] + 1, {(j,): c for j, c in e_unit.items()})
     e_inv = {j: c for (j,), c in e_inv.inverse().terms.items()}
 
+    u_int = {j: _y_slice(fld, sl) for j, sl in uslices.items() if 0 < j < N}
+    q_int = {}
     q_slices = {}
     rem_slices = {}
     for i in range(N):
-        cap = N + r * (N - 1 - i)
-        h = dict(gslices.get(i, {}))
-        for j in range(1, i + 1):
-            uj = uslices.get(j)
-            qk = q_slices.get(i - j)
-            if not uj or not qk:
-                continue
-            prod = mul_terms(uj, qk, fld, cap + r + 1)
-            for k, c in prod.items():
-                v = fld.sub(h.get(k, fld.zero()), c)
-                if fld.is_zero(v):
-                    h.pop(k, None)
-                else:
-                    h[k] = v
+        gi = gslices.get(i)
+        pairs = [(uj, q_int[i - j]) for j, uj in u_int.items() if i - j in q_int]
+        h = _sub_products(fld, _y_slice(fld, gi) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
         rem_slices[i] = {k: c for k, c in h.items() if k < r}
         tail = {k - r: c for k, c in h.items() if k >= r}
-        q_slices[i] = mul_terms(tail, e_inv, fld, cap + 1)
+        q_slices[i] = qi = mul_terms(tail, e_inv, fld, caps[i] + 1)
+        if qi:
+            q_int[i] = _y_slice(fld, qi)
 
     q_terms = {}
     for i, sl in q_slices.items():
@@ -333,15 +378,13 @@ def weierstrass_divide(g, u, r):
     return q, rems
 
 
-def prepare(u, precision=None):
+def prepare(u):
     """Weierstrass preparation: u = unit * dist, for u y-regular of order r.
 
     Computed by dividing y^r by u; the remainder gives the distinguished
     coefficients and the quotient is the unit's inverse.  Deterministic, so
     re-running reproduces identical coefficients.
     """
-    if precision is not None and precision < u.precision:
-        u = u.truncate(precision)
     yo = y_regular_order(u)
     if not yo.finite:
         raise MadicError("series is not y-regular; apply regularize() first")
@@ -362,11 +405,9 @@ def prepare(u, precision=None):
     return unit, dist
 
 
-def w_divide(g, a, precision=None):
+def w_divide(g, a):
     """Weierstrass division of a bivariate series by a distinguished
     polynomial: g = a*q + sum_{j<r} rem_j(x) y^j."""
-    if precision is not None and precision < g.precision:
-        g = g.truncate(precision)
     if a.r == 0:
         return g, []
     aser = a.to_series(g.vars, g.precision)
@@ -440,9 +481,9 @@ class PreparedDivisor:
     for a unit; for a univariate u of order k, the inverse of u/x^k at
     precision u.precision - k, truncated to each dividend's precision (the
     inverse is unique modulo m^p, so the quotients are those of a fresh
-    division); for a bivariate u of order r, the shear from `regularize`,
-    the distinguished polynomial from `prepare` and the inverse of the
-    unit.  The bivariate preparation runs on the first bivariate division,
+    division); for a bivariate u of order r, the shear from `regularize`
+    and its inverse, the distinguished polynomial from `prepare` and the
+    inverse of the unit.  The bivariate preparation runs on the first bivariate division,
     so constructing a divisor never raises: a u that cannot be prepared
     raises from `divide`, at the first call site that uses it.
     """
@@ -454,6 +495,7 @@ class PreparedDivisor:
         self.dist = None
         self._unit = None
         self._inverse = None  # u^-1, the shifted inverse, or the unit's
+        self._change_back = None  # the inverse of the shear
 
     @classmethod
     def from_preparation(cls, u, change, unit, dist):
@@ -469,6 +511,7 @@ class PreparedDivisor:
             self._unit, self.dist = prepare(u_reg)
         if self._inverse is None:
             self._inverse = self._unit.inverse()
+            self._change_back = self.change.inverse()
 
     def divide(self, v, order_check=None):
         """Certified exact division v / u; see `divide_series`."""
@@ -508,7 +551,7 @@ class PreparedDivisor:
                 if ro.finite and ro.value + j < N - 2 * r:
                     raise MadicError("series division is not exact")
             q_reg = q_reg * self._inverse
-            q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
+            q = q_reg if change.is_identity() else self._change_back.apply_series(q_reg)
             q = q.truncate(N - r)
         if order_check is not None and not q.order().ge(order_check):
             raise MadicError(

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from madic import (
     w_divide,
     y_regular_order,
 )
-from madic import weierstrass
+from madic import series, weierstrass
 
 XY = ("x", "y")
 
@@ -370,3 +371,200 @@ def test_prepared_divisor_prepares_once(monkeypatch):
         assert divide_series(v, prepared) == divide_series(v, u)
     # one preparation for the prepared divisor, one per fresh division
     assert len(calls) == 3
+
+
+def test_prepared_divisor_builds_its_linear_changes_once(monkeypatch):
+    u = S("y^2 + x + O(m^10)")  # needs a shear to be y-regular of order 1
+    prepared = PreparedDivisor(u)
+    dividends = [u * S(text) for text in ("y + x^2 + O(m^10)", "1 + x*y + O(m^10)", "x + O(m^10)")]
+    first = divide_series(dividends[0], prepared)
+    assert not prepared.change.is_identity()
+    built = []
+    real = LinearChange.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(LinearChange, "__init__", counting)
+    rest = [divide_series(v, prepared) for v in dividends[1:]]
+    assert built == []
+    monkeypatch.undo()
+    assert [first, *rest] == [divide_series(v, u) for v in dividends]
+
+# -- the slice recursion's degree caps -----------------------------------
+
+GF2 = PrimeField(2)
+
+
+def _wide_cap_divide(g, u, r):
+    """The slice recursion with every slice kept to y-degree N + r(N-1-i),
+    one kernel call and one field subtraction per product term: the
+    reference the degree-capped division must match bit for bit."""
+    N = min(g.precision, u.precision)
+    fld = g.field
+    uslices = weierstrass._x_slices(u.terms)
+    gslices = weierstrass._x_slices(g.terms)
+    e_unit = {j - r: c for j, c in uslices[0].items()}
+    ycap = N + r * N
+    e_inv = TruncatedSeries(fld, g.vars[1:], ycap + 1, {(j,): c for j, c in e_unit.items()})
+    e_inv = {j: c for (j,), c in e_inv.inverse().terms.items()}
+    q_slices, rem_slices = {}, {}
+    for i in range(N):
+        cap = N + r * (N - 1 - i)
+        h = dict(gslices.get(i, {}))
+        for j in range(1, i + 1):
+            uj, qk = uslices.get(j), q_slices.get(i - j)
+            if not uj or not qk:
+                continue
+            for k, c in weierstrass.mul_terms(uj, qk, fld, cap + r + 1).items():
+                v = fld.sub(h.get(k, fld.zero()), c)
+                if fld.is_zero(v):
+                    h.pop(k, None)
+                else:
+                    h[k] = v
+        rem_slices[i] = {k: c for k, c in h.items() if k < r}
+        tail = {k - r: c for k, c in h.items() if k >= r}
+        q_slices[i] = weierstrass.mul_terms(tail, e_inv, fld, cap + 1)
+    q = TruncatedSeries(
+        fld, g.vars, N,
+        {(i, j): c for i, sl in q_slices.items() for j, c in sl.items() if i + j < N},
+    )
+    rems = [
+        TruncatedSeries(fld, g.vars[:1], N, {(i,): sl[j] for i, sl in rem_slices.items() if j in sl})
+        for j in range(r)
+    ]
+    return q, rems
+
+
+# denominators for QQ coefficients: small ones, and distinct primes long
+# enough that, with the lcm threshold lowered, an lcm over a few terms
+# sends the kernel to its Fraction fallback
+_PRIMES = [65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423, 65419, 65413]
+
+
+@st.composite
+def _coefficient(draw, field, nonzero=False):
+    # odd, so nonzero over GF(2) too
+    n = draw(st.sampled_from([-3, -1, 1, 3]) if nonzero else st.integers(-3, 3))
+    if field is QQ:
+        return Fraction(n, draw(st.sampled_from([1, 1, 2, 3, *_PRIMES])))
+    return field.convert(n)
+
+
+@st.composite
+def _divide_case(draw):
+    """(g, u, r): u y-regular of order r with ord(u) = r or ord(u) < r."""
+    field = draw(st.sampled_from([QQ, GF2, GF]))
+    N = draw(st.integers(4, 10))
+    r = draw(st.integers(0, min(3, N - 1)))
+    o = draw(st.integers(1, r)) if r else 0  # ord(u)
+    coeff, lead = _coefficient(field), _coefficient(field, nonzero=True)
+    terms = {(0, r): draw(lead)}
+    if o < r:
+        terms[(o, 0)] = draw(lead)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+        # keep ord(u) = o and the x^0 slice y^r times a unit
+        if o <= i + j < N and (i or j > r):
+            terms[(i, j)] = draw(coeff)
+    u = TruncatedSeries(field, XY, N, terms)
+    # dividends below, at or above the divisor's precision, with or without
+    # terms at the last degree the output keeps
+    P = draw(st.sampled_from([N - 1, N, N, N + 2]))
+    top = draw(st.sampled_from([N - 1, N - 2, P - 1]))
+    gterms = {}
+    for _ in range(draw(st.integers(0, 14))):
+        i = draw(st.integers(0, top))
+        gterms[(i, draw(st.integers(0, top - i)))] = draw(coeff)
+    if draw(st.booleans()):
+        for i in range(0, N, 2):
+            gterms[(i, N - 1 - i)] = draw(lead)
+    g = TruncatedSeries(field, XY, P, gterms)
+    return g, u, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_divide_case(), st.sampled_from([series._LCM_GROWTH, 0]))
+def test_weierstrass_divide_matches_wide_cap_recursion(case, growth):
+    g, u, r = case
+    with mock.patch.object(series, "_LCM_GROWTH", growth):
+        q, rems = weierstrass.weierstrass_divide(g, u, r)
+    want_q, want_rems = _wide_cap_divide(g, u, r)
+    assert q == want_q
+    assert rems == want_rems
+
+
+def test_weierstrass_divide_fraction_fallback_at_the_real_threshold():
+    """A dividend slice of 79 terms over distinct ~20-bit primes passes
+    the kernel's lcm threshold: the Fraction fallback runs, alone and mixed
+    with integer slices, and the output is still the wide-cap one."""
+    N = 80
+    odd = range(2**20 - 1, 2**19, -2)
+    primes = itertools.islice((p for p in odd if all(p % d for d in range(3, 1025, 2))), N - 1)
+    g = TruncatedSeries(QQ, XY, N, {(0, j): Fraction(1, p) for j, p in enumerate(primes)})
+    u = S("y + x + x*y + O(m^80)")
+    fallbacks = []
+    real = weierstrass.integer_coefficients
+
+    def recording(field, coeffs):
+        nums, den = real(field, coeffs)
+        fallbacks.append(den is None)
+        return nums, den
+
+    with mock.patch.object(weierstrass, "integer_coefficients", recording):
+        q, rems = weierstrass.weierstrass_divide(g, u, 1)
+    assert any(fallbacks) and not all(fallbacks)
+    assert (q, rems) == _wide_cap_divide(g, u, 1)
+
+
+def _recorded_caps(u, monkeypatch):
+    """Prepare u and return the y-degree bounds its division used: the
+    precision of each univariate inverse, and per slice i the bound of the
+    accumulated products and of the kept quotient slice, with the largest
+    y-degree that slice kept."""
+    inverses, sums, slices = [], [], []
+    real_inverse = TruncatedSeries.inverse
+    real_sub, real_mul = weierstrass._sub_products, weierstrass.mul_terms
+
+    def inverse(self):
+        if len(self.vars) == 1:
+            inverses.append(self.precision)
+        return real_inverse(self)
+
+    def sub_products(fld, g, pairs, top):
+        sums.append(top)
+        return real_sub(fld, g, pairs, top)
+
+    def mul(a, b, fld, cap):
+        out = real_mul(a, b, fld, cap)
+        slices.append((cap, max(out, default=-1)))
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+    monkeypatch.setattr(weierstrass, "_sub_products", sub_products)
+    monkeypatch.setattr(weierstrass, "mul_terms", mul)
+    prepare(u)
+    return inverses, sums, slices
+
+
+def test_prepare_keeps_only_the_degrees_its_output_reaches(monkeypatch):
+    # N = 24, r = 2 = ord(u): slice i keeps y-degrees up to N - 1 - i
+    N, r = 24, 2
+    u = S("(1 + x + 2*y)*(y^2 + x*y + 3*x^2) + x^5*y^7 + O(m^24)")
+    assert u.order().value == r and y_regular_order(u).value == r
+    inverses, sums, slices = _recorded_caps(u, monkeypatch)
+    assert inverses == [N]
+    assert sums == [N - i + r for i in range(N)]
+    assert [cap for cap, _ in slices] == [N - i for i in range(N)]
+    assert all(deg <= N - 1 - i for i, (_, deg) in enumerate(slices))
+
+
+def test_prepare_widens_the_caps_by_r_minus_ord(monkeypatch):
+    # y^2 + x: r = 2, ord(u) = 1, so s = 1 and cap_i = 2(N-1-i)
+    N, r = 12, 2
+    inverses, sums, slices = _recorded_caps(S("y^2 + x + O(m^12)"), monkeypatch)
+    caps = [2 * (N - 1 - i) for i in range(N)]
+    assert inverses == [caps[0] + 1]
+    assert sums == [c + r + 1 for c in caps]
+    assert [cap for cap, _ in slices] == [c + 1 for c in caps]
