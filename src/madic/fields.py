@@ -13,6 +13,7 @@ jet-search oracle and is a strictly larger-than-hypotheses mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainMismatchError, MadicError
 
@@ -137,6 +138,31 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+def common_denominator(field, coeffs):
+    """(nums, den) with coeffs[i] == nums[i] / den: over GF(p) the residues
+    over 1, over QQ the numerators over the lcm of the denominators."""
+    if field.characteristic:
+        return list(coeffs), 1
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def field_terms(field, items, den):
+    """The term dict of (key, number) pairs over `den`, one field element
+    per term, without the terms that vanish.  Over QQ a denominator of 1
+    builds each Fraction without a gcd; `den` None keeps the numbers as
+    they are (they are Fractions already)."""
+    if field.characteristic:
+        p = field.p
+        return {k: r for k, n in items if (r := n % p)}
+    if den is None:
+        return {k: n for k, n in items if n}
+    if den == 1:
+        return {k: Fraction(n) for k, n in items if n}
+    return {k: Fraction(n, den) for k, n in items if n}
 
 
 def check_same_field(a, b):

@@ -11,19 +11,32 @@ mask, an order key one xor.  Exponent tuples appear only at the Polynomial
 boundary, through one table per call, so the polynomials one call returns
 share one tuple per distinct monomial.  Reduction is heap-ordered: a term's
 key is computed once, when it enters the work set.  Every basis element is
-made monic and prepared once, when it joins the basis (leading monomial,
-negated tail, the tail's fieldwise maximum for the overflow check), and an
-Ideal keeps the prepared divisors of its cached basis for membership and
-normal forms.
+prepared once, when it joins the basis (leading monomial, leading
+coefficient, negated tail, the tail's fieldwise maximum for the overflow
+check), and an Ideal keeps the prepared divisors of its cached basis for
+membership and normal forms.
+
+Over QQ the engine works on integers from packing to unpacking: each
+generator's denominators are cleared once, a prepared divisor is a
+primitive integer polynomial with a positive leading coefficient, every
+reduction returns (rem, scale) with remainder rem / scale (see
+`monomials` for the pseudo-reduction and its content-removal rule), and
+S-polynomials cross-multiply by the leading coefficients over their gcd.
+Fractions are built only at the Polynomial boundary: one per term of each
+reduced basis element, made monic, and of each normal form, rem / (D *
+scale) for the dividend's common denominator D.  Over GF(p) divisors are
+monic and coefficients are residues throughout.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from math import gcd
 from operator import itemgetter
 
 from .errors import CapacityError, DomainMismatchError, MadicError
+from .fields import field_terms
 from .monomials import MAX_EXPONENT, divisor, reduce_terms, shared_packing
 from .poly import Polynomial, exact_div, jacobian, minors
 
@@ -72,18 +85,26 @@ LEX = MonomialOrder("lex")
 
 
 def normal_form_terms(terms, divisors, packing, field):
-    """Fully reduce a packed term dict, which is consumed, by prepared
-    divisors (see `monomials.reduce_terms`).  Groebner reductions enter the
-    kernel here, so traces count them apart from exact division."""
+    """Fully reduce a packed integer term dict, which is consumed, by
+    prepared divisors: (rem, scale) with remainder rem / scale (see
+    `monomials.reduce_terms`).  Groebner reductions enter the kernel here,
+    so traces count them apart from exact division."""
     return reduce_terms(terms, divisors, packing, field)
 
 
+def _over(field, terms, den):
+    """The integer term dict `terms` divided by `den`, as field elements:
+    over GF(p) the terms are residues and den is 1, so they are returned
+    as they are."""
+    return terms if field.characteristic else field_terms(field, terms.items(), den)
+
+
 def _divisors(polys, packing, table):
-    """Prepared monic divisors of the nonzero polynomials, in list order."""
+    """Prepared divisors of the nonzero polynomials, in list order."""
     out = []
     for g in polys:
         if not g.is_zero():
-            terms = packing.pack_terms(g.terms, table)
+            terms, _ = packing.pack_integers(g.terms, g.field, table)
             out.append(divisor(terms, packing.leading(terms), packing, g.field))
     return out
 
@@ -92,20 +113,24 @@ def normal_form(p, basis, order=DEGREVLEX):
     """Normal form of p modulo a Groebner basis; zero iff p is a member."""
     table = {}
     if isinstance(basis, Ideal):
-        rem, pk = basis.groebner(order)._remainder(p, table)
+        rem, den, pk = basis.groebner(order)._remainder(p, table)
     else:
         pk = order.packing(len(p.vars))
         divisors = _divisors(basis, pk, table)
-        rem = normal_form_terms(pk.pack_terms(p.terms, table), divisors, pk, p.field)
-    return Polynomial(p.field, p.vars, pk.unpack_terms(rem, table))
+        terms, den = pk.pack_integers(p.terms, p.field, table)
+        rem, scale = normal_form_terms(terms, divisors, pk, p.field)
+        den *= scale
+    return Polynomial(p.field, p.vars, pk.unpack_terms(_over(p.field, rem, den), table))
 
 
 def buchberger(gens, order=DEGREVLEX):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Every basis element is kept as a prepared monic divisor (leading
-    monomial, negated tail, the tail's fieldwise maximum) from the moment it
-    joins, so neither the pair loop nor a reduction re-derives leading data.
+    Every basis element is kept as a prepared divisor (leading monomial,
+    leading coefficient, negated tail, the tail's fieldwise maximum) from
+    the moment it joins, so neither the pair loop nor a reduction re-derives
+    leading data.  Over QQ each generator is scaled to integers once, and
+    the basis stays integral until `_reduce_basis` makes it monic.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -121,7 +146,8 @@ def buchberger(gens, order=DEGREVLEX):
 
     basis = []
     for g in gens:
-        rem = normal_form_terms(pk.pack_terms(g.terms, table), basis, pk, field)
+        terms, _ = pk.pack_integers(g.terms, field, table)
+        rem, _ = normal_form_terms(terms, basis, pk, field)
         if rem:
             basis.append(divisor(rem, next(iter(rem)), pk, field))
 
@@ -156,7 +182,7 @@ def buchberger(gens, order=DEGREVLEX):
         ):
             continue
         s = _spoly(basis[i], basis[j], lcm, pk, field)
-        rem = normal_form_terms(s, basis, pk, field)
+        rem, _ = normal_form_terms(s, basis, pk, field)
         if not rem:
             continue
         lt = next(iter(rem))
@@ -171,22 +197,28 @@ def buchberger(gens, order=DEGREVLEX):
 
 
 def _spoly(f, g, lcm, pk, field):
-    """S-polynomial, up to sign, of two prepared monic divisors: their
-    leading terms cancel, leaving u_g*tail_g - u_f*tail_f."""
-    ltf, tailf, hif = f
-    ltg, tailg, hig = g
+    """S-polynomial, up to sign and a nonzero factor, of two prepared
+    divisors: with h = gcd(lc_f, lc_g) their leading terms cancel in
+    (lc_g/h)*u_f*f - (lc_f/h)*u_g*g, leaving the integer term dict
+    (lc_f/h)*u_g*tail_g - (lc_g/h)*u_f*tail_f (reduced mod p over GF(p))."""
+    ltf, lcf, tailf, hif = f
+    ltg, lcg, tailg, hig = g
     uf, ug = lcm - ltf, lcm - ltg
     if (uf + hif) & pk.guard or (ug + hig) & pk.guard:
         raise CapacityError(f"an S-polynomial exceeds the exponent cap {MAX_EXPONENT}")
-    res = {uf + e: c for e, c in tailf}
-    sub, is_zero = field.sub, field.is_zero
+    h = gcd(lcf, lcg)
+    af, ag = lcg // h, lcf // h
+    res = {uf + e: af * c for e, c in tailf}
+    p = field.characteristic
     for e, c in tailg:
         ne = ug + e
-        v = sub(res.get(ne, field.zero()), c)
-        if is_zero(v):
-            res.pop(ne, None)
-        else:
+        v = res.get(ne, 0) - ag * c
+        if p:
+            v %= p
+        if v:
             res[ne] = v
+        else:
+            res.pop(ne, None)
     return res
 
 
@@ -202,13 +234,15 @@ def _reduce_basis(basis, pk, field, vars, table):
         )
     ]
     # tail-reduce each element against the others; the leading term stays
-    one, neg = field.one(), field.neg
+    # and is divided out, one Fraction per term over QQ
+    p = field.characteristic
     reduced = []
-    for i, (lt, tail, _) in enumerate(minimal):
+    for i, (lt, lc, tail, _) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        terms = {lt: one}
-        terms.update((e, neg(c)) for e, c in tail)
-        reduced.append((lt ^ pk.flip, normal_form_terms(terms, others, pk, field)))
+        terms = {lt: lc}
+        terms.update((e, -c % p if p else -c) for e, c in tail)
+        rem, _ = normal_form_terms(terms, others, pk, field)
+        reduced.append((lt ^ pk.flip, _over(field, rem, rem[lt])))
     reduced.sort(key=itemgetter(0))
     return [Polynomial(field, vars, pk.unpack_terms(rem, table)) for _, rem in reduced]
 
@@ -239,14 +273,16 @@ class Ideal:
         return self
 
     def _remainder(self, p, table):
-        """Packed remainder of p modulo the cached basis, and its packing."""
+        """(rem, den, packing): the packed integer remainder of p modulo
+        the cached basis is rem / den."""
         if p.vars != self.vars or p.field != self.field:
             raise DomainMismatchError("polynomial and ideal over different rings")
         pk = self.basis_order.packing(len(self.vars))
         if self._divisors is None:
             self._divisors = _divisors(self.cached_basis, pk, {})
-        terms = pk.pack_terms(p.terms, table)
-        return normal_form_terms(terms, self._divisors, pk, p.field), pk
+        terms, den = pk.pack_integers(p.terms, p.field, table)
+        rem, scale = normal_form_terms(terms, self._divisors, pk, p.field)
+        return rem, den * scale, pk
 
     def normal_form(self, p):
         self.groebner()

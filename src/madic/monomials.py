@@ -25,19 +25,37 @@ guard bit, raises CapacityError; nothing wraps around silently.
 `reduce_terms` is the reduction kernel: it keeps the not yet reduced terms
 in a dict and their order keys, computed once when a term enters, in a
 heap, pops the largest, and skips the entries of terms that cancelled.  Its
-divisors are prepared once (`divisor`): leading monomial, negated tail of
-the monic divisor and the fieldwise maximum of the tail's monomials, so one
-add and one mask per reduction step tell whether any of its products
-overflows.
+divisors are prepared once (`divisor`): leading monomial, leading
+coefficient, negated tail and the fieldwise maximum of the tail's
+monomials, so one add and one mask per reduction step tell whether any of
+its products overflows.
+
+Coefficients are plain ints from packing (`Packing.pack_integers`, which
+clears the denominators of a QQ polynomial with one lcm) to unpacking.
+Over GF(p) they are residues, a prepared divisor is monic and every step
+reduces mod p inline.  Over QQ a prepared divisor is the primitive integer
+multiple of the polynomial with a positive leading coefficient, and a
+reduction is a pseudo-reduction that returns (rem, scale), the remainder
+being rem / scale: a step by a divisor with leading coefficient lc on a
+term c multiplies the work set, the remainder and the scale by lc / g, for
+g = gcd(c, lc), only when that is not 1, and adds (c / g) times the
+shifted negated tail.  Content is removed by one fixed rule: whenever the
+scale's bit length has doubled since the last removal, the work set, the
+remainder and the scale are divided by their gcd.  Scaling by a nonzero
+integer never changes which terms vanish, so every step picks the same
+divisor as reduction over the field would, and rem / scale is the same
+remainder.
 """
 
 from __future__ import annotations
 
 import functools
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import mul
 
 from .errors import CapacityError
+from .fields import common_denominator
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -76,12 +94,14 @@ class Packing:
         """The exponent tuple of a packed monomial."""
         return tuple([(m >> o) & MAX_EXPONENT for o in self.offsets])
 
-    def pack_terms(self, terms, table):
-        """Pack a term dict; `table` records each exponent tuple under its
-        packed monomial, so unpacking gives back the same tuple objects."""
+    def pack_terms(self, terms, table, coeffs=None):
+        """Pack a term dict, with `coeffs` (one per term, in order) in
+        place of its coefficients if given; `table` records each exponent
+        tuple under its packed monomial, so unpacking gives back the same
+        tuple objects."""
         units = self.units
         out = {}
-        for e, c in terms.items():
+        for e, c in terms.items() if coeffs is None else zip(terms, coeffs):
             if sum(e) > MAX_EXPONENT and any(
                 sum(e[a:b]) > MAX_EXPONENT for a, b in self.blocks
             ):
@@ -90,6 +110,15 @@ class Packing:
             table.setdefault(m, e)
             out[m] = c
         return out
+
+    def pack_integers(self, terms, field, table):
+        """Pack a term dict of field elements as integers over one
+        denominator: (packed integer terms, den), see
+        `fields.common_denominator`; over GF(p) the residues over 1."""
+        if field.characteristic:
+            return self.pack_terms(terms, table), 1
+        nums, den = common_denominator(field, list(terms.values()))
+        return self.pack_terms(terms, table, nums), den
 
     def unpack_terms(self, terms, table):
         """A term dict with exponent tuples, one tuple per packed monomial
@@ -132,31 +161,48 @@ def shared_packing(nvars, blocks):
 
 
 def divisor(terms, lt, packing, field):
-    """A prepared divisor (lt, negated tail, fieldwise max of the tail) of
-    the monic multiple of the packed term dict `terms` with leading monomial
-    `lt`.  A product u * tail overflows iff u + (fieldwise max) reaches a
-    guard bit."""
+    """A prepared divisor (lt, lc, negated tail, fieldwise max of the tail)
+    of the packed integer term dict `terms` with leading monomial `lt`:
+    over QQ its primitive integer multiple with lc > 0, over GF(p) its
+    monic multiple with lc = 1.  A product u * tail overflows iff
+    u + (fieldwise max) reaches a guard bit."""
     lc = terms[lt]
-    if lc == field.one():  # already monic: no inverse to compute
-        tail = [(m, field.neg(c)) for m, c in terms.items() if m != lt]
+    if field.characteristic:
+        p = field.p
+        ninv = -pow(lc, p - 2, p) if lc != 1 else -1
+        tail = [(m, c * ninv % p) for m, c in terms.items() if m != lt]
+        lc = 1
     else:
-        ninv = field.neg(field.inv(lc))
-        tail = [(m, field.mul(c, ninv)) for m, c in terms.items() if m != lt]
-    return lt, tail, functools.reduce(packing.field_max, (m for m, _ in tail), 0)
+        content = gcd(*terms.values())
+        if lc < 0:
+            content = -content
+        if content != 1:
+            lc //= content
+            tail = [(m, -(c // content)) for m, c in terms.items() if m != lt]
+        else:
+            tail = [(m, -c) for m, c in terms.items() if m != lt]
+    return lt, lc, tail, functools.reduce(packing.field_max, (m for m, _ in tail), 0)
 
 
 def reduce_terms(terms, divisors, packing, field, quotient=None):
-    """Fully reduce the packed term dict `terms`, which is consumed, by
-    prepared divisors.
+    """Fully reduce the packed integer term dict `terms`, which is
+    consumed, by prepared divisors.
 
     Each step takes the largest remaining term and the first divisor whose
-    leading monomial divides it.  Returns the remainder, its terms in
-    decreasing order.  If `quotient` is a dict, each step records its
-    cofactor in it, so with a single divisor it receives the quotient.
+    leading monomial divides it.  Returns (rem, scale): the remainder is
+    rem / scale, its terms in decreasing order; over GF(p) scale is 1.  If
+    `quotient` is a dict, each step records its cofactor in it, so with a
+    single divisor terms / scale == quotient / scale * divisor + rem /
+    scale.
     """
+    if field.characteristic:
+        return _reduce_modular(terms, divisors, packing, field.p, quotient), 1
+    return _reduce_integral(terms, divisors, packing, quotient)
+
+
+def _reduce_modular(work, divisors, packing, p, quotient):
+    """`reduce_terms` over GF(p): monic divisors, residues reduced inline."""
     G, flip = packing.guard, packing.flip
-    add, fmul, is_zero = field.add, field.mul, field.is_zero
-    work = terms
     heap = [-(m ^ flip) for m in work]
     heapify(heap)
     rem = {}
@@ -166,7 +212,7 @@ def reduce_terms(terms, divisors, packing, field, quotient=None):
         if c is None:
             continue  # the term cancelled after its key was pushed
         mg = m | G
-        for lt, tail, hi in divisors:
+        for lt, _, tail, hi in divisors:
             if (mg - lt) & G == G:
                 q = m - lt
                 if (q + hi) & G:
@@ -177,15 +223,88 @@ def reduce_terms(terms, divisors, packing, field, quotient=None):
                     n = q + t
                     old = work.get(n)
                     if old is None:
-                        work[n] = fmul(c, nc)
+                        work[n] = c * nc % p
                         heappush(heap, -(n ^ flip))
                     else:
-                        v = add(old, fmul(c, nc))
-                        if is_zero(v):
-                            del work[n]
-                        else:
+                        v = (old + c * nc) % p
+                        if v:
                             work[n] = v
+                        else:
+                            del work[n]
                 break
         else:
             rem[m] = c
     return rem
+
+
+def _reduce_integral(work, divisors, packing, quotient):
+    """`reduce_terms` over QQ, by pseudo-reduction on integers.
+
+    Reducing a term c by a divisor with leading coefficient lc takes
+    g = gcd(c, lc); unless lc / g is 1, the work set, the remainder, the
+    quotient and the scale are multiplied by lc / g, and then (c / g) times
+    the shifted negated tail is added.  Whenever the scale's bit length
+    has doubled since the last content removal, all of them are divided
+    by their gcd.
+    """
+    G, flip = packing.guard, packing.flip
+    heap = [-(m ^ flip) for m in work]
+    heapify(heap)
+    rem = {}
+    parts = (work, rem) if quotient is None else (work, rem, quotient)
+    scale = 1
+    limit = 1  # remove the content once scale.bit_length() reaches 2 * limit
+    while heap:
+        m = -heappop(heap) ^ flip
+        c = work.pop(m, None)
+        if c is None:
+            continue  # the term cancelled after its key was pushed
+        mg = m | G
+        for lt, lc, tail, hi in divisors:
+            if (mg - lt) & G == G:
+                q = m - lt
+                if (q + hi) & G:
+                    raise CapacityError(_OVERFLOW)
+                a = 1
+                if lc != 1:
+                    g = gcd(c, lc)
+                    c //= g
+                    a = lc // g
+                    if a != 1:
+                        scale *= a
+                        for d in parts:
+                            for k in d:
+                                d[k] *= a
+                if quotient is not None:
+                    quotient[q] = c
+                for t, nc in tail:
+                    n = q + t
+                    old = work.get(n)
+                    if old is None:
+                        work[n] = c * nc
+                        heappush(heap, -(n ^ flip))
+                    else:
+                        v = old + c * nc
+                        if v:
+                            work[n] = v
+                        else:
+                            del work[n]
+                if a != 1 and scale.bit_length() >= 2 * limit:
+                    scale = _remove_content(scale, parts)
+                    limit = scale.bit_length()
+                break
+        else:
+            rem[m] = c
+    return rem, scale
+
+
+def _remove_content(scale, parts):
+    """Divide the term dicts `parts`, in place, and `scale` by their gcd;
+    returns the new scale."""
+    g = gcd(scale, *[v for d in parts for v in d.values()])
+    if g != 1:
+        for d in parts:
+            for k in d:
+                d[k] //= g
+        scale //= g
+    return scale

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainMismatchError, MadicError
-from .fields import QQ, check_same_field
+from .fields import QQ, check_same_field, field_terms
 from .monomials import divisor, reduce_terms, shared_packing
 
 # Degree of the zero polynomial.
@@ -284,17 +284,23 @@ def exact_div(p, g):
     f = p.field
     pk = shared_packing(len(p.vars), ((0, len(p.vars)),))
     table = {}
-    gterms = pk.pack_terms(g.terms, table)
+    gterms, _ = pk.pack_integers(g.terms, f, table)
     glt = pk.leading(gterms)
+    d = divisor(gterms, glt, pk, f)
+    terms, den = pk.pack_integers(p.terms, f, table)
     quo = {}
-    rem = reduce_terms(
-        pk.pack_terms(p.terms, table), [divisor(gterms, glt, pk, f)], pk, f, quo
-    )
+    rem, scale = reduce_terms(terms, [d], pk, f, quo)
     if rem:
         raise MadicError("polynomial division is not exact")
-    lc = gterms[glt]
-    if lc != f.one():
-        quo = {q: f.div(c, lc) for q, c in quo.items()}
+    # p = quo / (den * scale) * d, where d is g times (d's lc) / (g's lc):
+    # the quotient is rescaled once, one field element per term
+    lc = g.terms[table[glt]]
+    if not f.characteristic:
+        num, den = d[1] * lc.denominator, den * scale * lc.numerator
+        quo = field_terms(f, ((q, c * num) for q, c in quo.items()), den)
+    elif lc != 1:
+        inv = f.inv(lc)
+        quo = {q: c * inv % f.p for q, c in quo.items()}
     return Polynomial(f, p.vars, pk.unpack_terms(quo, table))
 
 

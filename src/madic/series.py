@@ -35,12 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
-from .fields import QQ, check_same_field
+from .fields import QQ, check_same_field, common_denominator, field_terms
 from .poly import Polynomial
 
 
@@ -94,16 +92,6 @@ class Norm:
 _LCM_GROWTH = 64
 
 
-def common_denominator(field, coeffs):
-    """(nums, den) with coeffs[i] == nums[i] / den: over GF(p) the residues
-    over 1, over QQ the numerators over the lcm of the denominators."""
-    if field.characteristic:
-        return list(coeffs), 1
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
-
-
 def integer_coefficients(field, coeffs):
     """Exact numbers that add and multiply like `coeffs`, over one
     denominator: `common_denominator`, except that over QQ, when the lcm
@@ -117,17 +105,6 @@ def integer_coefficients(field, coeffs):
         if den.bit_length() > _LCM_GROWTH * longest + 64:
             return list(coeffs), None
     return nums, den
-
-
-def field_terms(field, items, den):
-    """The term dict of (key, number) pairs over `den`, one field element
-    per term, without the terms that vanish."""
-    if field.characteristic:
-        p = field.p
-        return {k: r for k, n in items if (r := n % p)}
-    if den is None:
-        return {k: n for k, n in items if n}
-    return {k: Fraction(n, den) for k, n in items if n}
 
 
 def _packed(terms, cap):

@@ -456,7 +456,8 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         fs_t = [change.apply_poly(f, svars) for f in fs]
         delta_t = change.apply_poly(delta, svars)
         z_t = SeriesVector([change.apply_series(z) for z in zbar])
-    unit, dist = prepare(reg)
+    inverse = []  # the unit's inverse, for the prepared divisor below
+    _, dist = prepare(reg, inverse)
 
     w_quotients = []
     coeff_series = []  # per unknown: list of r univariate series
@@ -528,7 +529,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         point=point,
         r=r,
         degree_bounds=deg_bounds,
-        divisor=PreparedDivisor.from_preparation(dsq_bar, change, unit, dist),
+        divisor=PreparedDivisor.from_preparation(dsq_bar, change, inverse[0], dist),
         w_quotients=w_quotients,
         selection=selection,
         num_unknowns=m,

@@ -26,16 +26,9 @@ from dataclasses import dataclass
 from math import comb, lcm
 
 from .errors import MadicError, PrecisionError
-from .fields import QQ, check_same_field
+from .fields import QQ, check_same_field, common_denominator, field_terms
 from .poly import Polynomial
-from .series import (
-    OrderValue,
-    TruncatedSeries,
-    common_denominator,
-    field_terms,
-    integer_coefficients,
-    mul_terms,
-)
+from .series import OrderValue, TruncatedSeries, integer_coefficients, mul_terms
 
 
 def y_regular_order(u):
@@ -378,12 +371,14 @@ def weierstrass_divide(g, u, r):
     return q, rems
 
 
-def prepare(u):
+def prepare(u, inverse=None):
     """Weierstrass preparation: u = unit * dist, for u y-regular of order r.
 
     Computed by dividing y^r by u; the remainder gives the distinguished
-    coefficients and the quotient is the unit's inverse.  Deterministic, so
-    re-running reproduces identical coefficients.
+    coefficients and the quotient is the unit's inverse.  If `inverse` is a
+    list, the unit's inverse is appended to it, so a caller that divides by
+    the unit does not invert it back.  Deterministic, so re-running
+    reproduces identical coefficients.
     """
     yo = y_regular_order(u)
     if not yo.finite:
@@ -392,6 +387,8 @@ def prepare(u):
     if r >= u.precision:
         raise PrecisionError("y-regular order at or beyond precision")
     if r == 0:
+        if inverse is not None:
+            inverse.append(u.inverse())
         return u, DistinguishedPolynomial(0, [], u.field)
     fld = u.field
     yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): fld.one()})
@@ -401,8 +398,9 @@ def prepare(u):
     for p in range(1, r + 1):
         coeffs.append(-rems[r - p])
     dist = DistinguishedPolynomial(r, coeffs, fld)
-    unit = q.inverse()
-    return unit, dist
+    if inverse is not None:
+        inverse.append(q)
+    return q.inverse(), dist
 
 
 def w_divide(g, a):
@@ -493,24 +491,25 @@ class PreparedDivisor:
         self.order = u.order()
         self.change = None
         self.dist = None
-        self._unit = None
         self._inverse = None  # u^-1, the shifted inverse, or the unit's
         self._change_back = None  # the inverse of the shear
 
     @classmethod
-    def from_preparation(cls, u, change, unit, dist):
+    def from_preparation(cls, u, change, inverse, dist):
         """Wrap a preparation already computed for u: `change` is the shear
-        regularize(u) returned and (unit, dist) = prepare of the sheared u."""
+        regularize(u) returned, and dist and the unit's inverse are what
+        prepare of the sheared u gave (see its `inverse` list)."""
         out = cls(u)
-        out.change, out._unit, out.dist = change, unit, dist
+        out.change, out._inverse, out.dist = change, inverse, dist
         return out
 
     def _prepare(self):
         if self.dist is None:
             self.change, u_reg = regularize(self.u)
-            self._unit, self.dist = prepare(u_reg)
-        if self._inverse is None:
-            self._inverse = self._unit.inverse()
+            inverse = []
+            _, self.dist = prepare(u_reg, inverse)
+            (self._inverse,) = inverse
+        if self._change_back is None:
             self._change_back = self.change.inverse()
 
     def divide(self, v, order_check=None):

@@ -2,15 +2,20 @@
 
 The property tests compare the packed, heap-ordered engine with a plain
 reference kept only here: a reduction loop that scans the work set for its
-largest term under order keys computed on exponent tuples.
+largest term under order keys computed on exponent tuples.  The integer
+kernel over QQ is also compared with sympy, on coefficients with distinct
+prime denominators and on non-monic, non-primitive divisors.
 """
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex
 
 from madic import (
     DEGREVLEX,
@@ -31,6 +36,7 @@ from madic import (
     parse_polynomial,
     radical_member,
 )
+from madic.fields import common_denominator, field_terms
 from madic.groebner import normal_form_terms
 from madic.monomials import MAX_EXPONENT, divisor
 from madic.poly import exact_div
@@ -256,12 +262,13 @@ def engine_normal_form(terms, divisors, order, field):
     table = {}
     prepared = []
     for g in divisors:
-        packed = pk.pack_terms(g, table)
+        packed, _ = pk.pack_integers(g, field, table)
         prepared.append(divisor(packed, pk.leading(packed), pk, field))
-    rem = normal_form_terms(pk.pack_terms(terms, table), prepared, pk, field)
+    packed, den = pk.pack_integers(terms, field, table)
+    rem, scale = normal_form_terms(packed, prepared, pk, field)
     keys = [m ^ pk.flip for m in rem]
     assert keys == sorted(keys, reverse=True)  # remainder in decreasing order
-    return pk.unpack_terms(rem, table)
+    return pk.unpack_terms(field_terms(field, rem.items(), den * scale), table)
 
 
 def reference_normal_form(terms, divisors, order, field, returned=None):
@@ -426,3 +433,201 @@ def test_basis_shares_exponent_tuples():
         for e in g.terms:
             assert seen.setdefault(e, e) is e
     assert sum(len(g.terms) for g in basis) > len(seen)
+
+
+# -- the fraction-free kernel over QQ ------------------------------------
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+SYMPY_ORDERS = [
+    (DEGREVLEX, "grevlex"),
+    (LEX, "lex"),
+    (
+        MonomialOrder("block", split=1),
+        ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])),
+    ),
+]
+
+
+def _prime_denominator_poly(rng, vars, max_deg, max_terms):
+    """A polynomial whose coefficients n/p have distinct prime
+    denominators p, so clearing them takes their product."""
+    dens = rng.sample(PRIMES, len(PRIMES))
+    terms = {}
+    for k in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in vars)
+        terms[e] = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), dens[k])
+    return Polynomial(QQ, vars, terms)
+
+
+def _awkward(g, rng, order):
+    """-k/q times the primitive integer multiple of g with a positive
+    leading coefficient, for k in {2, 6, 10, 15} and a prime q: cleared of
+    its denominator q it is non-primitive with a negative leading
+    coefficient."""
+    nums, _ = common_denominator(QQ, list(g.terms.values()))
+    content = gcd(*nums)
+    lead = list(g.terms).index(max(g.terms, key=tuple_key(order)))
+    if nums[lead] < 0:
+        content = -content
+    k, q = rng.choice([2, 6, 10, 15]), rng.choice(PRIMES)
+    return Polynomial(
+        QQ, g.vars, {e: Fraction(-k * (n // content), q) for e, n in zip(g.terms, nums)}
+    )
+
+
+def _to_sympy(p, syms):
+    return sympy.Add(
+        *[
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[s**k for s, k in zip(syms, e)])
+            for e, c in p.terms.items()
+        ]
+    )
+
+
+def _from_sympy(expr, syms, order):
+    if expr == 0:
+        return {}
+    return {
+        e: Fraction(int(c.p), int(c.q))
+        for e, c in sympy.Poly(expr, *syms).terms(order=order)
+    }
+
+
+@st.composite
+def prime_denominator_systems(draw):
+    order, sym_order = draw(st.sampled_from(SYMPY_ORDERS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    gens = [
+        _prime_denominator_poly(rng, XYZ, 2, 3) for _ in range(draw(st.integers(1, 3)))
+    ]
+    return gens, order, sym_order, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_denominator_systems())
+def test_normal_form_matches_sympy_reduced(case):
+    gens, order, sym_order, rng = case
+    syms = sympy.symbols(XYZ)
+    basis = [
+        Polynomial(QQ, XYZ, _from_sympy(g, syms, sym_order))
+        for g in sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=sym_order).exprs
+    ]
+    divisors = [_awkward(g, rng, order) for g in basis]
+    p = _prime_denominator_poly(rng, XYZ, 3, 6)
+    _, want = sympy.reduced(
+        _to_sympy(p, syms), [_to_sympy(g, syms) for g in divisors], *syms, order=sym_order
+    )
+    got = normal_form(p, divisors, order)
+    assert got.terms == _from_sympy(want, syms, sym_order)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_exact_div_prime_denominators(seed):
+    rng = random.Random(seed)
+    p = _prime_denominator_poly(rng, XYZ, 2, 5)
+    g = _awkward(_prime_denominator_poly(rng, XYZ, 2, 4), rng, DEGREVLEX)
+    q = exact_div(p * g, g)
+    assert q * g == p * g
+
+
+@settings(max_examples=30, deadline=None)
+@given(prime_denominator_systems())
+def test_buchberger_prime_denominators_matches_sympy(case):
+    gens, order, sym_order, rng = case
+    gens = [_awkward(g, rng, order) if rng.random() < 0.5 else g for g in gens]
+    assert _our_basis_set(gens, order) == _sympy_basis(gens, " ".join(XYZ), sym_order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SYMPY_ORDERS), st.integers(0, 10**6))
+def test_gf_basis_and_normal_form_match_sympy(orders, seed):
+    # coefficients are residues in [0, p): sympy's symmetric ones mod p
+    order, sym_order = orders
+    rng = random.Random(seed)
+    gens = [_random_poly(rng, GF, XYZ) for _ in range(rng.randint(1, 3))]
+    p = _random_poly(rng, GF, XYZ, max_deg=3, max_terms=6)
+    syms = sympy.symbols(XYZ)
+    G = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=sym_order, modulus=GF.p)
+    want = [_from_sympy_gf(g, syms) for g in G.exprs]
+    basis = buchberger(gens, order)
+    assert sorted(sorted(g.terms.items()) for g in basis) == sorted(sorted(w.items()) for w in want)
+    _, r = sympy.reduced(_to_sympy(p, syms), G.exprs, *syms, order=sym_order, modulus=GF.p)
+    assert normal_form(p, basis, order).terms == _from_sympy_gf(r, syms)
+
+
+def _from_sympy_gf(expr, syms):
+    if expr == 0:
+        return {}
+    poly = sympy.Poly(expr, *syms, modulus=GF.p)
+    return {e: int(c) % GF.p for e, c in poly.terms()}
+
+
+def test_content_removal_bounds_coefficient_swell():
+    # x^60 + y under lex x > y by 60 divisors, for k = 30, ..., 1:
+    #   p_k*x^(2k) - x^(2k-1)   (leading coefficient the k-th prime p_k)
+    #   x^(2k-1) - p_k*x^(2k-2)
+    # Each p_k scales the work set, and the next divisor makes p_k a common
+    # factor again; exactly, x^(2k) = x^(2k-2), so the remainder is 1 + y.
+    # Without content removal the scale is the product of all 30 primes
+    # (about 330 bits).  The rule divides the content out whenever the
+    # scale's bit length has doubled since the last removal: after a
+    # removal the scale is one 11-bit prime, and by the time a third prime
+    # multiplies in, the content is two primes and the bit length has
+    # doubled, so the scale and every numerator stay within 3 * 11 bits.
+    primes = [p for p in range(1024, 2048) if all(p % d for d in range(2, 46))][:30]
+    assert len(primes) == 30 and all(p.bit_length() == 11 for p in primes)
+    xy = ("x", "y")
+    divisors = []
+    for k in range(30, 0, -1):
+        p = primes[k - 1]
+        divisors.append(parse_polynomial(f"{p}*x^{2 * k} - x^{2 * k - 1}", xy))
+        divisors.append(parse_polynomial(f"x^{2 * k - 1} - {p}*x^{2 * k - 2}", xy))
+    pk = LEX.packing(2)
+    table = {}
+    prepared = []
+    for g in divisors:
+        packed, _ = pk.pack_integers(g.terms, QQ, table)
+        prepared.append(divisor(packed, pk.leading(packed), pk, QQ))
+    terms, den = pk.pack_integers(parse_polynomial("x^60 + y", xy).terms, QQ, table)
+    rem, scale = normal_form_terms(terms, prepared, pk, QQ)
+    assert den == 1
+    assert pk.unpack_terms(field_terms(QQ, rem.items(), scale), table) == {
+        (0, 1): 1,
+        (0, 0): 1,
+    }
+    bound = 3 * 11
+    assert scale.bit_length() <= bound
+    assert all(abs(n).bit_length() <= bound for n in rem.values())
+    assert sum(p.bit_length() for p in primes) > 8 * bound
+
+
+# The benchmark's Groebner systems, rescaled by fixed non-integral factors
+# so that every reduction over QQ meets non-monic, non-primitive divisors.
+CYCLIC5 = [
+    "a+b+c+d+e",
+    "a*b+b*c+c*d+d*e+e*a",
+    "a*b*c+b*c*d+c*d*e+d*e*a+e*a*b",
+    "a*b*c*d+b*c*d*e+c*d*e*a+d*e*a*b+e*a*b*c",
+    "a*b*c*d*e-1",
+]
+KATSURA4 = [
+    "a+2*b+2*c+2*d+2*e-1",
+    "a^2+2*b^2+2*c^2+2*d^2+2*e^2-a",
+    "2*a*b+2*b*c+2*c*d+2*d*e-b",
+    "b^2+2*a*c+2*b*d+2*c*e-c",
+    "2*b*c+2*a*d+2*b*e-d",
+]
+RESCALE = {"a": "2/3", "b": "-3/2", "c": "1/2", "d": "-1", "e": "3"}
+
+
+@pytest.mark.parametrize("system", [CYCLIC5, KATSURA4], ids=["cyclic5", "katsura4"])
+def test_rescaled_benchmark_systems_match_sympy(system):
+    names = ("a", "b", "c", "d", "e")
+    eqs = [
+        re.sub(r"\b([a-e])\b", lambda m: f"(({RESCALE[m.group(1)]})*{m.group(1)})", s)
+        for s in system
+    ]
+    polys = [parse_polynomial(s, names) for s in eqs]
+    assert _our_basis_set(polys, DEGREVLEX) == _sympy_basis(polys, " ".join(names), "grevlex")

@@ -373,6 +373,38 @@ def test_prepared_divisor_prepares_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_prepare_hands_over_the_units_inverse(monkeypatch):
+    for text in ("y^2 + x + x*y + O(m^10)", "y^3 - 2*x^2 + x*y^2/3 + O(m^9)", "1 + x*y + O(m^6)"):
+        u = S(text)
+        inverse = []
+        unit, dist = prepare(u, inverse)
+        assert inverse == [unit.inverse()]
+        assert prepare(u)[0] == unit
+    # a prepared bivariate divisor takes the inverse from prepare: the
+    # unit's own inversion there is the only bivariate inverse computed
+    inverted = []
+    real = TruncatedSeries.inverse
+
+    def counting(self):
+        if len(self.vars) == 2:
+            inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting)
+    u = S("y^2 + x + O(m^10)")  # sheared first
+    prepared = PreparedDivisor(u)
+    dividends = [u * S(t) for t in ("y + x^2 + O(m^10)", "1 + x*y + O(m^10)")]
+    quotients = [divide_series(v, prepared) for v in dividends]
+    assert len(inverted) == 1
+    monkeypatch.undo()
+    change, u_reg = regularize(u)
+    unit, dist = prepare(u_reg)
+    for v, q in zip(dividends, quotients):
+        q_reg, _ = w_divide(change.apply_series(v), dist)
+        want = change.inverse().apply_series(q_reg * unit.inverse()).truncate(q.precision)
+        assert q == want
+
+
 def test_prepared_divisor_builds_its_linear_changes_once(monkeypatch):
     u = S("y^2 + x + O(m^10)")  # needs a shear to be y-regular of order 1
     prepared = PreparedDivisor(u)
