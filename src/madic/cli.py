@@ -173,7 +173,7 @@ def cmd_refine(pf, args):
         raise HypothesisError("Jacobian ideal vanishes to precision")
     sel = select_minor(eqs, zbar, assignment, hord.value + 1)
     cert = tougeron_refine(
-        [eqs[i] for i in sel.subset], sel.minor, sel.columns, zbar, assignment, c
+        [eqs[i] for i in sel.subset], sel.columns, zbar, assignment, c
     )
     cert.selection = sel
     return _cert_report("refine", cert)

@@ -305,7 +305,8 @@ def exact_div(p, g):
 
 
 class PolyMatrix:
-    """Dense matrix of polynomials over a shared universe."""
+    """Dense matrix of polynomials over a shared universe, or of series
+    over a shared ring."""
 
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
@@ -336,67 +337,44 @@ def jacobian(fs, diff_vars):
     return PolyMatrix([[f.diff(v) for v in diff_vars] for f in fs])
 
 
-def det_cofactor(M):
+def determinant(M):
+    """Exact determinant of a square matrix over a commutative ring.
+
+    Entries may be Polynomials or TruncatedSeries of one precision: only
+    +, - and * are used, never a division.  Laplace expansion along the
+    rows, bottom up, computing each minor once: for a column subset S, the
+    minor on the last |S| rows and the columns S is the signed sum over
+    j in S of the row's entry j times the minor on S without j.  That is
+    n*2^(n-1) - n products (9 at 3x3, 28 at 4x4); zero entries and zero
+    minors are skipped.
+    """
     n = M.rows
     if n != M.cols:
         raise MadicError("determinant of non-square matrix")
     if n == 0:
         raise MadicError("empty determinant handled by caller")
-    if n == 1:
-        return M[0, 0]
-    if n == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    # expand along the first row
-    out = None
-    for j in range(n):
-        a = M[0, j]
-        if a.is_zero():
-            continue
-        sub = M.submatrix(range(1, n), [k for k in range(n) if k != j])
-        term = a * det_cofactor(sub)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
+    # column subsets as bit masks
+    dets = {1 << j: a for j, a in enumerate(M.entries[n - 1]) if a.terms}
+    for row in reversed(M.entries[: n - 1]):
+        above = {}
+        for T, d in dets.items():
+            for j, a in enumerate(row):
+                if T >> j & 1 or not a.terms:
+                    continue
+                # j sits after the columns of T below it in T + {j}
+                odd = (T & ((1 << j) - 1)).bit_count() & 1
+                S = T | 1 << j
+                t = a * d
+                if S in above:
+                    above[S] = above[S] - t if odd else above[S] + t
+                else:
+                    above[S] = -t if odd else t
+        dets = {S: d for S, d in above.items() if d.terms}
+    full = dets.get((1 << n) - 1)
+    if full is None:
         z = M[0, 0]
-        return Polynomial.zero(z.vars, z.field)
-    return out
-
-
-def det_bareiss(M):
-    """Fraction-free Bareiss elimination; exact over any integral domain."""
-    n = M.rows
-    if n != M.cols:
-        raise MadicError("determinant of non-square matrix")
-    a = [[M[i, j] for j in range(n)] for i in range(n)]
-    some = M[0, 0]
-    one = Polynomial.constant(1, some.vars, some.field)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(some.vars, some.field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = Polynomial.zero(some.vars, some.field)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def determinant(M):
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss beyond."""
-    if M.rows <= 4:
-        return det_cofactor(M)
-    return det_bareiss(M)
+        return z - z
+    return full
 
 
 def minors(M, h):

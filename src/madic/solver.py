@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .groebner import Ideal, colon, elkik_ideal
-from .poly import Polynomial, determinant, jacobian, minors
+from .poly import PolyMatrix, Polynomial, determinant, jacobian
 from .series import (
     OrderValue,
     SeriesVector,
@@ -134,44 +134,6 @@ def _lift(s, precision):
     return TruncatedSeries(s.field, s.vars, precision, s.terms)
 
 
-def _series_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = None
-    for j in range(n):
-        sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _series_det(sub)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
-
-
-def _series_adjugate(rows):
-    n = len(rows)
-    if n == 1:
-        one = TruncatedSeries.constant(
-            1, rows[0][0].vars, rows[0][0].precision, rows[0][0].field
-        )
-        return [[one]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [rows[a][b] for b in range(n) if b != j]
-                for a in range(n)
-                if a != i
-            ]
-            cof = _series_det(sub)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
-
-
 def select_minor(fs, zbar, assignment, s):
     """Pick a subset E of equations, a Jacobian minor and a colon-ideal
     witness whose product stays below order s at the approximate solution.
@@ -185,8 +147,8 @@ def select_minor(fs, zbar, assignment, s):
     unknowns = sorted(assignment, key=assignment.get)
     I = Ideal(fs)
     jac = jacobian(fs, unknowns)
+    jbar = _evaluated(jac, zbar, assignment)
     best = None
-    best_measure = None
     min_product_order = None
     for h in range(1, min(len(fs), len(unknowns)) + 1):
         for E in itertools.combinations(range(len(fs)), h):
@@ -196,13 +158,10 @@ def select_minor(fs, zbar, assignment, s):
                 continue
             kvals = [evaluate(k, zbar, assignment).order() for k in kgens]
             for cols in itertools.combinations(range(len(unknowns)), h):
-                delta = determinant(jac.submatrix(E, cols))
-                if delta.is_zero():
-                    continue
-                dord = evaluate(delta, zbar, assignment).order()
+                dord = determinant(jbar.submatrix(E, cols)).order()
                 if not dord.finite:
                     continue
-                for gi, (k, kord) in enumerate(zip(kgens, kvals)):
+                for gi, kord in enumerate(kvals):
                     if not kord.finite:
                         continue
                     prod = dord.value + kord.value
@@ -211,33 +170,42 @@ def select_minor(fs, zbar, assignment, s):
                     if prod >= s:
                         continue
                     measure = (2 * dord.value, E, cols, gi)
-                    if best_measure is None or measure < best_measure:
-                        best_measure = measure
-                        best = MinorSelection(
-                            subset=E,
-                            columns=tuple(unknowns[c] for c in cols),
-                            minor=delta,
-                            cofactor=k,
-                            minor_order=dord.value,
-                            squared_order=2 * dord.value,
-                        )
+                    if best is None or measure < best[0]:
+                        best = (measure, kgens[gi])
     if best is None:
         raise HypothesisError(
             "no Jacobian-minor/colon-witness product has order below "
             f"s={s} at the approximate solution",
             measured=min_product_order,
         )
-    return best
+    (squared, E, cols, _), k = best
+    return MinorSelection(
+        subset=E,
+        columns=tuple(unknowns[c] for c in cols),
+        minor=determinant(jac.submatrix(E, cols)),
+        cofactor=k,
+        minor_order=squared // 2,
+        squared_order=squared,
+    )
 
 
-def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
+def _evaluated(jac, zbar, assignment):
+    """The matrix of polynomials `jac` evaluated at zbar, entry by entry."""
+    return PolyMatrix(
+        [[evaluate(p, zbar, assignment) for p in row] for row in jac.entries]
+    )
+
+
+def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
                     prepared=None):
     """Newton iteration under the Tougeron hypothesis.
 
-    Requires each residual f_i(zbar) to be an exact multiple of
-    delta(zbar)^2 with quotient of order >= c.  Updates only the selected
-    coordinates through the adjugate of the square Jacobian submatrix, so the
-    only divisions are by delta(zbar)^2 (certified above) and by units.
+    delta is the Jacobian minor of fs on `columns`.  Requires each residual
+    f_i(zbar) to be an exact multiple of delta(zbar)^2 with quotient of
+    order >= c.  Updates only the selected coordinates by the adjugate of
+    the square Jacobian submatrix J times the quotients q, taken as Cramer
+    columns (entry j is det J with column j replaced by q), so the only
+    divisions are by delta(zbar)^2 (certified above) and by units.
 
     delta(zbar)^2 and delta(zbar) are each prepared once, on first use, and
     shared by every division of the run and the final distance audit.
@@ -248,9 +216,10 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
     if len(fs) != len(columns):
         raise MadicError("need as many equations as selected columns")
     N = zbar.precision
-    dbar = evaluate(delta, zbar, assignment)
-    dord = dbar.order()
-    if not dord.finite:
+    jac = jacobian(fs, columns)
+    jbar = _evaluated(jac, zbar, assignment)
+    dbar = det = determinant(jbar)
+    if not dbar.order().finite:
         raise HypothesisError("minor vanishes at the approximate solution")
     dsq = _lift(dbar * dbar, N)
     if prepared is None or prepared.u != dsq:
@@ -293,12 +262,9 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
         if steps >= max_steps:
             status = STATUS_STALLED
             break
-        vec = SeriesVector(current)
-        rows = [
-            [_lift(evaluate(f.diff(v), vec, assignment), N) for v in columns]
-            for f in fs
-        ]
-        det = _series_det(rows)
+        if steps:
+            jbar = _evaluated(jac, SeriesVector(current), assignment)
+            det = determinant(jbar)
         try:
             w = divide_series(det, dbar_div)
         except MadicError as exc:
@@ -308,13 +274,11 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
             status = STATUS_STALLED
             break
         winv = _lift(w.inverse(), N)
-        adj = _series_adjugate(rows)
         for jj, ci in enumerate(col_index):
-            corr = None
-            for ii in range(len(fs)):
-                t = adj[jj][ii] * quotients[ii]
-                corr = t if corr is None else corr + t
-            step = _lift(dbar * corr * winv, N)
+            cramer = PolyMatrix(
+                [r[:jj] + [q] + r[jj + 1 :] for r, q in zip(jbar.entries, quotients)]
+            )
+            step = _lift(dbar * determinant(cramer) * winv, N)
             current[ci] = _lift(current[ci] - step, N)
         steps += 1
         vec = SeriesVector(current)
@@ -344,12 +308,12 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
         else:
             stall = 0
 
+    # every exit leaves `residuals` evaluated at the current vector
     refined = SeriesVector([_lift(s, N) for s in current])
-    final_res = [evaluate(f, refined, assignment) for f in fs]
     coord_orders = [(a - b).order() for a, b in zip(refined, zbar)]
     cert = RefinementCertificate(
         refined=refined,
-        residual_order=res_order(final_res),
+        residual_order=res_order(residuals),
         coordinate_orders=coord_orders,
         trace=trace,
         status=status,
@@ -359,7 +323,7 @@ def tougeron_refine(fs, delta, columns, zbar, assignment, c, max_steps=64,
     if status == STATUS_OK:
         # success contract: residual vanishes to precision and the move
         # stays within (delta(zbar)) m^c
-        if any(r.order().finite for r in final_res):
+        if any(r.order().finite for r in residuals):
             cert.status = STATUS_STALLED
         else:
             for a, b in zip(refined, zbar):
@@ -544,26 +508,30 @@ def solve_one_var(sys, c, strategy="newton", config=None):
     distance order c of the approximate point."""
     config = config or SolverConfig()
     eqs = sys.equations()
-    if not eqs:
-        return sys.point
-    residual = ideal_order(eqs, sys.point, sys.assignment)
-    if not residual.finite:
+    values = [evaluate(e, sys.point, sys.assignment) for e in eqs]
+    live = [e for e, v in zip(eqs, values) if not v.is_zero_to_precision()]
+    if not live:
         return sys.point
     if strategy == "newton":
-        return _one_var_newton(sys, eqs, c, config)
+        residual = min(v.order().value for v in values if v.terms)
+        return _one_var_newton(sys, eqs, live, residual, c, config)
     if strategy == "jet-search":
         return _one_var_jet_search(sys, eqs, c, config)
     raise MadicError(f"unknown strategy {strategy!r}")
 
 
-def _one_var_newton(sys, eqs, c, config):
+def _one_var_newton(sys, eqs, live, residual, c, config):
+    """Newton on the reduced system.  `live` are the equations that do not
+    vanish at the point and `residual` is their least order there.
+
+    Refines on the square Jacobian submatrix of least order w at the point
+    among those with residual >= 2w + c, the first in combinations order
+    on ties.  The Jacobian is evaluated at the point once and each
+    candidate is ranked by the order of its series determinant."""
     unknowns = sys.unknown_names
     point = sys.point
-    live = [e for e in eqs if not evaluate(e, point, sys.assignment).is_zero_to_precision()]
-    if not live:
-        live = eqs
+    jbar = _evaluated(jacobian(live, unknowns), point, sys.assignment)
     k = min(len(live), len(unknowns))
-    residual = ideal_order(live, point, sys.assignment)
     best = None
     tried = 0
     for esub in itertools.combinations(range(len(live)), k):
@@ -571,18 +539,11 @@ def _one_var_newton(sys, eqs, c, config):
             tried += 1
             if tried > _SUBSET_SEARCH_CAP:
                 break
-            sel_eqs = [live[i] for i in esub]
-            sel_cols = [unknowns[j] for j in csub]
-            delta = determinant(jacobian(sel_eqs, sel_cols))
-            if delta.is_zero():
-                continue
-            w = evaluate(delta, point, sys.assignment).order()
-            if not w.finite:
-                continue
-            if not residual.ge(2 * w.value + c):
+            w = determinant(jbar.submatrix(esub, csub)).order()
+            if not w.finite or residual < 2 * w.value + c:
                 continue
             if best is None or w.value < best[0]:
-                best = (w.value, sel_eqs, sel_cols, delta)
+                best = (w.value, esub, csub)
         if tried > _SUBSET_SEARCH_CAP:
             break
     if best is None:
@@ -590,9 +551,10 @@ def _one_var_newton(sys, eqs, c, config):
             "newton strategy: no square Jacobian submatrix with residual "
             "order above twice its order plus the target"
         )
-    _, sel_eqs, sel_cols, delta = best
+    _, esub, csub = best
     cert = tougeron_refine(
-        sel_eqs, delta, sel_cols, point, sys.assignment, c, config.max_steps
+        [live[i] for i in esub], [unknowns[j] for j in csub], point,
+        sys.assignment, c, config.max_steps,
     )
     if not cert.certified:
         raise UnsupportedInstanceError(
@@ -734,16 +696,15 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
 
     if r == 0 or len(zbar.vars) == 1:
         cert = tougeron_refine(
-            sel_fs, selection.minor, selection.columns, zbar, assignment, c,
-            config.max_steps,
+            sel_fs, selection.columns, zbar, assignment, c, config.max_steps,
         )
     else:
         sys = build_one_var_system(fs, selection, zbar, assignment, N)
         solved = solve_one_var(sys, c + 2 * s, config.strategy, config)
         z2 = _reconstruct(sys, solved, N)
         cert = tougeron_refine(
-            sel_fs, selection.minor, selection.columns, z2, assignment, c,
-            config.max_steps, prepared=sys.divisor,
+            sel_fs, selection.columns, z2, assignment, c, config.max_steps,
+            prepared=sys.divisor,
         )
         # distances in the certificate must refer to the original input
         cert.coordinate_orders = [

@@ -281,7 +281,7 @@ def test_criterion_7_tougeron_suite():
         dbar = evaluate(delta, zbar, {"z": 0})
         if kind == "quad" and (not dbar.order().finite or k - dbar.order().value < c):
             continue  # precondition would not hold; not part of the suite
-        cert = tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, c)
+        cert = tougeron_refine([f], ("z",), zbar, {"z": 0}, c)
         good = cert.status == STATUS_OK
         res = evaluate(f, cert.refined, {"z": 0})
         good = good and res.order().ge(20)

@@ -1,10 +1,13 @@
 """Polynomial arithmetic, determinants and the parser."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from madic import (
     MadicError,
@@ -12,12 +15,15 @@ from madic import (
     Polynomial,
     PrimeField,
     QQ,
+    SeriesVector,
+    TruncatedSeries,
     determinant,
+    evaluate,
     jacobian,
     minors,
     parse_polynomial,
 )
-from madic.poly import NEG_INF, PolyMatrix, det_bareiss, det_cofactor
+from madic.poly import NEG_INF, PolyMatrix
 
 
 def P(text, vars=("x", "y", "z")):
@@ -100,12 +106,110 @@ def _rand_matrix(rng, n, vars=("x", "y")):
     return PolyMatrix(rows)
 
 
-def test_bareiss_matches_cofactor():
-    rng = random.Random(11)
-    for n in (1, 2, 3, 4):
-        for _ in range(20):
-            m = _rand_matrix(rng, n)
-            assert det_bareiss(m) == det_cofactor(m)
+F7 = PrimeField(7)
+
+
+@st.composite
+def poly_matrices(draw, n, vars=("x", "y"), field=QQ, maxdeg=2):
+    """An n x n matrix of sparse polynomials, zero entries included."""
+    coeff = (
+        st.integers(-3, 3) if field is QQ else st.integers(0, field.p - 1)
+    ).map(field.convert)
+    entry = st.dictionaries(
+        st.tuples(*[st.integers(0, maxdeg)] * len(vars)), coeff, max_size=2
+    ).map(lambda terms: Polynomial(field, vars, terms))
+    return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def series_entries(draw, vars, N, field=QQ):
+    keys = st.tuples(*[st.integers(0, N)] * len(vars))
+    terms = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=3))
+    return TruncatedSeries(
+        field, vars, N, {e: field.convert(c) for e, c in terms.items()}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(poly_matrices))
+def test_determinant_random_matches_sympy(m):
+    x, y = sympy.symbols("x y")
+    sym = DomainMatrix.from_Matrix(sympy.Matrix([
+        [sum((sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+              for (i, j), c in e.terms.items()), sympy.Integer(0)) for e in row]
+        for row in m.entries
+    ]))
+    det = sym.domain.to_sympy(sym.det())
+    expected = {
+        e: Fraction(int(c.p), int(c.q))
+        for e, c in sympy.Poly(det, x, y).as_dict().items()
+        if c != 0
+    }
+    assert determinant(m).terms == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_determinant_commutes_with_evaluation(data):
+    # evaluation at a point is a ring map, so it commutes with det
+    field = data.draw(st.sampled_from([QQ, F7]))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(poly_matrices(n, ("x", "z1", "z2"), field))
+    N = data.draw(st.integers(1, 8))
+    point = SeriesVector(
+        [data.draw(series_entries(("x",), N, field)) for _ in range(2)]
+    )
+    assign = {"z1": 0, "z2": 1}
+    evaluated = PolyMatrix(
+        [[evaluate(e, point, assign) for e in row] for row in m.entries]
+    )
+    assert determinant(evaluated) == evaluate(determinant(m), point, assign)
+
+
+def _leibniz(rows):
+    """Naive determinant: the signed sum over all permutations."""
+    n = len(rows)
+    out = None
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        t = rows[0][perm[0]]
+        for i in range(1, n):
+            t = t * rows[i][perm[i]]
+        if inversions % 2:
+            t = -t
+        out = t if out is None else out + t
+    return out
+
+
+def _cofactor_adjugate(rows):
+    n = len(rows)
+    if n == 1:
+        e = rows[0][0]
+        return [[TruncatedSeries.constant(1, e.vars, e.precision, e.field)]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[rows[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
+            cof = _leibniz(sub)
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cramer_columns_equal_adjugate_times_vector(data):
+    vars = data.draw(st.sampled_from([("x",), ("x", "y")]))
+    n, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    entry = series_entries(vars, N)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    q = [data.draw(entry) for _ in range(n)]
+    adj = _cofactor_adjugate(rows)
+    for j in range(n):
+        cramer = PolyMatrix([r[:j] + [qi] + r[j + 1 :] for r, qi in zip(rows, q)])
+        expected = adj[j][0] * q[0]
+        for i in range(1, n):
+            expected = expected + adj[j][i] * q[i]
+        assert determinant(cramer) == expected
 
 
 def test_determinant_matches_sympy():

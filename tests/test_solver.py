@@ -2,6 +2,8 @@
 
 import os
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from madic import (
     solve_one_var,
     tougeron_refine,
 )
+from madic.cli import main
 from madic.solver import STATUS_OK, SolverConfig
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -94,8 +97,7 @@ def test_select_minor_deterministic():
 def test_refine_documented_example():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(20)
-    delta = parse_polynomial("2*z", ("x", "z"))
-    cert = tougeron_refine([f], delta, ("z",), SeriesVector([x + x**4]), {"z": 0}, 3)
+    cert = tougeron_refine([f], ("z",), SeriesVector([x + x**4]), {"z": 0}, 3)
     assert cert.status == STATUS_OK
     assert cert.refined[0].truncate(12) == x.truncate(12)
     assert not cert.residual_order.finite
@@ -106,8 +108,7 @@ def test_refine_linear_one_step():
     # unit Jacobian: z - x*g solves in a single step
     f = parse_polynomial("z - x^2 - x^3", ("x", "z"))
     x = xs(16)
-    delta = parse_polynomial("1", ("x", "z"))
-    cert = tougeron_refine([f], delta, ("z",), SeriesVector([x**2]), {"z": 0}, 3)
+    cert = tougeron_refine([f], ("z",), SeriesVector([x**2]), {"z": 0}, 3)
     assert cert.status == STATUS_OK
     assert cert.iterations == 1
     assert cert.refined[0] == x**2 + x**3
@@ -116,16 +117,14 @@ def test_refine_linear_one_step():
 def test_refine_precondition_failure():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(20)
-    delta = parse_polynomial("2*z", ("x", "z"))
     with pytest.raises(HypothesisError):
-        tougeron_refine([f], delta, ("z",), SeriesVector([x + x**2]), {"z": 0}, 3)
+        tougeron_refine([f], ("z",), SeriesVector([x + x**2]), {"z": 0}, 3)
 
 
 def test_refine_residual_doubling_trace():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(40)
-    delta = parse_polynomial("2*z", ("x", "z"))
-    cert = tougeron_refine([f], delta, ("z",), SeriesVector([x + x**5]), {"z": 0}, 3)
+    cert = tougeron_refine([f], ("z",), SeriesVector([x + x**5]), {"z": 0}, 3)
     assert cert.status == STATUS_OK
     prev = 6  # ord of the initial residual 2x^6 + x^10
     for t in cert.trace:
@@ -140,15 +139,26 @@ def test_refine_two_unknowns():
         parse_polynomial("z1^2 - x^2", ("x", "z1", "z2")),
         parse_polynomial("z2 - z1", ("x", "z1", "z2")),
     ]
-    from madic import determinant, jacobian
-
-    delta = determinant(jacobian(fs, ["z1", "z2"]))
     x = xs(24)
     zbar = SeriesVector([x + x**5, x + x**5])
-    cert = tougeron_refine(fs, delta, ("z1", "z2"), zbar, {"z1": 0, "z2": 1}, 3)
+    cert = tougeron_refine(fs, ("z1", "z2"), zbar, {"z1": 0, "z2": 1}, 3)
     assert cert.status == STATUS_OK
     for f in fs:
         assert not evaluate(f, cert.refined, {"z1": 0, "z2": 1}).order().finite
+
+
+def test_refine_two_unknowns_cramer_columns():
+    # q = (0, x^6 - x^5)/delta^2 moves z2 alone: each coordinate needs its
+    # own Cramer column (det J with that column replaced by q)
+    fs = [
+        parse_polynomial("z1^2 - x^2", ("x", "z1", "z2")),
+        parse_polynomial("z2 - z1", ("x", "z1", "z2")),
+    ]
+    x = xs(24)
+    zbar = SeriesVector([x + x**5, x + x**6])
+    cert = tougeron_refine(fs, ("z1", "z2"), zbar, {"z1": 0, "z2": 1}, 3)
+    assert cert.status == STATUS_OK
+    assert list(cert.refined) == [x, x]
 
 
 XYZ = ("x", "y", "z")
@@ -163,9 +173,8 @@ def test_refine_vanishing_squared_minor_refused_at_first_division():
     # delta(zbar)^2 = 4x^12 vanishes at precision 10 while the residual x^9
     # does not: the first residual division refuses the hypothesis
     f = parse_polynomial("z^2 - x^12 + x^9", XYZ)
-    delta = parse_polynomial("2*z", XYZ)
     with pytest.raises(HypothesisError, match="vanishes to precision"):
-        tougeron_refine([f], delta, ("z",), _biv_point("x^6", 10), {"z": 0}, 1)
+        tougeron_refine([f], ("z",), _biv_point("x^6", 10), {"z": 0}, 1)
 
 
 def test_refine_unregularizable_squared_minor_refused_at_first_division():
@@ -173,19 +182,17 @@ def test_refine_unregularizable_squared_minor_refused_at_first_division():
     # makes delta(zbar)^2 = (x^3 - x*y^2)^2 y-regular
     gf3 = PrimeField(3)
     f = parse_polynomial("z^2 - (x^3 - x*y^2)^2 + x^15", XYZ, gf3)
-    delta = parse_polynomial("2*z", XYZ, gf3)
     zbar = _biv_point("2*x^3 - 2*x*y^2", 16, gf3)
     with pytest.raises(HypothesisError, match="no shear"):
-        tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 1)
+        tougeron_refine([f], ("z",), zbar, {"z": 0}, 1)
 
 
 def test_refine_unused_squared_minor_never_raises():
     # delta(zbar)^2 vanishes to precision, but the residual is zero, so no
     # division by it (or by delta(zbar)) ever runs
     f = parse_polynomial("z^2 - x^12", XYZ)
-    delta = parse_polynomial("2*z", XYZ)
     zbar = _biv_point("x^6", 10)
-    cert = tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 1)
+    cert = tougeron_refine([f], ("z",), zbar, {"z": 0}, 1)
     assert cert.status == STATUS_OK
     assert cert.iterations == 0
     assert cert.refined[0] == zbar[0]
@@ -196,11 +203,11 @@ def test_refine_prepares_squared_minor_afresh_unless_equal():
     delta = parse_polynomial("2*z", XYZ)
     zbar = _biv_point("x*y + x^5*y^5", 16)
     dsq = evaluate(delta * delta, zbar, {"z": 0})
-    plain = tougeron_refine([f], delta, ("z",), zbar, {"z": 0}, 3)
+    plain = tougeron_refine([f], ("z",), zbar, {"z": 0}, 3)
     assert plain.status == STATUS_OK
     for prepared in (PreparedDivisor(dsq), PreparedDivisor(zbar[0])):
         cert = tougeron_refine(
-            [f], delta, ("z",), zbar, {"z": 0}, 3, prepared=prepared
+            [f], ("z",), zbar, {"z": 0}, 3, prepared=prepared
         )
         assert cert.to_json() == plain.to_json()
 
@@ -288,6 +295,16 @@ def test_solve_one_var_newton():
     assert out[0].truncate(12) == x.truncate(12)
 
 
+def test_solve_one_var_newton_ties_go_to_first_columns():
+    # both 1x1 minors of z1 + z2 - x - x^2 are units: the first column wins
+    f = parse_polynomial("z1 + z2 - x - x^2", ("x", "z1", "z2"))
+    x = xs(12)
+    point = SeriesVector([x, x**3])
+    sys = OneVarSystem.from_univariate([f], point, {"z1": 0, "z2": 1})
+    out = solve_one_var(sys, 2, "newton")
+    assert list(out) == [x + x**2 - x**3, x**3]
+
+
 def test_strategy_agreement_gf5():
     F5 = PrimeField(5)
     f = parse_polynomial("z^2 - x^2", ("x", "z"), field=F5)
@@ -366,6 +383,49 @@ def test_pipeline_three_unknown_family():
         assert o.ge(2)
 
 
+@contextmanager
+def _budget(seconds):
+    """Fail the enclosed block by TimeoutError once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+HARD = """series_vars: x y
+unknowns: z w
+equation: z^2 - w^3
+equation: w - x^2 - y^2
+approx: x^3 + y^3 + x^7 + O(m^20)
+approx: x^2 + y^2 + O(m^20)
+target_order: 2
+"""
+
+
+def test_two_unknown_hard_instance_refused_in_bounded_time(tmp_path):
+    # the reduced system has r = 6, 18 unknowns and 4 live equations of
+    # residual order 2: none of its 3060 4x4 minors meets the target, and
+    # each is ranked by its value at the point, never built symbolically
+    vars = ("x", "y", "z", "w")
+    fs = [parse_polynomial(t, vars) for t in ("z^2 - w^3", "w - x^2 - y^2")]
+    zbar = []
+    for text in ("x^3 + y^3 + x^7 + O(m^20)", "x^2 + y^2 + O(m^20)"):
+        p, N = parse_series(text, ("x", "y"))
+        zbar.append(TruncatedSeries.from_polynomial(p, N))
+    problem = tmp_path / "hard.madic"
+    problem.write_text(HARD)
+    with _budget(10):
+        with pytest.raises(UnsupportedInstanceError, match="newton strategy"):
+            approximate_solve(fs, SeriesVector(zbar), {"z": 0, "w": 1}, 2)
+        assert main(["solve", str(problem)]) == 2
+
+
 def test_pipeline_jacobian_ideal_vanishes():
     f = parse_polynomial("z^2 - x^4", ("x", "z"))
     zero = TruncatedSeries.zero(("x",), 8)
@@ -380,7 +440,7 @@ def test_pipeline_bypass_equivalence():
     zbar = SeriesVector([x**2])
     cert = approximate_solve([f], zbar, {"z": 0}, 3)
     sel = select_minor([f], zbar, {"z": 0}, 1)
-    direct = tougeron_refine([f], sel.minor, sel.columns, zbar, {"z": 0}, 3)
+    direct = tougeron_refine([f], sel.columns, zbar, {"z": 0}, 3)
     assert cert.status == direct.status == STATUS_OK
     assert cert.refined[0] == direct.refined[0]
     assert cert.trace == direct.trace
