@@ -131,7 +131,7 @@ def cmd_prepare(pf, args):
 def cmd_divide(pf, args):
     g = pf.series_value(pf.require("dividend"), precision=args.precision)
     u = pf.series_value(pf.require("divisor"), precision=args.precision)
-    _, dist = prepare(u)
+    _, dist = prepare(u, [])
     q, rems = w_divide(g, dist)
     payload = {
         "command": "divide",

@@ -22,12 +22,19 @@ univariate dict, by plain degrees:
   Fraction built per output term.  When that lcm is much longer than the
   largest denominator (many unrelated denominators), the scaled numerators
   would cost more than Fraction arithmetic, so the Fractions themselves are
-  accumulated instead.
+  accumulated instead;
+- a single-term operand shifts and scales the other, with no packing.
 
 Both fields are exact, so the result does not depend on the accumulation
 order or representation.  `LinearChange.apply_series` accumulates its
-one-pass expansion in the same integer representation, and `evaluate`
-multiplies through the kernel and adds each term's product into one dict.
+one-pass expansion in the same integer representation.
+
+`evaluate` is the one evaluation kernel.  It drops a term before any
+product once its series degree plus sum x_v * ord(z_v) over its unknowns
+reaches the precision, since the kernel keeps no degree below the sum of
+its operands' orders.  The rest it multiplies as raw term dicts through
+`mul_terms`, with powers and monomial prefixes cached, and adds into one
+accumulator that becomes the only series it builds.
 """
 
 from __future__ import annotations
@@ -140,18 +147,27 @@ def mul_terms(a, b, field, cap):
     """
     if not a or not b:
         return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a single term shifts and scales the other operand, with no
+        # packing; `field.mul` returns a reduced element, so a falsy one is 0
+        ((ea, ca),) = a.items()
+        mul = field.mul
+        if isinstance(ea, int):
+            return {ea + k: m for k, cb in b.items() if ea + k < cap and (m := mul(ca, cb))}
+        if len(ea) == 1:
+            (i,) = ea
+            return {(i + k,): m for (k,), cb in b.items() if i + k < cap and (m := mul(ca, cb))}
+        i, j = ea
+        room = cap - i - j
+        return {
+            (i + k, j + l): m for (k, l), cb in b.items() if k + l < room and (m := mul(ca, cb))
+        }
     key = next(iter(a))
     a, b = _packed(a, cap), _packed(b, cap)
     if not a or not b:
         return {}
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        # a single term shifts and scales the other operand
-        ((ka, da, ca),) = a
-        mul, is_zero = field.mul, field.is_zero
-        items = ((ka + kb, mul(ca, cb)) for kb, db, cb in b if da + db < cap)
-        return {k: c for k, c in _unpacked(items, key, cap) if not is_zero(c)}
     b.sort(key=itemgetter(1))
     a_nums, a_den = integer_coefficients(field, [c for _, _, c in a])
     b_nums, b_den = integer_coefficients(field, [c for _, _, c in b])
@@ -169,6 +185,19 @@ def mul_terms(a, b, field, cap):
             acc[ka + kb] += na * nb
     items = acc.items() if isinstance(acc, dict) else enumerate(acc)
     return field_terms(field, _unpacked(((k, n) for k, n in items if n), key, cap), den)
+
+
+def pow_terms(terms, n, field, cap):
+    """The n-th power (n >= 1) of term dict `terms`, truncated like
+    `mul_terms`, by square-and-multiply."""
+    out = None
+    while n:
+        if n & 1:
+            out = terms if out is None else mul_terms(out, terms, field, cap)
+        n >>= 1
+        if n:
+            terms = mul_terms(terms, terms, field, cap)
+    return out
 
 
 class TruncatedSeries:
@@ -305,17 +334,12 @@ class TruncatedSeries:
     def __pow__(self, n):
         if n < 0:
             raise MadicError("negative series power")
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        if out is None:
+        if n == 0:
             return TruncatedSeries.constant(1, self.vars, self.precision, self.field)
-        return out
+        return TruncatedSeries._of_product(
+            self.field, self.vars, self.precision,
+            pow_terms(self.terms, n, self.field, self.precision),
+        )
 
     def inverse(self):
         """Multiplicative inverse of a unit, by Newton doubling."""
@@ -406,56 +430,78 @@ def evaluate(f, zbar, assignment):
     in `assignment`, a map from variable name to coordinate index of `zbar`.
     The result is exact modulo m^N for N the vector's precision.
 
-    f is grouped as a sum of C_M(series variables) * M over the monomials M
-    in the other variables: each C_M is a series read off f's terms, and
-    the value of each M is built on the cached value of its prefix.
+    A term c * s * M, with s a monomial in the series variables and M one in
+    the unknowns, is dropped before any product when deg(s) + sum x_v *
+    ord(z_v) >= N over the x_v-th powers in M: `mul_terms` keeps only
+    degrees at least the sum of its operands' orders, so every term of that
+    product has degree >= N and its truncated value is empty.  A coordinate
+    that is zero to precision counts as order N.
+
+    The other terms are grouped as sum C_M * M over the monomials M, each
+    C_M read off f's terms.  The value of M is a raw term dict: the cached
+    value of its prefix times the cached power of its last variable, both
+    through `mul_terms`, so monomials that share a prefix share its
+    products.  Every C_M * M is added into one dict, which becomes the result; no
+    series is built before it.
     """
     prec = zbar.precision
     field = zbar.field
     svars = zbar.vars
-    spos = [svars.index(v) if v in svars else None for v in f.vars]
-    for i, (v, p) in enumerate(zip(f.vars, spos)):
-        if p is None and v not in assignment and any(e[i] for e in f.terms):
+    series_slots, unknowns = [], []
+    for i, v in enumerate(f.vars):
+        if v in svars:
+            series_slots.append((i, svars.index(v)))
+        elif v in assignment:
+            z = zbar[assignment[v]].terms
+            unknowns.append((i, v, min(map(sum, z)) if z else prec))
+        elif any(e[i] for e in f.terms):
             raise MadicError(f"unassigned unknown {v!r} in evaluation")
+    convert, is_zero = field.convert, field.is_zero
     groups = {}
     for e, c in f.terms.items():
-        sexp = [0] * len(svars)
+        c = convert(c)
+        low = 0
         mono = []
-        for v, p, x in zip(f.vars, spos, e):
-            if not x:
-                continue
-            if p is None:
+        for i, v, o in unknowns:
+            x = e[i]
+            if x:
+                low += x * o
                 mono.append((v, x))
-            else:
-                sexp[p] = x
-        groups.setdefault(tuple(mono), {})[tuple(sexp)] = field.convert(c)
-    out = {}
+        sexp = [0] * len(svars)
+        for i, p in series_slots:
+            sexp[p] = e[i]
+            low += e[i]
+        if low < prec and not is_zero(c):
+            groups.setdefault(tuple(mono), {})[tuple(sexp)] = c
+
+    # values of monomials in the unknowns, keyed like the groups
+    values = {}
+
+    def value(mono):
+        # extend the longest cached prefix one variable at a time
+        n = len(mono)
+        while n and mono[:n] not in values:
+            n -= 1
+        out = values[mono[:n]] if n else None
+        for k in range(n, len(mono)):
+            v, x = mono[k]
+            power = values.get(((v, x),))
+            if power is None:
+                power = values[((v, x),)] = pow_terms(zbar[assignment[v]].terms, x, field, prec)
+            out = power if out is None else mul_terms(out, power, field, prec)
+            values[mono[: k + 1]] = out
+        return out
+
     add = field.add
-    products = {}
+    out = {}
     for mono, coeffs in groups.items():
-        term = TruncatedSeries(field, svars, prec, coeffs)
-        if mono and term.terms:
-            term = term * _monomial_value(mono, zbar, assignment, products)
-        for k, c in term.terms.items():
+        if mono:
+            coeffs = mul_terms(coeffs, value(mono), field, prec)
+        for k, c in coeffs.items():
             out[k] = add(out[k], c) if k in out else c
-    return TruncatedSeries(field, svars, prec, out)
-
-
-def _monomial_value(mono, zbar, assignment, cache):
-    """The product of zbar[assignment[v]]^x over the (v, x) of `mono`, as
-    the cached value of its prefix times the cached power of its last
-    variable, so monomials that share a prefix share its products."""
-    out = cache.get(mono)
-    if out is None:
-        if len(mono) == 1:
-            ((v, x),) = mono
-            out = zbar[assignment[v]] ** x
-        else:
-            out = _monomial_value(mono[:-1], zbar, assignment, cache) * _monomial_value(
-                mono[-1:], zbar, assignment, cache
-            )
-        cache[mono] = out
-    return out
+    return TruncatedSeries._of_product(
+        field, svars, prec, {k: c for k, c in out.items() if not is_zero(c)}
+    )
 
 
 def ideal_order(gens, zbar, assignment):

@@ -502,6 +502,11 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
 
 _SUBSET_SEARCH_CAP = 4000
 
+_NO_NEWTON_MINOR = (
+    "newton strategy: no square Jacobian submatrix with residual "
+    "order above twice its order plus the target"
+)
+
 
 def solve_one_var(sys, c, strategy="newton", config=None):
     """Solve the reduced univariate system to precision, staying within
@@ -527,7 +532,11 @@ def _one_var_newton(sys, eqs, live, residual, c, config):
     Refines on the square Jacobian submatrix of least order w at the point
     among those with residual >= 2w + c, the first in combinations order
     on ties.  The Jacobian is evaluated at the point once and each
-    candidate is ranked by the order of its series determinant."""
+    candidate is ranked by the order of its series determinant.  When
+    residual < c no order w >= 0 qualifies, so the refusal comes before the
+    Jacobian is evaluated."""
+    if residual < c:
+        raise UnsupportedInstanceError(_NO_NEWTON_MINOR)
     unknowns = sys.unknown_names
     point = sys.point
     jbar = _evaluated(jacobian(live, unknowns), point, sys.assignment)
@@ -547,10 +556,7 @@ def _one_var_newton(sys, eqs, live, residual, c, config):
         if tried > _SUBSET_SEARCH_CAP:
             break
     if best is None:
-        raise UnsupportedInstanceError(
-            "newton strategy: no square Jacobian submatrix with residual "
-            "order above twice its order plus the target"
-        )
+        raise UnsupportedInstanceError(_NO_NEWTON_MINOR)
     _, esub, csub = best
     cert = tougeron_refine(
         [live[i] for i in esub], [unknowns[j] for j in csub], point,

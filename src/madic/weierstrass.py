@@ -376,9 +376,9 @@ def prepare(u, inverse=None):
 
     Computed by dividing y^r by u; the remainder gives the distinguished
     coefficients and the quotient is the unit's inverse.  If `inverse` is a
-    list, the unit's inverse is appended to it, so a caller that divides by
-    the unit does not invert it back.  Deterministic, so re-running
-    reproduces identical coefficients.
+    list, the unit's inverse is appended to it and the unit itself is not
+    computed: the unit slot of the result is None.  Deterministic, so
+    re-running reproduces identical coefficients.
     """
     yo = y_regular_order(u)
     if not yo.finite:
@@ -387,9 +387,10 @@ def prepare(u, inverse=None):
     if r >= u.precision:
         raise PrecisionError("y-regular order at or beyond precision")
     if r == 0:
-        if inverse is not None:
-            inverse.append(u.inverse())
-        return u, DistinguishedPolynomial(0, [], u.field)
+        if inverse is None:
+            return u, DistinguishedPolynomial(0, [], u.field)
+        inverse.append(u.inverse())
+        return None, DistinguishedPolynomial(0, [], u.field)
     fld = u.field
     yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): fld.one()})
     q, rems = weierstrass_divide(yr, u, r)
@@ -398,9 +399,10 @@ def prepare(u, inverse=None):
     for p in range(1, r + 1):
         coeffs.append(-rems[r - p])
     dist = DistinguishedPolynomial(r, coeffs, fld)
-    if inverse is not None:
-        inverse.append(q)
-    return q.inverse(), dist
+    if inverse is None:
+        return q.inverse(), dist
+    inverse.append(q)
+    return None, dist
 
 
 def w_divide(g, a):

@@ -8,6 +8,7 @@ products, and an evaluation that multiplies out every term.  They live
 here only, as oracles.
 """
 
+import gc
 from fractions import Fraction
 from unittest import mock
 
@@ -183,6 +184,29 @@ def test_empty_and_out_of_range_operands():
     assert mul_terms({(0,): 1, (1,): 1}, {(0,): 1, (1,): 4}, F, 4) == {(0,): 1, (2,): 4}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_term_operand_shifts_and_scales(data):
+    # one operand of one term, possibly with a zero coefficient, on every
+    # kind of key: degrees, 1-tuples and 2-tuples
+    field = data.draw(st.sampled_from(FIELDS))
+    nvars = data.draw(st.sampled_from([0, 1, 2]))
+    cap = data.draw(st.integers(1, 10))
+    a = data.draw(term_dicts(field, nvars, cap + 2, max_terms=1).filter(bool))
+    b = data.draw(term_dicts(field, nvars, cap + 2))
+    expected = naive_mul_terms(a, b, field, cap)
+    assert mul_terms(a, b, field, cap) == expected
+    assert mul_terms(b, a, field, cap) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs(), st.integers(0, 7))
+def test_series_power_matches_repeated_products(pair, n):
+    s = pair[0]
+    expected = naive_pow(s.terms, n, s.field, s.precision, len(s.vars))
+    assert s ** n == TruncatedSeries(s.field, s.vars, s.precision, expected)
+
+
 def test_distinct_prime_denominators_accumulate_fractions():
     primes = [p for p in range(1000, 3000) if all(p % d for d in range(2, 46))]
     a = {(i,): Fraction(i + 1, primes[i]) for i in range(120)}
@@ -270,3 +294,88 @@ def test_evaluate_converts_coefficients_into_the_vector_field():
     # 1/2 = 4 in GF(7); 3*x*(1 + 6x^2) = 3x + 4x^3
     expected = TruncatedSeries(F, ("x",), 5, {(0,): 4, (1,): 3, (3,): 4})
     assert evaluate(poly, SeriesVector([z]), {"z": 0}) == expected
+
+
+# -- order pruning ------------------------------------------------------------
+
+
+@st.composite
+def pruning_cases(draw):
+    # coordinates of positive order or zero to precision, and exponents on
+    # the unknowns large enough that sum x * ord reaches N
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.sampled_from([1, 2]))
+    svars = XY[:nvars]
+    N = draw(st.integers(2, 12))
+    unknowns = ("z", "w", "v")
+    entries = []
+    for _ in unknowns:
+        order = min(N, draw(st.sampled_from([1, 1, 2, 3, N])))
+        terms = {}
+        if order < N:  # else the coordinate is zero to precision
+            degs = st.integers(order, N - 1)
+            if nvars == 1:
+                keys = st.builds(lambda d: (d,), degs)
+            else:
+                keys = degs.flatmap(lambda d: st.builds(lambda i: (i, d - i), st.integers(0, d)))
+            terms = draw(st.dictionaries(keys, coefficients(field), max_size=4))
+        entries.append(TruncatedSeries(field, svars, N, terms))
+    small_or_large = st.sampled_from([0, 0, 0, 1, 1, 2, 3, 5, 8])
+    exps = st.tuples(*[st.integers(0, 3)] * nvars, *[small_or_large] * len(unknowns))
+    terms = draw(st.dictionaries(exps, coefficients(field), max_size=10))
+    poly = Polynomial(field, svars + unknowns, terms)
+    return poly, SeriesVector(entries), {u: i for i, u in enumerate(unknowns)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pruning_cases())
+def test_evaluate_prunes_only_terms_of_empty_value(case):
+    poly, zbar, assignment = case
+    assert evaluate(poly, zbar, assignment) == naive_evaluate(poly, zbar, assignment)
+
+
+def test_evaluate_makes_no_product_for_pruned_terms():
+    F = PrimeField(32003)
+    svars, N = ("x", "y"), 8
+    z = TruncatedSeries(F, svars, N, {(2, 0): 1, (1, 2): 5})  # order 2
+    w = TruncatedSeries(F, svars, N, {(0, 3): 7, (2, 2): 1, (1, 3): 4})  # order 3
+    zero = TruncatedSeries.zero(svars, N, F)
+    zbar, assignment = SeriesVector([z, w, zero]), {"z": 0, "w": 1, "v": 2}
+    vars = svars + ("z", "w", "v")
+    # every term has deg(s) + 2 * x_z + 3 * x_w + 8 * x_v >= 8
+    pruned = Polynomial(F, vars, {
+        (0, 0, 4, 0, 0): 1, (1, 1, 0, 2, 0): 3, (0, 0, 1, 2, 0): 2,
+        (0, 2, 3, 0, 0): 5, (0, 0, 0, 0, 1): 4, (7, 1, 0, 0, 0): 6,
+    })
+    live = Polynomial(F, vars, {(0, 0, 2, 1, 0): 1, (1, 0, 1, 0, 0): 2})
+    calls = []
+    real = series.mul_terms
+
+    def counting(a, b, field, cap):
+        calls.append((a, b))
+        return real(a, b, field, cap)
+
+    with mock.patch.object(series, "mul_terms", counting):
+        assert evaluate(pruned, zbar, assignment).is_zero_to_precision()
+        assert calls == []
+        got = evaluate(pruned + live, zbar, assignment)
+    assert calls
+    assert got == naive_evaluate(live, zbar, assignment)
+
+
+def test_evaluate_leaves_no_reference_cycles():
+    # a cycle (say, a recursive closure) would keep every cached power and
+    # prefix value of a call alive until the cyclic collector runs
+    svars, N = ("x",), 12
+    z = TruncatedSeries(QQ, svars, N, {(1,): Fraction(1, 2), (3,): 5})
+    w = TruncatedSeries(QQ, svars, N, {(2,): 3, (4,): Fraction(-2, 3)})
+    vars = svars + ("z", "w")
+    terms = {(i, a, b): Fraction(i + 1, a + b + 1) for i in range(3) for a in range(4) for b in range(3)}
+    poly = Polynomial(QQ, vars, terms)
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(poly, SeriesVector([z, w]), {"z": 0, "w": 1})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

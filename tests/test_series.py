@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from madic import (
     MadicError,
     OrderValue,
     PrecisionError,
+    PrimeField,
     QQ,
     SeriesVector,
     TruncatedSeries,
@@ -77,6 +80,50 @@ def test_inverse_of_unit():
 def test_inverse_bivariate():
     u = S("1 + x + y + O(m^9)", ("x", "y"))
     assert (u * u.inverse()) == TruncatedSeries.constant(1, ("x", "y"), 9)
+
+
+@st.composite
+def units(draw, field):
+    """A unit of k[[x]] or k[[x,y]] at precision N <= 7."""
+    vars = ("x", "y")[: draw(st.sampled_from([1, 2]))]
+    N = draw(st.integers(1, 7))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    keys = st.tuples(*[st.integers(0, N - 1)] * len(vars))
+    terms = draw(st.dictionaries(keys, coeff, max_size=8))
+    c0 = draw(coeff.filter(lambda c: not field.is_zero(c)))
+    terms[(0,) * len(vars)] = c0
+    return TruncatedSeries(field, vars, N, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(units(QQ))
+def test_inverse_matches_sympy_series(u):
+    # total-degree truncation: substitute v -> t*v and expand 1/u in t
+    t = sympy.Symbol("t")
+    syms = sympy.symbols(u.vars)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.prod(s ** k for s, k in zip(syms, e)) * t ** sum(e)
+        for e, c in u.terms.items()
+    )
+    expansion = sympy.series(1 / expr, t, 0, u.precision).removeO().subs(t, 1)
+    want = sympy.Poly(sympy.expand(expansion), *syms).as_dict()
+    got = u.inverse()
+    assert got.precision == u.precision
+    assert got.terms == {
+        e: Fraction(int(c.p), int(c.q)) for e, c in want.items() if sum(e) < u.precision
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 7, 32003]).flatmap(lambda p: units(PrimeField(p))))
+def test_inverse_over_gfp_is_two_sided(u):
+    one = TruncatedSeries.constant(1, u.vars, u.precision, u.field)
+    inv = u.inverse()
+    assert u * inv == one and inv * u == one
 
 
 def test_inverse_of_non_unit_fails():

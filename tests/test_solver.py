@@ -408,22 +408,63 @@ target_order: 2
 """
 
 
-def test_two_unknown_hard_instance_refused_in_bounded_time(tmp_path):
-    # the reduced system has r = 6, 18 unknowns and 4 live equations of
-    # residual order 2: none of its 3060 4x4 minors meets the target, and
-    # each is ranked by its value at the point, never built symbolically
+def _hard_instance():
     vars = ("x", "y", "z", "w")
     fs = [parse_polynomial(t, vars) for t in ("z^2 - w^3", "w - x^2 - y^2")]
     zbar = []
     for text in ("x^3 + y^3 + x^7 + O(m^20)", "x^2 + y^2 + O(m^20)"):
         p, N = parse_series(text, ("x", "y"))
         zbar.append(TruncatedSeries.from_polynomial(p, N))
+    return fs, SeriesVector(zbar)
+
+
+def test_two_unknown_hard_instance_refused_in_bounded_time(tmp_path):
+    # the reduced system has r = 6, 18 unknowns and 4 live equations of
+    # residual order 2: none of its 3060 4x4 minors can meet the target
+    fs, zbar = _hard_instance()
     problem = tmp_path / "hard.madic"
     problem.write_text(HARD)
     with _budget(10):
         with pytest.raises(UnsupportedInstanceError, match="newton strategy"):
-            approximate_solve(fs, SeriesVector(zbar), {"z": 0, "w": 1}, 2)
+            approximate_solve(fs, zbar, {"z": 0, "w": 1}, 2)
         assert main(["solve", str(problem)]) == 2
+
+
+def test_one_var_newton_refuses_before_any_determinant(monkeypatch):
+    # the hard instance's reduced residual order, 2, is below the reduced
+    # target c + 2s = 10, so no minor order w >= 0 can meet residual >= 2w + c
+    from madic import solver
+
+    calls = []  # (residual, c) of each _one_var_newton call
+    inside = []
+    determinants = []
+    real_newton, real_det = solver._one_var_newton, solver.determinant
+
+    def newton(sys, eqs, live, residual, c, config):
+        calls.append((residual, c))
+        inside.append(True)
+        try:
+            return real_newton(sys, eqs, live, residual, c, config)
+        finally:
+            inside.pop()
+
+    def determinant(m):
+        if inside:
+            determinants.append(m)
+        return real_det(m)
+
+    monkeypatch.setattr(solver, "_one_var_newton", newton)
+    monkeypatch.setattr(solver, "determinant", determinant)
+    fs, zbar = _hard_instance()
+    with _budget(10):
+        with pytest.raises(UnsupportedInstanceError) as err:
+            approximate_solve(fs, zbar, {"z": 0, "w": 1}, 2)
+    assert str(err.value) == (
+        "newton strategy: no square Jacobian submatrix with residual "
+        "order above twice its order plus the target"
+    )
+    assert calls == [(2, 10)]
+    assert determinants == []
 
 
 def test_pipeline_jacobian_ideal_vanishes():

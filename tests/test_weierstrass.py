@@ -378,10 +378,11 @@ def test_prepare_hands_over_the_units_inverse(monkeypatch):
         u = S(text)
         inverse = []
         unit, dist = prepare(u, inverse)
-        assert inverse == [unit.inverse()]
-        assert prepare(u)[0] == unit
-    # a prepared bivariate divisor takes the inverse from prepare: the
-    # unit's own inversion there is the only bivariate inverse computed
+        assert unit is None
+        assert inverse == [prepare(u)[0].inverse()]
+        assert prepare(u)[1] == dist
+    # a prepared bivariate divisor takes the inverse from prepare, which
+    # then computes no unit: no bivariate inverse is computed at all
     inverted = []
     real = TruncatedSeries.inverse
 
@@ -395,7 +396,7 @@ def test_prepare_hands_over_the_units_inverse(monkeypatch):
     prepared = PreparedDivisor(u)
     dividends = [u * S(t) for t in ("y + x^2 + O(m^10)", "1 + x*y + O(m^10)")]
     quotients = [divide_series(v, prepared) for v in dividends]
-    assert len(inverted) == 1
+    assert inverted == []
     monkeypatch.undo()
     change, u_reg = regularize(u)
     unit, dist = prepare(u_reg)
