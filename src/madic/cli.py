@@ -110,7 +110,8 @@ def cmd_groebner(pf, args):
 
 def cmd_prepare(pf, args):
     s = pf.series_value(pf.require("series"), precision=args.precision)
-    unit, dist = prepare(s)
+    inverse, dist = prepare(s)
+    unit = inverse.inverse()
     payload = {
         "command": "prepare",
         "unit": str(unit),
@@ -131,7 +132,7 @@ def cmd_prepare(pf, args):
 def cmd_divide(pf, args):
     g = pf.series_value(pf.require("dividend"), precision=args.precision)
     u = pf.series_value(pf.require("divisor"), precision=args.precision)
-    _, dist = prepare(u, [])
+    _, dist = prepare(u)
     q, rems = w_divide(g, dist)
     payload = {
         "command": "divide",

@@ -220,7 +220,7 @@ class Polynomial:
                 images.append(img)
             else:
                 images.append(Polynomial.variable(v, tvars, field))
-        out = Polynomial.zero(tvars, field)
+        out = {}
         cache = [dict() for _ in self.vars]
         for e, c in self.terms.items():
             term = Polynomial.constant(c, tvars, field)
@@ -230,8 +230,10 @@ class Polynomial:
                 if x not in cache[i]:
                     cache[i][x] = images[i] ** x
                 term = term * cache[i][x]
-            out = out + term
-        return out
+            for te, tc in term.terms.items():
+                prev = out.get(te)
+                out[te] = tc if prev is None else field.add(prev, tc)
+        return Polynomial(field, tvars, out)
 
     # -- printing -----------------------------------------------------
 

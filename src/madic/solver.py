@@ -389,10 +389,12 @@ class OneVarSystem:
 def build_one_var_system(fs, selection, zbar, assignment, N=None):
     """Reduce a bivariate instance to a system over k[[x]].
 
-    Regularizes and prepares the squared minor evaluated at zbar, divides
-    each coordinate of zbar by the distinguished polynomial, and performs the
-    generic Euclidean division of the squared minor and of the selected
-    equations at the truncated-unknown substitution.
+    Regularizes and prepares the squared minor evaluated at zbar, and
+    divides each coordinate of the sheared zbar by the distinguished
+    polynomial.  The squared minor and each selected equation are then
+    substituted once (x and y to their shear images, each unknown to its
+    truncated form) and reduced by the generic monic polynomial; the
+    remainder's coefficients are the reduced system.
     """
     if len(zbar.vars) != 2:
         raise MadicError("the one-variable reduction needs a bivariate instance")
@@ -414,14 +416,8 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         raise MadicError("squared minor is a unit; bypass directly to refinement")
 
     change, reg = regularize(dsq_bar)
-    if change.is_identity():
-        fs_t, delta_t, z_t = fs, delta, zbar
-    else:
-        fs_t = [change.apply_poly(f, svars) for f in fs]
-        delta_t = change.apply_poly(delta, svars)
-        z_t = SeriesVector([change.apply_series(z) for z in zbar])
-    inverse = []  # the unit's inverse, for the prepared divisor below
-    _, dist = prepare(reg, inverse)
+    z_t = zbar if change.is_identity() else SeriesVector([change.apply_series(z) for z in zbar])
+    inverse, dist = prepare(reg)
 
     w_quotients = []
     coeff_series = []  # per unknown: list of r univariate series
@@ -436,30 +432,25 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
     sys_vars = svars + tuple(unknown_names)
     fld = zbar.field
 
-    ystar = Polynomial.variable(svars[1], sys_vars, fld)
-    subs_map = {}
+    # one substitution: x and y go to their shear images, and each unknown
+    # u_i to sum_j z_ij y^j, its form modulo the distinguished polynomial
+    x, y = (Polynomial.variable(v, sys_vars, fld) for v in svars)
+    xa, xb, ya, yb = change.matrix  # x -> xa*x + xb*y, y -> ya*x + yb*y
+    subs_map = {svars[0]: x.scale(xa) + y.scale(xb), svars[1]: x.scale(ya) + y.scale(yb)}
     for i, u in enumerate(unknowns):
         zi = Polynomial.zero(sys_vars, fld)
         for j in range(r):
-            zi = zi + Polynomial.variable(f"_z_{i}_{j}", sys_vars, fld) * ystar ** j
+            zi = zi + Polynomial.variable(f"_z_{i}_{j}", sys_vars, fld) * y ** j
         subs_map[u] = zi
 
     def reduce_poly(p):
-        pstar = p.extend_vars(tuple(p.vars)).subs(
-            {u: subs_map[u] for u in unknowns if u in p.vars}
-        )
-        if pstar.vars != sys_vars:
-            pstar = pstar.extend_vars(sys_vars)
-        return generic_euclid(pstar, r, svars[1], a_names)
+        return generic_euclid(p.subs(subs_map), r, svars[1], a_names)
 
-    dsq_poly = delta_t * delta_t
-    gres = reduce_poly(dsq_poly)
-    g_polys = [gres.remainder_coefficient(l) for l in range(r)]
+    g_polys = reduce_poly(delta * delta)
     f_polys = {}
     for k in selection.subset:
-        fres = reduce_poly(fs_t[k])
-        for l in range(r):
-            f_polys[(k, l)] = fres.remainder_coefficient(l)
+        for l, f in enumerate(reduce_poly(fs[k])):
+            f_polys[(k, l)] = f
 
     deg_bounds = {
         "d": d,
@@ -493,7 +484,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         point=point,
         r=r,
         degree_bounds=deg_bounds,
-        divisor=PreparedDivisor.from_preparation(dsq_bar, change, inverse[0], dist),
+        divisor=PreparedDivisor.from_preparation(dsq_bar, change, inverse, dist),
         w_quotients=w_quotients,
         selection=selection,
         num_unknowns=m,

@@ -1,6 +1,6 @@
 """Weierstrass preparation and division at finite precision, linear
-y-regularization, generic Euclidean division with its degree bound, and
-certified exact division of truncated series.
+y-regularization, the remainder of Euclidean division by the generic monic
+polynomial, and certified exact division of truncated series.
 
 Division is the classical x-adic recursion: slice the dividend and divisor
 into coefficients of powers of x, then solve slice by slice, inverting the
@@ -10,12 +10,20 @@ working precision.  Each slice is kept only to the y-degree the output can
 reach, (N-1-i)(1 + r - ord(u)) for slice i at precision N, and its products
 with the divisor's slices are summed in one integer pass.
 
-Certified division by a fixed divisor goes through a PreparedDivisor: the
-shear, the distinguished polynomial and the unit's inverse (or, for a unit
-or a univariate divisor, its inverse) are computed once, on first use, and
+Preparation returns the unit's inverse with the distinguished polynomial:
+dividing y^r by u yields the inverse directly, and division needs nothing
+else; a caller that wants the unit itself inverts it.  Certified division
+by a fixed divisor goes through a PreparedDivisor: the shear, the
+distinguished polynomial and the unit's inverse (or, for a unit or a
+univariate divisor, its inverse) are computed once, on first use, and
 reused for every dividend.  The per-dividend checks (exactness, precision,
-remainder orders, quotient order) still run on every call, so each quotient
-and each refusal is the one a fresh division would give.
+remainder orders, quotient order) still run on every call, so each
+quotient and each refusal is the one a fresh division would give.
+
+The generic Euclidean division returns only the remainder's coefficients,
+which is all the one-variable reduction reads: Euclid runs on the V-slices
+of the dividend, and multiplying a slice by a generic coefficient A_p is an
+exponent bump, so no polynomial product and no quotient is formed.
 """
 
 from __future__ import annotations
@@ -94,21 +102,6 @@ class LinearChange:
         out = LinearChange.identity(self.field)
         out.matrix, out.inverse_matrix = self.inverse_matrix, self.matrix
         return out
-
-    def _images_poly(self, vars, field):
-        x = Polynomial.variable(vars[0], vars, field)
-        y = Polynomial.variable(vars[1], vars, field)
-        a, b, c, d = self.matrix
-        return {vars[0]: x.scale(a) + y.scale(b), vars[1]: x.scale(c) + y.scale(d)}
-
-    def apply_poly(self, p, series_vars):
-        """Substitute the change into the series variables of a polynomial."""
-        return p.subs(
-            {
-                v: img.extend_vars(p.vars)
-                for v, img in self._images_poly(series_vars, p.field).items()
-            }
-        )
 
     def apply_series(self, s):
         """Substitute the change into a bivariate truncated series.
@@ -371,14 +364,15 @@ def weierstrass_divide(g, u, r):
     return q, rems
 
 
-def prepare(u, inverse=None):
+def prepare(u):
     """Weierstrass preparation: u = unit * dist, for u y-regular of order r.
 
-    Computed by dividing y^r by u; the remainder gives the distinguished
-    coefficients and the quotient is the unit's inverse.  If `inverse` is a
-    list, the unit's inverse is appended to it and the unit itself is not
-    computed: the unit slot of the result is None.  Deterministic, so
-    re-running reproduces identical coefficients.
+    Returns (inverse_of_unit, dist).  Computed by dividing y^r by u; the
+    remainder gives the distinguished coefficients and the quotient is the
+    unit's inverse, so the unit itself is never computed (callers that want
+    it call `.inverse()`).  For r = 0, u is the unit and its inverse is
+    returned.  Deterministic, so re-running reproduces identical
+    coefficients.
     """
     yo = y_regular_order(u)
     if not yo.finite:
@@ -387,10 +381,7 @@ def prepare(u, inverse=None):
     if r >= u.precision:
         raise PrecisionError("y-regular order at or beyond precision")
     if r == 0:
-        if inverse is None:
-            return u, DistinguishedPolynomial(0, [], u.field)
-        inverse.append(u.inverse())
-        return None, DistinguishedPolynomial(0, [], u.field)
+        return u.inverse(), DistinguishedPolynomial(0, [], u.field)
     fld = u.field
     yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): fld.one()})
     q, rems = weierstrass_divide(yr, u, r)
@@ -398,11 +389,7 @@ def prepare(u, inverse=None):
     coeffs = []
     for p in range(1, r + 1):
         coeffs.append(-rems[r - p])
-    dist = DistinguishedPolynomial(r, coeffs, fld)
-    if inverse is None:
-        return q.inverse(), dist
-    inverse.append(q)
-    return None, dist
+    return q, DistinguishedPolynomial(r, coeffs, fld)
 
 
 def w_divide(g, a):
@@ -414,64 +401,35 @@ def w_divide(g, a):
     return weierstrass_divide(g, aser, a.r)
 
 
-@dataclass
-class GenericDivisionResult:
-    """P = A*Q + R for the generic monic divisor A(V) = V^r + A_1 V^(r-1) +
-    ... + A_r; deg_V(R) < r and deg(R) <= deg(P)."""
-
-    quotient: Polynomial
-    remainder: Polynomial
-    r: int
-    v_var: str
-
-    def remainder_coefficient(self, l):
-        """Coefficient of V^l in R, as a polynomial with V removed from use."""
-        i = self.remainder.vars.index(self.v_var)
-        terms = {}
-        for e, c in self.remainder.terms.items():
-            if e[i] == l:
-                ne = list(e)
-                ne[i] = 0
-                terms[tuple(ne)] = c
-        return Polynomial(self.remainder.field, self.remainder.vars, terms)
-
-
 def generic_euclid(P, r, v_var, a_vars):
-    """Euclidean division of P by the generic monic polynomial
+    """Remainder of P by the generic monic polynomial
     A(V) = V^r + A_1 V^(r-1) + ... + A_r with indeterminate coefficients.
 
-    The recursion peels the leading V-term: P -> P - P_e V^(e-r) A(V).
+    Returns [R_0, ..., R_{r-1}], the coefficients of V^l in the remainder,
+    as polynomials over P's universe extended by V and the A_p, with V at
+    exponent 0.  Euclid on the V-slices of P: from the top degree e >= r
+    down, slice P_e is popped and A_p * P_e subtracted from slice e - p,
+    which is one exponent bump per term; the quotient is never built.
     """
     if len(a_vars) != r:
         raise MadicError("need exactly r generic coefficient variables")
     vars = tuple(P.vars) + tuple(v for v in (v_var, *a_vars) if v not in P.vars)
     P = P.extend_vars(vars)
     fld = P.field
-    V = Polynomial.variable(v_var, vars, fld)
-    A = V ** r
-    for p, av in enumerate(a_vars, start=1):
-        A = A + Polynomial.variable(av, vars, fld) * V ** (r - p)
-
     vi = vars.index(v_var)
-    Q = Polynomial.zero(vars, fld)
-    work = P
-    while True:
-        if work.is_zero():
-            break
-        e = max(x[vi] for x in work.terms)
-        if e < r:
-            break
-        lead_terms = {}
-        for ex, c in work.terms.items():
-            if ex[vi] == e:
-                ne = list(ex)
-                ne[vi] = 0
-                lead_terms[tuple(ne)] = c
-        Pe = Polynomial(fld, vars, lead_terms)
-        shift = Pe * V ** (e - r)
-        Q = Q + shift
-        work = work - shift * A
-    return GenericDivisionResult(Q, work, r, v_var)
+    slices = {}
+    for e, c in P.terms.items():
+        slices.setdefault(e[vi], {})[e[:vi] + (0,) + e[vi + 1:]] = c
+    a_idx = [vars.index(a) for a in a_vars]
+    for e in range(max(slices, default=-1), r - 1, -1):
+        Pe = [(x, c) for x, c in slices.pop(e, {}).items() if not fld.is_zero(c)]
+        for p, ai in enumerate(a_idx, start=1):
+            low = slices.setdefault(e - p, {})
+            for x, c in Pe:
+                x = x[:ai] + (x[ai] + 1,) + x[ai + 1:]
+                prev = low.get(x)
+                low[x] = fld.neg(c) if prev is None else fld.sub(prev, c)
+    return [Polynomial(fld, vars, slices.get(l, {})) for l in range(r)]
 
 
 class PreparedDivisor:
@@ -499,8 +457,8 @@ class PreparedDivisor:
     @classmethod
     def from_preparation(cls, u, change, inverse, dist):
         """Wrap a preparation already computed for u: `change` is the shear
-        regularize(u) returned, and dist and the unit's inverse are what
-        prepare of the sheared u gave (see its `inverse` list)."""
+        regularize(u) returned, and `inverse` and `dist` are the pair
+        prepare of the sheared u returned."""
         out = cls(u)
         out.change, out._inverse, out.dist = change, inverse, dist
         return out
@@ -508,9 +466,7 @@ class PreparedDivisor:
     def _prepare(self):
         if self.dist is None:
             self.change, u_reg = regularize(self.u)
-            inverse = []
-            _, self.dist = prepare(u_reg, inverse)
-            (self._inverse,) = inverse
+            self._inverse, self.dist = prepare(u_reg)
         if self._change_back is None:
             self._change_back = self.change.inverse()
 

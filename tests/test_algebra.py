@@ -70,6 +70,77 @@ def test_subs_composition():
     assert out == P("(y+1)^2 + x", ("x", "y"))
 
 
+def _naive_subs(p, mapping, tvars, field):
+    """Term-by-term expansion: each coefficient times the product of the
+    images, one factor at a time, summed into one dict."""
+
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = field.add(out.get(e, field.zero()), field.mul(ca, cb))
+        return out
+
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * len(tvars): field.convert(c)}
+        for v, x in zip(p.vars, e):
+            img = mapping[v].terms if v in mapping else Polynomial.variable(v, tvars, field).terms
+            for _ in range(x):
+                term = mul(term, img)
+        for te, tc in term.items():
+            out[te] = field.add(out.get(te, field.zero()), tc)
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def _small_polys(field, vars, max_terms=5):
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    exps = st.tuples(*[st.integers(0, 2) for _ in vars])
+    return st.dictionaries(exps, coeff, max_size=max_terms).map(
+        lambda terms: Polynomial(field, vars, terms)
+    )
+
+
+@st.composite
+def _subs_cases(draw):
+    # source over QQ or GF(7) (whose coefficients convert into the target
+    # field), target over the same field or GF(7); x and y may stay
+    # unmapped, z is always mapped, and y's image may cancel z's
+    target_field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    source_field = QQ if target_field == QQ else draw(st.sampled_from([QQ, target_field]))
+    source, target = ("x", "y", "z"), ("x", "y", "s", "t")
+    p = draw(_small_polys(source_field, source, 6))
+    if draw(st.booleans()):
+        p = p + Polynomial.constant(draw(st.integers(1, 5)), source, source_field)
+    mapping = {"z": draw(_small_polys(target_field, target))}
+    for v in ("x", "y"):
+        if draw(st.booleans()):
+            mapping[v] = draw(_small_polys(target_field, target))
+    if draw(st.booleans()):
+        mapping["y"] = -mapping["z"]
+    return p, mapping, target, target_field
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subs_cases())
+def test_subs_matches_naive_expansion(case):
+    p, mapping, target, field = case
+    out = p.subs(mapping)
+    assert out.vars == target and out.field == field
+    assert out.terms == _naive_subs(p, mapping, target, field)
+
+
+def test_subs_contributions_cancel():
+    # z -> s + t and y -> -t: the t parts of z and of y cancel
+    src, tgt = ("x", "y", "z"), ("x", "y", "s", "t")
+    out = P("z + y + x", src).subs({"z": P("s + t", tgt), "y": P("-t", tgt)})
+    assert out == P("s + x", tgt)
+
+
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ParseError):
         parse_polynomial("x + w", ("x", "y"))

@@ -12,6 +12,7 @@ from madic import (
     HypothesisError,
     MadicError,
     OneVarSystem,
+    Polynomial,
     PreparedDivisor,
     PrimeField,
     QQ,
@@ -276,6 +277,73 @@ def test_build_one_var_system_rejects_unit_minor():
     sel = select_minor([f], zbar, {"z": 0}, 1)
     with pytest.raises(MadicError):
         build_one_var_system([f], sel, zbar, {"z": 0})
+
+
+def _reference_reduction(p, change, unknowns, sys, svars):
+    """Shear p by substitution, then substitute u_i = sum_j z_ij y^j, then
+    divide by the generic monic A(y) = y^r + a_1 y^(r-1) + ... + a_r by
+    peeling its top y-term; returns the remainder's y-coefficients."""
+    r, fld = sys.r, p.field
+    sys_vars = svars + tuple(sys.unknown_names)
+    z_names, a_names = sys.unknown_names[: -r], sys.unknown_names[-r:]
+    x, y = (Polynomial.variable(v, p.vars, fld) for v in svars)
+    xa, xb, ya, yb = change.matrix
+    sheared = p.subs({svars[0]: x.scale(xa) + y.scale(xb), svars[1]: x.scale(ya) + y.scale(yb)})
+    Y = Polynomial.variable(svars[1], sys_vars, fld)
+    images = {}
+    for i, u in enumerate(unknowns):
+        images[u] = Polynomial.zero(sys_vars, fld)
+        for j in range(r):
+            images[u] = images[u] + Polynomial.variable(z_names[i * r + j], sys_vars, fld) * Y**j
+    work = sheared.subs(images)
+    A = Y**r
+    for q, name in enumerate(a_names, start=1):
+        A = A + Polynomial.variable(name, sys_vars, fld) * Y ** (r - q)
+    vi = sys_vars.index(svars[1])
+
+    def coefficient(l):
+        return Polynomial(
+            fld, sys_vars,
+            {e[:vi] + (0,) + e[vi + 1:]: c for e, c in work.terms.items() if e[vi] == l},
+        )
+
+    while not work.is_zero() and work.degree_in(svars[1]) >= r:
+        e = work.degree_in(svars[1])
+        work = work - coefficient(e) * Y ** (e - r) * A
+    return [coefficient(l) for l in range(r)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_build_one_var_system_one_substitution_under_a_shear(field, monkeypatch):
+    # the squared minor 4*z^2 at z = x is 4*x^2: not y-regular, so sheared
+    XY, vars, N = ("x", "y"), ("x", "y", "z", "w"), 16
+    eqs = ("z^2 - x^2 - y^5", "w^2 - x^2*y^2 - z^2*y^4", "z*w - x^2*y")
+    fs = [parse_polynomial(t, vars, field) for t in eqs]
+    zbar = SeriesVector(
+        [TruncatedSeries.from_polynomial(parse_polynomial(t, XY, field), N) for t in ("x", "x*y + x*y^2")]
+    )
+    assignment = {"z": 0, "w": 1}
+    sel = select_minor(fs, zbar, assignment, 8)
+    calls = []
+    real = Polynomial.subs
+
+    def counting(self, mapping):
+        calls.append(self)
+        return real(self, mapping)
+
+    monkeypatch.setattr(Polynomial, "subs", counting)
+    sys = build_one_var_system(fs, sel, zbar, assignment)
+    monkeypatch.undo()
+    change = sys.divisor.change
+    assert not change.is_identity()
+    # one substitution for the squared minor and one per selected equation
+    assert len(sel.subset) < len(fs)
+    assert len(calls) == 1 + len(sel.subset)
+    unknowns = ("z", "w")
+    assert sys.g_polys == _reference_reduction(sel.minor * sel.minor, change, unknowns, sys, XY)
+    for k in sel.subset:
+        want = _reference_reduction(fs[k], change, unknowns, sys, XY)
+        assert [sys.f_polys[(k, l)] for l in range(sys.r)] == want
 
 
 def test_solve_one_var_trivial_system():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from madic import (
@@ -13,6 +14,7 @@ from madic import (
     LinearChange,
     MadicError,
     PreparedDivisor,
+    Polynomial,
     PrimeField,
     QQ,
     TruncatedSeries,
@@ -26,6 +28,7 @@ from madic import (
     y_regular_order,
 )
 from madic import series, weierstrass
+from madic.poly import exact_div
 
 XY = ("x", "y")
 
@@ -74,8 +77,8 @@ def test_linear_change_composition():
 
 def test_prepare_documented_example():
     u = S("(1+x)(y^2 + x*y + x^2) + O(m^16)")
-    unit, dist = prepare(u)
-    assert unit == S("1 + x + O(m^16)")
+    inverse, dist = prepare(u)
+    assert inverse.inverse() == S("1 + x + O(m^16)")
     assert dist.r == 2
     assert dist.coeffs[0] == TruncatedSeries.from_polynomial(
         parse_polynomial("x", ("x",)), 16
@@ -87,9 +90,10 @@ def test_prepare_documented_example():
 
 def test_prepare_unit_input():
     u = S("1 + x + y + O(m^8)")
-    unit, dist = prepare(u)
+    inverse, dist = prepare(u)
     assert dist.r == 0
-    assert unit == u
+    assert inverse == u.inverse()
+    assert inverse.inverse() == u
 
 
 def test_prepare_unit_keeps_field_over_gf():
@@ -97,7 +101,7 @@ def test_prepare_unit_keeps_field_over_gf():
     F = PrimeField(7)
     poly, prec = parse_series("3 + x + 5*y^2 + O(m^8)", XY, F)
     u = TruncatedSeries.from_polynomial(poly, prec)
-    unit, dist = prepare(u)
+    _, dist = prepare(u)
     assert dist.r == 0 and dist.field == F
     one = dist.to_series(XY, 8)
     assert one == TruncatedSeries.constant(1, XY, 8, F)
@@ -148,10 +152,10 @@ def test_prepare_round_trip_randomized():
         u = _rand_unit(rng, N)
         dist = _rand_dist(rng, N)
         prod = u * dist.to_series(XY, N)
-        unit2, dist2 = prepare(prod)
+        inverse2, dist2 = prepare(prod)
         assert dist2.r == dist.r
         assert dist2.coeffs == dist.coeffs
-        assert unit2 == u
+        assert inverse2.inverse() == u
 
 
 def _rand_series(rng, N, nterms=8, maxdeg=6):
@@ -195,55 +199,70 @@ def test_w_divide_documented_example():
     assert rems[1] == TruncatedSeries.from_polynomial(parse_polynomial("x", ("x",)), 12)
 
 
+def _reassemble(coeffs, v_var):
+    """R = sum_l R_l V^l from the remainder coefficients of generic_euclid."""
+    vars, fld = coeffs[0].vars, coeffs[0].field
+    V = Polynomial.variable(v_var, vars, fld)
+    R = Polynomial.zero(vars, fld)
+    for l, c in enumerate(coeffs):
+        R = R + c * V**l
+    return R
+
+
 def test_generic_euclid_v_squared():
     vars = ("x", "V", "A1")
     P = parse_polynomial("V^2", vars)
-    res = generic_euclid(P, 1, "V", ["A1"])
-    assert res.quotient == parse_polynomial("V - A1", vars)
-    assert res.remainder == parse_polynomial("A1^2", vars)
-    assert res.remainder_coefficient(0) == parse_polynomial("A1^2", vars)
+    assert generic_euclid(P, 1, "V", ["A1"]) == [parse_polynomial("A1^2", vars)]
 
 
 def test_generic_euclid_low_degree_input():
     vars = ("x", "V", "A1", "A2")
     P = parse_polynomial("x*V + 1", vars)
-    res = generic_euclid(P, 2, "V", ["A1", "A2"])
-    assert res.quotient.is_zero()
-    assert res.remainder == P
+    assert generic_euclid(P, 2, "V", ["A1", "A2"]) == [
+        parse_polynomial("1", vars),
+        parse_polynomial("x", vars),
+    ]
 
 
 def test_generic_euclid_identity():
-    # P = A*Q + R exactly, as polynomials
+    # P = A*Q + R exactly, as polynomials: A divides P - R
     vars = ("x", "V", "A1", "A2")
     P = parse_polynomial("V^4 + x*V^2 + 1", vars)
-    res = generic_euclid(P, 2, "V", ["A1", "A2"])
+    R = _reassemble(generic_euclid(P, 2, "V", ["A1", "A2"]), "V")
     A = parse_polynomial("V^2 + A1*V + A2", vars)
-    assert A * res.quotient + res.remainder == P
+    assert A * exact_div(P - R, A) + R == P
+
+
+def _random_generic_dividend(rng, field, r, vdeg):
+    a_names = [f"A{i}" for i in range(1, r + 1)]
+    vars = ("x", "V") + tuple(a_names)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = [rng.randint(0, 2), rng.randint(0, vdeg)] + [rng.randint(0, 1) for _ in range(r)]
+        terms[tuple(e)] = field.convert(rng.randint(-4, 4))
+    return Polynomial(field, vars, terms), a_names
 
 
 def test_generic_euclid_degree_bounds_randomized():
-    """deg_V(R) < r and deg(R) <= deg(P) on random inputs."""
+    """deg_V(R) < r and deg(R) <= deg(P) on random inputs over QQ and
+    GF(32003), r up to 4; A divides P - R, so R is the unique remainder."""
     rng = random.Random(17)
-    for _ in range(300):
-        r = rng.randint(1, 3)
-        a_names = [f"A{i}" for i in range(1, r + 1)]
-        vars = ("x", "V") + tuple(a_names)
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            e = [0] * len(vars)
-            e[0] = rng.randint(0, 2)
-            e[1] = rng.randint(0, 5)
-            for k in range(r):
-                e[2 + k] = rng.randint(0, 1)
-            terms[tuple(e)] = Fraction(rng.randint(-3, 3))
-        from madic import Polynomial
-
-        P = Polynomial(QQ, vars, terms)
+    for field in [QQ, PrimeField(32003)] * 300:
+        r = rng.randint(1, 4)
+        P, a_names = _random_generic_dividend(rng, field, r, 6)
         if P.is_zero():
             continue
-        res = generic_euclid(P, r, "V", a_names)
-        assert res.remainder.degree_in("V") < r
-        assert res.remainder.degree() <= P.degree()
+        coeffs = generic_euclid(P, r, "V", a_names)
+        assert len(coeffs) == r
+        assert all(c.degree_in("V") <= 0 for c in coeffs)
+        R = _reassemble(coeffs, "V")
+        assert R.degree_in("V") < r
+        assert R.degree() <= P.degree()
+        V = Polynomial.variable("V", P.vars, field)
+        A = V**r
+        for p, a in enumerate(a_names, start=1):
+            A = A + Polynomial.variable(a, P.vars, field) * V ** (r - p)
+        exact_div(P - R, A)
 
 
 def test_divide_series_by_unit():
@@ -348,6 +367,54 @@ def test_prepared_divisor_matches_fresh_division(case):
         assert got == want
 
 
+# -- exactness against sympy ---------------------------------------------
+
+
+def _sympy_expr(s, syms):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**k for x, k in zip(syms, e))
+         for e, c in s.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(expr, syms, precision):
+    terms = sympy.Poly(sympy.expand(expr), *syms).as_dict()
+    return TruncatedSeries(
+        QQ, XY, precision,
+        {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items() if sum(e) < precision},
+    )
+
+
+@st.composite
+def _exact_division_case(draw):
+    N = draw(st.integers(6, 9))
+    r = draw(st.integers(0, 2))
+    # r = 0 is a unit; a leading x^r usually needs a shear to become y-regular
+    u = draw(_series(QQ, XY, N, r, draw(st.sampled_from([(0, r), (r, 0)]))))
+    q = draw(_series(QQ, XY, N, 0))
+    # a term of order below ord(u), so u*q plus it is no multiple of u
+    low = None
+    if r:
+        i = draw(st.integers(0, r - 1))
+        j = draw(st.integers(0, r - 1 - i))
+        low = TruncatedSeries(QQ, XY, N, {(i, j): Fraction(draw(st.sampled_from([-2, -1, 1, 3])))})
+    return u, q, low
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_division_case())
+def test_divide_series_recovers_the_sympy_product(case):
+    u, q, low = case
+    N, r = u.precision, u.order().value
+    syms = sympy.symbols(XY)
+    v = _from_sympy(_sympy_expr(u, syms) * _sympy_expr(q, syms), syms, N)
+    assert divide_series(v, u) == q.truncate(N - r)
+    if low is not None:
+        with pytest.raises(MadicError, match="not exact"):
+            divide_series(v + low, u)
+
+
 def test_prepared_divisor_never_raises_until_used():
     zero = TruncatedSeries.zero(XY, 8)
     prepared = PreparedDivisor(zero)  # vanishes to precision: no error yet
@@ -376,13 +443,11 @@ def test_prepared_divisor_prepares_once(monkeypatch):
 def test_prepare_hands_over_the_units_inverse(monkeypatch):
     for text in ("y^2 + x + x*y + O(m^10)", "y^3 - 2*x^2 + x*y^2/3 + O(m^9)", "1 + x*y + O(m^6)"):
         u = S(text)
-        inverse = []
-        unit, dist = prepare(u, inverse)
-        assert unit is None
-        assert inverse == [prepare(u)[0].inverse()]
-        assert prepare(u)[1] == dist
+        inverse, dist = prepare(u)
+        # the first slot is the unit's inverse: unit * dist == u to precision
+        assert inverse.inverse() * dist.to_series(XY, u.precision) == u
     # a prepared bivariate divisor takes the inverse from prepare, which
-    # then computes no unit: no bivariate inverse is computed at all
+    # computes no unit: no bivariate inverse is computed at all
     inverted = []
     real = TruncatedSeries.inverse
 
@@ -399,10 +464,10 @@ def test_prepare_hands_over_the_units_inverse(monkeypatch):
     assert inverted == []
     monkeypatch.undo()
     change, u_reg = regularize(u)
-    unit, dist = prepare(u_reg)
+    inverse, dist = prepare(u_reg)
     for v, q in zip(dividends, quotients):
         q_reg, _ = w_divide(change.apply_series(v), dist)
-        want = change.inverse().apply_series(q_reg * unit.inverse()).truncate(q.precision)
+        want = change.inverse().apply_series(q_reg * inverse).truncate(q.precision)
         assert q == want
 
 
