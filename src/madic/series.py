@@ -29,6 +29,11 @@ Both fields are exact, so the result does not depend on the accumulation
 order or representation.  `LinearChange.apply_series` accumulates its
 one-pass expansion in the same integer representation.
 
+Every inverse of a unit goes through one kernel, `inverse_terms`, by the
+coefficient recurrence b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k} in order of
+total degree: each b_m is one sum of plain numbers reduced once, as in
+`mul_terms`, and a unit of t terms costs t products per output term.
+
 `evaluate` is the one evaluation kernel.  It drops a term before any
 product once its series degree plus sum x_v * ord(z_v) over its unknowns
 reaches the precision, since the kernel keeps no degree below the sum of
@@ -39,10 +44,13 @@ accumulator that becomes the only series it builds.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from fractions import Fraction
+from itertools import repeat
+from math import gcd
+from operator import itemgetter, mul, sub
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
 from .fields import QQ, check_same_field, common_denominator, field_terms
@@ -114,27 +122,29 @@ def integer_coefficients(field, coeffs):
     return nums, den
 
 
-def _packed(terms, cap):
+def _packed(terms, cap, width=None):
     """(packed key, degree, coefficient) for each term of degree < cap.
 
-    A degree key packs to itself, (i,) to i and (i, j) to i*cap + j, so the
-    sum of two packed keys is the packed key of their product as long as
-    the product's degree stays below cap."""
+    A degree key packs to itself, (i,) to i and (i, j) to i*width + j, with
+    width cap unless given, so the sum of two packed keys is the packed key
+    of their product as long as the product's degree stays below cap."""
     key = next(iter(terms))
     if isinstance(key, int):
         return [(e, e, c) for e, c in terms.items() if e < cap]
     if len(key) == 1:
         return [(e[0], e[0], c) for e, c in terms.items() if e[0] < cap]
-    return [(i * cap + j, i + j, c) for (i, j), c in terms.items() if i + j < cap]
+    width = width or cap
+    return [(i * width + j, i + j, c) for (i, j), c in terms.items() if i + j < cap]
 
 
-def _unpacked(items, key, cap):
-    """The (packed key, value) pairs with keys of the same kind as `key`."""
+def _unpacked(items, key, width):
+    """The (packed key, value) pairs with keys of the same kind as `key`;
+    `width` is the packing's width (see `_packed`)."""
     if isinstance(key, int):
         return items
     if len(key) == 1:
         return (((k,), n) for k, n in items)
-    return ((divmod(k, cap), n) for k, n in items)
+    return ((divmod(k, width), n) for k, n in items)
 
 
 def mul_terms(a, b, field, cap):
@@ -200,6 +210,81 @@ def pow_terms(terms, n, field, cap):
     return out
 
 
+def inverse_terms(terms, field, cap):
+    """The inverse of the unit with term dict `terms` over `field`, keeping
+    the terms of total degree < cap; keys as in `mul_terms`.
+
+    By the coefficient recurrence b_0 = 1/a_0 and, in order of total degree,
+    b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k}.  Each b_m is one sum of products
+    of plain numbers, reduced once.  Over GF(p) these are residues, with
+    -a_k/a_0 taken once per term of a.  Over QQ they are the numerators n_k
+    of a over its lcm denominator (see `integer_coefficients`) and the
+    numerators of b_0, ..., b_{m-1} over their running common denominator,
+    so b_m is one Fraction of that sum; when its denominator does not divide
+    the running one, the running one grows and the stored numerators are
+    rescaled.  The numbers stay as long as the inverse's own coefficients.
+    When the lcm of a outgrows its denominators, the Fractions themselves
+    are summed.  Only the terms of a with deg k <= deg m enter b_m, so a
+    unit of t terms costs t products per output term.
+
+    Bivariate keys pack as i*2cap + j and are read at an offset of cap*2cap
+    in a zero-filled table: for a term k of a not below m in both
+    exponents, the packed m - k lands below the offset or on a j slot
+    >= cap, where no key is stored, so it reads 0.
+    """
+    key = next(iter(terms), None)
+    bivariate = isinstance(key, tuple) and len(key) == 2
+    zero = (0,) * len(key) if isinstance(key, tuple) else 0
+    a0 = terms.get(zero)
+    if a0 is None or field.is_zero(a0):
+        raise MadicError("series is not a unit")
+    first = field.inv(a0)
+    width = 2 * cap if bivariate else 1
+    offset = cap * width if bivariate else 0
+    rest = sorted((d, k, c) for k, d, c in _packed(terms, cap, width) if d)
+    if not rest:
+        return {zero: first}
+    degs = [d for d, _, _ in rest]
+    keys = [k for _, k, _ in rest]
+    coeffs = [c for _, _, c in rest]
+    p = field.characteristic
+    den = None
+    if p:
+        coeffs = [-first * c % p for c in coeffs]
+    else:
+        nums, den = integer_coefficients(field, [a0, *coeffs])
+        if den is None:
+            coeffs = [-c * first for c in coeffs]
+        else:
+            n0, coeffs = nums[0], nums[1:]
+            common, filled = first.denominator, [offset]
+    table = [0] * (offset + (cap - 1) * width + 1)
+    table[offset] = first if den is None else first.numerator
+    out = {offset: first}
+    read = table.__getitem__
+    for d in range(1, cap):
+        t = bisect_right(degs, d)
+        ks, cs = keys[:t], coeffs[:t]
+        for m in range(offset + d, offset + d * width + 1, width - 1) if bivariate else (d,):
+            g = sum(map(mul, cs, map(read, map(sub, repeat(m), ks))))
+            if p:
+                g %= p
+            if not g:
+                continue
+            if den is None:
+                table[m] = out[m] = g
+                continue
+            b = out[m] = Fraction(-g, n0 * common)
+            grow = b.denominator // gcd(common, b.denominator)
+            if grow != 1:
+                common *= grow
+                for i in filled:
+                    table[i] *= grow
+            table[m] = b.numerator * (common // b.denominator)
+            filled.append(m)
+    return dict(_unpacked(((m - offset, c) for m, c in out.items()), key, width))
+
+
 class TruncatedSeries:
     __slots__ = ("field", "vars", "precision", "terms")
 
@@ -223,7 +308,8 @@ class TruncatedSeries:
     @classmethod
     def _of_product(cls, field, vars, precision, terms):
         """A series whose terms are already of degree < precision with
-        nonzero coefficients, as `mul_terms` returns them."""
+        nonzero coefficients, as the kernels return them; `terms` is kept,
+        not copied."""
         out = cls.__new__(cls)
         out.field, out.vars, out.precision, out.terms = field, vars, precision, terms
         return out
@@ -282,7 +368,10 @@ class TruncatedSeries:
             raise PrecisionError(
                 f"cannot raise precision {self.precision} -> {precision}"
             )
-        return TruncatedSeries(self.field, self.vars, precision, self.terms)
+        return TruncatedSeries._of_product(
+            self.field, self.vars, precision,
+            {e: c for e, c in self.terms.items() if sum(e) < precision},
+        )
 
     # -- arithmetic ---------------------------------------------------
 
@@ -308,7 +397,13 @@ class TruncatedSeries:
     def __sub__(self, other):
         if isinstance(other, int):
             other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
-        return self + (-other)
+        self._check(other)
+        f = self.field
+        prec = min(self.precision, other.precision)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = f.sub(out[e], c) if e in out else f.neg(c)
+        return TruncatedSeries(f, self.vars, prec, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -341,20 +436,19 @@ class TruncatedSeries:
             pow_terms(self.terms, n, self.field, self.precision),
         )
 
-    def inverse(self):
-        """Multiplicative inverse of a unit, by Newton doubling."""
-        c0 = self.constant_term()
-        if self.field.is_zero(c0):
-            raise MadicError("series is not a unit")
-        f = self.field
-        inv = TruncatedSeries.constant(f.inv(c0), self.vars, 1, f)
-        prec = 1
-        while prec < self.precision:
-            prec = min(2 * prec, self.precision)
-            u = TruncatedSeries(f, self.vars, prec, self.terms)
-            inv = TruncatedSeries(f, self.vars, prec, inv.terms)
-            inv = inv * (2 - u * inv)
-        return inv
+    def inverse(self, precision=None):
+        """Multiplicative inverse of a unit to `precision` (default and at
+        most the series' own; the inverse is unique modulo m^precision), by
+        the coefficient recurrence of `inverse_terms`."""
+        if precision is None:
+            precision = self.precision
+        elif precision > self.precision:
+            raise PrecisionError(
+                f"cannot invert at precision {precision} > {self.precision}"
+            )
+        return TruncatedSeries._of_product(
+            self.field, self.vars, precision, inverse_terms(self.terms, self.field, precision)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

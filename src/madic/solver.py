@@ -131,7 +131,9 @@ def _lift(s, precision):
     working precision.  All final certificates are re-checked at that
     precision.
     """
-    return TruncatedSeries(s.field, s.vars, precision, s.terms)
+    if precision < s.precision:
+        return s.truncate(precision)
+    return TruncatedSeries._of_product(s.field, s.vars, precision, dict(s.terms))
 
 
 def select_minor(fs, zbar, assignment, s):
@@ -273,13 +275,20 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         if not w.is_unit():
             status = STATUS_STALLED
             break
-        winv = _lift(w.inverse(), N)
-        for jj, ci in enumerate(col_index):
+        numerators = []
+        for jj in range(len(col_index)):
             cramer = PolyMatrix(
                 [r[:jj] + [q] + r[jj + 1 :] for r, q in zip(jbar.entries, quotients)]
             )
-            step = _lift(dbar * determinant(cramer) * winv, N)
-            current[ci] = _lift(current[ci] - step, N)
+            numerators.append(dbar * determinant(cramer))
+        # a term of w^-1 of degree >= N - ord(numerator) only reaches degrees
+        # >= N of the step, so w is inverted only below N - min ord
+        orders = [n.order().value for n in numerators if not n.is_zero_to_precision()]
+        if orders:
+            winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
+            for ci, num in zip(col_index, numerators):
+                if not num.is_zero_to_precision():
+                    current[ci] = _lift(current[ci] - num * winv, N)
         steps += 1
         vec = SeriesVector(current)
         residuals = [evaluate(f, vec, assignment) for f in fs]

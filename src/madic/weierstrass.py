@@ -36,7 +36,7 @@ from math import comb, lcm
 from .errors import MadicError, PrecisionError
 from .fields import QQ, check_same_field, common_denominator, field_terms
 from .poly import Polynomial
-from .series import OrderValue, TruncatedSeries, integer_coefficients, mul_terms
+from .series import OrderValue, TruncatedSeries, integer_coefficients, inverse_terms, mul_terms
 
 
 def y_regular_order(u):
@@ -63,6 +63,7 @@ class LinearChange:
             raise MadicError("linear change must be invertible")
         self.field = field
         self.matrix = (a, b, c, d)
+        self._rows = {}  # (image, field) -> see _binomial_rows
         inv_det = field.inv(det)
         self.inverse_matrix = (
             field.mul(d, inv_det),
@@ -119,20 +120,19 @@ class LinearChange:
         if not s.terms:
             return TruncatedSeries(f, s.vars, N, {})
         nums, den = integer_coefficients(f, list(s.terms.values()))
-        a, b, c, d = self.matrix
-        (xa, xb), dx = common_denominator(f, [a, b])
-        (yc, yd), dy = common_denominator(f, [c, d])
         imax = max(i for i, _ in s.terms)
         jmax = max(j for _, j in s.terms)
-        # x^i y^j -> (xa x + xb y)^i (yc x + yd y)^j / (dx^i dy^j); the
-        # powers carry dx^(imax-i) dy^(jmax-j) to share one denominator
-        xpow = _binomial_powers(xa, xb, dx, imax, f)
-        ypow = _binomial_powers(yc, yd, dy, jmax, f)
+        # x^i y^j -> xpow[i] ypow[j] / (dx^i dy^j); each term carries
+        # dx^(imax-i) dy^(jmax-j) to share one denominator
+        xpow, dx = self._binomial_rows(0, imax, f)
+        ypow, dy = self._binomial_rows(1, jmax, f)
         scale = dx ** imax * dy ** jmax
         if den is None:
             nums = [n / scale for n in nums]
         else:
             den *= scale
+        if scale != 1:
+            nums = [n * dx ** (imax - i) * dy ** (jmax - j) for (i, j), n in zip(s.terms, nums)]
         # packed key of x^(n-k) y^k is (n-k)*N + k = n*N - k*(N-1)
         acc = [0] * (N * N)
         for ((i, j), n) in zip(s.terms, nums):
@@ -145,21 +145,27 @@ class LinearChange:
         out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), den)
         return TruncatedSeries(f, s.vars, N, out)
 
+    def _binomial_rows(self, image, top, field):
+        """The binomial powers of image 0, a x + b y, or image 1, c x + d y,
+        as (rows, den): with the image written (u x + v y) / den over its
+        common denominator, row n, for n = 0..top, holds the nonzero (k,
+        coefficient of x^(n-k) y^k) of (u x + v y)^n, reduced mod p over
+        GF(p).  The rows stay on the change and grow on demand, so a change
+        applied to many series expands each power once."""
+        entry = self._rows.get((image, field))
+        if entry is None:
+            pair, den = common_denominator(field, self.matrix[2 * image : 2 * image + 2])
+            entry = self._rows[(image, field)] = (pair, den, [])
+        (u, v), den, rows = entry
+        for n in range(len(rows), top + 1):
+            row = [(k, comb(n, k) * u ** (n - k) * v ** k) for k in range(n + 1)]
+            if field.characteristic:
+                row = [(k, c % field.p) for k, c in row]
+            rows.append([(k, c) for k, c in row if c])
+        return rows, den
+
     def __repr__(self):
         return f"LinearChange{self.matrix}"
-
-
-def _binomial_powers(u, v, den, top, field):
-    """For n = 0..top, the nonzero (k, coefficient of x^(n-k) y^k) of
-    (u x + v y)^n times den^(top-n), reduced mod p over GF(p)."""
-    out = []
-    for n in range(top + 1):
-        scale = den ** (top - n)
-        row = [(k, comb(n, k) * u ** (n - k) * v ** k * scale) for k in range(n + 1)]
-        if field.characteristic:
-            row = [(k, c % field.p) for k, c in row]
-        out.append([(k, c) for k, c in row if c])
-    return out
 
 
 def regularize(u, seed=0, max_tries=256):
@@ -329,9 +335,8 @@ def weierstrass_divide(g, u, r):
     e_unit = {j - r: c for j, c in uslices.get(0, {}).items()}
     if min(e_unit) != 0:
         raise MadicError("divisor x^0 slice has unexpected y-order")
-    # the unit's inverse to y-degree cap_0, by the series Newton iteration
-    e_inv = TruncatedSeries(fld, g.vars[1:], caps[0] + 1, {(j,): c for j, c in e_unit.items()})
-    e_inv = {j: c for (j,), c in e_inv.inverse().terms.items()}
+    # the unit's inverse to y-degree cap_0, by the coefficient recurrence
+    e_inv = inverse_terms(e_unit, fld, caps[0] + 1)
 
     u_int = {j: _y_slice(fld, sl) for j, sl in uslices.items() if 0 < j < N}
     q_int = {}

@@ -1,22 +1,27 @@
-"""The sparse truncated-product kernel against naive references.
+"""The sparse truncated-product and inverse kernels against naive references.
 
 The references are plain loops: a pairwise product that tests every pair
 against the degree cap and adds with the field's own operations (also on
 degree-keyed dicts, the y-slices of Weierstrass division, with their
-inclusive cap), a linear change expanded term by term from repeated
-products, and an evaluation that multiplies out every term.  They live
-here only, as oracles.
+inclusive cap), a series inverse by Newton doubling over that product, a
+linear change expanded term by term from repeated products, and an
+evaluation that multiplies out every term.  They live here only, as
+oracles.
 """
 
 import gc
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from madic import LinearChange, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries, evaluate
+from madic import (
+    LinearChange, MadicError, Polynomial, PrecisionError, PrimeField, QQ, SeriesVector,
+    TruncatedSeries, evaluate,
+)
 from madic import series
-from madic.series import integer_coefficients, mul_terms
+from madic.series import integer_coefficients, inverse_terms, mul_terms
 
 XY = ("x", "y")
 
@@ -62,6 +67,22 @@ def naive_pow(terms, n, field, cap, nvars):
     for _ in range(n):
         out = naive_mul_terms(out, terms, field, cap)
     return out
+
+
+def newton_inverse_terms(terms, field, cap):
+    """The inverse to degree < cap by Newton doubling, inv <- inv (2 - a inv)
+    at precisions 1, 2, 4, ..., cap, with the pairwise product."""
+    key = next(iter(terms))
+    zero = (0,) * len(key) if isinstance(key, tuple) else 0
+    two = {zero: field.convert(2)}
+    inv = {zero: field.inv(terms[zero])}
+    prec = 1
+    while prec < cap:
+        prec = min(2 * prec, cap)
+        product = naive_mul_terms(terms, inv, field, prec)
+        correction = naive_add(two, {e: field.neg(c) for e, c in product.items()}, field)
+        inv = naive_mul_terms(inv, correction, field, prec)
+    return inv
 
 
 def naive_apply_series(change, s):
@@ -226,6 +247,101 @@ def test_shared_denominator_is_exact():
     nums, den = integer_coefficients(QQ, coeffs)
     assert den == 36
     assert [Fraction(n, den) for n in nums] == coeffs
+
+
+# -- inverses -------------------------------------------------------------
+
+
+@st.composite
+def units(draw, field=None):
+    """(field, terms, cap): a unit with degree keys, 1-tuples or 2-tuples
+    below a precision of at most 12, dense (a coefficient, maybe zero, for
+    every key), sparse (one or two terms besides the constant) or
+    constant, and a cap at most that precision."""
+    field = field or draw(st.sampled_from(FIELDS))
+    nvars = draw(st.sampled_from([0, 1, 2]))
+    prec = draw(st.integers(1, 12))
+    cap = draw(st.integers(1, prec))
+    kind = draw(st.sampled_from(["dense", "sparse", "constant"]))
+    if nvars == 0:
+        keys = list(range(prec))
+        zero = 0
+    elif nvars == 1:
+        keys = [(i,) for i in range(prec)]
+        zero = (0,)
+    else:
+        keys = [(i, d - i) for d in range(prec) for i in range(d + 1)]
+        zero = (0, 0)
+    coeff = coefficients(field)
+    if kind == "dense":
+        terms = {k: draw(coeff) for k in keys}
+    elif kind == "sparse":
+        terms = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=2))
+    else:
+        terms = {}
+    terms[zero] = draw(coeff.filter(lambda c: not field.is_zero(c)))
+    return field, terms, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(units())
+def test_inverse_matches_newton_doubling(case):
+    field, terms, cap = case
+    assert inverse_terms(terms, field, cap) == newton_inverse_terms(terms, field, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(units(QQ), st.sampled_from([10**9, -(10**9)]))
+def test_inverse_fraction_and_integer_accumulation_agree(case, growth):
+    # a huge limit always scales to integers, a negative one always sums
+    # Fractions; both must give Newton's inverse
+    field, terms, cap = case
+    with mock.patch.object(series, "_LCM_GROWTH", growth):
+        assert inverse_terms(terms, field, cap) == newton_inverse_terms(terms, field, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(units())
+def test_series_inverse_wraps_the_kernel_at_any_precision(case):
+    field, terms, cap = case
+    key = next(iter(terms))
+    if not isinstance(key, tuple):
+        terms = {(e,): c for e, c in terms.items()}
+    vars = XY[: len(next(iter(terms)))]
+    u = TruncatedSeries(field, vars, 12, terms)
+    got = u.inverse(cap)
+    assert got.precision == cap
+    assert got.terms == newton_inverse_terms(terms, field, cap)
+    assert u.truncate(cap) * got == TruncatedSeries.constant(1, vars, cap, field)
+    with pytest.raises(PrecisionError):
+        u.inverse(13)
+
+
+def test_inverse_over_distinct_prime_denominators_sums_fractions():
+    primes = [p for p in range(1000, 3000) if all(p % d for d in range(2, 46))]
+    u = {(0,): Fraction(3, 7), **{(i,): Fraction(i + 1, primes[i]) for i in range(1, 90)}}
+    assert integer_coefficients(QQ, list(u.values()))[1] is None
+    assert inverse_terms(u, QQ, 90) == newton_inverse_terms(u, QQ, 90)
+    keys = [(i, d - i) for d in range(1, 13) for i in range(d + 1)]
+    v = {(0, 0): Fraction(-5, 2)}
+    v.update((k, Fraction(n % 5 + 1, p)) for n, (k, p) in enumerate(zip(keys, primes)))
+    assert integer_coefficients(QQ, list(v.values()))[1] is None
+    assert inverse_terms(v, QQ, 13) == newton_inverse_terms(v, QQ, 13)
+
+
+def test_inverse_of_a_sparse_unit_at_long_precision():
+    # 1/(1 + c x^k) = sum (-c)^j x^(jk): t terms cost t products per output
+    # term, so a binomial inverts at precision 20000 at once
+    F, k, c, cap = PrimeField(32003), 3, 5, 20000
+    expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
+    assert inverse_terms({0: 1, k: c}, F, cap) == expected
+    assert inverse_terms({(0, 0): Fraction(2, 3)}, QQ, 10**6) == {(0, 0): Fraction(3, 2)}
+
+
+def test_inverse_of_a_non_unit_raises():
+    for terms in ({}, {1: 3}, {(0,): 0, (1,): 1}, {(1, 0): Fraction(1, 2)}):
+        with pytest.raises(MadicError, match="not a unit"):
+            inverse_terms(terms, QQ, 5)
 
 
 # -- linear changes -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Minor selection, Newton refinement and the end-to-end pipeline."""
 
+import dataclasses
 import os
 import random
 import signal
@@ -211,6 +212,58 @@ def test_refine_prepares_squared_minor_afresh_unless_equal():
             [f], ("z",), zbar, {"z": 0}, 3, prepared=prepared
         )
         assert cert.to_json() == plain.to_json()
+
+
+def _refine_recording_inverses(monkeypatch, full, *args):
+    """tougeron_refine(*args) and the (precision of w, precision asked for)
+    of each inverse it takes; with `full`, every inverse is taken at w's
+    own precision whatever was asked."""
+    asked = []
+    real = TruncatedSeries.inverse
+
+    def inverse(self, precision=None):
+        asked.append((self.precision, precision))
+        return real(self) if full else real(self, precision)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+    try:
+        return tougeron_refine(*args), asked
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+@pytest.mark.parametrize(
+    "equation, unknowns, point",
+    [
+        # z^2 - g^2 and z1^2 - z2^2*z3 at a point off the root by c*x^k
+        ("z^2 - (x + 2*x^2 - 3*x^3)^2", ("z",), ["x + 2*x^2 - 3*x^3 + 5/7*x^7"]),
+        (
+            "z1^2 - z2^2*z3",
+            ("z1", "z2", "z3"),
+            ["(x - x^2)*(x + 4*x^3) - 2/3*x^8", "x - x^2", "(x + 4*x^3)^2"],
+        ),
+    ],
+)
+def test_refine_inverts_w_only_below_what_the_step_reads(monkeypatch, field, equation, unknowns, point):
+    N = 64
+    f = parse_polynomial(equation, ("x",) + unknowns, field)
+    entries = [parse_series(f"{p} + O(m^{N})", ("x",), field)[0] for p in point]
+    zbar = SeriesVector([TruncatedSeries.from_polynomial(p, N) for p in entries])
+    args = ([f], unknowns[:1], zbar, {u: i for i, u in enumerate(unknowns)}, 3)
+    lean, asked = _refine_recording_inverses(monkeypatch, False, *args)
+    full, _ = _refine_recording_inverses(monkeypatch, True, *args)
+    assert lean.status == STATUS_OK and lean.iterations >= 2
+    for name in (fld.name for fld in dataclasses.fields(lean)):
+        a, b = getattr(lean, name), getattr(full, name)
+        if name == "refined":
+            a, b = list(a), list(b)
+        assert a == b, name
+    # each step inverts w only below N - min ord of its Cramer numerators,
+    # here below w's own precision at every step
+    steps = [(own, cap) for own, cap in asked if cap is not None]
+    assert len(steps) == lean.iterations
+    assert all(cap < own < N for own, cap in steps)
 
 
 def test_pipeline_prepares_each_divisor_once(monkeypatch):

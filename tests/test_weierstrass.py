@@ -75,6 +75,29 @@ def test_linear_change_composition():
     assert c.inverse().apply_series(c.apply_series(s)) == s
 
 
+def test_linear_change_expands_each_binomial_power_once():
+    c = LinearChange(Fraction(1, 2), 3, Fraction(-2, 5), 1, QQ)
+    first, second = S("x^4*y + 3*x*y^2 + O(m^9)"), S("x^2*y^3 - y + O(m^9)")
+    want = [c.apply_series(s) for s in (first, second)]
+    fresh = LinearChange(Fraction(1, 2), 3, Fraction(-2, 5), 1, QQ)
+    built = []
+    real = weierstrass.comb
+
+    def counting(n, k):
+        built.append((n, k))
+        return real(n, k)
+
+    with mock.patch.object(weierstrass, "comb", counting):
+        assert fresh.apply_series(first) == want[0]
+        once = len(built)
+        # powers up to x^4 and y^2 are expanded already: only the cube of
+        # the y image (4 binomials) is new
+        assert fresh.apply_series(second) == want[1]
+        assert len(built) == once + 4
+        assert fresh.apply_series(first) == want[0]
+        assert len(built) == once + 4
+
+
 def test_prepare_documented_example():
     u = S("(1+x)(y^2 + x*y + x^2) + O(m^16)")
     inverse, dist = prepare(u)
@@ -618,17 +641,16 @@ def test_weierstrass_divide_fraction_fallback_at_the_real_threshold():
 
 def _recorded_caps(u, monkeypatch):
     """Prepare u and return the y-degree bounds its division used: the
-    precision of each univariate inverse, and per slice i the bound of the
-    accumulated products and of the kept quotient slice, with the largest
-    y-degree that slice kept."""
+    degree cap of each inverse of the unit's y-slice, and per slice i the
+    bound of the accumulated products and of the kept quotient slice, with
+    the largest y-degree that slice kept."""
     inverses, sums, slices = [], [], []
-    real_inverse = TruncatedSeries.inverse
+    real_inverse = weierstrass.inverse_terms
     real_sub, real_mul = weierstrass._sub_products, weierstrass.mul_terms
 
-    def inverse(self):
-        if len(self.vars) == 1:
-            inverses.append(self.precision)
-        return real_inverse(self)
+    def inverse(terms, fld, cap):
+        inverses.append(cap)
+        return real_inverse(terms, fld, cap)
 
     def sub_products(fld, g, pairs, top):
         sums.append(top)
@@ -639,7 +661,7 @@ def _recorded_caps(u, monkeypatch):
         slices.append((cap, max(out, default=-1)))
         return out
 
-    monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+    monkeypatch.setattr(weierstrass, "inverse_terms", inverse)
     monkeypatch.setattr(weierstrass, "_sub_products", sub_products)
     monkeypatch.setattr(weierstrass, "mul_terms", mul)
     prepare(u)
