@@ -292,7 +292,7 @@ def main(argv=None):
         return 4
     except (HypothesisError, PrecisionError, UnsupportedInstanceError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
-        if isinstance(exc, HypothesisError) and "residual" in str(exc):
+        if isinstance(exc, HypothesisError) and exc.reason == "residual-order":
             print("insufficient residual order", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,12 +21,16 @@ class HypothesisError(MadicError):
     """A mathematical precondition of an operation is violated.
 
     Carries enough context (the measured quantity) for the caller to report
-    what failed.
+    what failed, and, where callers branch on the failure, a `reason` code:
+    `residual-not-multiple` when a residual is not an exact multiple of the
+    squared minor, `residual-order` when the quotient's order is below the
+    target.
     """
 
-    def __init__(self, message, measured=None):
+    def __init__(self, message, measured=None, reason=None):
         super().__init__(message)
         self.measured = measured
+        self.reason = reason
 
 
 class UnsupportedInstanceError(MadicError):

@@ -220,7 +220,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     N = zbar.precision
     jac = jacobian(fs, columns)
     jbar = _evaluated(jac, zbar, assignment)
-    dbar = det = determinant(jbar)
+    dbar = determinant(jbar)
     if not dbar.order().finite:
         raise HypothesisError("minor vanishes at the approximate solution")
     dsq = _lift(dbar * dbar, N)
@@ -238,12 +238,14 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
             q = divide_series(res, dsq_div)
         except MadicError as exc:
             raise HypothesisError(
-                f"residual is not an exact multiple of the squared minor: {exc}"
+                f"residual is not an exact multiple of the squared minor: {exc}",
+                reason="residual-not-multiple",
             ) from exc
         if not q.order().ge(c):
             raise HypothesisError(
                 f"residual/minor^2 has order {q.order()}, below target {c}",
                 measured=q.order(),
+                reason="residual-order",
             )
         quotients.append(_lift(q, N))
 
@@ -264,17 +266,20 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         if steps >= max_steps:
             status = STATUS_STALLED
             break
+        # at step 0 the minor is dbar itself, so w = 1 and the step
+        # subtracts each numerator as it is
+        w = None
         if steps:
             jbar = _evaluated(jac, SeriesVector(current), assignment)
             det = determinant(jbar)
-        try:
-            w = divide_series(det, dbar_div)
-        except MadicError as exc:
-            status = STATUS_STALLED
-            break
-        if not w.is_unit():
-            status = STATUS_STALLED
-            break
+            try:
+                w = divide_series(det, dbar_div)
+            except MadicError:
+                status = STATUS_STALLED
+                break
+            if not w.is_unit():
+                status = STATUS_STALLED
+                break
         numerators = []
         for jj in range(len(col_index)):
             cramer = PolyMatrix(
@@ -285,10 +290,11 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         # >= N of the step, so w is inverted only below N - min ord
         orders = [n.order().value for n in numerators if not n.is_zero_to_precision()]
         if orders:
-            winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
+            if w is not None:
+                winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
             for ci, num in zip(col_index, numerators):
                 if not num.is_zero_to_precision():
-                    current[ci] = _lift(current[ci] - num * winv, N)
+                    current[ci] = _lift(current[ci] - (num if w is None else num * winv), N)
         steps += 1
         vec = SeriesVector(current)
         residuals = [evaluate(f, vec, assignment) for f in fs]

@@ -51,6 +51,18 @@ def test_solve_insufficient_residual(capsys):
     assert "insufficient residual order" in err
 
 
+def test_refine_residual_not_a_multiple_is_not_called_insufficient_order(capsys, tmp_path):
+    problem = tmp_path / "not_multiple.madic"
+    problem.write_text(
+        "field: Q\nseries_vars: x y\nunknowns: z\nequation: z^2 - x^2*y^2\n"
+        "approx: x*y + x^3 + O(m^16)\ntarget_order: 1\n"
+    )
+    code, _, err = run(capsys, "refine", str(problem))
+    assert code == 2
+    assert "residual is not an exact multiple of the squared minor" in err
+    assert "insufficient residual order" not in err
+
+
 def test_refine_matches_solve_on_unit_free_case(capsys):
     code, out, _ = run(capsys, "refine", fx("solve_basic.madic"), "--json")
     assert code == 0

@@ -10,6 +10,7 @@ oracles.
 """
 
 import gc
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -247,6 +248,163 @@ def test_shared_denominator_is_exact():
     nums, den = integer_coefficients(QQ, coeffs)
     assert den == 36
     assert [Fraction(n, den) for n in nums] == coeffs
+
+
+# -- dense products -------------------------------------------------------
+
+# over GF(2^31 - 1) a slot would need 31 + 31 + bits(terms) > 64 bits, so
+# its products stay pairwise
+WIDE = PrimeField(2**31 - 1)
+
+
+@st.composite
+def dense_operands(draw, field, min_terms=32, max_terms=160, gaps=(1, 2)):
+    """A univariate term dict of min_terms..max_terms terms, keyed by degrees
+    or 1-tuples, from a lowest degree of 0..20, with the step between
+    consecutive degrees drawn from `gaps`.  Coefficients are p - 1
+    throughout, random residues, or a mix; over QQ, small Fractions."""
+    n = draw(st.integers(min_terms, max_terms))
+    low = draw(st.integers(0, 20))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(["top", "random", "mixed"]))
+    degs = [low]
+    for _ in range(n - 1):
+        degs.append(degs[-1] + rng.choice(gaps))
+    if field == QQ:
+        coeffs = [Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 6])) for _ in degs]
+    else:
+        top = field.p - 1
+        pick = {"top": lambda: top, "random": lambda: rng.randrange(field.p),
+                "mixed": lambda: rng.choice([top, rng.randrange(field.p)])}[mode]
+        coeffs = [pick() for _ in degs]
+    if draw(st.booleans()):
+        return dict(zip(degs, coeffs))
+    return {(d,): c for d, c in zip(degs, coeffs)}
+
+
+def same_kind(a, b):
+    """b re-keyed like a (degrees or 1-tuples)."""
+    if isinstance(next(iter(a)), int):
+        return {(k if isinstance(k, int) else k[0]): c for k, c in b.items()}
+    return {((k,) if isinstance(k, int) else k): c for k, c in b.items()}
+
+
+def max_degree(terms):
+    return max(k if isinstance(k, int) else k[0] for k in terms)
+
+
+def slot_products(monkeypatch):
+    """A list that records, for each call of the slot path, whether it
+    took the product (True) or fell back to the pairwise loop (False)."""
+    taken = []
+    real = series._slot_product
+
+    def recording(*args):
+        out = real(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(series, "_slot_product", recording)
+    return taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_product_matches_pairwise_loop(data):
+    # residues p - 1 make the largest slot sums; GF(2) and GF(3) make sums
+    # cancel; caps run from below the sum of lowest degrees (no term) past
+    # the full product; gaps and a lowest degree above 0 shift the slots
+    field = data.draw(st.sampled_from([PrimeField(32003), PrimeField(2), PrimeField(3)]))
+    # steps of 1 or 8 put the span on either side of _SLOT_SPAN slots a term
+    gaps = data.draw(st.sampled_from([(1,), (1, 2), (1, 2, 3, 4), (1, 8)]))
+    a = data.draw(dense_operands(field, gaps=gaps))
+    b = same_kind(a, data.draw(dense_operands(field, gaps=gaps)))
+    cap = data.draw(st.integers(0, 2 * max(map(max_degree, (a, b))) + 2))
+    expected = naive_mul_terms(a, b, field, cap)
+    assert mul_terms(a, b, field, cap) == expected
+    assert mul_terms(b, a, field, cap) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dense_square_matches_pairwise_loop(data):
+    field = data.draw(st.sampled_from([PrimeField(32003), PrimeField(2), QQ]))
+    a = data.draw(dense_operands(field, max_terms=64 if field == QQ else 160))
+    cap = data.draw(st.integers(1, 2 * max_degree(a) + 2))
+    assert mul_terms(a, a, field, cap) == naive_mul_terms(a, a, field, cap)
+    s = TruncatedSeries(field, ("x",), cap, same_kind({(0,): 1}, a))
+    assert s * s == naive_mul(s, s)
+    assert s ** 2 == s * s
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_dense_product_past_64_bit_slots_falls_back(data):
+    # 31 + 31 + bits(128) = 70 bits: the pairwise loop, with the same result
+    a = data.draw(dense_operands(WIDE, min_terms=128, max_terms=128))
+    b = same_kind(a, data.draw(dense_operands(WIDE, min_terms=128, max_terms=128)))
+    cap = data.draw(st.integers(1, 300))
+    assert mul_terms(a, b, WIDE, cap) == naive_mul_terms(a, b, WIDE, cap)
+
+
+def test_dense_product_with_a_cap_below_both_operands(monkeypatch):
+    F = PrimeField(32003)
+    taken = slot_products(monkeypatch)
+    a = {(i,): F.p - 1 - i for i in range(3, 99)}
+    b = {(i,): 2 * i + 1 for i in range(5, 120)}
+    # from cap 37 both operands keep 32 terms below it
+    for cap in (9, 36, 37, 50, 97):
+        assert mul_terms(a, b, F, cap) == naive_mul_terms(a, b, F, cap)
+    assert taken == [True] * 3
+    # lowest degrees 40 and 40: from cap 72 both keep 32 terms, and up to
+    # cap 80 no degree of the product is below it
+    c = {(i,): F.p - 1 for i in range(40, 140)}
+    for cap in (72, 80):
+        assert mul_terms(c, c, F, cap) == {}
+        assert mul_terms(c, b, F, cap) == naive_mul_terms(c, b, F, cap)
+    assert taken[3:] == [True] * 4
+
+
+def test_dense_gf_product_takes_the_slot_path(monkeypatch):
+    F = PrimeField(32003)
+    taken = slot_products(monkeypatch)
+    n = series._SLOT_MIN_TERMS
+    a = {(i,): (7 * i + 1) % F.p for i in range(n)}
+    b = {(i + 3,): F.p - 1 for i in range(n)}
+    assert mul_terms(a, b, F, 2 * n) == naive_mul_terms(a, b, F, 2 * n)
+    assert mul_terms(a, a, F, 2 * n) == naive_mul_terms(a, a, F, 2 * n)
+    assert taken == [True, True]
+    # one term fewer, or a term in only every fifth slot, stays pairwise
+    short = {(i,): 1 for i in range(n - 1)}
+    sparse = {(5 * i,): 1 for i in range(n)}
+    assert mul_terms(short, b, F, 2 * n) == naive_mul_terms(short, b, F, 2 * n)
+    assert mul_terms(sparse, b, F, 8 * n) == naive_mul_terms(sparse, b, F, 8 * n)
+    assert taken == [True, True, False]
+    # over GF(2^31 - 1) a slot would need 31 + 31 + 6 bits
+    big = {(i,): WIDE.p - 1 for i in range(n)}
+    assert mul_terms(big, big, WIDE, 2 * n) == naive_mul_terms(big, big, WIDE, 2 * n)
+    assert taken[-1] is False
+
+
+@pytest.mark.parametrize("n", [32, 63, 64, 127])
+def test_signed_numerators_at_the_64_bit_edge(monkeypatch, n):
+    # bits(|a|) + bits(|b|) + bits(n) + 1 = 64 packs (the slot sums reach
+    # -n * (2^ka - 1)(2^kb - 1), just above -2^63); one bit more stays pairwise
+    taken = slot_products(monkeypatch)
+    room = 63 - n.bit_length()
+    for ka, expect in ((room // 2, True), (room // 2 + 1, False)):
+        kb = room - room // 2
+        top_a, top_b = 2**ka - 1, 2**kb - 1
+        a = {(i,): Fraction(-top_a if i % 5 else top_a - i) for i in range(n)}
+        b = {(i,): Fraction(top_b if i % 3 else -top_b, 1) for i in range(n)}
+        for cap in (n, 2 * n):
+            assert mul_terms(a, b, QQ, cap) == naive_mul_terms(a, b, QQ, cap)
+        assert mul_terms(a, a, QQ, n) == naive_mul_terms(a, a, QQ, n)
+        assert taken[-3:] == [expect] * 3
+    # a shared denominator scales every numerator: over 3 they carry 3^2
+    c = {(i,): Fraction(-(2**20) + i, 3) for i in range(n)}
+    assert mul_terms(c, c, QQ, 2 * n) == naive_mul_terms(c, c, QQ, 2 * n)
+    assert taken[-1] is True
 
 
 # -- inverses -------------------------------------------------------------

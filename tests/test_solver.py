@@ -119,8 +119,45 @@ def test_refine_linear_one_step():
 def test_refine_precondition_failure():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(20)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as info:
         tougeron_refine([f], ("z",), SeriesVector([x + x**2]), {"z": 0}, 3)
+    assert info.value.reason == "residual-order"
+
+
+def test_refine_residual_not_a_multiple_has_its_own_reason():
+    # z^2 - x^2*y^2 at x*y + x^3: the residual 2x^4*y + x^6 is not a
+    # multiple of delta(zbar)^2 = 4(x*y + x^3)^2
+    f = parse_polynomial("z^2 - x^2*y^2", XYZ)
+    with pytest.raises(HypothesisError, match="not an exact multiple") as info:
+        tougeron_refine([f], ("z",), _biv_point("x*y + x^3", 16), {"z": 0}, 1)
+    assert info.value.reason == "residual-not-multiple"
+
+
+def test_refine_step_zero_divides_nothing_by_the_minor(monkeypatch):
+    # at step 0 the minor is delta(zbar) itself, so w = 1: neither the
+    # division of delta(zbar) by itself nor an inverse of w is taken
+    from madic import solver
+
+    divisions, inverses = [], []
+    real_divide, real_inverse = solver.divide_series, TruncatedSeries.inverse
+
+    def divide(v, u, order_check=None):
+        divisions.append(v == u.u)
+        return real_divide(v, u, order_check)
+
+    def inverse(self, precision=None):
+        inverses.append(precision)
+        return real_inverse(self, precision)
+
+    monkeypatch.setattr(solver, "divide_series", divide)
+    monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+    f = parse_polynomial("z - x^2 - x^3", ("x", "z"))
+    x = xs(16)
+    cert = tougeron_refine([f], ("z",), SeriesVector([x**2]), {"z": 0}, 3)
+    assert cert.status == STATUS_OK and cert.iterations == 1
+    assert cert.refined[0] == x**2 + x**3
+    assert divisions and not any(divisions)
+    assert [p for p in inverses if p is not None] == []
 
 
 def test_refine_residual_doubling_trace():
@@ -262,7 +299,8 @@ def test_refine_inverts_w_only_below_what_the_step_reads(monkeypatch, field, equ
     # each step inverts w only below N - min ord of its Cramer numerators,
     # here below w's own precision at every step
     steps = [(own, cap) for own, cap in asked if cap is not None]
-    assert len(steps) == lean.iterations
+    # step 0 takes none: its w is 1
+    assert len(steps) == lean.iterations - 1
     assert all(cap < own < N for own, cap in steps)
 
 
