@@ -249,16 +249,24 @@ def cmd_probe(pf, args):
     return (0 if not report.defects else 2), payload, lines
 
 
+_FLAGS = {
+    "--precision": {"type": int},
+    "--target-order": {"type": int},
+    "--strategy": {"choices": ["newton", "jet-search"]},
+}
+
+# each command's handler and the flags it reads; a command given any other
+# flag is an argparse error (exit 2), not a flag silently ignored
 _COMMANDS = {
-    "elkik": cmd_elkik,
-    "colon": cmd_colon,
-    "groebner": cmd_groebner,
-    "prepare": cmd_prepare,
-    "divide": cmd_divide,
-    "refine": cmd_refine,
-    "solve": cmd_solve,
-    "bounds": cmd_bounds,
-    "probe": cmd_probe,
+    "elkik": (cmd_elkik, ()),
+    "colon": (cmd_colon, ()),
+    "groebner": (cmd_groebner, ()),
+    "prepare": (cmd_prepare, ("--precision",)),
+    "divide": (cmd_divide, ("--precision",)),
+    "refine": (cmd_refine, ("--precision", "--target-order")),
+    "solve": (cmd_solve, ("--precision", "--target-order", "--strategy")),
+    "bounds": (cmd_bounds, ("--target-order",)),
+    "probe": (cmd_probe, ("--precision", "--strategy")),
 }
 
 
@@ -268,12 +276,11 @@ def build_parser():
         description="exact m-adic approximation toolkit over power-series rings",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file (key: value lines)")
-        p.add_argument("--precision", type=int, default=None)
-        p.add_argument("--target-order", type=int, default=None, dest="target_order")
-        p.add_argument("--strategy", choices=["newton", "jet-search"], default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--json", action="store_true")
     return ap
 
@@ -283,7 +290,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         pf = load_problem(args.file)
-        code, payload, lines = _COMMANDS[args.command](pf, args)
+        code, payload, lines = _COMMANDS[args.command][0](pf, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

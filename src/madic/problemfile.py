@@ -23,7 +23,6 @@ _REPEATABLE = {
     "equation",
     "approx",
     "compare",
-    "ideal",
     "colon_left",
     "colon_right",
     "member",
@@ -35,7 +34,6 @@ _SCALAR = {
     "field",
     "series_vars",
     "unknowns",
-    "precision",
     "target_order",
     "order",
     "strategy",

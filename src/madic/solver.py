@@ -236,6 +236,8 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
             continue
         try:
             q = divide_series(res, dsq_div)
+        except PrecisionError:
+            raise  # too little precision to divide says nothing of the residual
         except MadicError as exc:
             raise HypothesisError(
                 f"residual is not an exact multiple of the squared minor: {exc}",
@@ -407,9 +409,9 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
     Regularizes and prepares the squared minor evaluated at zbar, and
     divides each coordinate of the sheared zbar by the distinguished
     polynomial.  The squared minor and each selected equation are then
-    substituted once (x and y to their shear images, each unknown to its
-    truncated form) and reduced by the generic monic polynomial; the
-    remainder's coefficients are the reduced system.
+    substituted once (x to x + lam*y, each unknown to its truncated form)
+    and reduced by the generic monic polynomial; the remainder's
+    coefficients are the reduced system.
     """
     if len(zbar.vars) != 2:
         raise MadicError("the one-variable reduction needs a bivariate instance")
@@ -447,11 +449,10 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
     sys_vars = svars + tuple(unknown_names)
     fld = zbar.field
 
-    # one substitution: x and y go to their shear images, and each unknown
+    # one substitution: x goes to x + lam*y, y to itself, and each unknown
     # u_i to sum_j z_ij y^j, its form modulo the distinguished polynomial
     x, y = (Polynomial.variable(v, sys_vars, fld) for v in svars)
-    xa, xb, ya, yb = change.matrix  # x -> xa*x + xb*y, y -> ya*x + yb*y
-    subs_map = {svars[0]: x.scale(xa) + y.scale(xb), svars[1]: x.scale(ya) + y.scale(yb)}
+    subs_map = {svars[0]: x + y.scale(change.lam)}
     for i, u in enumerate(unknowns):
         zi = Polynomial.zero(sys_vars, fld)
         for j in range(r):

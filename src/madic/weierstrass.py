@@ -1,5 +1,5 @@
-"""Weierstrass preparation and division at finite precision, linear
-y-regularization, the remainder of Euclidean division by the generic monic
+"""Weierstrass preparation and division at finite precision, y-regularization
+by a shear, the remainder of Euclidean division by the generic monic
 polynomial, and certified exact division of truncated series.
 
 Division is the classical x-adic recursion: slice the dividend and divisor
@@ -29,6 +29,7 @@ exponent bump, so no polynomial product and no quotient is formed.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, lcm
@@ -50,113 +51,79 @@ def y_regular_order(u):
 
 
 class LinearChange:
-    """An invertible linear change of the two series variables.
+    """The shear x -> x + lam*y, y -> y, the only linear change `regularize`
+    needs.  Its inverse, the shear at -lam, is built on first use and kept,
+    and the inverse of that is the change itself, held by a weak reference
+    so that the pair is freed without the cyclic collector."""
 
-    Acts on (x, y) by x -> a*x + b*y, y -> c*x + d*y.  The inverse is stored
-    and verified by composition at construction time.
-    """
-
-    def __init__(self, a, b, c, d, field=QQ):
-        a, b, c, d = (field.convert(v) for v in (a, b, c, d))
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if field.is_zero(det):
-            raise MadicError("linear change must be invertible")
+    def __init__(self, lam, field=QQ):
         self.field = field
-        self.matrix = (a, b, c, d)
-        self._rows = {}  # (image, field) -> see _binomial_rows
-        inv_det = field.inv(det)
-        self.inverse_matrix = (
-            field.mul(d, inv_det),
-            field.neg(field.mul(b, inv_det)),
-            field.neg(field.mul(c, inv_det)),
-            field.mul(a, inv_det),
-        )
-        composed = self._compose(self.matrix, self.inverse_matrix)
-        if composed != (field.one(), field.zero(), field.zero(), field.one()):
-            raise MadicError("inverse verification failed")
-
-    @classmethod
-    def shear(cls, lam, field=QQ):
-        """x -> x + lam*y, y -> y."""
-        return cls(1, lam, 0, 1, field)
-
-    @classmethod
-    def identity(cls, field=QQ):
-        return cls(1, 0, 0, 1, field)
+        self.lam = field.convert(lam)
+        self._rows = None  # see _binomial_rows
+        self._inverse = None  # the shear at -lam, or a weakref to its inverse
 
     def is_identity(self):
-        f = self.field
-        return self.matrix == (f.one(), f.zero(), f.zero(), f.one())
-
-    def _compose(self, m1, m2):
-        f = self.field
-        a, b, c, d = m1
-        e, g, h, i = m2
-        return (
-            f.add(f.mul(a, e), f.mul(b, h)),
-            f.add(f.mul(a, g), f.mul(b, i)),
-            f.add(f.mul(c, e), f.mul(d, h)),
-            f.add(f.mul(c, g), f.mul(d, i)),
-        )
+        return self.field.is_zero(self.lam)
 
     def inverse(self):
-        out = LinearChange.identity(self.field)
-        out.matrix, out.inverse_matrix = self.inverse_matrix, self.matrix
-        return out
+        inv = self._inverse
+        if isinstance(inv, weakref.ref):
+            inv = inv()
+        if inv is None:
+            inv = LinearChange(self.field.neg(self.lam), self.field)
+            inv._inverse = weakref.ref(self)
+            self._inverse = inv
+        return inv
 
     def apply_series(self, s):
-        """Substitute the change into a bivariate truncated series.
+        """Substitute the shear into a bivariate truncated series.
 
         Monomials map to homogeneous polynomials of the same degree, so the
         m-adic order and the precision are preserved.  One pass: each term
-        c x^i y^j adds c (ax+by)^i (cx+dy)^j, expanded from the binomial
-        powers of the two images, into one integer accumulator (see the
-        `series` module); for a shear, (cx+dy)^j is the single term y^j.
+        c x^i y^j adds c sum_k C(i, k) lam^k x^(i-k) y^(j+k), read from the
+        binomial powers of x + lam*y, into one integer accumulator (see the
+        `series` module).
         """
         if len(s.vars) != 2:
             raise MadicError("linear changes act on bivariate series")
         f = s.field
+        check_same_field(f, self.field)
         N = s.precision
         if not s.terms:
             return TruncatedSeries(f, s.vars, N, {})
         nums, den = integer_coefficients(f, list(s.terms.values()))
         imax = max(i for i, _ in s.terms)
-        jmax = max(j for _, j in s.terms)
-        # x^i y^j -> xpow[i] ypow[j] / (dx^i dy^j); each term carries
-        # dx^(imax-i) dy^(jmax-j) to share one denominator
-        xpow, dx = self._binomial_rows(0, imax, f)
-        ypow, dy = self._binomial_rows(1, jmax, f)
-        scale = dx ** imax * dy ** jmax
+        # x^i -> xpow[i] / dx^i; each term carries dx^(imax-i) to share one
+        # denominator
+        xpow, dx = self._binomial_rows(imax)
+        scale = dx ** imax
         if den is None:
             nums = [n / scale for n in nums]
         else:
             den *= scale
         if scale != 1:
-            nums = [n * dx ** (imax - i) * dy ** (jmax - j) for (i, j), n in zip(s.terms, nums)]
-        # packed key of x^(n-k) y^k is (n-k)*N + k = n*N - k*(N-1)
+            nums = [n * dx ** (imax - i) for (i, _), n in zip(s.terms, nums)]
+        # packed key of x^(i-k) y^(j+k) is i*N + j - k*(N-1)
         acc = [0] * (N * N)
         for ((i, j), n) in zip(s.terms, nums):
-            top = (i + j) * N
-            ys = ypow[j]
-            for kx, cx in xpow[i]:
-                ncx = n * cx
-                for ky, cy in ys:
-                    acc[top - (kx + ky) * (N - 1)] += ncx * cy
+            top = i * N + j
+            for k, c in xpow[i]:
+                acc[top - k * (N - 1)] += n * c
         out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), den)
         return TruncatedSeries(f, s.vars, N, out)
 
-    def _binomial_rows(self, image, top, field):
-        """The binomial powers of image 0, a x + b y, or image 1, c x + d y,
-        as (rows, den): with the image written (u x + v y) / den over its
-        common denominator, row n, for n = 0..top, holds the nonzero (k,
-        coefficient of x^(n-k) y^k) of (u x + v y)^n, reduced mod p over
-        GF(p).  The rows stay on the change and grow on demand, so a change
-        applied to many series expands each power once."""
-        entry = self._rows.get((image, field))
-        if entry is None:
-            pair, den = common_denominator(field, self.matrix[2 * image : 2 * image + 2])
-            entry = self._rows[(image, field)] = (pair, den, [])
-        (u, v), den, rows = entry
+    def _binomial_rows(self, top):
+        """The binomial powers of x + lam*y as (rows, den): with the image
+        written (u x + v y) / den over its common denominator, row n, for
+        n = 0..top, holds the nonzero (k, coefficient of x^(n-k) y^k) of
+        (u x + v y)^n, reduced mod p over GF(p).  The rows stay on the
+        change and grow on demand, so a change applied to many series
+        expands each power once."""
+        field = self.field
+        if self._rows is None:
+            pair, den = common_denominator(field, (field.one(), self.lam))
+            self._rows = (pair, den, [])
+        (u, v), den, rows = self._rows
         for n in range(len(rows), top + 1):
             row = [(k, comb(n, k) * u ** (n - k) * v ** k) for k in range(n + 1)]
             if field.characteristic:
@@ -165,44 +132,35 @@ class LinearChange:
         return rows, den
 
     def __repr__(self):
-        return f"LinearChange{self.matrix}"
+        return f"LinearChange({self.lam!r})"
 
 
-def regularize(u, seed=0, max_tries=256):
+_SHEAR_TRIES = 256
+_SHEAR_SEED = 0
+
+
+def regularize(u):
     """Find a shear x -> x + lam*y making u y-regular of order exactly ord(u).
 
-    Over the rationals lam runs deterministically over 0, 1, 2, ...; over a
-    prime field lam=0 is tried first, then random nonzero residues.
+    Over the rationals lam runs over 0, 1, 2, ...; over a prime field lam=0
+    is tried first, then nonzero residues from a generator seeded with
+    _SHEAR_SEED, so every run tries the same shears.  It gives up after
+    _SHEAR_TRIES candidates.
     """
     o = u.order()
     if not o.finite:
         raise PrecisionError("series is zero to precision; cannot regularize")
     if o.value >= u.precision:
         raise PrecisionError("precision too low to certify the order")
-
-    def candidates():
-        if u.field.characteristic == 0:
-            k = 0
-            while True:
-                yield k
-                k += 1
-        else:
-            yield 0
-            rng = random.Random(seed)
-            p = u.field.characteristic
-            while True:
-                yield rng.randrange(1, p)
-
-    tried = 0
-    for lam in candidates():
-        change = LinearChange.shear(lam, u.field)
+    p = u.field.characteristic
+    rng = random.Random(_SHEAR_SEED)
+    for t in range(_SHEAR_TRIES):
+        lam = rng.randrange(1, p) if p and t else t
+        change = LinearChange(lam, u.field)
         v = u if lam == 0 else change.apply_series(u)
         yo = y_regular_order(v)
         if yo.finite and yo.value == o.value:
             return change, v
-        tried += 1
-        if tried >= max_tries:
-            break
     raise MadicError("no shear made the series y-regular of its order")
 
 
@@ -445,10 +403,11 @@ class PreparedDivisor:
     precision u.precision - k, truncated to each dividend's precision (the
     inverse is unique modulo m^p, so the quotients are those of a fresh
     division); for a bivariate u of order r, the shear from `regularize`
-    and its inverse, the distinguished polynomial from `prepare` and the
-    inverse of the unit.  The bivariate preparation runs on the first bivariate division,
-    so constructing a divisor never raises: a u that cannot be prepared
-    raises from `divide`, at the first call site that uses it.
+    (which keeps its inverse), the distinguished polynomial from `prepare`
+    and the inverse of the unit.  The bivariate preparation runs on the
+    first bivariate division, so constructing a divisor never raises: a u
+    that cannot be prepared raises from `divide`, at the first call site
+    that uses it.
     """
 
     def __init__(self, u):
@@ -457,7 +416,6 @@ class PreparedDivisor:
         self.change = None
         self.dist = None
         self._inverse = None  # u^-1, the shifted inverse, or the unit's
-        self._change_back = None  # the inverse of the shear
 
     @classmethod
     def from_preparation(cls, u, change, inverse, dist):
@@ -472,8 +430,6 @@ class PreparedDivisor:
         if self.dist is None:
             self.change, u_reg = regularize(self.u)
             self._inverse, self.dist = prepare(u_reg)
-        if self._change_back is None:
-            self._change_back = self.change.inverse()
 
     def divide(self, v, order_check=None):
         """Certified exact division v / u; see `divide_series`."""
@@ -513,7 +469,7 @@ class PreparedDivisor:
                 if ro.finite and ro.value + j < N - 2 * r:
                     raise MadicError("series division is not exact")
             q_reg = q_reg * self._inverse
-            q = q_reg if change.is_identity() else self._change_back.apply_series(q_reg)
+            q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
             q = q.truncate(N - r)
         if order_check is not None and not q.order().ge(order_check):
             raise MadicError(

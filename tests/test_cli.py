@@ -63,6 +63,21 @@ def test_refine_residual_not_a_multiple_is_not_called_insufficient_order(capsys,
     assert "insufficient residual order" not in err
 
 
+def test_refine_precision_shortfall_is_not_called_not_a_multiple(capsys, tmp_path):
+    # the squared minor 9*z^4 has order r = 8 at the approximation, so at
+    # N = 16 <= 2r + 1 the division refuses for precision, which says
+    # nothing about the residual
+    problem = tmp_path / "short.madic"
+    problem.write_text(
+        "series_vars: x y\nunknowns: z\nequation: z^3 - x^3\n"
+        "approx: x*y + x^3 + O(m^16)\ntarget_order: 1\n"
+    )
+    code, _, err = run(capsys, "refine", str(problem))
+    assert code == 2
+    assert "precision too low for series division" in err
+    assert "not an exact multiple" not in err
+
+
 def test_refine_matches_solve_on_unit_free_case(capsys):
     code, out, _ = run(capsys, "refine", fx("solve_basic.madic"), "--json")
     assert code == 0
@@ -143,7 +158,7 @@ def test_field_env_var(tmp_path, capsys, monkeypatch):
 
 def test_duplicate_key_rejected(tmp_path, capsys):
     bad = tmp_path / "dup.madic"
-    bad.write_text("precision: 4\nprecision: 5\n")
+    bad.write_text("m: 4\nm: 5\n")
     code, _, err = run(capsys, "bounds", str(bad))
     assert code == 3
     assert "duplicate" in err
@@ -205,6 +220,32 @@ def test_seed_flag_is_gone(capsys):
     capsys.readouterr()
 
 
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in {
+        "elkik": ("--precision", "--target-order", "--strategy"),
+        "colon": ("--precision", "--target-order", "--strategy"),
+        "groebner": ("--precision", "--target-order", "--strategy"),
+        "prepare": ("--target-order", "--strategy"),
+        "divide": ("--target-order", "--strategy"),
+        "refine": ("--strategy",),
+        "bounds": ("--precision", "--strategy"),
+        "probe": ("--target-order",),
+    }.items()
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
+    # each command takes only the flags its handler reads
+    value = "newton" if flag == "--strategy" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([command, fx("elkik_f.madic"), flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_seed_key_is_rejected(tmp_path, capsys):
     bad = tmp_path / "seeded.madic"
     bad.write_text("seed: 3\n")
@@ -213,7 +254,7 @@ def test_seed_key_is_rejected(tmp_path, capsys):
     assert "unknown key 'seed'" in err
 
 
-@pytest.mark.parametrize("key", ["k", "inner_constant"])
+@pytest.mark.parametrize("key", ["k", "inner_constant", "precision", "ideal"])
 def test_dead_keys_are_rejected(tmp_path, capsys, key):
     # no command ever read these keys, so a file using them is refused
     # instead of having the value silently ignored

@@ -378,8 +378,7 @@ def _reference_reduction(p, change, unknowns, sys, svars):
     sys_vars = svars + tuple(sys.unknown_names)
     z_names, a_names = sys.unknown_names[: -r], sys.unknown_names[-r:]
     x, y = (Polynomial.variable(v, p.vars, fld) for v in svars)
-    xa, xb, ya, yb = change.matrix
-    sheared = p.subs({svars[0]: x.scale(xa) + y.scale(xb), svars[1]: x.scale(ya) + y.scale(yb)})
+    sheared = p.subs({svars[0]: x + y.scale(change.lam), svars[1]: y})
     Y = Polynomial.variable(svars[1], sys_vars, fld)
     images = {}
     for i, u in enumerate(unknowns):

@@ -1,5 +1,6 @@
 """Weierstrass preparation, division, and the generic Euclidean division."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -70,16 +71,37 @@ def test_regularize_pure_x_power():
 
 
 def test_linear_change_composition():
-    c = LinearChange(1, 2, 0, 1, QQ)
+    c = LinearChange(2, QQ)
     s = S("x^2 + y^3 + O(m^9)")
     assert c.inverse().apply_series(c.apply_series(s)) == s
 
 
+def test_linear_change_and_its_inverse_make_no_reference_cycle():
+    # a cycle would keep both row tables alive until the cyclic collector
+    # runs, which a run reaches only now and then
+    s = S("x^3 + x*y + O(m^8)")
+    gc.collect()
+    gc.disable()
+    try:
+        c = LinearChange(3, QQ)
+        inverse = c.inverse()
+        assert inverse.inverse() is c
+        assert inverse.apply_series(c.apply_series(s)) == s
+        del c
+        # the inverse outlives the change: its inverse is the shear at 3 again
+        again = inverse.inverse()
+        assert again.lam == 3 and again.inverse() is inverse
+        del inverse, again
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_linear_change_expands_each_binomial_power_once():
-    c = LinearChange(Fraction(1, 2), 3, Fraction(-2, 5), 1, QQ)
-    first, second = S("x^4*y + 3*x*y^2 + O(m^9)"), S("x^2*y^3 - y + O(m^9)")
+    c = LinearChange(Fraction(-2, 5), QQ)
+    first, second = S("x^4*y + 3*x*y^2 + O(m^9)"), S("x^5*y^3 - y + O(m^9)")
     want = [c.apply_series(s) for s in (first, second)]
-    fresh = LinearChange(Fraction(1, 2), 3, Fraction(-2, 5), 1, QQ)
+    fresh = LinearChange(Fraction(-2, 5), QQ)
     built = []
     real = weierstrass.comb
 
@@ -90,12 +112,15 @@ def test_linear_change_expands_each_binomial_power_once():
     with mock.patch.object(weierstrass, "comb", counting):
         assert fresh.apply_series(first) == want[0]
         once = len(built)
-        # powers up to x^4 and y^2 are expanded already: only the cube of
-        # the y image (4 binomials) is new
+        # rows 0..4 of the x image, and no binomial for y
+        assert once == 1 + 2 + 3 + 4 + 5
+        # powers up to x^4 are expanded already: only the fifth power of
+        # the x image (6 binomials) is new, and y^3, the image of itself,
+        # expands nothing
         assert fresh.apply_series(second) == want[1]
-        assert len(built) == once + 4
+        assert len(built) == once + 6
         assert fresh.apply_series(first) == want[0]
-        assert len(built) == once + 4
+        assert len(built) == once + 6
 
 
 def test_prepare_documented_example():
