@@ -24,6 +24,7 @@ from .errors import (
 from .groebner import DEGREVLEX, LEX, Ideal, colon, elkik_ideal, ideal_equal, radical_member
 from .problemfile import load_problem
 from .solver import (
+    STRATEGIES,
     SolverConfig,
     approximate_solve,
     artin_probe,
@@ -148,11 +149,13 @@ def cmd_divide(pf, args):
 
 
 def _solver_config(pf, args):
-    cfg = SolverConfig()
-    if args.strategy:
-        cfg.strategy = args.strategy
-    elif pf.get("strategy"):
-        cfg.strategy = pf.get("strategy")
+    strategy = args.strategy or pf.get("strategy") or "newton"
+    if strategy not in STRATEGIES:
+        raise ParseError(
+            f"unknown strategy {strategy!r} in {pf.path}; expected one of "
+            + ", ".join(STRATEGIES)
+        )
+    cfg = SolverConfig(strategy=strategy)
     jl = pf.get_int("jet_length")
     if jl:
         cfg.jet_length = jl
@@ -181,12 +184,12 @@ def cmd_refine(pf, args):
 
 
 def cmd_solve(pf, args):
+    cfg = _solver_config(pf, args)
     eqs = pf.equations()
     zbar = pf.approx_vector(precision=args.precision)
     c = args.target_order or pf.get_int("target_order")
     if c is None:
         raise ParseError("solve needs a target_order")
-    cfg = _solver_config(pf, args)
     cert = approximate_solve(eqs, zbar, pf.assignment(), c, cfg)
     return _cert_report("solve", cert)
 
@@ -230,12 +233,12 @@ def cmd_bounds(pf, args):
 
 
 def cmd_probe(pf, args):
+    cfg = _solver_config(pf, args)
     eqs = pf.equations()
     family, labels = pf.family_vectors(precision=args.precision)
     targets = pf.targets()
     if not targets:
         raise ParseError("probe needs targets or target_order")
-    cfg = _solver_config(pf, args)
     report = artin_probe(eqs, family, pf.assignment(), targets, cfg, labels)
     payload = {"command": "probe", "report": report.to_json(), "status": "ok"}
     lines = ["label  c  resid  H-ord  gamma-met  ok  achieved  defect"]
@@ -252,7 +255,7 @@ def cmd_probe(pf, args):
 _FLAGS = {
     "--precision": {"type": int},
     "--target-order": {"type": int},
-    "--strategy": {"choices": ["newton", "jet-search"]},
+    "--strategy": {"choices": list(STRATEGIES)},
 }
 
 # each command's handler and the flags it reads; a command given any other

@@ -42,7 +42,8 @@ class ParseError(MadicError):
 
     def __init__(self, message, line=None, column=None):
         if line is not None:
-            message = f"line {line}, col {column}: {message}"
+            where = f"line {line}" if column is None else f"line {line}, col {column}"
+            message = f"{where}: {message}"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -47,6 +47,16 @@ STATUS_OK = "certified-to-precision"
 STATUS_STALLED = "stalled"
 STATUS_HYPOTHESIS = "hypothesis-violated"
 
+STRATEGIES = ("newton", "jet-search")
+
+
+def _check_strategy(strategy):
+    """Refuse a strategy name the reduced-system solver does not know."""
+    if strategy not in STRATEGIES:
+        raise UnsupportedInstanceError(
+            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
+        )
+
 
 @dataclass
 class SolverConfig:
@@ -362,11 +372,16 @@ class OneVarSystem:
     `g_polys[l]` are the constraints tying the distinguished coefficients to
     the squared minor; `f_polys[(k, l)]` are the reduced equation components.
     All live in the variables (x, unknowns); the approximate point lists the
-    unknown values in `unknown_names` order.
+    unknown values in `unknown_names` order.  `f_values[(k, l)]` is the value
+    of `f_polys[(k, l)]` at the point, read from the series side (see
+    `build_one_var_system`); the g rows vanish there by construction and
+    have no stored value.  The symbolic system serves the reduced Newton's
+    Jacobian, the degree bounds, jet search and the check after Newton.
     """
 
     g_polys: list
     f_polys: dict
+    f_values: dict
     unknown_names: list
     assignment: dict
     point: SeriesVector
@@ -387,13 +402,15 @@ class OneVarSystem:
     @classmethod
     def from_univariate(cls, fs, zbar, assignment):
         """Wrap a system that already lives over k[[x]], so both solution
-        strategies can run on it directly."""
+        strategies can run on it directly; its values are the residuals
+        f_k(zbar)."""
         if len(zbar.vars) != 1:
             raise MadicError("from_univariate needs a univariate instance")
         unknowns = sorted(assignment, key=assignment.get)
         return cls(
             g_polys=[],
             f_polys={(k, 0): f for k, f in enumerate(fs)},
+            f_values={(k, 0): evaluate(f, zbar, assignment) for k, f in enumerate(fs)},
             unknown_names=unknowns,
             assignment=dict(assignment),
             point=zbar,
@@ -403,7 +420,7 @@ class OneVarSystem:
         )
 
 
-def build_one_var_system(fs, selection, zbar, assignment, N=None):
+def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None):
     """Reduce a bivariate instance to a system over k[[x]].
 
     Regularizes and prepares the squared minor evaluated at zbar, and
@@ -412,10 +429,20 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
     substituted once (x to x + lam*y, each unknown to its truncated form)
     and reduced by the generic monic polynomial; the remainder's
     coefficients are the reduced system.
+
+    The values at the point come from the series side: substitution is a
+    ring homomorphism and the remainder by a monic polynomial is unique, so
+    f_polys[(k, l)] at the point is coefficient l of the remainder of the
+    sheared residual f_k(zbar) by the distinguished polynomial, stored
+    lifted to N (at most P = zbar.precision).  `residuals`, when given,
+    lists f_k(zbar) for every equation.  Both sides rest on representatives
+    cut at degree P, so coefficient l is fixed only modulo x^(P - l).
     """
     if len(zbar.vars) != 2:
         raise MadicError("the one-variable reduction needs a bivariate instance")
     N = N or zbar.precision
+    if N > zbar.precision:
+        raise PrecisionError("the reduced system cannot be finer than the approximate solution")
     fs = list(fs)
     unknowns = sorted(assignment, key=assignment.get)
     m = len(unknowns)
@@ -433,7 +460,11 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
         raise MadicError("squared minor is a unit; bypass directly to refinement")
 
     change, reg = regularize(dsq_bar)
-    z_t = zbar if change.is_identity() else SeriesVector([change.apply_series(z) for z in zbar])
+
+    def sheared(s):
+        return s if change.is_identity() else change.apply_series(s)
+
+    z_t = SeriesVector([sheared(z) for z in zbar])
     inverse, dist = prepare(reg)
 
     w_quotients = []
@@ -464,9 +495,13 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
 
     g_polys = reduce_poly(delta * delta)
     f_polys = {}
+    f_values = {}
     for k in selection.subset:
         for l, f in enumerate(reduce_poly(fs[k])):
             f_polys[(k, l)] = f
+        res = evaluate(fs[k], zbar, assignment) if residuals is None else residuals[k]
+        for l, rem in enumerate(w_divide(sheared(res), dist)[1]):
+            f_values[(k, l)] = _lift(rem, N)
 
     deg_bounds = {
         "d": d,
@@ -495,6 +530,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None):
     return OneVarSystem(
         g_polys=g_polys,
         f_polys=f_polys,
+        f_values=f_values,
         unknown_names=unknown_names,
         assignment=sys_assignment,
         point=point,
@@ -517,19 +553,21 @@ _NO_NEWTON_MINOR = (
 
 def solve_one_var(sys, c, strategy="newton", config=None):
     """Solve the reduced univariate system to precision, staying within
-    distance order c of the approximate point."""
+    distance order c of the approximate point.
+
+    The live equations and their least order at the point are read from
+    `sys.f_values`; nothing is evaluated to find them.  When none is live
+    the point itself is returned, the same object."""
+    _check_strategy(strategy)
     config = config or SolverConfig()
-    eqs = sys.equations()
-    values = [evaluate(e, sys.point, sys.assignment) for e in eqs]
-    live = [e for e, v in zip(eqs, values) if not v.is_zero_to_precision()]
+    live = [key for key, v in sys.f_values.items() if not v.is_zero_to_precision()]
     if not live:
         return sys.point
-    if strategy == "newton":
-        residual = min(v.order().value for v in values if v.terms)
-        return _one_var_newton(sys, eqs, live, residual, c, config)
+    eqs = sys.equations()
     if strategy == "jet-search":
         return _one_var_jet_search(sys, eqs, c, config)
-    raise MadicError(f"unknown strategy {strategy!r}")
+    residual = min(sys.f_values[key].order().value for key in live)
+    return _one_var_newton(sys, eqs, [sys.f_polys[key] for key in live], residual, c, config)
 
 
 def _one_var_newton(sys, eqs, live, residual, c, config):
@@ -670,6 +708,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
     is re-checked by independent evaluation.
     """
     config = config or SolverConfig()
+    _check_strategy(config.strategy)
     fs = list(fs)
     unknowns = sorted(assignment, key=assignment.get)
     m = len(unknowns)
@@ -686,7 +725,8 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         )
     s = hord.value + 1
     gamma_bound = gamma(m, d, s, c, config.a_fn)
-    resid = ideal_order(fs, zbar, assignment)
+    residuals = [evaluate(f, zbar, assignment) for f in fs]
+    resid = SeriesVector(residuals).order()
     meets_gamma = resid.ge(gamma_bound)
 
     if not resid.finite:
@@ -712,9 +752,11 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
             sel_fs, selection.columns, zbar, assignment, c, config.max_steps,
         )
     else:
-        sys = build_one_var_system(fs, selection, zbar, assignment, N)
+        sys = build_one_var_system(fs, selection, zbar, assignment, N, residuals)
         solved = solve_one_var(sys, c + 2 * s, config.strategy, config)
-        z2 = _reconstruct(sys, solved, N)
+        # an unmoved point reconstructs to zbar exactly: the sheared zbar is
+        # dist * q + sum_j rem_j y^j to precision
+        z2 = zbar if solved is sys.point else _reconstruct(sys, solved, N)
         cert = tougeron_refine(
             sel_fs, selection.columns, z2, assignment, c, config.max_steps,
             prepared=sys.divisor,
@@ -809,6 +851,7 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
     produced; the main implication says such rows must not exist.
     """
     config = config or SolverConfig()
+    _check_strategy(config.strategy)
     fs = list(fs)
     unknowns = sorted(assignment, key=assignment.get)
     m = len(unknowns)

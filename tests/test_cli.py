@@ -264,3 +264,44 @@ def test_dead_keys_are_rejected(tmp_path, capsys, key):
     assert code == 3
     assert out == ""
     assert f"unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, fixture", [("solve", "solve_basic.madic"), ("probe", "probe_family.madic")]
+)
+def test_unknown_strategy_key_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, fixture):
+    # the univariate probe never reaches the reduced-system solver, and the
+    # bivariate solve reaches it only with a live reduced equation: the
+    # key is checked when it is read, whatever the instance
+    from madic import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver ran with an unknown strategy")
+
+    monkeypatch.setattr(cli, "approximate_solve", no_work)
+    monkeypatch.setattr(cli, "artin_probe", no_work)
+    with open(fx(fixture), encoding="utf-8") as fh:
+        text = fh.read()
+    problem = tmp_path / "bogus.madic"
+    problem.write_text(text + "strategy: bogus\n")
+    code, out, err = run(capsys, command, str(problem), "--json")
+    assert code == 3
+    assert out == ""
+    assert "unknown strategy 'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("m: 1\nd: 2\nprecision: 4\n", 3, "unknown key 'precision'"),
+        ("m: 1\nm: 2\n", 2, "duplicate key 'm'"),
+        ("m: 1\njust words\n", 2, "expected 'key: value'"),
+    ],
+)
+def test_problem_file_errors_name_the_line_without_a_column(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.madic"
+    bad.write_text(text)
+    code, _, err = run(capsys, "bounds", str(bad))
+    assert code == 3
+    assert f"parse error: line {line}: {message}" in err
+    assert "col None" not in err

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madic import (
     HypothesisError,
@@ -31,7 +32,8 @@ from madic import (
     tougeron_refine,
 )
 from madic.cli import main
-from madic.solver import STATUS_OK, SolverConfig
+from madic.solver import STATUS_OK, SolverConfig, _reconstruct
+from madic.weierstrass import w_divide
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -436,6 +438,112 @@ def test_build_one_var_system_one_substitution_under_a_shear(field, monkeypatch)
         assert [sys.f_polys[(k, l)] for l in range(sys.r)] == want
 
 
+GF32003 = PrimeField(32003)
+
+
+@st.composite
+def reduction_instances(draw, exact):
+    """A root z = b of z^e - b^e (b = x needs a shear, b = y does not) plus
+    a few perturbation monomials, so r = 2(e - 1) is 2 or 4.  With `exact`
+    the precision P exceeds the degree of f(zbar) and of the squared minor
+    at zbar, so neither drops a term; otherwise the perturbation is dense.
+    N is P or below it, down to P - r."""
+    field = draw(st.sampled_from([QQ, GF32003]))
+    e = draw(st.sampled_from([2, 3]))
+    r = 2 * (e - 1)
+    base = draw(st.sampled_from(["x", "y"]))
+    if exact:
+        maxdeg = draw(st.integers(2, 3))
+        P = r * maxdeg + 1 + draw(st.integers(0, 2))
+    else:
+        P = draw(st.integers(2 * e + 4, 12))
+        maxdeg = P - 1
+    monos = draw(
+        st.lists(
+            st.tuples(st.integers(0, maxdeg), st.integers(0, maxdeg)).filter(
+                lambda m: 2 <= sum(m) <= maxdeg
+            ),
+            min_size=1, max_size=3 if exact else 6, unique=True,
+        )
+    )
+    coeffs = draw(st.lists(st.integers(1, 9), min_size=len(monos), max_size=len(monos)))
+    N = P - draw(st.sampled_from([0, 0, 1, r - 1, r]))
+    terms = {(1, 0) if base == "x" else (0, 1): field.one()}
+    for m, c in zip(monos, coeffs):
+        terms[m] = field.convert(c)
+    zbar = SeriesVector([TruncatedSeries(field, ("x", "y"), P, terms)])
+    f = parse_polynomial(f"z^{e} - {base}^{e}", ("x", "y", "z"), field)
+    return f, zbar, r, base, N, exact
+
+
+def _reduced(f, zbar, N):
+    assignment = {"z": 0}
+    sel = select_minor([f], zbar, assignment, zbar.precision)
+    return sel, build_one_var_system([f], sel, zbar, assignment, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(reduction_instances))
+def test_series_side_values_are_the_reduced_equations_at_the_point(instance):
+    # substitution is a ring homomorphism and the Weierstrass remainder is
+    # unique, so the stored values are the reduced equations at the point.
+    # Both sides rest on representatives cut at degree P = zbar.precision,
+    # and the remainder of m^P by the distinguished polynomial (of order r,
+    # so ord a_p >= p) has coefficient l of order >= P - l: coefficient l
+    # is fixed modulo x^(P - l), which covers all of it for l = 0 and for
+    # every l once N <= P - r + 1
+    f, zbar, r, base, N, exact = instance
+    P = zbar.precision
+    sel, sys = _reduced(f, zbar, N)
+    assert sys.r == sel.squared_order == r
+    assert sys.divisor.change.is_identity() == (base == "y")
+    assert sys.f_values.keys() == sys.f_polys.keys()
+    for (k, l), p in sys.f_polys.items():
+        want = evaluate(p, sys.point, sys.assignment)
+        got = sys.f_values[(k, l)]
+        assert got.precision == want.precision == N
+        known = min(N, P - l)
+        assert got.truncate(known) == want.truncate(known)
+        if known == N:
+            assert got.terms == want.terms
+    # the g rows, which solve_one_var never evaluates, vanish at the point:
+    # to precision when the squared minor at zbar drops no term
+    for l, g in enumerate(sys.g_polys):
+        value = evaluate(g, sys.point, sys.assignment)
+        assert value.order().ge(N if exact else min(N, P - l))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans().flatmap(reduction_instances))
+def test_unmoved_point_reconstructs_to_zbar(instance):
+    # the sheared zbar is dist * q + sum_j z_j y^j to precision, so the
+    # reduced point as it is gives zbar back: approximate_solve skips the
+    # reconstruction when the reduced solve returns the point
+    f, zbar, _, _, N, _ = instance
+    _, sys = _reduced(f, zbar, N)
+    assert list(_reconstruct(sys, sys.point, N)) == [z.truncate(N) for z in zbar]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans().flatmap(reduction_instances), st.data())
+def test_moved_point_leaves_the_moved_remainders(instance, data):
+    f, zbar, _, _, _, _ = instance
+    N = zbar.precision
+    _, sys = _reduced(f, zbar, N)
+    r = sys.r
+    j = data.draw(st.integers(0, r - 1))
+    k = data.draw(st.integers(1, N - 1 - j))
+    c = data.draw(st.integers(1, 9))
+    moved = list(sys.point)
+    moved[j] = moved[j] + (xs(N, zbar.field) ** k).scale(c)
+    moved = SeriesVector(moved)
+    out = _reconstruct(sys, moved, N)
+    change, dist = sys.divisor.change, sys.divisor.dist
+    sheared = out[0] if change.is_identity() else change.apply_series(out[0])
+    _, rems = w_divide(sheared, dist)
+    assert rems == list(moved)[:r]
+
+
 def test_solve_one_var_trivial_system():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(16)
@@ -473,6 +581,28 @@ def test_strategy_agreement_gf5():
     jet = solve_one_var(sys, 3, "jet-search", cfg)
     diff = newton[0].truncate(4) - jet[0]
     assert diff.order().ge(3)
+
+
+def test_unknown_strategy_is_refused_before_any_work(monkeypatch):
+    from madic import solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began under an unknown strategy")
+
+    monkeypatch.setattr(solver, "elkik_ideal", no_work)
+    cfg = SolverConfig(strategy="bogus")
+    f = parse_polynomial("z^2 - x^2", ("x", "z"))
+    x = xs(12)
+    zbar = SeriesVector([x + x**4])
+    # the univariate path never reaches the reduced-system solver
+    with pytest.raises(UnsupportedInstanceError, match="unknown strategy 'bogus'"):
+        approximate_solve([f], zbar, {"z": 0}, 3, cfg)
+    with pytest.raises(UnsupportedInstanceError, match="unknown strategy"):
+        artin_probe([f], [zbar], {"z": 0}, [3], cfg)
+    # nor does a reduced system with no live equation
+    sys = OneVarSystem.from_univariate([f], SeriesVector([x]), {"z": 0})
+    with pytest.raises(UnsupportedInstanceError, match="unknown strategy"):
+        solve_one_var(sys, 3, "bogus")
 
 
 def test_jet_search_requires_prime_field():
