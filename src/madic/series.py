@@ -476,7 +476,7 @@ class TruncatedSeries:
 
     def __neg__(self):
         f = self.field
-        return TruncatedSeries(
+        return TruncatedSeries._of_product(
             f, self.vars, self.precision, {e: f.neg(c) for e, c in self.terms.items()}
         )
 
@@ -508,9 +508,8 @@ class TruncatedSeries:
     def scale(self, c):
         f = self.field
         c = f.convert(c)
-        return TruncatedSeries(
-            f, self.vars, self.precision, {e: f.mul(cc, c) for e, cc in self.terms.items()}
-        )
+        terms = {e: f.mul(cc, c) for e, cc in self.terms.items()} if c else {}
+        return TruncatedSeries._of_product(f, self.vars, self.precision, terms)
 
     def __pow__(self, n):
         if n < 0:

@@ -375,7 +375,9 @@ class OneVarSystem:
     unknown values in `unknown_names` order.  `f_values[(k, l)]` is the value
     of `f_polys[(k, l)]` at the point, read from the series side (see
     `build_one_var_system`); the g rows vanish there by construction and
-    have no stored value.  The symbolic system serves the reduced Newton's
+    have no stored value.  `zbar_precision` is the precision P of the
+    approximate solution the values were read from: value (k, l) is fixed
+    only modulo x^(P - l).  The symbolic system serves the reduced Newton's
     Jacobian, the degree bounds, jet search and the check after Newton.
     """
 
@@ -387,6 +389,7 @@ class OneVarSystem:
     point: SeriesVector
     r: int
     degree_bounds: dict
+    zbar_precision: int
     # reconstruction data: the prepared squared minor carries the shear
     # and the distinguished polynomial
     divisor: PreparedDivisor | None = None
@@ -416,6 +419,7 @@ class OneVarSystem:
             point=zbar,
             r=0,
             degree_bounds={},
+            zbar_precision=zbar.precision,
             num_unknowns=len(unknowns),
         )
 
@@ -536,6 +540,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
         point=point,
         r=r,
         degree_bounds=deg_bounds,
+        zbar_precision=zbar.precision,
         divisor=PreparedDivisor.from_preparation(dsq_bar, change, inverse, dist),
         w_quotients=w_quotients,
         selection=selection,
@@ -556,11 +561,15 @@ def solve_one_var(sys, c, strategy="newton", config=None):
     distance order c of the approximate point.
 
     The live equations and their least order at the point are read from
-    `sys.f_values`; nothing is evaluated to find them.  When none is live
-    the point itself is returned, the same object."""
+    `sys.f_values`; nothing is evaluated to find them.  Value (k, l) is
+    live when it has a term below degree P - l, P = sys.zbar_precision:
+    from that degree on it depends on terms past the approximate solution's
+    precision.  When
+    none is live the point itself is returned, the same object."""
     _check_strategy(strategy)
     config = config or SolverConfig()
-    live = [key for key, v in sys.f_values.items() if not v.is_zero_to_precision()]
+    P = sys.zbar_precision
+    live = [(k, l) for (k, l), v in sys.f_values.items() if v.order().lt(P - l)]
     if not live:
         return sys.point
     eqs = sys.equations()

@@ -7,8 +7,13 @@ into coefficients of powers of x, then solve slice by slice, inverting the
 unit part of the divisor's x^0 slice in k[[y]].  Stored terms are treated as
 the exact representative of the series; results are truncated back to the
 working precision.  Each slice is kept only to the y-degree the output can
-reach, (N-1-i)(1 + r - ord(u)) for slice i at precision N, and its products
-with the divisor's slices are summed in one integer pass.
+reach, (N-1-i)(1 + r - ord(u)) for slice i at precision N.  Over GF(p),
+when the residues fit 64-bit slots (see `weierstrass_divide`), each divisor
+slice and each final quotient slice is packed once into one int, a slot
+per y-degree, and a slice's products with the divisor are one big-int sum
+read back once (Kronecker substitution); otherwise they are summed in one
+integer pass.  A unit part of 1, as in a distinguished divisor, is not
+multiplied at all.
 
 Preparation returns the unit's inverse with the distinguished polynomial:
 dividing y^r by u yields the inverse directly, and division needs nothing
@@ -33,6 +38,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, lcm
+from struct import pack, unpack
 
 from .errors import MadicError, PrecisionError
 from .fields import QQ, check_same_field, common_denominator, field_terms
@@ -90,7 +96,7 @@ class LinearChange:
         check_same_field(f, self.field)
         N = s.precision
         if not s.terms:
-            return TruncatedSeries(f, s.vars, N, {})
+            return TruncatedSeries._of_product(f, s.vars, N, {})
         nums, den = integer_coefficients(f, list(s.terms.values()))
         imax = max(i for i, _ in s.terms)
         # x^i -> xpow[i] / dx^i; each term carries dx^(imax-i) to share one
@@ -110,7 +116,7 @@ class LinearChange:
             for k, c in xpow[i]:
                 acc[top - k * (N - 1)] += n * c
         out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), den)
-        return TruncatedSeries(f, s.vars, N, out)
+        return TruncatedSeries._of_product(f, s.vars, N, out)
 
     def _binomial_rows(self, top):
         """The binomial powers of x + lam*y as (rows, den): with the image
@@ -260,6 +266,56 @@ def _sub_products(fld, g, pairs, top):
     return field_terms(fld, ((k, n) for k, n in enumerate(acc) if n), den)
 
 
+def _slot_row(nums):
+    """The int with nums[k], each in [0, 2^64), in its 64-bit slot k."""
+    return int.from_bytes(pack("<%dQ" % len(nums), *nums), "little")
+
+
+def _slot_values(x, n):
+    """Slots 0..n-1 of the int x, as ints."""
+    return unpack("<%dQ" % n, (x & ((1 << 64 * n) - 1)).to_bytes(8 * n, "little"))
+
+
+def _slot_slices(p, gslices, uslices, e_inv, caps, r):
+    """The slice recursion of `weierstrass_divide` over GF(p) on packed
+    y-slices, as (quotient terms, [terms of rem_0, ..., rem_{r-1}]).
+
+    Each divisor slice u_j (0 < j < N) is packed once, and each quotient
+    slice once, when it is final, into one int with a 64-bit slot per
+    y-degree.  Slice i's sum sum_j u_j q_{i-j} is then one big-int
+    accumulation, read once below y-degree caps[i] + r + 1; g_i is
+    subtracted and each slot reduced mod p once.  The product by the unit's
+    inverse (e_inv, None when it is 1) is one more multiply.
+    """
+    N = len(caps)
+    U = [(j, _slot_row([sl.get(k, 0) for k in range(max(sl) + 1)]))
+         for j, sl in sorted(uslices.items()) if 0 < j < N]
+    E = e_inv and _slot_row([e_inv.get(k, 0) for k in range(max(e_inv) + 1)])
+    Q, q_terms, rem_terms = {}, {}, [{} for _ in range(r)]
+    for i, cap in enumerate(caps):
+        acc = 0
+        for j, Uj in U:
+            if j > i:
+                break
+            if i - j in Q:
+                acc += Uj * Q[i - j]
+        top = cap + r + 1
+        h = [-v % p for v in _slot_values(acc, top)] if acc else [0] * top
+        for k, c in gslices.get(i, {}).items():
+            if k < top:
+                h[k] = (h[k] + c) % p
+        for k, c in enumerate(h[:r]):
+            if c:
+                rem_terms[k][(i,)] = c
+        q = h[r:]
+        if any(q):
+            if E:
+                q = [v % p for v in _slot_values(_slot_row(q) * E, cap + 1)]
+            Q[i] = _slot_row(q)
+            q_terms.update(((i, j), c) for j, c in enumerate(q[: N - i]) if c)
+    return q_terms, rem_terms
+
+
 def weierstrass_divide(g, u, r):
     """Divide g by a y-regular series u of order r:
     g = u*q + sum_j rem_j(x) y^j with j < r.
@@ -267,6 +323,14 @@ def weierstrass_divide(g, u, r):
     Returns (q, [rem_0, ..., rem_{r-1}]); q is bivariate, the remainders are
     univariate series in x.  Stored terms are treated as exact; outputs are
     truncated to the common precision.
+
+    Over GF(p) the slices are packed (`_slot_slices`) when
+    2 bits(p-1) + bits(max(#terms of u, cap_0 + 1)) <= 64, cap_0 + 1 being
+    N when ord(u) = r: a slot of a slice sum receives at most one product
+    of two residues per term of u, and a slot of a product by the unit's
+    inverse at most cap_0 + 1, so no slot overflows.  GF(32003) meets the
+    rule; GF(2^31 - 1), and QQ, take the integer slice sums of
+    `_sub_products`.
     """
     g._check(u)
     N = min(g.precision, u.precision)
@@ -293,37 +357,34 @@ def weierstrass_divide(g, u, r):
     e_unit = {j - r: c for j, c in uslices.get(0, {}).items()}
     if min(e_unit) != 0:
         raise MadicError("divisor x^0 slice has unexpected y-order")
-    # the unit's inverse to y-degree cap_0, by the coefficient recurrence
+    # the unit's inverse to y-degree cap_0, by the coefficient recurrence;
+    # None when it is 1 (a distinguished divisor), which multiplies nothing
     e_inv = inverse_terms(e_unit, fld, caps[0] + 1)
-
-    u_int = {j: _y_slice(fld, sl) for j, sl in uslices.items() if 0 < j < N}
-    q_int = {}
-    q_slices = {}
-    rem_slices = {}
-    for i in range(N):
-        gi = gslices.get(i)
-        pairs = [(uj, q_int[i - j]) for j, uj in u_int.items() if i - j in q_int]
-        h = _sub_products(fld, _y_slice(fld, gi) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
-        rem_slices[i] = {k: c for k, c in h.items() if k < r}
-        tail = {k - r: c for k, c in h.items() if k >= r}
-        q_slices[i] = qi = mul_terms(tail, e_inv, fld, caps[i] + 1)
-        if qi:
-            q_int[i] = _y_slice(fld, qi)
-
-    q_terms = {}
-    for i, sl in q_slices.items():
-        for j, c in sl.items():
-            if i + j < N:
-                q_terms[(i, j)] = c
-    q = TruncatedSeries(fld, g.vars, N, q_terms)
-    rems = []
+    if e_inv == {0: fld.one()}:
+        e_inv = None
+    p = fld.characteristic
+    if p and 2 * (p - 1).bit_length() + max(len(u.terms), caps[0] + 1).bit_length() <= 64:
+        q_terms, rem_terms = _slot_slices(p, gslices, uslices, e_inv, caps, r)
+    else:
+        u_int = {j: _y_slice(fld, sl) for j, sl in uslices.items() if 0 < j < N}
+        q_int, q_terms, rem_terms = {}, {}, [{} for _ in range(r)]
+        for i in range(N):
+            gi = gslices.get(i)
+            pairs = [(uj, q_int[i - j]) for j, uj in u_int.items() if i - j in q_int]
+            h = _sub_products(fld, _y_slice(fld, gi) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
+            tail = {}
+            for k, c in h.items():
+                if k < r:
+                    rem_terms[k][(i,)] = c
+                else:
+                    tail[k - r] = c
+            qi = tail if e_inv is None else mul_terms(tail, e_inv, fld, caps[i] + 1)
+            if qi:
+                q_int[i] = _y_slice(fld, qi)
+                q_terms.update(((i, j), c) for j, c in qi.items() if i + j < N)
+    q = TruncatedSeries._of_product(fld, g.vars, N, q_terms)
     xvar = (g.vars[0],)
-    for j in range(r):
-        terms = {}
-        for i, sl in rem_slices.items():
-            if j in sl:
-                terms[(i,)] = sl[j]
-        rems.append(TruncatedSeries(fld, xvar, N, terms))
+    rems = [TruncatedSeries._of_product(fld, xvar, N, terms) for terms in rem_terms]
     return q, rems
 
 

@@ -544,6 +544,25 @@ def test_moved_point_leaves_the_moved_remainders(instance, data):
     assert rems == list(moved)[:r]
 
 
+def test_values_fixed_by_no_term_of_zbar_are_not_live():
+    # zbar is a root of z^2 - Z^2 and f(zbar) = -x^11 y^2 sits at degree
+    # P - 1.  Its remainder by dist = (y - phi(x))^2, phi = -x^2 + ..., is
+    # 2 phi x^11 y + phi^2 x^11: coefficient 1 starts at degree 13 = P - 1,
+    # where a term of zbar at degree P would change it, so nothing is live
+    # and the reduced solve keeps the point
+    P = 14
+    Z = "y + x^2 + 2*x^3 - x*y^2 + 3*x^2*y^2 + x^5*y"
+    f = parse_polynomial(f"z^2 - ({Z})^2 - x^11*y^2", ("x", "y", "z"))
+    poly, _ = parse_series(f"{Z} + O(m^{P})", ("x", "y"))
+    zbar = SeriesVector([TruncatedSeries.from_polynomial(poly, P)])
+    _, sys = _reduced(f, zbar, P)
+    assert sys.zbar_precision == P and sys.r == 2
+    assert sys.f_values[(0, 0)].is_zero_to_precision()
+    assert sys.f_values[(0, 1)].order().value == P - 1
+    assert solve_one_var(sys, 3) is sys.point
+    assert approximate_solve([f], zbar, {"z": 0}, 3).status == STATUS_OK
+
+
 def test_solve_one_var_trivial_system():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(16)

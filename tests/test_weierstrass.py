@@ -541,6 +541,11 @@ def test_prepared_divisor_builds_its_linear_changes_once(monkeypatch):
 # -- the slice recursion's degree caps -----------------------------------
 
 GF2 = PrimeField(2)
+GF3 = PrimeField(3)
+# the largest prime whose residues take the packed slice sums at N <= 15
+# with at most 15 terms in the divisor: 2 * 30 + bits(15) = 64
+GF_AT_RULE = PrimeField(2**30 - 35)
+GF_MERSENNE = PrimeField(2**31 - 1)
 
 
 def _wide_cap_divide(g, u, r):
@@ -590,9 +595,12 @@ _PRIMES = [65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423, 65419, 65413]
 
 
 @st.composite
-def _coefficient(draw, field, nonzero=False):
-    # odd, so nonzero over GF(2) too
-    n = draw(st.sampled_from([-3, -1, 1, 3]) if nonzero else st.integers(-3, 3))
+def _coefficient(draw, field, nonzero=False, top=False):
+    # prime to 2 and 3, so nonzero over GF(2) and GF(3) too; `top` gives
+    # -1, that is p - 1 over GF(p), every time
+    if top:
+        return field.convert(-1)
+    n = draw(st.sampled_from([-5, -1, 1, 7]) if nonzero else st.integers(-3, 3))
     if field is QQ:
         return Fraction(n, draw(st.sampled_from([1, 1, 2, 3, *_PRIMES])))
     return field.convert(n)
@@ -600,19 +608,23 @@ def _coefficient(draw, field, nonzero=False):
 
 @st.composite
 def _divide_case(draw):
-    """(g, u, r): u y-regular of order r with ord(u) = r or ord(u) < r."""
-    field = draw(st.sampled_from([QQ, GF2, GF]))
-    N = draw(st.integers(4, 10))
-    r = draw(st.integers(0, min(3, N - 1)))
+    """(g, u, r): u y-regular of order r with ord(u) = r or ord(u) < r, its
+    x^0 slice y^r itself (a distinguished divisor) or y^r times a unit
+    other than 1."""
+    field = draw(st.sampled_from([QQ, GF2, GF3, GF, GF_AT_RULE, GF_MERSENNE]))
+    N = draw(st.integers(4, 10) | st.integers(11, 40))
+    r = draw(st.integers(0, min(4, N - 1)))
     o = draw(st.integers(1, r)) if r else 0  # ord(u)
-    coeff, lead = _coefficient(field), _coefficient(field, nonzero=True)
-    terms = {(0, r): draw(lead)}
+    top = field is not QQ and draw(st.booleans())
+    coeff, lead = _coefficient(field, top=top), _coefficient(field, nonzero=True, top=top)
+    distinguished = draw(st.booleans())
+    terms = {(0, r): field.one() if distinguished else draw(lead)}
     if o < r:
         terms[(o, 0)] = draw(lead)
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 8 if N <= 10 else 16))):
         i, j = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
         # keep ord(u) = o and the x^0 slice y^r times a unit
-        if o <= i + j < N and (i or j > r):
+        if o <= i + j < N and (i or (j > r and not distinguished)):
             terms[(i, j)] = draw(coeff)
     u = TruncatedSeries(field, XY, N, terms)
     # dividends below, at or above the divisor's precision, with or without
@@ -664,6 +676,61 @@ def test_weierstrass_divide_fraction_fallback_at_the_real_threshold():
     assert (q, rems) == _wide_cap_divide(g, u, 1)
 
 
+def _taking_packed_path(field, N=12):
+    """Whether a division over `field` at precision N packs its slices."""
+    u = TruncatedSeries(field, XY, N, {(0, 2): field.one(), (1, 1): field.one(), (2, 0): field.one()})
+    g = TruncatedSeries(field, XY, N, {(3, 4): field.one()})
+    with mock.patch.object(weierstrass, "_slot_slices", wraps=weierstrass._slot_slices) as spy:
+        weierstrass.weierstrass_divide(g, u, 2)
+    return spy.called
+
+
+def test_only_residues_that_fit_64_bit_slots_take_the_packed_path():
+    assert _taking_packed_path(GF)
+    assert _taking_packed_path(GF_AT_RULE)
+    assert not _taking_packed_path(QQ)
+    # 2 * 31 + bits(N) > 64 for every N >= 4
+    assert not _taking_packed_path(GF_MERSENNE, 4)
+
+
+@pytest.mark.parametrize("distinguished", [True, False])
+@pytest.mark.parametrize("F", [GF_AT_RULE, GF_MERSENNE])
+def test_slice_sums_at_the_64_bit_rule(F, distinguished):
+    # 15 terms of u, all p - 1, at N = 12: 2 bits(p - 1) + bits(15) = 64
+    # for 2^30 - 35, so its slot sums are as large as the rule allows; the
+    # slot sums of 2^31 - 1 would overflow, and it takes the integer sums
+    N, r = 12, 2
+    top = F.convert(-1)
+    body = [(i, j) for i in range(1, 4) for j in range(5) if i + j >= 2]
+    if distinguished:
+        terms = {(0, 2): F.one()}
+    else:
+        terms = {(0, 2): top, (0, 3): top}
+        body.pop()
+    terms.update((e, top) for e in body)
+    u = TruncatedSeries(F, XY, N, terms)
+    assert len(u.terms) == 15 and u.order().value == r
+    g = TruncatedSeries(F, XY, N, {(i, j): top for i in range(N) for j in range(N) if i + j < N})
+    with mock.patch.object(weierstrass, "_slot_slices", wraps=weierstrass._slot_slices) as spy:
+        q, rems = weierstrass.weierstrass_divide(g, u, r)
+    assert spy.called == (F is GF_AT_RULE)
+    assert (q, rems) == _wide_cap_divide(g, u, r)
+
+
+def _assert_filtered(s):
+    assert all(not s.field.is_zero(c) and sum(e) < s.precision for e, c in s.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_divide_case(), st.integers(-3, 3))
+def test_series_built_from_kernel_output_hold_no_zero_and_no_term_past_precision(case, c):
+    g, u, r = case
+    q, rems = weierstrass.weierstrass_divide(g, u, r)
+    for s in (q, *rems, -g, g.scale(c), LinearChange(c, g.field).apply_series(g)):
+        _assert_filtered(s)
+    assert not g.scale(0).terms
+
+
 def _recorded_caps(u, monkeypatch):
     """Prepare u and return the y-degree bounds its division used: the
     degree cap of each inverse of the unit's y-slice, and per slice i the
@@ -706,10 +773,20 @@ def test_prepare_keeps_only_the_degrees_its_output_reaches(monkeypatch):
 
 
 def test_prepare_widens_the_caps_by_r_minus_ord(monkeypatch):
-    # y^2 + x: r = 2, ord(u) = 1, so s = 1 and cap_i = 2(N-1-i)
+    # y^2 + y^3 + x: r = 2, ord(u) = 1, so s = 1 and cap_i = 2(N-1-i)
+    N, r = 12, 2
+    inverses, sums, slices = _recorded_caps(S("y^2 + y^3 + x + O(m^12)"), monkeypatch)
+    caps = [2 * (N - 1 - i) for i in range(N)]
+    assert inverses == [caps[0] + 1]
+    assert sums == [c + r + 1 for c in caps]
+    assert [cap for cap, _ in slices] == [c + 1 for c in caps]
+
+
+def test_a_unit_slice_of_one_multiplies_no_quotient_slice(monkeypatch):
+    # the x^0 slice of y^2 + x is y^2 itself, so the unit's inverse is 1
     N, r = 12, 2
     inverses, sums, slices = _recorded_caps(S("y^2 + x + O(m^12)"), monkeypatch)
     caps = [2 * (N - 1 - i) for i in range(N)]
     assert inverses == [caps[0] + 1]
     assert sums == [c + r + 1 for c in caps]
-    assert [cap for cap, _ in slices] == [c + 1 for c in caps]
+    assert slices == []
