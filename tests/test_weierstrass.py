@@ -609,14 +609,15 @@ def _coefficient(draw, field, nonzero=False, top=False):
 @st.composite
 def _divide_case(draw):
     """(g, u, r): u y-regular of order r with ord(u) = r or ord(u) < r, its
-    x^0 slice y^r itself (a distinguished divisor) or y^r times a unit
-    other than 1."""
+    x^0 slice y^r itself (a distinguished divisor) or y^r times a drawn
+    unit."""
     field = draw(st.sampled_from([QQ, GF2, GF3, GF, GF_AT_RULE, GF_MERSENNE]))
     N = draw(st.integers(4, 10) | st.integers(11, 40))
     r = draw(st.integers(0, min(4, N - 1)))
     o = draw(st.integers(1, r)) if r else 0  # ord(u)
-    top = field is not QQ and draw(st.booleans())
-    coeff, lead = _coefficient(field, top=top), _coefficient(field, nonzero=True, top=top)
+    extreme = field is not QQ and draw(st.booleans())
+    coeff = _coefficient(field, top=extreme)
+    lead = _coefficient(field, nonzero=True, top=extreme)
     distinguished = draw(st.booleans())
     terms = {(0, r): field.one() if distinguished else draw(lead)}
     if o < r:
