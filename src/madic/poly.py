@@ -4,6 +4,9 @@ A polynomial is a map from exponent tuples to nonzero coefficients, together
 with an ordered variable universe and a coefficient field.  All arithmetic is
 exact; no zero coefficient is ever stored.
 
+Products, powers and substitutions run on the series kernels, with a cap
+above the result's degree so that nothing is truncated.
+
 The degree of the zero polynomial is the distinguished marker NEG_INF, which
 compares below every integer.
 """
@@ -11,10 +14,12 @@ compares below every integer.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .errors import DomainMismatchError, MadicError
 from .fields import QQ, check_same_field, field_terms
 from .monomials import divisor, reduce_terms, shared_packing
+from .series import mul_terms, pow_terms, substitute_terms
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -29,6 +34,13 @@ class Polynomial:
         self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of_terms(cls, field, vars, terms):
+        """A polynomial that keeps `terms`, a kernel's zero-free output."""
+        out = cls.__new__(cls)
+        out.field, out.vars, out.terms = field, vars, terms
+        return out
 
     @classmethod
     def zero(cls, vars, field=QQ):
@@ -141,33 +153,27 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other, self.vars, self.field)
         self._check_compatible(other)
-        f = self.field
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(e)
-                out[e] = f.mul(ca, cb) if prev is None else f.add(prev, f.mul(ca, cb))
-        return Polynomial(f, self.vars, out)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Polynomial.zero(self.vars, self.field)
+        # cap one above the product's degree: nothing is truncated
+        cap = max(map(sum, a)) + max(map(sum, b)) + 1
+        return Polynomial._of_terms(self.field, self.vars, mul_terms(a, b, self.field, cap))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        f = self.field
-        c = f.convert(c)
-        return Polynomial(f, self.vars, {e: f.mul(cc, c) for e, cc in self.terms.items()})
+        return self * Polynomial.constant(c, self.vars, self.field)
 
     def __pow__(self, n):
         if n < 0:
             raise MadicError("negative polynomial power")
-        out = Polynomial.constant(1, self.vars, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        if n == 0:
+            return Polynomial.constant(1, self.vars, self.field)
+        terms = self.terms
+        power = pow_terms(terms, n, self.field, n * max(map(sum, terms), default=0) + 1)
+        # no two polynomials share a terms dict; n = 1 returns the argument
+        return Polynomial._of_terms(self.field, self.vars, dict(power) if power is terms else power)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -205,35 +211,30 @@ class Polynomial:
 
         `mapping` sends variable names to Polynomial values over a common
         target universe; unmapped variables must exist in the target universe
-        and map to themselves.
+        and map to themselves.  Only terms with a zero image drop.
         """
         if not mapping:
             return self
         target = next(iter(mapping.values()))
         tvars, field = target.vars, target.field
-        images = []
-        for v in self.vars:
+        through, images, weights = [], [], []
+        for i, v in enumerate(self.vars):
             if v in mapping:
                 img = mapping[v]
                 if img.vars != tvars:
                     raise DomainMismatchError("substitution images disagree on universe")
-                images.append(img)
+                check_same_field(img.field, field)
+                images.append((i, img.terms))
+                weights.append(max(map(sum, img.terms), default=0))
+            elif v in tvars:
+                through.append((i, tvars.index(v)))
+                weights.append(1)
             else:
-                images.append(Polynomial.variable(v, tvars, field))
-        out = {}
-        cache = [dict() for _ in self.vars]
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, tvars, field)
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                if x not in cache[i]:
-                    cache[i][x] = images[i] ** x
-                term = term * cache[i][x]
-            for te, tc in term.terms.items():
-                prev = out.get(te)
-                out[te] = tc if prev is None else field.add(prev, tc)
-        return Polynomial(field, tvars, out)
+                raise MadicError(f"unknown variable {v!r} (universe {tvars})")
+        cap = max((sum(map(mul, e, weights)) for e in self.terms), default=0) + 1
+        images = [(i, z, min(map(sum, z), default=cap)) for i, z in images]
+        terms = substitute_terms(self.terms, through, images, len(tvars), field, cap)
+        return Polynomial._of_terms(field, tvars, terms)
 
     # -- printing -----------------------------------------------------
 

@@ -8,12 +8,12 @@ truncated series cannot be certified, so `ord` returns a lower-bound marker
 Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
 
-Every truncated product of the series layer goes through one exact sparse
-kernel, `mul_terms`, over term dicts keyed by exponent tuples or, for a
-univariate dict, by plain degrees:
+Every truncated product of the series and polynomial layers goes through
+one exact sparse kernel, `mul_terms`, over term dicts keyed by exponent
+tuples of one length or, for a univariate dict, by plain degrees:
 
-- each exponent is packed into one int (the degree; i*cap + j for (i, j)),
-  so that adding packed keys adds exponents;
+- each exponent tuple is packed into one int with its exponents as digits
+  in base cap, so that adding packed keys adds exponents;
 - one operand is sorted by total degree, so the inner loop over it stops at
   the degree cap instead of testing every pair;
 - coefficients are accumulated as plain ints and each output coefficient
@@ -23,7 +23,8 @@ univariate dict, by plain degrees:
   largest denominator (many unrelated denominators), the scaled numerators
   would cost more than Fraction arithmetic, so the Fractions themselves are
   accumulated instead;
-- a single-term operand shifts and scales the other, with no packing;
+- each term of an operand of one or two terms shifts and scales the
+  other, with no packing (a constant only scales), and the parts are added;
 - a dense univariate product is one big-int multiply (Kronecker
   substitution): each operand's numbers go into one int, a 64-bit slot per
   degree from its lowest degree, and the slots of the product below the cap
@@ -32,7 +33,7 @@ univariate dict, by plain degrees:
   below the cap, span at most _SLOT_SPAN slots per term, and bits(max |a|)
   + bits(max |b|) + bits(min(len a, len b)), plus 1 when a number is
   negative, is at most 64, so that no slot sum can overflow.  Wider numbers
-  (most QQ numerators over an lcm), bivariate keys and the Fraction
+  (most QQ numerators over an lcm), multivariate keys and the Fraction
   fallback take the pairwise loop.
 
 Both fields are exact, so the result does not depend on the accumulation
@@ -44,12 +45,11 @@ coefficient recurrence b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k} in order of
 total degree: each b_m is one sum of plain numbers reduced once, as in
 `mul_terms`, and a unit of t terms costs t products per output term.
 
-`evaluate` is the one evaluation kernel.  It drops a term before any
-product once its series degree plus sum x_v * ord(z_v) over its unknowns
-reaches the precision, since the kernel keeps no degree below the sum of
-its operands' orders.  The rest it multiplies as raw term dicts through
-`mul_terms`, with powers and monomial prefixes cached, and adds into one
-accumulator that becomes the only series it builds.
+`substitute_terms` is the one substitution kernel, behind `evaluate` and
+`Polynomial.subs`.  It drops a term before any product once its order
+reaches the cap, since the kernel keeps no degree below the sum of its
+operands' orders, and multiplies the rest as raw term dicts through
+`mul_terms`, with powers and monomial prefixes cached.
 """
 
 from __future__ import annotations
@@ -60,12 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from struct import pack, unpack
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
 from .fields import QQ, check_same_field, common_denominator, field_terms
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -136,26 +135,34 @@ def integer_coefficients(field, coeffs):
 def _packed(terms, cap, width=None):
     """(packed key, degree, coefficient) for each term of degree < cap.
 
-    A degree key packs to itself, (i,) to i and (i, j) to i*width + j, with
-    width cap unless given, so the sum of two packed keys is the packed key
-    of their product as long as the product's degree stays below cap."""
+    A degree key packs to itself, and an exponent tuple to the number with
+    its exponents as digits in base `width` (cap unless given): (i,) to i,
+    (i, j) to i*width + j, () to 0.  So the sum of two packed keys is the
+    packed key of their product as long as the product's degree stays below
+    cap."""
     key = next(iter(terms))
     if isinstance(key, int):
         return [(e, e, c) for e, c in terms.items() if e < cap]
-    if len(key) == 1:
-        return [(e[0], e[0], c) for e, c in terms.items() if e[0] < cap]
     width = width or cap
-    return [(i * width + j, i + j, c) for (i, j), c in terms.items() if i + j < cap]
+    positions = zip(*terms)
+    keys = degs = next(positions, [0] * len(terms))
+    for exps in positions:
+        keys = list(map(add, map(mul, keys, repeat(width)), exps))
+        degs = list(map(add, degs, exps))
+    return [t for t in zip(keys, degs, terms.values()) if t[1] < cap]
 
 
 def _unpacked(items, key, width):
-    """The (packed key, value) pairs with keys of the same kind as `key`;
-    `width` is the packing's width (see `_packed`)."""
+    """The (packed key, value) pairs with keys of the same kind as `key`, a
+    degree or a nonempty tuple; `width` is the packing's base (`_packed`)."""
     if isinstance(key, int):
         return items
-    if len(key) == 1:
-        return (((k,), n) for k, n in items)
-    return ((divmod(k, width), n) for k, n in items)
+    items = list(items)
+    keys, digits = [k for k, _ in items], []
+    for _ in key[1:]:
+        digits.append([k % width for k in keys])
+        keys = [k // width for k in keys]
+    return zip(zip(keys, *reversed(digits)), [n for _, n in items])
 
 
 # Terms per operand and slots per term of the slot path's rule (see the
@@ -226,8 +233,8 @@ def mul_terms(a, b, field, cap):
     """The exact product of term dicts `a` and `b` over `field`, keeping the
     terms of total degree < cap.
 
-    Keys are exponent tuples, all of one length (1 or 2), or plain degrees
-    for univariate dicts; the product has keys of the same kind.  See the
+    Keys are exponent tuples, all of one length, or plain degrees for
+    univariate dicts; the product has keys of the same kind.  See the
     module docstring for how the product is accumulated.  A univariate
     product whose integer numbers fit 64-bit slots is one big-int multiply
     (`_slot_product`, by the rule in the module docstring); a square
@@ -237,21 +244,29 @@ def mul_terms(a, b, field, cap):
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        # a single term shifts and scales the other operand, with no
-        # packing; `field.mul` returns a reduced element, so a falsy one is 0
-        ((ea, ca),) = a.items()
-        mul = field.mul
-        if isinstance(ea, int):
-            return {ea + k: m for k, cb in b.items() if ea + k < cap and (m := mul(ca, cb))}
-        if len(ea) == 1:
-            (i,) = ea
-            return {(i + k,): m for (k,), cb in b.items() if i + k < cap and (m := mul(ca, cb))}
-        i, j = ea
-        room = cap - i - j
-        return {
-            (i + k, j + l): m for (k, l), cb in b.items() if k + l < room and (m := mul(ca, cb))
-        }
+    if len(a) <= 2:
+        # each term of a monomial or binomial shifts and scales b and the
+        # parts are added, with no packing (from three terms on, packing wins
+        # over QQ); a reduced element from `field.mul` is falsy only if 0
+        mul, plus, out = field.mul, field.add, {}
+        for ea, ca in a.items():
+            if isinstance(ea, int):
+                part = {ea + k: m for k, cb in b.items() if ea + k < cap and (m := mul(ca, cb))}
+            elif not any(ea):  # a constant only scales
+                part = {k: m for k, cb in b.items() if sum(k) < cap and (m := mul(ca, cb))}
+            else:
+                room = cap - sum(ea)
+                part = {
+                    tuple(map(add, ea, k)): m
+                    for k, cb in b.items()
+                    if sum(k) < room and (m := mul(ca, cb))
+                }
+            if not out:
+                out = part
+                continue
+            for e, c in part.items():
+                out[e] = plus(out[e], c) if e in out else c
+        return out if len(a) == 1 else {e: c for e, c in out.items() if c}
     key = next(iter(a))
     square = a is b
     a = _packed(a, cap)
@@ -265,9 +280,7 @@ def mul_terms(a, b, field, cap):
         a_nums, b_nums, den = [c for _, _, c in a], [c for _, _, c in b], None
     else:
         den = a_den * b_den
-        if min(len(a), len(b)) >= _SLOT_MIN_TERMS and not (
-            isinstance(key, tuple) and len(key) == 2
-        ):
+        if min(len(a), len(b)) >= _SLOT_MIN_TERMS and (isinstance(key, int) or len(key) == 1):
             items = _slot_product(a, a_nums, b, b_nums, cap, square)
             if items is not None:
                 return field_terms(field, _unpacked(items, key, cap), den)
@@ -313,8 +326,8 @@ def inverse_terms(terms, field, cap):
     are summed.  Only the terms of a with deg k <= deg m enter b_m, so a
     unit of t terms costs t products per output term.
 
-    Bivariate keys pack as i*2cap + j and are read at an offset of cap*2cap
-    in a zero-filled table: for a term k of a not below m in both
+    Bivariate keys pack as i*2cap + j (`_packed`) and are read at an offset
+    of cap*2cap in a zero-filled table: for a term k of a not below m in both
     exponents, the packed m - k lands below the offset or on a j slot
     >= cap, where no key is stored, so it reads 0.
     """
@@ -327,7 +340,7 @@ def inverse_terms(terms, field, cap):
     first = field.inv(a0)
     width = 2 * cap if bivariate else 1
     offset = cap * width if bivariate else 0
-    rest = sorted((d, k, c) for k, d, c in _packed(terms, cap, width) if d)
+    rest = sorted((d, k, c) for k, d, c in _packed(terms, cap, 2 * cap) if d)
     if not rest:
         return {zero: first}
     degs = [d for d, _, _ in rest]
@@ -368,7 +381,7 @@ def inverse_terms(terms, field, cap):
                     table[i] *= grow
             table[m] = b.numerator * (common // b.denominator)
             filled.append(m)
-    return dict(_unpacked(((m - offset, c) for m, c in out.items()), key, width))
+    return dict(_unpacked(((m - offset, c) for m, c in out.items()), key, 2 * cap))
 
 
 class TruncatedSeries:
@@ -421,6 +434,7 @@ class TruncatedSeries:
         return cls(p.field, p.vars, precision, p.terms)
 
     def to_polynomial(self):
+        from .poly import Polynomial
         return Polynomial(self.field, self.vars, dict(self.terms))
 
     # -- basics -------------------------------------------------------
@@ -602,58 +616,41 @@ def distance(u, v):
     return Norm(SeriesVector(diffs).order())
 
 
-def evaluate(f, zbar, assignment):
-    """Substitute a series vector into a polynomial.
+def substitute_terms(terms, through, images, width, field, cap):
+    """The term dict, over `field` and below total degree cap, of term dict
+    `terms` with term dicts substituted for some of its variables.
 
-    Series variables of f map to themselves; each other variable must appear
-    in `assignment`, a map from variable name to coordinate index of `zbar`.
-    The result is exact modulo m^N for N the vector's precision.
+    Each (i, p) in `through` carries exponent i to position p of the
+    result's keys, tuples of length `width`; each (i, image, order) in
+    `images` replaces the variable of exponent i by the term dict `image`,
+    keyed like the result, of that order (cap or more for a zero image).
 
-    A term c * s * M, with s a monomial in the series variables and M one in
-    the unknowns, is dropped before any product when deg(s) + sum x_v *
-    ord(z_v) >= N over the x_v-th powers in M: `mul_terms` keeps only
-    degrees at least the sum of its operands' orders, so every term of that
-    product has degree >= N and its truncated value is empty.  A coordinate
-    that is zero to precision counts as order N.
-
-    The other terms are grouped as sum C_M * M over the monomials M, each
-    C_M read off f's terms.  The value of M is a raw term dict: the cached
-    value of its prefix times the cached power of its last variable, both
-    through `mul_terms`, so monomials that share a prefix share its
-    products.  Every C_M * M is added into one dict, which becomes the result; no
-    series is built before it.
+    A term c * s * M, with s its monomial in the carried variables and M the
+    one in the replaced ones, is dropped before any product when deg(s) +
+    sum x_i * order_i over the x_i-th powers in M reaches cap.  The others
+    are grouped as sum C_M * M; M's value is the cached value of its prefix
+    times the cached power of its last variable, both through `mul_terms`.
     """
-    prec = zbar.precision
-    field = zbar.field
-    svars = zbar.vars
-    series_slots, unknowns = [], []
-    for i, v in enumerate(f.vars):
-        if v in svars:
-            series_slots.append((i, svars.index(v)))
-        elif v in assignment:
-            z = zbar[assignment[v]].terms
-            unknowns.append((i, v, min(map(sum, z)) if z else prec))
-        elif any(e[i] for e in f.terms):
-            raise MadicError(f"unassigned unknown {v!r} in evaluation")
     convert, is_zero = field.convert, field.is_zero
     groups = {}
-    for e, c in f.terms.items():
+    for e, c in terms.items():
         c = convert(c)
         low = 0
         mono = []
-        for i, v, o in unknowns:
+        for i, _, o in images:
             x = e[i]
             if x:
                 low += x * o
-                mono.append((v, x))
-        sexp = [0] * len(svars)
-        for i, p in series_slots:
-            sexp[p] = e[i]
+                mono.append((i, x))
+        key = [0] * width
+        for i, p in through:
+            key[p] = e[i]
             low += e[i]
-        if low < prec and not is_zero(c):
-            groups.setdefault(tuple(mono), {})[tuple(sexp)] = c
+        if low < cap and not is_zero(c):
+            groups.setdefault(tuple(mono), {})[tuple(key)] = c
 
-    # values of monomials in the unknowns, keyed like the groups
+    image = {i: z for i, z, _ in images}
+    # values of monomials in the replaced variables, keyed like the groups
     values = {}
 
     def value(mono):
@@ -663,11 +660,11 @@ def evaluate(f, zbar, assignment):
             n -= 1
         out = values[mono[:n]] if n else None
         for k in range(n, len(mono)):
-            v, x = mono[k]
-            power = values.get(((v, x),))
+            power = values.get(mono[k : k + 1])
             if power is None:
-                power = values[((v, x),)] = pow_terms(zbar[assignment[v]].terms, x, field, prec)
-            out = power if out is None else mul_terms(out, power, field, prec)
+                i, x = mono[k]
+                power = values[mono[k : k + 1]] = pow_terms(image[i], x, field, cap)
+            out = power if out is None else mul_terms(out, power, field, cap)
             values[mono[: k + 1]] = out
         return out
 
@@ -675,12 +672,28 @@ def evaluate(f, zbar, assignment):
     out = {}
     for mono, coeffs in groups.items():
         if mono:
-            coeffs = mul_terms(coeffs, value(mono), field, prec)
+            coeffs = mul_terms(coeffs, value(mono), field, cap)
         for k, c in coeffs.items():
             out[k] = add(out[k], c) if k in out else c
-    return TruncatedSeries._of_product(
-        field, svars, prec, {k: c for k, c in out.items() if not is_zero(c)}
-    )
+    return {k: c for k, c in out.items() if not is_zero(c)}
+
+
+def evaluate(f, zbar, assignment):
+    """Substitute a series vector into a polynomial, exactly modulo m^N for
+    N the vector's precision: series variables of f map to themselves, and
+    each other variable v to coordinate assignment[v] of `zbar`."""
+    prec, svars = zbar.precision, zbar.vars
+    through, images = [], []
+    for i, v in enumerate(f.vars):
+        if v in svars:
+            through.append((i, svars.index(v)))
+        elif v in assignment:
+            z = zbar[assignment[v]].terms
+            images.append((i, z, min(map(sum, z), default=prec)))
+        elif any(e[i] for e in f.terms):
+            raise MadicError(f"unassigned unknown {v!r} in evaluation")
+    terms = substitute_terms(f.terms, through, images, len(svars), zbar.field, prec)
+    return TruncatedSeries._of_product(zbar.field, svars, prec, terms)
 
 
 def ideal_order(gens, zbar, assignment):

@@ -38,8 +38,7 @@ from .weierstrass import (
     PreparedDivisor,
     divide_series,
     generic_euclid,
-    prepare,
-    regularize,
+    prepare,  # noqa: F401  unused here; perfbench/test_perfbench.py patches solver.prepare
     w_divide,
 )
 
@@ -268,12 +267,6 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     steps = 0
     status = STATUS_OK
 
-    def res_order(rs):
-        finite = [r.order() for r in rs if r.order().finite]
-        if not finite:
-            return OrderValue.at_least(N)
-        return min(finite, key=lambda o: o.value)
-
     while any(not r.is_zero_to_precision() for r in residuals):
         if steps >= max_steps:
             status = STATUS_STALLED
@@ -324,7 +317,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         if res is None and status == STATUS_STALLED:
             break
         quotients = new_quotients
-        o = res_order(residuals)
+        o = SeriesVector(residuals).order()
         prev = trace[-1] if trace else None
         trace.append(o.value)
         if prev is not None and o.finite and o.value <= prev:
@@ -340,7 +333,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     coord_orders = [(a - b).order() for a, b in zip(refined, zbar)]
     cert = RefinementCertificate(
         refined=refined,
-        residual_order=res_order(residuals),
+        residual_order=SeriesVector(residuals).order(),
         coordinate_orders=coord_orders,
         trace=trace,
         status=status,
@@ -463,13 +456,14 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
     if r == 0:
         raise MadicError("squared minor is a unit; bypass directly to refinement")
 
-    change, reg = regularize(dsq_bar)
+    divisor = PreparedDivisor(dsq_bar)
+    divisor.prepare()
+    change, dist = divisor.change, divisor.dist
 
     def sheared(s):
         return s if change.is_identity() else change.apply_series(s)
 
     z_t = SeriesVector([sheared(z) for z in zbar])
-    inverse, dist = prepare(reg)
 
     w_quotients = []
     coeff_series = []  # per unknown: list of r univariate series
@@ -541,7 +535,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
         r=r,
         degree_bounds=deg_bounds,
         zbar_precision=zbar.precision,
-        divisor=PreparedDivisor.from_preparation(dsq_bar, change, inverse, dist),
+        divisor=divisor,
         w_quotients=w_quotients,
         selection=selection,
         num_unknowns=m,

@@ -466,9 +466,8 @@ class PreparedDivisor:
     division); for a bivariate u of order r, the shear from `regularize`
     (which keeps its inverse), the distinguished polynomial from `prepare`
     and the inverse of the unit.  The bivariate preparation runs on the
-    first bivariate division, so constructing a divisor never raises: a u
-    that cannot be prepared raises from `divide`, at the first call site
-    that uses it.
+    first call of `prepare` or bivariate division, so constructing a
+    divisor never raises: a u that cannot be prepared raises there.
     """
 
     def __init__(self, u):
@@ -478,16 +477,8 @@ class PreparedDivisor:
         self.dist = None
         self._inverse = None  # u^-1, the shifted inverse, or the unit's
 
-    @classmethod
-    def from_preparation(cls, u, change, inverse, dist):
-        """Wrap a preparation already computed for u: `change` is the shear
-        regularize(u) returned, and `inverse` and `dist` are the pair
-        prepare of the sheared u returned."""
-        out = cls(u)
-        out.change, out._inverse, out.dist = change, inverse, dist
-        return out
-
-    def _prepare(self):
+    def prepare(self):
+        """Set `change` and `dist` of a bivariate u, once."""
         if self.dist is None:
             self.change, u_reg = regularize(self.u)
             self._inverse, self.dist = prepare(u_reg)
@@ -521,7 +512,7 @@ class PreparedDivisor:
             N = min(v.precision, u.precision)
             if N <= 2 * r + 1:
                 raise PrecisionError("precision too low for series division")
-            self._prepare()
+            self.prepare()
             change = self.change
             v_reg = v if change.is_identity() else change.apply_series(v)
             q_reg, rems = w_divide(v_reg, self.dist)

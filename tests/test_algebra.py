@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from madic import (
+    DomainMismatchError,
     MadicError,
     ParseError,
     Polynomial,
@@ -23,6 +25,7 @@ from madic import (
     minors,
     parse_polynomial,
 )
+from madic import series
 from madic.poly import NEG_INF, PolyMatrix
 
 
@@ -139,6 +142,176 @@ def test_subs_contributions_cancel():
     src, tgt = ("x", "y", "z"), ("x", "y", "s", "t")
     out = P("z + y + x", src).subs({"z": P("s + t", tgt), "y": P("-t", tgt)})
     assert out == P("s + x", tgt)
+
+
+# -- products, powers and substitution against the pairwise loops ---------
+
+
+def pairwise_mul(p, q):
+    """Every pair of terms, exponents added and coefficients multiplied and
+    summed with the field's own operations."""
+    f = p.field
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            prev = out.get(e)
+            out[e] = f.mul(ca, cb) if prev is None else f.add(prev, f.mul(ca, cb))
+    return Polynomial(f, p.vars, out)
+
+
+def pairwise_pow(p, n):
+    """Square-and-multiply over `pairwise_mul`, from the constant 1."""
+    out = Polynomial.constant(1, p.vars, p.field)
+    base = p
+    while n:
+        if n & 1:
+            out = pairwise_mul(out, base)
+        base = pairwise_mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+def cached_subs(p, mapping):
+    """Each term is its coefficient times the powers of the images, one
+    factor at a time over `pairwise_mul` and `pairwise_pow`, with each power
+    cached per variable; unmapped variables map to themselves."""
+    target = next(iter(mapping.values()))
+    tvars, field = target.vars, target.field
+    images = [
+        mapping[v] if v in mapping else Polynomial.variable(v, tvars, field) for v in p.vars
+    ]
+    out = {}
+    cache = [{} for _ in p.vars]
+    for e, c in p.terms.items():
+        term = Polynomial.constant(c, tvars, field)
+        for i, x in enumerate(e):
+            if x:
+                if x not in cache[i]:
+                    cache[i][x] = pairwise_pow(images[i], x)
+                term = pairwise_mul(term, cache[i][x])
+        for te, tc in term.terms.items():
+            out[te] = field.add(out[te], tc) if te in out else tc
+    return Polynomial(field, tvars, out)
+
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(32003), PrimeField(2**31 - 1)]
+NAMES = ("a", "b", "c", "d", "e")
+# distinct prime denominators, whose lcm outgrows each of them; the tests
+# drawing them set the growth limit far below zero, so that every QQ
+# product accumulates Fractions
+NO_GROWTH = -(10**9)
+PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
+
+
+def kernel_coefficients(field, kind):
+    if field != QQ:
+        return st.integers(0, field.p - 1)
+    if kind == "int":
+        return st.integers(-9, 9)
+    if kind == "small":
+        return st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6]))
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(PRIMES))
+
+
+@st.composite
+def kernel_polys(draw, field, vars, kind, max_terms=6):
+    coeffs = kernel_coefficients(field, kind)
+    if len(vars) == 1 and draw(st.booleans()):
+        # dense enough for the 64-bit slot path
+        dense = draw(st.lists(coeffs, min_size=32, max_size=40))
+        return Polynomial(field, vars, {(i,): c for i, c in enumerate(dense)})
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+    return Polynomial(field, vars, draw(st.dictionaries(exps, coeffs, max_size=max_terms)))
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    kind = draw(st.sampled_from(["int", "small", "primes"])) if field == QQ else None
+    vars = NAMES[: draw(st.sampled_from([0, 1, 2, 3, 5]))]
+    p = draw(kernel_polys(field, vars, kind))
+    if draw(st.booleans()):  # a constant term, or a constant polynomial
+        p = p + Polynomial.constant(draw(st.integers(1, 5)), vars, field)
+    q = draw(kernel_polys(field, vars, kind))
+    return p, q, kind == "primes"
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_product_matches_pairwise_loop(case):
+    p, q, fractions = case
+    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
+        assert (p * q).terms == pairwise_mul(p, q).terms
+        assert (q * p).terms == pairwise_mul(p, q).terms
+        assert (p * p).terms == pairwise_mul(p, p).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(), st.integers(0, 5))
+def test_power_matches_square_and_multiply(case, n):
+    p, _, fractions = case
+    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
+        power = p ** n
+    assert power.terms == pairwise_pow(p, n).terms
+    assert power.vars == p.vars and power.field == p.field
+    if n == 1:
+        assert power == p and power.terms is not p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subs_matches_cached_pairwise_substitution(data):
+    # target universe: two fresh names plus the source's, so that every
+    # unmapped variable passes through; images may be zero or constant
+    field = data.draw(st.sampled_from(KERNEL_FIELDS))
+    kind = data.draw(st.sampled_from(["int", "small", "primes"])) if field == QQ else None
+    source = NAMES[: data.draw(st.sampled_from([0, 1, 2, 3, 5]))]
+    target = ("s", "t") + source
+    p = data.draw(kernel_polys(field, source, kind, max_terms=5))
+    mapping = {"s": data.draw(kernel_polys(field, target, kind, max_terms=3))}
+    for v in source:
+        if data.draw(st.booleans()):
+            mapping[v] = data.draw(kernel_polys(field, target, kind, max_terms=3))
+    fractions = kind == "primes"
+    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
+        out = p.subs(mapping)
+    assert out.vars == target and out.field == field
+    assert out.terms == cached_subs(p, mapping).terms
+
+
+def test_zero_and_constant_products():
+    vars = ("x", "y")
+    zero, three = Polynomial.zero(vars), Polynomial.constant(3, vars)
+    p = P("x^2 - 2*x*y + 5", vars)
+    assert p * zero == zero * p == zero
+    assert (p * three).terms == {e: 3 * c for e, c in p.terms.items()}
+    assert p ** 0 == zero ** 0 == Polynomial.constant(1, vars)
+    assert zero ** 3 == zero
+    assert Polynomial.constant(2, ()) ** 5 == Polynomial.constant(32, ())
+
+
+def test_subs_zero_image_drops_its_terms():
+    src, tgt = ("x", "y"), ("s", "y")
+    out = P("x^2*y + x + y^3 + 4", src).subs({"x": Polynomial.zero(tgt)})
+    assert out == P("y^3 + 4", tgt)
+
+
+def test_subs_unmapped_variable_passes_through():
+    src, tgt = ("x", "y"), ("y", "s", "t")
+    out = P("x*y + y^2", src).subs({"x": P("s - t", tgt)})
+    assert out == P("s*y - t*y + y^2", tgt)
+
+
+def test_subs_unmapped_variable_missing_from_target_raises():
+    # y is unmapped and not in the target universe, even unused
+    with pytest.raises(MadicError):
+        P("x^2", ("x", "y")).subs({"x": P("s", ("s", "t"))})
+
+
+def test_subs_images_over_different_universes_raise():
+    with pytest.raises(DomainMismatchError):
+        P("x + y", ("x", "y")).subs({"x": P("s", ("s", "t")), "y": P("t", ("t", "s"))})
 
 
 def test_parse_rejects_unknown_variable():

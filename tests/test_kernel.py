@@ -207,15 +207,30 @@ def test_empty_and_out_of_range_operands():
 @given(st.data())
 def test_single_term_operand_shifts_and_scales(data):
     # one operand of one term, possibly with a zero coefficient, on every
-    # kind of key: degrees, 1-tuples and 2-tuples
+    # kind of key: degrees and 1-, 2- and 3-tuples
     field = data.draw(st.sampled_from(FIELDS))
-    nvars = data.draw(st.sampled_from([0, 1, 2]))
+    nvars = data.draw(st.sampled_from([0, 1, 2, 3]))
     cap = data.draw(st.integers(1, 10))
     a = data.draw(term_dicts(field, nvars, cap + 2, max_terms=1).filter(bool))
     b = data.draw(term_dicts(field, nvars, cap + 2))
     expected = naive_mul_terms(a, b, field, cap)
     assert mul_terms(a, b, field, cap) == expected
     assert mul_terms(b, a, field, cap) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_three_variable_product_below_its_full_degree(data):
+    # exponent triples pack in base cap like pairs; a cap below the full
+    # product's degree keeps exactly the pairwise loop's low terms
+    field = data.draw(st.sampled_from(FIELDS))
+    a = data.draw(term_dicts(field, 3, 4).filter(lambda t: len(t) > 1))
+    b = data.draw(term_dicts(field, 3, 4).filter(lambda t: len(t) > 1))
+    full = max(map(sum, a)) + max(map(sum, b))
+    cap = data.draw(st.integers(1, full))
+    got = mul_terms(a, b, field, cap)
+    assert got == naive_mul_terms(a, b, field, cap)
+    assert all(sum(e) < cap for e in got)
 
 
 @settings(max_examples=150, deadline=None)
