@@ -37,7 +37,6 @@ from .weierstrass import (
     DistinguishedPolynomial,
     PreparedDivisor,
     divide_series,
-    generic_euclid,
     prepare,  # noqa: F401  unused here; perfbench/test_perfbench.py patches solver.prepare
     w_divide,
 )
@@ -207,9 +206,30 @@ def _evaluated(jac, zbar, assignment):
     )
 
 
+class PolySystem:
+    """Polynomials in the series variables and the unknowns, read at a
+    series vector by `evaluate`; the symbolic Jacobian on a column set is
+    built once."""
+
+    def __init__(self, fs, assignment):
+        self.fs, self.assignment, self._jacobians = list(fs), assignment, {}
+
+    def values(self, point):
+        return [evaluate(f, point, self.assignment) for f in self.fs]
+
+    def jacobian(self, point, columns):
+        columns = tuple(columns)
+        if columns not in self._jacobians:
+            self._jacobians[columns] = jacobian(self.fs, columns)
+        return _evaluated(self._jacobians[columns], point, self.assignment)
+
+
 def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
                     prepared=None):
     """Newton iteration under the Tougeron hypothesis.
+
+    `fs` is a list of polynomials or a system read, like a `PolySystem`,
+    only through `values(point)` and `jacobian(point, columns)`.
 
     delta is the Jacobian minor of fs on `columns`.  Requires each residual
     f_i(zbar) to be an exact multiple of delta(zbar)^2 with quotient of
@@ -223,12 +243,12 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     `prepared`, a PreparedDivisor from an earlier stage, stands in for
     delta(zbar)^2 when its series equals delta(zbar)^2 exactly.
     """
-    fs = list(fs)
-    if len(fs) != len(columns):
+    system = fs if hasattr(fs, "jacobian") else PolySystem(fs, assignment)
+    residuals = system.values(zbar)
+    if len(residuals) != len(columns):
         raise MadicError("need as many equations as selected columns")
     N = zbar.precision
-    jac = jacobian(fs, columns)
-    jbar = _evaluated(jac, zbar, assignment)
+    jbar = system.jacobian(zbar, columns)
     dbar = determinant(jbar)
     if not dbar.order().finite:
         raise HypothesisError("minor vanishes at the approximate solution")
@@ -237,7 +257,6 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         prepared = PreparedDivisor(dsq)
     dsq_div, dbar_div = prepared, PreparedDivisor(dbar)
 
-    residuals = [evaluate(f, zbar, assignment) for f in fs]
     quotients = []
     for res in residuals:
         if res.is_zero_to_precision():
@@ -275,7 +294,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         # subtracts each numerator as it is
         w = None
         if steps:
-            jbar = _evaluated(jac, SeriesVector(current), assignment)
+            jbar = system.jacobian(SeriesVector(current), columns)
             det = determinant(jbar)
             try:
                 w = divide_series(det, dbar_div)
@@ -301,8 +320,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
                 if not num.is_zero_to_precision():
                     current[ci] = _lift(current[ci] - (num if w is None else num * winv), N)
         steps += 1
-        vec = SeriesVector(current)
-        residuals = [evaluate(f, vec, assignment) for f in fs]
+        residuals = system.values(SeriesVector(current))
         new_quotients = []
         for res in residuals:
             if res.is_zero_to_precision():
@@ -358,42 +376,49 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     return cert
 
 
+# key of the rows read from the squared minor
+G_ROW = "g"
+
+
 @dataclass
 class OneVarSystem:
     """The reduced system over k[[x]] produced by Weierstrass division.
 
-    `g_polys[l]` are the constraints tying the distinguished coefficients to
-    the squared minor; `f_polys[(k, l)]` are the reduced equation components.
-    All live in the variables (x, unknowns); the approximate point lists the
-    unknown values in `unknown_names` order.  `f_values[(k, l)]` is the value
-    of `f_polys[(k, l)]` at the point, read from the series side (see
-    `build_one_var_system`); the g rows vanish there by construction and
-    have no stored value.  `zbar_precision` is the precision P of the
-    approximate solution the values were read from: value (k, l) is fixed
-    only modulo x^(P - l).  The symbolic system serves the reduced Newton's
-    Jacobian, the degree bounds, jet search and the check after Newton.
+    Its unknowns are the z_ij and a_p, named in `unknown_names` and
+    numbered by `assignment`; `point` lists their values.  Rows (k, l), for
+    the selected equations f_k, and (G_ROW, l), for the squared minor, are
+    never held as polynomials: `rows(keys)` reads them at any point (see
+    `ReducedRows`).  A univariate system (`from_univariate`) has r = 0, no
+    divisor, and row (k, 0) is f_k itself.  `f_values[(k, l)]` is row
+    (k, l) at the point, read from the series side (see
+    `build_one_var_system`); the G rows vanish there by construction.
+    `zbar_precision` is the precision P of the approximate solution the
+    values were read from: value (k, l) is fixed only modulo x^(P - l).
     """
 
-    g_polys: list
-    f_polys: dict
+    equations: dict  # k -> f_k, the selected equations
     f_values: dict
+    unknowns: tuple  # the ambient unknowns u_i, in coordinate order
     unknown_names: list
     assignment: dict
     point: SeriesVector
     r: int
-    degree_bounds: dict
     zbar_precision: int
     # reconstruction data: the prepared squared minor carries the shear
     # and the distinguished polynomial
     divisor: PreparedDivisor | None = None
     w_quotients: list | None = None
     selection: MinorSelection | None = None
-    num_unknowns: int = 0  # m of the ambient problem
 
-    def equations(self):
-        eqs = [g for g in self.g_polys if not g.is_zero()]
-        eqs += [f for f in self.f_polys.values() if not f.is_zero()]
-        return eqs
+    def keys(self):
+        """Every row key: the G rows, then the F rows."""
+        return [(G_ROW, l) for l in range(self.r)] + list(self.f_values)
+
+    def rows(self, keys):
+        """The rows `keys` as a system for `tougeron_refine`."""
+        if self.divisor is None:
+            return PolySystem([self.equations[k] for k, _ in keys], self.assignment)
+        return ReducedRows(self, keys)
 
     @classmethod
     def from_univariate(cls, fs, zbar, assignment):
@@ -404,17 +429,96 @@ class OneVarSystem:
             raise MadicError("from_univariate needs a univariate instance")
         unknowns = sorted(assignment, key=assignment.get)
         return cls(
-            g_polys=[],
-            f_polys={(k, 0): f for k, f in enumerate(fs)},
+            equations=dict(enumerate(fs)),
             f_values={(k, 0): evaluate(f, zbar, assignment) for k, f in enumerate(fs)},
+            unknowns=tuple(unknowns),
             unknown_names=unknowns,
             assignment=dict(assignment),
             point=zbar,
             r=0,
-            degree_bounds={},
             zbar_precision=zbar.precision,
-            num_unknowns=len(unknowns),
         )
+
+
+def _euclid(slices, a, zero):
+    """Euclid in y by the monic y^r + sum_p a[p-1] y^(r-p), for `slices`
+    the coefficients of y^0, y^1, ... and the a_p series in x: the
+    remainder's r coefficients and the quotient's, lowest first.  Each
+    popped slice costs one product per a_p."""
+    r = len(a)
+    slices = slices + [zero] * (r - len(slices))
+    for e in range(len(slices) - 1, r - 1, -1):
+        for p, ap in enumerate(a, start=1):
+            slices[e - p] = slices[e - p] - slices[e] * ap
+    return slices[:r], slices[r:]
+
+
+class ReducedRows:
+    """Rows of a bivariate reduction, read at a point (z_ij, a_p) over
+    k[[x]]/x^N, N the point's precision.
+
+    For each source g, f_k or delta^2, P = g(x + lam*y, y, sum_j z_ij y^j),
+    lam the shear of the divisor, is the shear of one `evaluate` of g at
+    the images sheared back, at a precision past N + deg_y P, cut below
+    x^N.  Euclid in y by A = y^r + sum_p a_p y^(r-p) gives P = Q*A + R.  Row (k, l) is coefficient l of R: Euclid by a monic
+    polynomial commutes with the ring map k[x, z, a] -> k[[x]]/x^N, so it
+    is the symbolic row evaluated at the point, term for term.  As
+    dA/da_p = y^(r-p), dR/dz_ij is the remainder of (dg/du_i) y^j and
+    dR/da_p that of -Q y^(r-p).
+    """
+
+    def __init__(self, sys, keys):
+        self.sys = sys
+        self.keys = list(keys)
+        self.sources = {
+            k: sys.selection.minor ** 2 if k == G_ROW else sys.equations[k]
+            for k in dict.fromkeys(k for k, _ in self.keys)
+        }
+
+    def values(self, point):
+        return self._read(point, ())[0]
+
+    def jacobian(self, point, columns):
+        return PolyMatrix(self._read(point, columns)[1])
+
+    def _read(self, point, columns):
+        """The rows' values at `point` and their Jacobian on `columns`."""
+        sys = self.sys
+        fld, N, r, m = point.field, point.precision, sys.r, len(sys.unknowns)
+        change, xy = sys.divisor.change, sys.divisor.u.vars
+        zero = TruncatedSeries.zero(point.vars, N, fld)
+        # every image has y-degree at most max(1, r - 1), which bounds deg_y P;
+        # cap > N + r - 2 keeps every term of the z images
+        cap = N + max(1, r - 1) * max(max(g.degree(), 1) for g in self.sources.values())
+        z = []
+        for i in range(m):
+            zi = {(d, j): c for j in range(r) for (d,), c in point[i * r + j].terms.items()}
+            zi = TruncatedSeries._of_product(fld, xy, cap, zi)
+            z.append(zi if change.is_identity() else change.inverse().apply_series(zi))
+        z, ambient = SeriesVector(z), {u: i for i, u in enumerate(sys.unknowns)}
+
+        def in_y(g):
+            P = evaluate(g, z, ambient)
+            P = P if change.is_identity() else change.apply_series(P)
+            slices = [{} for _ in range(1 + max((e for _, e in P.terms), default=0))]
+            for (d, e), c in P.terms.items():
+                slices[e][(d,)] = c
+            return [TruncatedSeries(fld, point.vars, N, s) for s in slices]
+
+        a = list(point)[m * r :]
+        read = {}
+        for k, g in self.sources.items():
+            rem, quo = _euclid(in_y(g), a, zero)
+            # column z_ij reads (dg/du_i) y^j, column a_p reads -Q y^(r-p)
+            bases, derivs = {}, []
+            for col in (sys.assignment[v] for v in columns):
+                i, j = divmod(col, r) if col < m * r else (None, m * r + r - 1 - col)
+                if i not in bases:
+                    bases[i] = [-q for q in quo] if i is None else in_y(g.diff(sys.unknowns[i]))
+                derivs.append(_euclid([zero] * j + bases[i], a, zero)[0])
+            read[k] = rem, derivs
+        values = [read[k][0][l] for k, l in self.keys]
+        return values, [[d[l] for d in read[k][1]] for k, l in self.keys]
 
 
 def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None):
@@ -422,14 +526,13 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
 
     Regularizes and prepares the squared minor evaluated at zbar, and
     divides each coordinate of the sheared zbar by the distinguished
-    polynomial.  The squared minor and each selected equation are then
-    substituted once (x to x + lam*y, each unknown to its truncated form)
-    and reduced by the generic monic polynomial; the remainder's
-    coefficients are the reduced system.
+    polynomial: the remainders are the point's z_ij and the distinguished
+    coefficients its a_p.  The reduced rows are never built as
+    polynomials; `OneVarSystem.rows` reads them at any point.
 
     The values at the point come from the series side: substitution is a
     ring homomorphism and the remainder by a monic polynomial is unique, so
-    f_polys[(k, l)] at the point is coefficient l of the remainder of the
+    row (k, l) at the point is coefficient l of the remainder of the
     sheared residual f_k(zbar) by the distinguished polynomial, stored
     lifted to N (at most P = zbar.precision).  `residuals`, when given,
     lists f_k(zbar) for every equation.  Both sides rest on representatives
@@ -443,11 +546,8 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
     fs = list(fs)
     unknowns = sorted(assignment, key=assignment.get)
     m = len(unknowns)
-    d = max(2, max(int(f.degree()) for f in fs if not f.is_zero()))
-    svars = zbar.vars
 
-    delta = selection.minor
-    dbar = evaluate(delta, zbar, assignment)
+    dbar = evaluate(selection.minor, zbar, assignment)
     dsq_bar = dbar * dbar
     r_ord = dsq_bar.order()
     if not r_ord.finite:
@@ -463,82 +563,34 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
     def sheared(s):
         return s if change.is_identity() else change.apply_series(s)
 
-    z_t = SeriesVector([sheared(z) for z in zbar])
-
     w_quotients = []
-    coeff_series = []  # per unknown: list of r univariate series
-    for i in range(m):
-        q, rems = w_divide(z_t[i], dist)
+    point_entries = []
+    for z in zbar:
+        q, rems = w_divide(sheared(z), dist)
         w_quotients.append(q)
-        coeff_series.append(rems)
+        point_entries += [_lift(rem, N) for rem in rems]
+    point_entries += [_lift(a, N) for a in dist.coeffs]
 
-    z_names = [f"_z_{i}_{j}" for i in range(m) for j in range(r)]
-    a_names = [f"_a_{p}" for p in range(1, r + 1)]
-    unknown_names = z_names + a_names
-    sys_vars = svars + tuple(unknown_names)
-    fld = zbar.field
-
-    # one substitution: x goes to x + lam*y, y to itself, and each unknown
-    # u_i to sum_j z_ij y^j, its form modulo the distinguished polynomial
-    x, y = (Polynomial.variable(v, sys_vars, fld) for v in svars)
-    subs_map = {svars[0]: x + y.scale(change.lam)}
-    for i, u in enumerate(unknowns):
-        zi = Polynomial.zero(sys_vars, fld)
-        for j in range(r):
-            zi = zi + Polynomial.variable(f"_z_{i}_{j}", sys_vars, fld) * y ** j
-        subs_map[u] = zi
-
-    def reduce_poly(p):
-        return generic_euclid(p.subs(subs_map), r, svars[1], a_names)
-
-    g_polys = reduce_poly(delta * delta)
-    f_polys = {}
     f_values = {}
     for k in selection.subset:
-        for l, f in enumerate(reduce_poly(fs[k])):
-            f_polys[(k, l)] = f
         res = evaluate(fs[k], zbar, assignment) if residuals is None else residuals[k]
         for l, rem in enumerate(w_divide(sheared(res), dist)[1]):
             f_values[(k, l)] = _lift(rem, N)
 
-    deg_bounds = {
-        "d": d,
-        "m": m,
-        "r": r,
-        "f_bound": {(k, l): d * r - l for (k, l) in f_polys},
-        "g_bound": [2 * m * (d - 1) * r - l for l in range(r)],
-        "f_ok": all(
-            p.degree() <= d * r - l for (k, l), p in f_polys.items()
-        ),
-        "g_ok": all(
-            g.degree() <= 2 * m * (d - 1) * r - l
-            for l, g in enumerate(g_polys)
-        ),
-    }
-
-    point_entries = []
-    for i in range(m):
-        for j in range(r):
-            point_entries.append(_lift(coeff_series[i][j], N))
-    for p in range(r):
-        point_entries.append(_lift(dist.coeffs[p], N))
-    point = SeriesVector(point_entries)
-    sys_assignment = {name: idx for idx, name in enumerate(unknown_names)}
-
+    unknown_names = [f"_z_{i}_{j}" for i in range(m) for j in range(r)]
+    unknown_names += [f"_a_{p}" for p in range(1, r + 1)]
     return OneVarSystem(
-        g_polys=g_polys,
-        f_polys=f_polys,
+        equations={k: fs[k] for k in selection.subset},
         f_values=f_values,
+        unknowns=tuple(unknowns),
         unknown_names=unknown_names,
-        assignment=sys_assignment,
-        point=point,
+        assignment={name: idx for idx, name in enumerate(unknown_names)},
+        point=SeriesVector(point_entries),
         r=r,
-        degree_bounds=deg_bounds,
         zbar_precision=zbar.precision,
         divisor=divisor,
         w_quotients=w_quotients,
         selection=selection,
-        num_unknowns=m,
     )
 
 
@@ -566,16 +618,15 @@ def solve_one_var(sys, c, strategy="newton", config=None):
     live = [(k, l) for (k, l), v in sys.f_values.items() if v.order().lt(P - l)]
     if not live:
         return sys.point
-    eqs = sys.equations()
     if strategy == "jet-search":
-        return _one_var_jet_search(sys, eqs, c, config)
+        return _one_var_jet_search(sys, c, config)
     residual = min(sys.f_values[key].order().value for key in live)
-    return _one_var_newton(sys, eqs, [sys.f_polys[key] for key in live], residual, c, config)
+    return _one_var_newton(sys, live, residual, c, config)
 
 
-def _one_var_newton(sys, eqs, live, residual, c, config):
-    """Newton on the reduced system.  `live` are the equations that do not
-    vanish at the point and `residual` is their least order there.
+def _one_var_newton(sys, live, residual, c, config):
+    """Newton on the reduced system.  `live` are the keys of the rows that
+    do not vanish at the point and `residual` is their least order there.
 
     Refines on the square Jacobian submatrix of least order w at the point
     among those with residual >= 2w + c, the first in combinations order
@@ -587,7 +638,7 @@ def _one_var_newton(sys, eqs, live, residual, c, config):
         raise UnsupportedInstanceError(_NO_NEWTON_MINOR)
     unknowns = sys.unknown_names
     point = sys.point
-    jbar = _evaluated(jacobian(live, unknowns), point, sys.assignment)
+    jbar = sys.rows(live).jacobian(point, unknowns)
     k = min(len(live), len(unknowns))
     best = None
     tried = 0
@@ -607,7 +658,7 @@ def _one_var_newton(sys, eqs, live, residual, c, config):
         raise UnsupportedInstanceError(_NO_NEWTON_MINOR)
     _, esub, csub = best
     cert = tougeron_refine(
-        [live[i] for i in esub], [unknowns[j] for j in csub], point,
+        sys.rows([live[i] for i in esub]), [unknowns[j] for j in csub], point,
         sys.assignment, c, config.max_steps,
     )
     if not cert.certified:
@@ -615,16 +666,15 @@ def _one_var_newton(sys, eqs, live, residual, c, config):
             f"newton strategy failed on the reduced system: {cert.status}"
         )
     refined = cert.refined
-    for e in eqs:
-        if evaluate(e, refined, sys.assignment).order().finite:
-            raise UnsupportedInstanceError(
-                "newton strategy: an unselected reduced equation does not "
-                "vanish at the refined point"
-            )
+    if any(v.order().finite for v in sys.rows(sys.keys()).values(refined)):
+        raise UnsupportedInstanceError(
+            "newton strategy: an unselected reduced equation does not "
+            "vanish at the refined point"
+        )
     return refined
 
 
-def _one_var_jet_search(sys, eqs, c, config):
+def _one_var_jet_search(sys, c, config):
     fld = sys.point.field
     if not isinstance(fld, PrimeField):
         raise UnsupportedInstanceError("jet-search needs a prime-field instance")
@@ -637,6 +687,13 @@ def _one_var_jet_search(sys, eqs, c, config):
             f"jet search space {p}^{M * L} exceeds the cap {config.jet_cap}"
         )
     xvar = sys.point.vars
+    # the rows of each source, f_k or the squared minor, apart: a candidate
+    # is dropped at the first source with a row that does not vanish
+    keys = sys.keys()
+    per_source = [
+        sys.rows([key for key in keys if key[0] == k]) for k in dict.fromkeys(k for k, _ in keys)
+    ]
+    trunc_point = SeriesVector([s.truncate(L) for s in sys.point])
     best = None
     best_dist = -1
     for coeffs in itertools.product(range(p), repeat=M * L):
@@ -646,11 +703,8 @@ def _one_var_jet_search(sys, eqs, c, config):
             terms = {(i,): v for i, v in enumerate(chunk) if v}
             entries.append(TruncatedSeries(fld, xvar, L, terms))
         cand = SeriesVector(entries)
-        if any(
-            evaluate(e, cand, sys.assignment).order().finite for e in eqs
-        ):
+        if any(v.order().finite for rows in per_source for v in rows.values(cand)):
             continue
-        trunc_point = SeriesVector([s.truncate(L) for s in sys.point])
         diff = [a - b for a, b in zip(cand, trunc_point)]
         orders = [s.order() for s in diff]
         dist = min((o.value for o in orders), default=L)
@@ -671,7 +725,7 @@ def _one_var_jet_search(sys, eqs, c, config):
 
 def _reconstruct(sys, solved, N):
     """Rebuild the bivariate solution from the solved univariate point."""
-    m = sys.num_unknowns
+    m = len(sys.unknowns)
     r = sys.r
     fld = solved.field
     svars = sys.w_quotients[0].vars

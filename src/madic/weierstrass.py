@@ -25,10 +25,11 @@ reused for every dividend.  The per-dividend checks (exactness, precision,
 remainder orders, quotient order) still run on every call, so each
 quotient and each refusal is the one a fresh division would give.
 
-The generic Euclidean division returns only the remainder's coefficients,
-which is all the one-variable reduction reads: Euclid runs on the V-slices
-of the dividend, and multiplying a slice by a generic coefficient A_p is an
-exponent bump, so no polynomial product and no quotient is formed.
+The paper's generic Euclidean division returns only the remainder's
+coefficients: Euclid runs on the V-slices of the dividend, and multiplying a
+slice by a generic coefficient A_p is an exponent bump, so no polynomial
+product and no quotient is formed.  The solver reads its reduced system from
+numbers instead (`solver.ReducedRows`).
 """
 
 from __future__ import annotations

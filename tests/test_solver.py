@@ -1,11 +1,14 @@
 """Minor selection, Newton refinement and the end-to-end pipeline."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from sys import setprofile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from madic import (
     artin_probe,
     build_one_var_system,
     evaluate,
+    jacobian,
     parse_polynomial,
     parse_series,
     select_minor,
@@ -32,7 +36,7 @@ from madic import (
     tougeron_refine,
 )
 from madic.cli import main
-from madic.solver import STATUS_OK, SolverConfig, _reconstruct
+from madic.solver import _NO_NEWTON_MINOR, G_ROW, STATUS_OK, SolverConfig, _reconstruct
 from madic.weierstrass import w_divide
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -203,6 +207,7 @@ def test_refine_two_unknowns_cramer_columns():
 
 
 XYZ = ("x", "y", "z")
+XY = XYZ[:2]
 
 
 def _biv_point(text, N, field=QQ):
@@ -346,21 +351,22 @@ def test_build_one_var_system_invariants():
     sel = select_minor([f], zbar, {"z": 0}, 3)
     sys = build_one_var_system([f], sel, zbar, {"z": 0})
     assert sys.r == sel.squared_order == 4
+    keys = sys.keys()
+    g_keys = [(G_ROW, l) for l in range(sys.r)]
+    assert keys == g_keys + list(sys.f_values)
     # G_l vanishes at the approximate point, exactly to precision
-    for g in sys.g_polys:
-        if g.is_zero():
-            continue
-        val = evaluate(g, sys.point, sys.assignment)
-        assert not val.order().finite
+    for value in sys.rows(g_keys).values(sys.point):
+        assert not value.order().finite
     # F_{k,l} values have high order (the residual transported)
-    for p in sys.f_polys.values():
-        if p.is_zero():
-            continue
-        o = evaluate(p, sys.point, sys.assignment).order()
-        assert o.ge(6)
-    # the paper-derived degree bounds hold
-    assert sys.degree_bounds["f_ok"]
-    assert sys.degree_bounds["g_ok"]
+    for value in sys.rows(list(sys.f_values)).values(sys.point):
+        assert value.order().ge(6)
+    # the paper's degree bounds hold for the symbolic rows: d*r - l for the
+    # F rows and 2m(d - 1)r - l for the G rows
+    change, d, m, r = sys.divisor.change, int(f.degree()), 1, sys.r
+    for l, p in enumerate(_reference_reduction(f, change, ("z",), sys, XY)):
+        assert p.degree() <= d * r - l
+    for l, g in enumerate(_reference_reduction(sel.minor * sel.minor, change, ("z",), sys, XY)):
+        assert g.degree() <= 2 * m * (d - 1) * r - l
 
 
 def test_build_one_var_system_rejects_unit_minor():
@@ -405,10 +411,28 @@ def _reference_reduction(p, change, unknowns, sys, svars):
     return [coefficient(l) for l in range(r)]
 
 
+def _assert_rows_are_the_reference(fs, sel, sys, unknowns, point, columns):
+    """The reduced rows' values and Jacobian on `columns` at `point` are the
+    symbolic reference rows evaluated there, term for term."""
+    change = sys.divisor.change
+    ref = {}
+    for k, p in [(G_ROW, sel.minor * sel.minor)] + [(k, fs[k]) for k in sel.subset]:
+        for l, row in enumerate(_reference_reduction(p, change, unknowns, sys, XY)):
+            ref[(k, l)] = row
+    keys = sys.keys()
+    assert keys == list(ref)
+    rows = sys.rows(keys)
+    assert rows.values(point) == [evaluate(ref[key], point, sys.assignment) for key in keys]
+    want = jacobian([ref[key] for key in keys], columns).entries
+    got = rows.jacobian(point, columns).entries
+    assert got == [[evaluate(p, point, sys.assignment) for p in row] for row in want]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
-def test_build_one_var_system_one_substitution_under_a_shear(field, monkeypatch):
-    # the squared minor 4*z^2 at z = x is 4*x^2: not y-regular, so sheared
-    XY, vars, N = ("x", "y"), ("x", "y", "z", "w"), 16
+def test_reduced_rows_are_the_reference_under_a_shear(field):
+    # the squared minor 4*z^2 at z = x is 4*x^2: not y-regular, so sheared;
+    # two unknowns, and one equation left out of the selected subset
+    vars, N = XY + ("z", "w"), 16
     eqs = ("z^2 - x^2 - y^5", "w^2 - x^2*y^2 - z^2*y^4", "z*w - x^2*y")
     fs = [parse_polynomial(t, vars, field) for t in eqs]
     zbar = SeriesVector(
@@ -416,26 +440,56 @@ def test_build_one_var_system_one_substitution_under_a_shear(field, monkeypatch)
     )
     assignment = {"z": 0, "w": 1}
     sel = select_minor(fs, zbar, assignment, 8)
-    calls = []
-    real = Polynomial.subs
-
-    def counting(self, mapping):
-        calls.append(self)
-        return real(self, mapping)
-
-    monkeypatch.setattr(Polynomial, "subs", counting)
     sys = build_one_var_system(fs, sel, zbar, assignment)
-    monkeypatch.undo()
-    change = sys.divisor.change
-    assert not change.is_identity()
-    # one substitution for the squared minor and one per selected equation
+    assert not sys.divisor.change.is_identity()
     assert len(sel.subset) < len(fs)
-    assert len(calls) == 1 + len(sel.subset)
-    unknowns = ("z", "w")
-    assert sys.g_polys == _reference_reduction(sel.minor * sel.minor, change, unknowns, sys, XY)
-    for k in sel.subset:
-        want = _reference_reduction(fs[k], change, unknowns, sys, XY)
-        assert [sys.f_polys[(k, l)] for l in range(sys.r)] == want
+    moved = SeriesVector([s + xs(N, field) ** 3 - 2 for s in sys.point])
+    for point in (sys.point, moved):
+        _assert_rows_are_the_reference(fs, sel, sys, ("z", "w"), point, sys.unknown_names[::-1])
+
+
+def _solve_basic():
+    from madic.problemfile import load_problem
+
+    pf = load_problem(os.path.join(PROBLEMS, "solve_basic.madic"))
+    return pf.equations(), pf.approx_vector(), pf.assignment(), pf.get_int("target_order")
+
+
+def _biv_instance(equation, approx, N, field=QQ, c=1):
+    return [parse_polynomial(equation, XYZ, field)], _biv_point(approx, N, field), {"z": 0}, c
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        _solve_basic,
+        # a solve_biv shape, r = 4
+        lambda: _biv_instance("z^3 - x^3", "x + 2*x^2*y^3", 16, c=2),
+        # the live reduced Newton of test_live_reduced_newton_is_pinned
+        lambda: _biv_instance("z^3 - y^3", "y + x^9", 12),
+    ],
+    ids=["solve_basic", "solve_biv_r4", "live_newton"],
+)
+def test_solve_path_builds_no_symbolic_reduction(instance):
+    # calls are caught by code object, whatever name they are made under
+    from madic.weierstrass import generic_euclid
+
+    targets = {generic_euclid.__code__, Polynomial.subs.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in targets:
+            calls.append(frame.f_code.co_name)
+
+    fs, zbar, assignment, c = instance()
+    assert len(zbar.vars) == 2
+    setprofile(profile)
+    try:
+        cert = approximate_solve(fs, zbar, assignment, c)
+    finally:
+        setprofile(None)
+    assert cert.status == STATUS_OK
+    assert calls == []
 
 
 GF32003 = PrimeField(32003)
@@ -497,20 +551,39 @@ def test_series_side_values_are_the_reduced_equations_at_the_point(instance):
     sel, sys = _reduced(f, zbar, N)
     assert sys.r == sel.squared_order == r
     assert sys.divisor.change.is_identity() == (base == "y")
-    assert sys.f_values.keys() == sys.f_polys.keys()
-    for (k, l), p in sys.f_polys.items():
-        want = evaluate(p, sys.point, sys.assignment)
+    f_keys = list(sys.f_values)
+    assert f_keys == [(0, l) for l in range(r)]
+    for (k, l), want in zip(f_keys, sys.rows(f_keys).values(sys.point)):
         got = sys.f_values[(k, l)]
         assert got.precision == want.precision == N
         known = min(N, P - l)
         assert got.truncate(known) == want.truncate(known)
         if known == N:
             assert got.terms == want.terms
-    # the g rows, which solve_one_var never evaluates, vanish at the point:
-    # to precision when the squared minor at zbar drops no term
-    for l, g in enumerate(sys.g_polys):
-        value = evaluate(g, sys.point, sys.assignment)
+    # the g rows, which solve_one_var never reads at the point, vanish
+    # there: to precision when the squared minor at zbar drops no term
+    g_keys = [(G_ROW, l) for l in range(r)]
+    for l, value in enumerate(sys.rows(g_keys).values(sys.point)):
         assert value.order().ge(N if exact else min(N, P - l))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans().flatmap(reduction_instances), st.data())
+def test_reduced_rows_are_the_reference_at_any_point(instance, data):
+    # points off the reduced point, with a_p(0) != 0 among them, and a few
+    # columns in any order (the reference Jacobian is slow to evaluate)
+    f, zbar, _, _, N, _ = instance
+    sel, sys = _reduced(f, zbar, N)
+    fld = zbar.field
+    moved = []
+    for s in sys.point:
+        terms = data.draw(st.dictionaries(st.integers(0, N - 1), st.integers(-9, 9), max_size=3))
+        terms[0] = data.draw(st.integers(0, 2))
+        terms = {(d,): fld.convert(c) for d, c in terms.items()}
+        moved.append(s + TruncatedSeries(fld, ("x",), N, terms))
+    names = st.sampled_from(sys.unknown_names)
+    columns = data.draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    _assert_rows_are_the_reference([f], sel, sys, ("z",), SeriesVector(moved), columns)
 
 
 @settings(max_examples=30, deadline=None)
@@ -747,11 +820,11 @@ def test_one_var_newton_refuses_before_any_determinant(monkeypatch):
     determinants = []
     real_newton, real_det = solver._one_var_newton, solver.determinant
 
-    def newton(sys, eqs, live, residual, c, config):
+    def newton(sys, live, residual, c, config):
         calls.append((residual, c))
         inside.append(True)
         try:
-            return real_newton(sys, eqs, live, residual, c, config)
+            return real_newton(sys, live, residual, c, config)
         finally:
             inside.pop()
 
@@ -772,6 +845,90 @@ def test_one_var_newton_refuses_before_any_determinant(monkeypatch):
     )
     assert calls == [(2, 10)]
     assert determinants == []
+
+
+
+
+def _spy(monkeypatch, name):
+    """Record each call of solver.`name`."""
+    from madic import solver
+
+    calls = []
+    real = getattr(solver, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+# digest: sha256 of the sorted JSON dump of the certificate, recorded when
+# the reduced rows were still built as symbolic polynomials
+@pytest.mark.parametrize(
+    "field, digest",
+    [
+        (QQ, "12ca7713634d0a6a080f745ff30d8bb34e15725162108702f8131f312937763e"),
+        (GF32003, "21fa6a14c514df723791f1de1e9e9f5b24bfc9d51c6d7e90a66ddd05d4250376"),
+    ],
+    ids=["QQ", "GF32003"],
+)
+def test_live_reduced_newton_is_pinned(field, digest, monkeypatch):
+    # z^3 - y^3 at y + x^9: two rows of the reduced system are live, and the
+    # reduced Newton moves the point onto the root y
+    calls = _spy(monkeypatch, "_one_var_newton")
+    fs, zbar, assignment, c = _biv_instance("z^3 - y^3", "y + x^9", 12, field)
+    with _budget(10):
+        cert = approximate_solve(fs, zbar, assignment, c)
+    assert len(calls) == 1
+    assert cert.status == STATUS_OK
+    assert cert.refined[0] == _biv_point("y", 12, field)[0]
+    blob = json.dumps(cert.to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_live_reduced_jet_search_is_pinned(monkeypatch):
+    # z^2 + x*z - y^2 over GF(2) at y + x^3: the reduced system has live
+    # rows and none of the 2^12 jets of length 3 is a root of every row
+    calls = _spy(monkeypatch, "_one_var_jet_search")
+    gf2 = PrimeField(2)
+    fs, zbar, assignment, c = _biv_instance("z^2 + x*z - y^2", "y + x^3", 6, gf2)
+    cfg = SolverConfig(strategy="jet-search", jet_length=3)
+    with _budget(10):
+        with pytest.raises(UnsupportedInstanceError) as err:
+            approximate_solve(fs, zbar, assignment, c, cfg)
+    assert len(calls) == 1
+    assert str(err.value) == "jet search found no solution at jet length 3"
+
+
+CASE_267 = """field: Q
+series_vars: x y
+unknowns: z
+equation: (z - ((5)*x^3*y^1))^3 - ((-3)*y^2 + (1)*x^2*y^1)^3*(z - ((5)*x^3*y^1))
+approx: (5)*x^3*y^1 + (1)*x^3*y^1 + O(m^14)
+target_order: 1
+"""
+
+
+def test_cubic_with_r_12_is_refused_in_bounded_time(tmp_path, capsys):
+    # the symbolic reduced system of this cubic (r = 12) had 8.2 M terms and
+    # took over 100 s; the refusal needs only the residual's remainders
+    problem = tmp_path / "case267.madic"
+    problem.write_text(CASE_267)
+    with _budget(10):
+        assert main(["solve", str(problem)]) == 2
+    assert capsys.readouterr().err == f"precondition failed: {_NO_NEWTON_MINOR}\n"
+
+
+def test_high_precision_square_is_refused_in_bounded_time():
+    # z^2 - x*y^3 at x^15 + O(m^40): building the symbolic reduced system
+    # took 75 s and more
+    f = parse_polynomial("z^2 - x*y^3", XYZ)
+    with _budget(10):
+        with pytest.raises(UnsupportedInstanceError) as err:
+            approximate_solve([f], _biv_point("x^15", 40), {"z": 0}, 1)
+    assert str(err.value) == _NO_NEWTON_MINOR
 
 
 def test_pipeline_jacobian_ideal_vanishes():
