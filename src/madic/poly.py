@@ -14,6 +14,7 @@ compares below every integer.
 from __future__ import annotations
 
 import itertools
+from math import comb, prod
 from operator import mul
 
 from .errors import DomainMismatchError, MadicError
@@ -115,14 +116,6 @@ class Polynomial:
             terms[tuple(ne)] = c
         return Polynomial(self.field, new_vars, terms)
 
-    def used_vars(self):
-        used = set()
-        for e in self.terms:
-            for v, x in zip(self.vars, e):
-                if x:
-                    used.add(v)
-        return used
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -205,6 +198,23 @@ class Polynomial:
             key = tuple(ne)
             out[key] = f.add(out.get(key, f.zero()), coeff)
         return Polynomial(f, self.vars, out)
+
+    def hasse(self, names):
+        """Hasse derivatives in `names`: alpha -> T_alpha with f(u + t) =
+        sum_alpha T_alpha(u) t^alpha.  Term c*u^e gives c * prod_j
+        binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!."""
+        idx = [self.vars.index(v) for v in names]
+        f, out = self.field, {}
+        for e, c in self.terms.items():
+            for alpha in itertools.product(*(range(e[i] + 1) for i in idx)):
+                k = f.mul(c, f.convert(prod(map(comb, (e[i] for i in idx), alpha))))
+                if not f.is_zero(k):
+                    rest = list(e)
+                    for i, a in zip(idx, alpha):
+                        rest[i] -= a
+                    # e -> e - alpha is one to one, so no two terms meet
+                    out.setdefault(alpha, {})[tuple(rest)] = k
+        return {a: Polynomial._of_terms(f, self.vars, t) for a, t in out.items()}
 
     def subs(self, mapping):
         """Substitute polynomials for variables.

@@ -223,6 +223,22 @@ class PolySystem:
             self._jacobians[columns] = jacobian(self.fs, columns)
         return _evaluated(self._jacobians[columns], point, self.assignment)
 
+    def taylor(self, columns):
+        """(d, h_v for v in `columns`) and, per equation f, the tail F =
+        sum_{|alpha| >= 2} T_alpha d^(|alpha|-2) h^alpha of its Hasse
+        derivatives in `columns`, with F's partials in the h_v."""
+        names = ("δ",) + tuple(v + "'" for v in columns)  # no name parses
+        tails = []
+        for f in self.fs:
+            terms = {
+                e + (sum(a) - 2,) + a: c
+                for a, t in f.hasse(columns).items() if sum(a) >= 2
+                for e, c in t.terms.items()
+            }
+            F = Polynomial._of_terms(f.field, f.vars + names, terms)
+            tails.append((F, [F.diff(v) for v in names[1:]]))
+        return names, tails
+
 
 def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
                     prepared=None):
@@ -231,12 +247,23 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     `fs` is a list of polynomials or a system read, like a `PolySystem`,
     only through `values(point)` and `jacobian(point, columns)`.
 
-    delta is the Jacobian minor of fs on `columns`.  Requires each residual
-    f_i(zbar) to be an exact multiple of delta(zbar)^2 with quotient of
-    order >= c.  Updates only the selected coordinates by the adjugate of
-    the square Jacobian submatrix J times the quotients q, taken as Cramer
-    columns (entry j is det J with column j replaced by q), so the only
-    divisions are by delta(zbar)^2 (certified above) and by units.
+    delta is the Jacobian minor of fs on `columns` and d = delta(zbar).
+    Requires each residual f_i(zbar) to be an exact multiple of d^2 with
+    quotient q_i of order >= c.  A step moves the selected coordinates z by
+    d*h, h_j = -det(J with column j replaced by q) * w^-1, w = det J / d, so
+    the only divisions are by d^2 (certified above), d and units.  w^-1 is
+    taken only below N - min ord of the numerators d*det(...), at most
+    r + min ord q for r = ord d^2, so f(z) + d J h = d^2 q (1 - w w^-1)
+    stays in d^2 m^(N - r) and the next quotient is exact mod m^(N - r).
+
+    A `PolySystem` steps by Tougeron's Taylor identity (J.-C. Tougeron,
+    Ideaux de fonctions differentiables, 1972), f(z + d h) = f(z) + d J h
+    + d^2 sum_{|alpha| >= 2} T_alpha(z) d^(|alpha|-2) h^alpha, T_alpha the
+    Hasse derivatives: the sum is the next q mod m^(N - r), and its
+    partials E in the h_j give J' = J + d E and w' = w + sum over nonempty
+    row sets S of d^(|S|-1) det(J with rows S from E).  So f and J are
+    evaluated at zbar, f again at the end, and nothing is divided.  Other
+    systems evaluate and divide at every step.
 
     delta(zbar)^2 and delta(zbar) are each prepared once, on first use, and
     shared by every division of the run and the final distance audit.
@@ -247,7 +274,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     residuals = system.values(zbar)
     if len(residuals) != len(columns):
         raise MadicError("need as many equations as selected columns")
-    N = zbar.precision
+    N, m = zbar.precision, len(columns)
     jbar = system.jacobian(zbar, columns)
     dbar = determinant(jbar)
     if not dbar.order().finite:
@@ -256,11 +283,12 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     if prepared is None or prepared.u != dsq:
         prepared = PreparedDivisor(dsq)
     dsq_div, dbar_div = prepared, PreparedDivisor(dbar)
+    zero = TruncatedSeries.zero(zbar.vars, N, zbar.field)
 
     quotients = []
     for res in residuals:
         if res.is_zero_to_precision():
-            quotients.append(TruncatedSeries.zero(zbar.vars, N, zbar.field))
+            quotients.append(zero)
             continue
         try:
             q = divide_series(res, dsq_div)
@@ -281,64 +309,82 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
 
     col_index = [assignment[v] for v in columns]
     current = list(zbar.entries)
+    half, r = dbar.order().value, dsq_div.order.value
+    names, tails = system.taylor(columns) if isinstance(system, PolySystem) else ((), None)
+    at = dict(assignment, **{v: len(current) + i for i, v in enumerate(names)})
     trace = []
     stall = 0
     steps = 0
     status = STATUS_OK
+    # at step 0 the minor is dbar itself, so w = 1 and the step
+    # subtracts each numerator as it is
+    w = None
 
-    while any(not r.is_zero_to_precision() for r in residuals):
+    while any(q.terms for q in quotients):
         if steps >= max_steps:
             status = STATUS_STALLED
             break
-        # at step 0 the minor is dbar itself, so w = 1 and the step
-        # subtracts each numerator as it is
-        w = None
-        if steps:
+        if steps and tails:
+            # E at the last step's (z, d, h); a 1x1 Cramer matrix is q
+            # alone, so J' is built only for m > 1
+            pt = SeriesVector([s.truncate(N - half) for s in base])
+            E = [[evaluate(p, pt, at) for p in slopes] for _, slopes in tails]
+            rows = list(zip(jbar.entries, E))
+            if w is None:
+                w = TruncatedSeries.constant(1, zbar.vars, N - half, zbar.field)
+            for S in range(1, 1 << m):
+                t = determinant(PolyMatrix([e if S >> i & 1 else j for i, (j, e) in enumerate(rows)]))
+                w = w + (t * dbar ** (S.bit_count() - 1) if S & S - 1 else t)
+            if m > 1:
+                jbar = PolyMatrix([[a + dbar * _lift(e, N) for a, e in zip(*row)] for row in rows])
+        elif steps:
             jbar = system.jacobian(SeriesVector(current), columns)
-            det = determinant(jbar)
             try:
-                w = divide_series(det, dbar_div)
+                w = divide_series(determinant(jbar), dbar_div)
             except MadicError:
                 status = STATUS_STALLED
                 break
-            if not w.is_unit():
-                status = STATUS_STALLED
-                break
-        numerators = []
-        for jj in range(len(col_index)):
-            cramer = PolyMatrix(
-                [r[:jj] + [q] + r[jj + 1 :] for r, q in zip(jbar.entries, quotients)]
-            )
-            numerators.append(dbar * determinant(cramer))
-        # a term of w^-1 of degree >= N - ord(numerator) only reaches degrees
-        # >= N of the step, so w is inverted only below N - min ord
-        orders = [n.order().value for n in numerators if not n.is_zero_to_precision()]
-        if orders:
-            if w is not None:
-                winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
-            for ci, num in zip(col_index, numerators):
-                if not num.is_zero_to_precision():
-                    current[ci] = _lift(current[ci] - (num if w is None else num * winv), N)
-        steps += 1
-        residuals = system.values(SeriesVector(current))
-        new_quotients = []
-        for res in residuals:
-            if res.is_zero_to_precision():
-                new_quotients.append(TruncatedSeries.zero(zbar.vars, N, zbar.field))
-                continue
-            try:
-                new_quotients.append(_lift(divide_series(res, dsq_div), N))
-            except MadicError:
-                status = STATUS_STALLED
-                res = None
-                break
-        if res is None and status == STATUS_STALLED:
+        if w is not None and not w.is_unit():
+            status = STATUS_STALLED
             break
-        quotients = new_quotients
-        o = SeriesVector(residuals).order()
+        cramers = [
+            determinant(PolyMatrix(
+                [row[:j] + [q] + row[j + 1 :] for row, q in zip(jbar.entries, quotients)]
+            ))
+            for j in range(m)
+        ]
+        # the numerator dbar * cramer has order half + ord(cramer); a term
+        # of w^-1 of degree >= N - ord(numerator) only reaches degrees >= N
+        # of the step, so w is inverted only below N - min ord
+        orders = [half + cr.order().value for cr in cramers]
+        h = [zero] * m
+        if min(orders) < N and w is not None:
+            winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
+        base = list(current)  # the step expands f around it
+        for j, (ci, cr, o) in enumerate(zip(col_index, cramers, orders)):
+            if o < N:
+                h[j] = -cr if w is None else -(cr * winv)
+                current[ci] = _lift(current[ci] + dbar * h[j], N)
+        steps += 1
+        if tails:
+            base += [dbar] + h
+            pt = SeriesVector([s.truncate(N - r) for s in base])
+            quotients = [_lift(evaluate(F, pt, at), N) for F, _ in tails]
+        else:
+            residuals = system.values(SeriesVector(current))
+            try:
+                quotients = [
+                    _lift(divide_series(res, dsq_div), N) if res.terms else zero
+                    for res in residuals
+                ]
+            except MadicError:
+                status = STATUS_STALLED
+                break
+        # ord f(z) = r + ord q, and N once every quotient vanishes
+        o = min((r + q.order().value for q in quotients if q.terms), default=None)
         prev = trace[-1] if trace else None
-        trace.append(o.value)
-        if prev is not None and o.finite and o.value <= prev:
+        trace.append(N if o is None else o)
+        if prev is not None and o is not None and o <= prev:
             stall += 1
             if stall >= 3:
                 status = STATUS_STALLED
@@ -346,7 +392,10 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         else:
             stall = 0
 
-    # every exit leaves `residuals` evaluated at the current vector
+    # the division step leaves `residuals` at the current vector; the Taylor
+    # step evaluates f there only now, for the certificate
+    if tails and steps:
+        residuals = system.values(SeriesVector(current))
     refined = SeriesVector([_lift(s, N) for s in current])
     coord_orders = [(a - b).order() for a, b in zip(refined, zbar)]
     cert = RefinementCertificate(

@@ -516,14 +516,13 @@ class PreparedDivisor:
             self.prepare()
             change = self.change
             v_reg = v if change.is_identity() else change.apply_series(v)
-            q_reg, rems = w_divide(v_reg, self.dist)
-            for j, rem in enumerate(rems):
-                ro = rem.order()
-                if ro.finite and ro.value + j < N - 2 * r:
-                    raise MadicError("series division is not exact")
-            q_reg = q_reg * self._inverse
+            q_reg = w_divide(v_reg, self.dist)[0] * self._inverse
             q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
             q = q.truncate(N - r)
+            # exact iff u*q gives v back to precision N; the remainders of
+            # the division are fixed only below N - 2r
+            if (u * TruncatedSeries._of_product(q.field, q.vars, N, q.terms) - v).terms:
+                raise MadicError("series division is not exact")
         if order_check is not None and not q.order().ge(order_check):
             raise MadicError(
                 f"quotient order {q.order()} below required {order_check}"

@@ -144,6 +144,26 @@ def test_subs_contributions_cancel():
     assert out == P("s + x", tgt)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([QQ, PrimeField(2), PrimeField(3)]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 5)),
+        st.integers(-9, 9), min_size=1, max_size=6,
+    ),
+)
+def test_hasse_derivatives_sum_to_the_shifted_polynomial(field, terms):
+    # degrees up to 6 pass p = 2 and 3, where alpha! vanishes but the
+    # binomial coefficients need no division
+    f = Polynomial(field, ("x", "u", "v"), {e: field.convert(c) for e, c in terms.items()})
+    ext = ("x", "u", "v", "s", "t")
+    shifted = Polynomial.zero(ext, field)
+    for alpha, t in f.hasse(("u", "v")).items():
+        shifted = shifted + t.extend_vars(ext) * Polynomial.monomial((0, 0, 0) + alpha, 1, ext, field)
+    var = {name: Polynomial.variable(name, ext, field) for name in ext}
+    assert shifted == f.subs({"u": var["u"] + var["s"], "v": var["v"] + var["t"]})
+
+
 # -- products, powers and substitution against the pairwise loops ---------
 
 

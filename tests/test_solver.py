@@ -36,7 +36,15 @@ from madic import (
     tougeron_refine,
 )
 from madic.cli import main
-from madic.solver import _NO_NEWTON_MINOR, G_ROW, STATUS_OK, SolverConfig, _reconstruct
+from madic.solver import (
+    _NO_NEWTON_MINOR,
+    G_ROW,
+    STATUS_OK,
+    STATUS_STALLED,
+    PolySystem,
+    SolverConfig,
+    _reconstruct,
+)
 from madic.weierstrass import w_divide
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -309,6 +317,147 @@ def test_refine_inverts_w_only_below_what_the_step_reads(monkeypatch, field, equ
     # step 0 takes none: its w is 1
     assert len(steps) == lean.iterations - 1
     assert all(cap < own < N for own, cap in steps)
+
+
+# -- Taylor steps against the evaluate-and-divide step -----------------
+
+
+class _Divided:
+    """A polynomial system seen only through `values` and `jacobian`, so
+    `tougeron_refine` evaluates and divides at every step."""
+
+    def __init__(self, fs, assignment):
+        self._system = PolySystem(fs, assignment)
+
+    def values(self, point):
+        return self._system.values(point)
+
+    def jacobian(self, point, columns):
+        return self._system.jacobian(point, columns)
+
+
+def _refinement(system, *args):
+    """The certificate's JSON, or the refusal's type, message and reason."""
+    try:
+        return tougeron_refine(system, *args).to_json()
+    except MadicError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "reason", None)
+
+
+def _both_steps(fs, zbar, assignment, c, max_steps=64):
+    columns = tuple(sorted(assignment, key=assignment.get))
+    args = (columns, zbar, assignment, c, max_steps)
+    return _refinement(fs, *args), _refinement(_Divided(fs, assignment), *args)
+
+
+@st.composite
+def square_systems(draw):
+    """m = 1-3 equations f_i in u_j = z_j - root_j: u_i times a unit or a
+    square, or u_i plus a neighbour's square, some with a cross term u_i
+    u_(i+1), at roots plus one perturbation monomial of degree 3-8."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF32003]))
+    svars = draw(st.sampled_from([("x",), ("x", "y")]))
+    m = draw(st.integers(1, 3))
+    unknowns = tuple(f"z{i}" for i in range(m))
+
+    def monomial(low, high):
+        d = draw(st.integers(low, high))
+        a = draw(st.integers(0, d)) if len(svars) == 2 else d
+        coeff = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+        return f"({coeff})*x^{a}" + (f"*y^{d - a}" if len(svars) == 2 else "")
+
+    roots = [monomial(1, 3) for _ in unknowns]
+    u = [f"({z} - {root})" for z, root in zip(unknowns, roots)]
+    eqs = []
+    for i in range(m):
+        nxt = u[(i + 1) % m]
+        eqs.append(draw(st.sampled_from([
+            f"{u[i]}^{draw(st.integers(1, 3))} - ({monomial(0, 2)})^2*{u[i]}",
+            f"{u[i]}*({monomial(1, 2)} + {nxt}) + {u[i]}^2",
+            f"{u[i]} + {draw(st.integers(1, 3))}*{nxt}^2 + {u[i]}^3",
+        ])) + (f" + {nxt}*{u[i]}" if m > 1 and draw(st.booleans()) else ""))
+    N = draw(st.integers(8, 24 if len(svars) == 2 else 40))
+    point = [f"{root} + {monomial(3, 8)} + O(m^{N})" for root in roots]
+    fs = [parse_polynomial(e, svars + unknowns, field) for e in eqs]
+    zbar = SeriesVector(
+        [TruncatedSeries.from_polynomial(parse_series(p, svars, field)[0], N) for p in point]
+    )
+    return fs, zbar, {z: i for i, z in enumerate(unknowns)}, draw(st.integers(1, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(square_systems(), st.sampled_from([1, 2, 64]))
+def test_taylor_step_matches_the_division_step(case, max_steps):
+    taylor, divided = _both_steps(*case, max_steps)
+    assert taylor == divided
+
+
+def test_taylor_step_stalls_where_w_is_not_a_unit():
+    # z^2 - x^2 over GF(5) at 2x: q = 3 and the step lands on z = 0, where
+    # det J = 0, so w is not a unit and the second step never starts
+    gf5 = PrimeField(5)
+    f = parse_polynomial("z^2 - x^2", ("x", "z"), gf5)
+    zbar = SeriesVector([xs(10, gf5).scale(2)])
+    taylor, divided = _both_steps([f], zbar, {"z": 0}, 0)
+    assert taylor == divided
+    assert (taylor["status"], taylor["iterations"], taylor["trace"]) == (STATUS_STALLED, 1, [2])
+
+
+def test_bivariate_taylor_refine_evaluates_and_divides_only_at_the_ends(monkeypatch):
+    from madic import solver
+
+    divisions, evaluations, jacobians = [], [], []
+    real_divide, real_evaluate = solver.divide_series, solver.evaluate
+    real_jacobian = PolySystem.jacobian
+
+    def divide(v, u, order_check=None):
+        divisions.append(v)
+        return real_divide(v, u, order_check)
+
+    def evaluate_(f, point, assignment):
+        evaluations.append(f)
+        return real_evaluate(f, point, assignment)
+
+    def jacobian_(self, point, columns):
+        jacobians.append(point)
+        return real_jacobian(self, point, columns)
+
+    monkeypatch.setattr(solver, "divide_series", divide)
+    monkeypatch.setattr(solver, "evaluate", evaluate_)
+    monkeypatch.setattr(PolySystem, "jacobian", jacobian_)
+    fs, zbar, assignment, c = _solve_basic()
+    assert len(zbar.vars) == 2
+    cert = tougeron_refine(fs, ("z",), zbar, assignment, c)
+    assert cert.status == STATUS_OK and cert.iterations >= 2
+    # one division per residual before the loop, one per moved coordinate
+    # in the distance audit
+    moved = sum(not (a - b).is_zero_to_precision() for a, b in zip(cert.refined, zbar))
+    assert moved and len(divisions) == len(fs) + moved
+    assert [sum(g is f for g in evaluations) for f in fs] == [2] * len(fs)
+    assert len(jacobians) == 1
+
+
+PIN_NOT_MULTIPLE = """field: Q
+series_vars: x y
+unknowns: z
+equation: z^3 + y^2*z
+approx: x^9*y + O(m^18)
+target_order: 1
+"""
+
+
+def test_refine_of_a_residual_that_is_no_multiple_is_refused(tmp_path, capsys):
+    # the residual x^9*y^3 is no multiple of delta(zbar)^2 = y^4 + O(m^18);
+    # its remainder lies past the degrees the remainder test reads, where
+    # the run used to stall after 4 iterations at residual order 12
+    problem = tmp_path / "pin.madic"
+    problem.write_text(PIN_NOT_MULTIPLE)
+    with _budget(10):
+        assert main(["refine", str(problem)]) == 2
+    assert capsys.readouterr().err == (
+        "precondition failed: residual is not an exact multiple of the "
+        "squared minor: series division is not exact\n"
+    )
 
 
 def test_pipeline_prepares_each_divisor_once(monkeypatch):

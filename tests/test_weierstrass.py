@@ -341,6 +341,47 @@ def test_divide_series_inexact_fails():
         divide_series(S("y + O(m^8)"), S("x + O(m^8)"))
 
 
+@pytest.mark.parametrize("N", [18, 14])
+def test_divide_series_remainder_past_the_checked_degrees_is_refused(N):
+    # y^4 does not divide x^9*y^3: the remainder is at degree 12, past the
+    # N - 2r the remainder test reads (and, at N = 14, past the quotient's
+    # precision N - r); the quotient 0 gives 0, not v, modulo m^N
+    with pytest.raises(MadicError, match="series division is not exact"):
+        divide_series(S(f"x^9*y^3 + O(m^{N})"), S(f"y^4 + O(m^{N})"))
+
+
+@st.composite
+def exact_bivariate_multiples(draw):
+    """(u, s, v = u*s): u = c*y^r plus terms of degree r to N - 1, so u is
+    y-regular of order r; s has terms of any degree below N."""
+    field = draw(st.sampled_from([QQ] + [PrimeField(p) for p in (2, 3, 7, 32003)]))
+    r = draw(st.integers(1, 4))
+    N = draw(st.integers(max(8, 2 * r + 2), 24))
+
+    def terms(low, size):
+        keys = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(
+            lambda e: low <= sum(e) < N and e != (0, r)
+        )
+        return {e: field.convert(c) for e, c in draw(
+            st.dictionaries(keys, st.integers(-9, 9), max_size=size)
+        ).items()}
+
+    lead = field.convert(draw(st.integers(1, 6)))
+    lead = field.one() if field.is_zero(lead) else lead
+    u = TruncatedSeries(field, XY, N, {**terms(r, 4), (0, r): lead})
+    s = TruncatedSeries(field, XY, N, terms(0, 6))
+    return u, s, u * s
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(exact_bivariate_multiples())
+def test_divide_series_accepts_every_exact_bivariate_multiple(case):
+    u, s, v = case
+    q = divide_series(v, u)
+    # the quotient is unique modulo m^(N - r)
+    assert q == s.truncate(v.precision - u.order().value)
+
+
 def test_divide_series_order_check():
     v, _ = parse_series("x^3 + O(m^10)", ("x",))
     v = TruncatedSeries.from_polynomial(v, 10)
