@@ -265,10 +265,12 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     evaluated at zbar, f again at the end, and nothing is divided.  Other
     systems evaluate and divide at every step.
 
-    delta(zbar)^2 and delta(zbar) are each prepared once, on first use, and
-    shared by every division of the run and the final distance audit.
-    `prepared`, a PreparedDivisor from an earlier stage, stands in for
-    delta(zbar)^2 when its series equals delta(zbar)^2 exactly.
+    delta(zbar)^2 is prepared once, on first use, and shared by every
+    division of the run; `prepared`, a PreparedDivisor from an earlier
+    stage, stands in for it when its series equals delta(zbar)^2 exactly.
+    Only the division step divides by d.  The final distance audit divides
+    nothing: each move z_j - zbar_j was built as d*H_j, H_j the sum of the
+    steps' h_j, and `_move_within` checks it against that witness.
     """
     system = fs if hasattr(fs, "jacobian") else PolySystem(fs, assignment)
     residuals = system.values(zbar)
@@ -311,6 +313,9 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     current = list(zbar.entries)
     half, r = dbar.order().value, dsq_div.order.value
     names, tails = system.taylor(columns) if isinstance(system, PolySystem) else ((), None)
+    # z_j - zbar_j = dbar * H_j, H_j the sum of the steps' h_j: the
+    # distance audit's witness, kept over k[[x, y]] for a nonunit dbar
+    witness = [zero if half and len(zbar.vars) > 1 else None] * m
     at = dict(assignment, **{v: len(current) + i for i, v in enumerate(names)})
     trace = []
     stall = 0
@@ -365,6 +370,8 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
             if o < N:
                 h[j] = -cr if w is None else -(cr * winv)
                 current[ci] = _lift(current[ci] + dbar * h[j], N)
+                if witness[j] is not None:
+                    witness[j] = witness[j] + h[j]
         steps += 1
         if tails:
             base += [dbar] + h
@@ -412,17 +419,33 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         # stays within (delta(zbar)) m^c
         if any(r.order().finite for r in residuals):
             cert.status = STATUS_STALLED
-        else:
-            for a, b in zip(refined, zbar):
-                diff = a - b
-                if diff.is_zero_to_precision():
-                    continue
-                try:
-                    divide_series(diff, dbar_div, order_check=c)
-                except MadicError:
-                    cert.status = STATUS_STALLED
-                    break
+        elif not all(
+            _move_within(refined[ci] - zbar[ci], dbar, witness[j], c, N)
+            for j, ci in enumerate(col_index)
+        ):
+            cert.status = STATUS_STALLED
     return cert
+
+
+def _move_within(diff, dbar, witness, c, N):
+    """Whether the move diff = z_j - zbar_j lies in (dbar) m^c mod m^N,
+    with the verdict of divide_series(diff, dbar, order_check=c).
+
+    k[[x, y]] is a domain, so a quotient of diff by dbar, a = ord dbar,
+    is unique below N - a and has order ord diff - a: over k[[x, y]] with
+    a > 0 the witness H (dbar H = diff by construction) truncated there
+    must give diff back to precision N.  Over k[[x]], where (dbar) = (x^a),
+    and for a unit dbar, the order alone decides.
+    """
+    if not diff.terms:
+        return True
+    a = dbar.order().value
+    if not diff.order().ge(a + max(c, 0)):
+        return False
+    if witness is None:
+        return True
+    q = _lift(witness.truncate(N - a), N)
+    return not (dbar * q - diff).terms
 
 
 # key of the rows read from the squared minor
