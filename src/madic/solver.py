@@ -269,8 +269,8 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     division of the run; `prepared`, a PreparedDivisor from an earlier
     stage, stands in for it when its series equals delta(zbar)^2 exactly.
     Only the division step divides by d.  The final distance audit divides
-    nothing: each move z_j - zbar_j was built as d*H_j, H_j the sum of the
-    steps' h_j, and `_move_within` checks it against that witness.
+    nothing: each move z_j - zbar_j is d*H_j by construction, H_j the sum
+    of the steps' h_j, so `_move_within` reads its order alone.
     """
     system = fs if hasattr(fs, "jacobian") else PolySystem(fs, assignment)
     residuals = system.values(zbar)
@@ -313,9 +313,6 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     current = list(zbar.entries)
     half, r = dbar.order().value, dsq_div.order.value
     names, tails = system.taylor(columns) if isinstance(system, PolySystem) else ((), None)
-    # z_j - zbar_j = dbar * H_j, H_j the sum of the steps' h_j: the
-    # distance audit's witness, kept over k[[x, y]] for a nonunit dbar
-    witness = [zero if half and len(zbar.vars) > 1 else None] * m
     at = dict(assignment, **{v: len(current) + i for i, v in enumerate(names)})
     trace = []
     stall = 0
@@ -370,8 +367,6 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
             if o < N:
                 h[j] = -cr if w is None else -(cr * winv)
                 current[ci] = _lift(current[ci] + dbar * h[j], N)
-                if witness[j] is not None:
-                    witness[j] = witness[j] + h[j]
         steps += 1
         if tails:
             base += [dbar] + h
@@ -419,33 +414,22 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         # stays within (delta(zbar)) m^c
         if any(r.order().finite for r in residuals):
             cert.status = STATUS_STALLED
-        elif not all(
-            _move_within(refined[ci] - zbar[ci], dbar, witness[j], c, N)
-            for j, ci in enumerate(col_index)
-        ):
+        elif not all(_move_within(refined[ci] - zbar[ci], half, c) for ci in col_index):
             cert.status = STATUS_STALLED
     return cert
 
 
-def _move_within(diff, dbar, witness, c, N):
+def _move_within(diff, a, c):
     """Whether the move diff = z_j - zbar_j lies in (dbar) m^c mod m^N,
-    with the verdict of divide_series(diff, dbar, order_check=c).
+    a = ord dbar, with the verdict of divide_series(diff, dbar,
+    order_check=c).
 
-    k[[x, y]] is a domain, so a quotient of diff by dbar, a = ord dbar,
-    is unique below N - a and has order ord diff - a: over k[[x, y]] with
-    a > 0 the witness H (dbar H = diff by construction) truncated there
-    must give diff back to precision N.  Over k[[x]], where (dbar) = (x^a),
-    and for a unit dbar, the order alone decides.
+    Each move is dbar*H by construction, and k[[x, y]] is a domain, so the
+    quotient is unique below N - a with order ord diff - a: the order
+    alone decides.  max(c, 0) keeps that so for a negative target, where
+    the division still needs a multiple of dbar, ord >= a.
     """
-    if not diff.terms:
-        return True
-    a = dbar.order().value
-    if not diff.order().ge(a + max(c, 0)):
-        return False
-    if witness is None:
-        return True
-    q = _lift(witness.truncate(N - a), N)
-    return not (dbar * q - diff).terms
+    return not diff.terms or diff.order().ge(a + max(c, 0))
 
 
 # key of the rows read from the squared minor
