@@ -171,11 +171,12 @@ def cmd_refine(pf, args):
     c = args.target_order or pf.get_int("target_order")
     if c is None:
         raise ParseError("refine needs a target_order")
-    H = elkik_ideal(eqs, list(pf.unknowns()))
+    colons = {}
+    H = elkik_ideal(eqs, list(pf.unknowns()), colons)
     hord = ideal_order(H.generators, zbar, assignment)
     if not hord.finite:
         raise HypothesisError("Jacobian ideal vanishes to precision")
-    sel = select_minor(eqs, zbar, assignment, hord.value + 1)
+    sel = select_minor(eqs, zbar, assignment, hord.value + 1, colons)
     cert = tougeron_refine(
         [eqs[i] for i in sel.subset], sel.columns, zbar, assignment, c
     )

@@ -380,13 +380,14 @@ def colon(J, I):
     return result
 
 
-def elkik_ideal(fs, diff_vars):
+def elkik_ideal(fs, diff_vars, colons=None):
     """Jacobian ideal of a presentation: the sum over all subsets E of the
     equations of (|E|x|E| Jacobian minors of the rows E) * ((f_i, i in E) : I).
 
     Returns the raw generator list as an Ideal, without Groebner
     post-processing.  The empty subset contributes (1) * ((0) : I), which is
-    zero over a domain.
+    zero over a domain.  `colons`, a dict when given, receives each colon
+    ideal ((f_i, i in E) : I) under its subset E.
     """
     fs = list(fs)
     if not fs:
@@ -413,6 +414,8 @@ def elkik_ideal(fs, diff_vars):
                 sub = jac.submatrix(E, range(len(diff_vars)))
                 sub_minors = minors(sub, h)
                 col = colon(Ideal([fs[i] for i in E]), I)
+            if colons is not None:
+                colons[E] = col
             for d in sub_minors:
                 if d.is_zero():
                     continue

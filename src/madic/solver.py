@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bounds import capped_power, default_a_fn, gamma
 from .errors import (
@@ -78,6 +79,8 @@ class MinorSelection:
     cofactor: Polynomial  # chosen generator of ((f_i, i in E) : I)
     minor_order: int  # ord of the minor at the approximate solution
     squared_order: int  # r = ord of the squared minor
+    jbar: PolyMatrix  # the minor's matrix at the approximate solution
+    dbar: TruncatedSeries  # the minor there, det jbar
 
     def to_json(self):
         return {
@@ -144,14 +147,15 @@ def _lift(s, precision):
     return TruncatedSeries._of_product(s.field, s.vars, precision, dict(s.terms))
 
 
-def select_minor(fs, zbar, assignment, s):
+def select_minor(fs, zbar, assignment, s, colons=None):
     """Pick a subset E of equations, a Jacobian minor and a colon-ideal
     witness whose product stays below order s at the approximate solution.
 
     Among candidates the one minimizing ord of the squared minor wins;
     ties break on lexicographically smallest E, then column set, then
     generator index.  Raises HypothesisError when every product has order
-    at least s.
+    at least s.  `colons` maps E to ((f_i, i in E) : I) as `elkik_ideal`
+    leaves it; without it each colon ideal is computed here.
     """
     fs = list(fs)
     unknowns = sorted(assignment, key=assignment.get)
@@ -162,13 +166,14 @@ def select_minor(fs, zbar, assignment, s):
     min_product_order = None
     for h in range(1, min(len(fs), len(unknowns)) + 1):
         for E in itertools.combinations(range(len(fs)), h):
-            col_ideal = colon(Ideal([fs[i] for i in E]), I)
+            col_ideal = colons[E] if colons else colon(Ideal([fs[i] for i in E]), I)
             kgens = [g for g in col_ideal.generators if not g.is_zero()]
             if not kgens:
                 continue
             kvals = [evaluate(k, zbar, assignment).order() for k in kgens]
             for cols in itertools.combinations(range(len(unknowns)), h):
-                dord = determinant(jbar.submatrix(E, cols)).order()
+                det = determinant(jbar.submatrix(E, cols))
+                dord = det.order()
                 if not dord.finite:
                     continue
                 for gi, kord in enumerate(kvals):
@@ -181,14 +186,14 @@ def select_minor(fs, zbar, assignment, s):
                         continue
                     measure = (2 * dord.value, E, cols, gi)
                     if best is None or measure < best[0]:
-                        best = (measure, kgens[gi])
+                        best = (measure, kgens[gi], det)
     if best is None:
         raise HypothesisError(
             "no Jacobian-minor/colon-witness product has order below "
             f"s={s} at the approximate solution",
             measured=min_product_order,
         )
-    (squared, E, cols, _), k = best
+    (squared, E, cols, _), k, det = best
     return MinorSelection(
         subset=E,
         columns=tuple(unknowns[c] for c in cols),
@@ -196,6 +201,8 @@ def select_minor(fs, zbar, assignment, s):
         cofactor=k,
         minor_order=squared // 2,
         squared_order=squared,
+        jbar=jbar.submatrix(E, cols),
+        dbar=det,
     )
 
 
@@ -240,8 +247,20 @@ class PolySystem:
         return names, tails
 
 
+@dataclass
+class AtZbar:
+    """What the pipeline computed at zbar, for `tougeron_refine`: f(zbar),
+    J(zbar) on the selected columns, dbar = det J(zbar) and the reduction's
+    quotients of the sheared residuals by the distinguished polynomial."""
+
+    residuals: list
+    jbar: PolyMatrix
+    dbar: TruncatedSeries
+    w_quotients: list | None = None
+
+
 def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
-                    prepared=None):
+                    prepared=None, at=None):
     """Newton iteration under the Tougeron hypothesis.
 
     `fs` is a list of polynomials or a system read, like a `PolySystem`,
@@ -267,33 +286,36 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
 
     delta(zbar)^2 is prepared once, on first use, and shared by every
     division of the run; `prepared`, a PreparedDivisor from an earlier
-    stage, stands in for it when its series equals delta(zbar)^2 exactly.
+    stage, stands in for it when its series equals delta(zbar)^2 exactly,
+    and only then are the w_quotients of `at` used.  `at`, an AtZbar,
+    hands on f(zbar), J(zbar) and d, so none is computed again.
     Only the division step divides by d.  The final distance audit divides
     nothing: each move z_j - zbar_j is d*H_j by construction, H_j the sum
     of the steps' h_j, so `_move_within` reads its order alone.
     """
     system = fs if hasattr(fs, "jacobian") else PolySystem(fs, assignment)
-    residuals = system.values(zbar)
+    residuals = system.values(zbar) if at is None else at.residuals
     if len(residuals) != len(columns):
         raise MadicError("need as many equations as selected columns")
     N, m = zbar.precision, len(columns)
-    jbar = system.jacobian(zbar, columns)
-    dbar = determinant(jbar)
+    jbar = system.jacobian(zbar, columns) if at is None else at.jbar
+    dbar = determinant(jbar) if at is None else at.dbar
     if not dbar.order().finite:
         raise HypothesisError("minor vanishes at the approximate solution")
     dsq = _lift(dbar * dbar, N)
+    wqs = at and at.w_quotients
     if prepared is None or prepared.u != dsq:
-        prepared = PreparedDivisor(dsq)
+        prepared, wqs = PreparedDivisor(dsq), None
     dsq_div, dbar_div = prepared, PreparedDivisor(dbar)
     zero = TruncatedSeries.zero(zbar.vars, N, zbar.field)
 
     quotients = []
-    for res in residuals:
+    for i, res in enumerate(residuals):
         if res.is_zero_to_precision():
             quotients.append(zero)
             continue
         try:
-            q = divide_series(res, dsq_div)
+            q = divide_series(res, dsq_div, w_quotient=wqs[i]) if wqs else divide_series(res, dsq_div)
         except PrecisionError:
             raise  # too little precision to divide says nothing of the residual
         except MadicError as exc:
@@ -441,7 +463,8 @@ class OneVarSystem:
     """The reduced system over k[[x]] produced by Weierstrass division.
 
     Its unknowns are the z_ij and a_p, named in `unknown_names` and
-    numbered by `assignment`; `point` lists their values.  Rows (k, l), for
+    numbered by `assignment`; `point`, their values, is built on first read
+    (the pipeline reads it only when a value is `live`).  Rows (k, l), for
     the selected equations f_k, and (G_ROW, l), for the squared minor, are
     never held as polynomials: `rows(keys)` reads them at any point (see
     `ReducedRows`).  A univariate system (`from_univariate`) has r = 0, no
@@ -457,14 +480,36 @@ class OneVarSystem:
     unknowns: tuple  # the ambient unknowns u_i, in coordinate order
     unknown_names: list
     assignment: dict
-    point: SeriesVector
+    zbar: SeriesVector  # the approximate solution
+    N: int
     r: int
-    zbar_precision: int
     # reconstruction data: the prepared squared minor carries the shear
     # and the distinguished polynomial
     divisor: PreparedDivisor | None = None
-    w_quotients: list | None = None
+    f_quotients: dict | None = None  # k -> quotient of the division giving f_values
     selection: MinorSelection | None = None
+
+    @property
+    def zbar_precision(self):
+        return self.zbar.precision
+
+    def live(self):
+        """Keys (k, l) of the values with a term below degree zbar_precision - l,
+        past which a value depends on terms beyond zbar's precision."""
+        return [(k, l) for (k, l), v in self.f_values.items() if v.order().lt(self.zbar_precision - l)]
+
+    @cached_property
+    def zbar_division(self):
+        """(quotient, remainders) of each sheared zbar_i by the distinguished polynomial."""
+        change, dist = self.divisor.change, self.divisor.dist
+        return [w_divide(z if change.is_identity() else change.apply_series(z), dist) for z in self.zbar]
+
+    @cached_property
+    def point(self):
+        if self.divisor is None:
+            return self.zbar
+        entries = [_lift(rem, self.N) for _, rems in self.zbar_division for rem in rems]
+        return SeriesVector(entries + [_lift(a, self.N) for a in self.divisor.dist.coeffs])
 
     def keys(self):
         """Every row key: the G rows, then the F rows."""
@@ -490,9 +535,9 @@ class OneVarSystem:
             unknowns=tuple(unknowns),
             unknown_names=unknowns,
             assignment=dict(assignment),
-            point=zbar,
+            zbar=zbar,
+            N=zbar.precision,
             r=0,
-            zbar_precision=zbar.precision,
         )
 
 
@@ -580,17 +625,18 @@ class ReducedRows:
 def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None):
     """Reduce a bivariate instance to a system over k[[x]].
 
-    Regularizes and prepares the squared minor evaluated at zbar, and
-    divides each coordinate of the sheared zbar by the distinguished
-    polynomial: the remainders are the point's z_ij and the distinguished
-    coefficients its a_p.  The reduced rows are never built as
-    polynomials; `OneVarSystem.rows` reads them at any point.
+    Regularizes and prepares the squared minor at zbar, the selection's
+    dbar squared.  The point, built on first read, has the remainders of
+    the sheared zbar by the distinguished polynomial as its z_ij and the
+    distinguished coefficients as its a_p.  The reduced rows are never
+    built as polynomials; `OneVarSystem.rows` reads them at any point.
 
     The values at the point come from the series side: substitution is a
     ring homomorphism and the remainder by a monic polynomial is unique, so
     row (k, l) at the point is coefficient l of the remainder of the
     sheared residual f_k(zbar) by the distinguished polynomial, stored
-    lifted to N (at most P = zbar.precision).  `residuals`, when given,
+    lifted to N (at most P = zbar.precision), and the quotient of that
+    division is kept for `tougeron_refine`.  `residuals`, when given,
     lists f_k(zbar) for every equation.  Both sides rest on representatives
     cut at degree P, so coefficient l is fixed only modulo x^(P - l).
     """
@@ -603,8 +649,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
     unknowns = sorted(assignment, key=assignment.get)
     m = len(unknowns)
 
-    dbar = evaluate(selection.minor, zbar, assignment)
-    dsq_bar = dbar * dbar
+    dsq_bar = selection.dbar * selection.dbar
     r_ord = dsq_bar.order()
     if not r_ord.finite:
         raise PrecisionError("squared minor vanishes to working precision")
@@ -614,23 +659,13 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
 
     divisor = PreparedDivisor(dsq_bar)
     divisor.prepare()
-    change, dist = divisor.change, divisor.dist
-
-    def sheared(s):
-        return s if change.is_identity() else change.apply_series(s)
-
-    w_quotients = []
-    point_entries = []
-    for z in zbar:
-        q, rems = w_divide(sheared(z), dist)
-        w_quotients.append(q)
-        point_entries += [_lift(rem, N) for rem in rems]
-    point_entries += [_lift(a, N) for a in dist.coeffs]
-
-    f_values = {}
+    change = divisor.change
+    f_values, f_quotients = {}, {}
     for k in selection.subset:
         res = evaluate(fs[k], zbar, assignment) if residuals is None else residuals[k]
-        for l, rem in enumerate(w_divide(sheared(res), dist)[1]):
+        res = res if change.is_identity() else change.apply_series(res)
+        f_quotients[k], rems = w_divide(res, divisor.dist)
+        for l, rem in enumerate(rems):
             f_values[(k, l)] = _lift(rem, N)
 
     unknown_names = [f"_z_{i}_{j}" for i in range(m) for j in range(r)]
@@ -641,11 +676,11 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
         unknowns=tuple(unknowns),
         unknown_names=unknown_names,
         assignment={name: idx for idx, name in enumerate(unknown_names)},
-        point=SeriesVector(point_entries),
+        zbar=zbar,
+        N=N,
         r=r,
-        zbar_precision=zbar.precision,
         divisor=divisor,
-        w_quotients=w_quotients,
+        f_quotients=f_quotients,
         selection=selection,
     )
 
@@ -662,16 +697,12 @@ def solve_one_var(sys, c, strategy="newton", config=None):
     """Solve the reduced univariate system to precision, staying within
     distance order c of the approximate point.
 
-    The live equations and their least order at the point are read from
-    `sys.f_values`; nothing is evaluated to find them.  Value (k, l) is
-    live when it has a term below degree P - l, P = sys.zbar_precision:
-    from that degree on it depends on terms past the approximate solution's
-    precision.  When
-    none is live the point itself is returned, the same object."""
+    The live equations (`OneVarSystem.live`) and their least order at the
+    point are read from `sys.f_values`; nothing is evaluated to find them.
+    When none is live the point itself is returned, the same object."""
     _check_strategy(strategy)
     config = config or SolverConfig()
-    P = sys.zbar_precision
-    live = [(k, l) for (k, l), v in sys.f_values.items() if v.order().lt(P - l)]
+    live = sys.live()
     if not live:
         return sys.point
     if strategy == "jet-search":
@@ -784,7 +815,7 @@ def _reconstruct(sys, solved, N):
     m = len(sys.unknowns)
     r = sys.r
     fld = solved.field
-    svars = sys.w_quotients[0].vars
+    svars = sys.zbar.vars
     a_solved = []
     for p in range(r):
         a = solved[m * r + p]
@@ -796,7 +827,7 @@ def _reconstruct(sys, solved, N):
     entries = []
     yser = TruncatedSeries.variable(svars[1], svars, N, fld)
     for i in range(m):
-        zi = _lift(dist2_series * _lift(sys.w_quotients[i], N), N)
+        zi = _lift(dist2_series * _lift(sys.zbar_division[i][0], N), N)
         for j in range(r):
             uni = solved[i * r + j]
             biv = TruncatedSeries(
@@ -828,7 +859,8 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
     d = max(2, max((int(f.degree()) for f in fs if not f.is_zero()), default=2))
     N = zbar.precision
 
-    H = elkik_ideal(fs, unknowns)
+    colons = {}
+    H = elkik_ideal(fs, unknowns, colons)
     hord = ideal_order(H.generators, zbar, assignment)
     if not hord.finite:
         raise HypothesisError(
@@ -856,23 +888,29 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         cert.target_order = c
         return cert
 
-    selection = select_minor(fs, zbar, assignment, s)
+    selection = select_minor(fs, zbar, assignment, s, colons)
     sel_fs = [fs[i] for i in selection.subset]
     r = selection.squared_order
+    at = AtZbar([residuals[i] for i in selection.subset], selection.jbar, selection.dbar)
 
     if r == 0 or len(zbar.vars) == 1:
         cert = tougeron_refine(
-            sel_fs, selection.columns, zbar, assignment, c, config.max_steps,
+            sel_fs, selection.columns, zbar, assignment, c, config.max_steps, at=at,
         )
     else:
         sys = build_one_var_system(fs, selection, zbar, assignment, N, residuals)
-        solved = solve_one_var(sys, c + 2 * s, config.strategy, config)
-        # an unmoved point reconstructs to zbar exactly: the sheared zbar is
-        # dist * q + sum_j rem_j y^j to precision
-        z2 = zbar if solved is sys.point else _reconstruct(sys, solved, N)
+        # with nothing live the reduced solve keeps the point, which gives
+        # zbar back exactly (the sheared zbar is dist * q + sum_j rem_j y^j
+        # to precision): refine from zbar, with the reduction's quotients
+        z2 = zbar
+        if sys.live():
+            solved = solve_one_var(sys, c + 2 * s, config.strategy, config)
+            z2, at = _reconstruct(sys, solved, N), None
+        else:
+            at.w_quotients = [sys.f_quotients[k] for k in selection.subset]
         cert = tougeron_refine(
             sel_fs, selection.columns, z2, assignment, c, config.max_steps,
-            prepared=sys.divisor,
+            prepared=sys.divisor, at=at,
         )
         # distances in the certificate must refer to the original input
         cert.coordinate_orders = [

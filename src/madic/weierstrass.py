@@ -484,7 +484,7 @@ class PreparedDivisor:
             self.change, u_reg = regularize(self.u)
             self._inverse, self.dist = prepare(u_reg)
 
-    def divide(self, v, order_check=None):
+    def divide(self, v, order_check=None, w_quotient=None):
         """Certified exact division v / u; see `divide_series`."""
         u = self.u
         v._check(u)
@@ -515,8 +515,10 @@ class PreparedDivisor:
                 raise PrecisionError("precision too low for series division")
             self.prepare()
             change = self.change
-            v_reg = v if change.is_identity() else change.apply_series(v)
-            q_reg = w_divide(v_reg, self.dist)[0] * self._inverse
+            if w_quotient is None:
+                v_reg = v if change.is_identity() else change.apply_series(v)
+                w_quotient = w_divide(v_reg, self.dist)[0]
+            q_reg = w_quotient * self._inverse
             q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
             q = q.truncate(N - r)
             # exact iff u*q gives v back to precision N; the remainders of
@@ -530,15 +532,17 @@ class PreparedDivisor:
         return q
 
 
-def divide_series(v, u, order_check=None):
+def divide_series(v, u, order_check=None, w_quotient=None):
     """Certified exact division v / u of truncated series.
 
     `u` is a series or a PreparedDivisor; pass a PreparedDivisor to divide
     many dividends by one u without preparing it again.  Raises MadicError
     when v is not a multiple of u to the available precision.  The
     quotient's precision drops by ord(u).  `order_check`, when given,
-    additionally requires ord(v/u) >= order_check.
+    additionally requires ord(v/u) >= order_check.  `w_quotient`, for a
+    bivariate u, is the quotient of the sheared v by u's distinguished
+    polynomial when the caller has it; every check still runs.
     """
     if not isinstance(u, PreparedDivisor):
         u = PreparedDivisor(u)
-    return u.divide(v, order_check)
+    return u.divide(v, order_check, w_quotient)

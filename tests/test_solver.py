@@ -41,11 +41,14 @@ from madic.solver import (
     G_ROW,
     STATUS_OK,
     STATUS_STALLED,
+    AtZbar,
+    MinorSelection,
     PolySystem,
     SolverConfig,
     _move_within,
     _reconstruct,
 )
+from madic.poly import determinant
 from madic.weierstrass import divide_series, regularize, w_divide
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -723,6 +726,153 @@ def test_solve_path_builds_no_symbolic_reduction(instance):
         setprofile(None)
     assert cert.status == STATUS_OK
     assert calls == []
+
+
+# -- values computed at zbar once ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "instance, live, refused",
+    [
+        (_solve_basic, False, False),
+        (lambda: _biv_instance("z^3 - y^3", "y + x^9", 12), True, False),
+        # the sum_root shape: live, and refused before the point is read
+        (lambda: _biv_instance("z^2 - (x+y)^2", "x + y + 3*x^2*y^2", 24, PrimeField(32003), 3), True, True),
+    ],
+    ids=["solve_basic", "live_newton", "sum_root"],
+)
+def test_pipeline_computes_each_value_at_zbar_once(instance, live, refused, monkeypatch):
+    from madic import groebner, solver, weierstrass
+
+    names = {
+        weierstrass.w_divide.__code__: "w_divide",
+        weierstrass.divide_series.__code__: "divide_series",
+        groebner.colon.__code__: "colon",
+        evaluate.__code__: "evaluate",
+        solver._evaluated.__code__: "evaluated",
+    }
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append((names[frame.f_code], dict(frame.f_locals)))
+
+    fs, zbar, assignment, c = instance()
+    selections = _spy(monkeypatch, "select_minor")
+    setprofile(profile)
+    try:
+        cert = approximate_solve(fs, zbar, assignment, c)
+    except UnsupportedInstanceError:
+        cert = None
+    finally:
+        setprofile(None)
+    monkeypatch.undo()
+    sel = select_minor(*selections[0])
+    assert (cert is None) == refused and (refused or cert.status == STATUS_OK)
+
+    def args(name, key):
+        return [a[key] for n, a in calls if n == name]
+
+    change = regularize(sel.dbar * sel.dbar)[0]
+    sheared = [s if change.is_identity() else change.apply_series(s) for s in zbar]
+    residuals = [evaluate(fs[k], zbar, assignment) for k in sel.subset]
+    residuals = [s if change.is_identity() else change.apply_series(s) for s in residuals]
+    dividends = args("w_divide", "g")
+    # each selected residual is sheared and divided once, and zbar only
+    # when a value is live and the reduced solve reads the point
+    assert [sum(g == s for g in dividends) for s in residuals] == [1] * len(residuals)
+    assert [sum(g == s for g in dividends) for s in sheared] == [live and not refused] * len(zbar)
+    # the initial division of the refinement from zbar starts from the
+    # reduction's quotient, through divide_series
+    handed = [a for a in args("divide_series", "w_quotient") if a is not None]
+    assert len(handed) == (0 if live else len(residuals))
+    # each colon ideal is built once, in elkik_ideal
+    built = [tuple(map(str, J.generators)) for J in args("colon", "J")]
+    assert len(built) == len(set(built)) == 2 ** len(fs)
+    # f and J at zbar once each; the final audit evaluates at the refined point
+    at_zbar = [f for f, z in zip(args("evaluate", "f"), args("evaluate", "zbar")) if z is zbar]
+    assert [sum(g is f for g in at_zbar) for f in fs] == [1] * len(fs)
+    assert sum(z is zbar for z in args("evaluated", "zbar")) == 1
+
+
+def _refine_with_zbar_data(fs, zbar, assignment, c, max_steps, other_divisor):
+    """The refinement of the square system `fs` from zbar, alone and with
+    what the pipeline hands on: residuals, J(zbar), dbar and, for a
+    bivariate instance that reduces, the divisor and quotients of
+    `build_one_var_system`; with `other_divisor`, those of dbar*(x + y)
+    instead, which the refinement must refuse along with the quotients."""
+    columns = tuple(sorted(assignment, key=assignment.get))
+    system = PolySystem(fs, assignment)
+    jbar = system.jacobian(zbar, columns)
+    at = AtZbar(system.values(zbar), jbar, determinant(jbar))
+    sel = MinorSelection(tuple(range(len(fs))), columns, None, None, 0, 0, jbar, at.dbar)
+    if other_divisor and len(zbar.vars) == 2:
+        # not dbar times a unit: that has the same distinguished polynomial
+        x, y = (TruncatedSeries.variable(v, zbar.vars, zbar.precision, zbar.field) for v in zbar.vars)
+        sel = dataclasses.replace(sel, dbar=at.dbar * (x + y))
+    prepared = None
+    try:
+        sys = build_one_var_system(fs, sel, zbar, assignment, residuals=at.residuals)
+        prepared, at.w_quotients = sys.divisor, [sys.f_quotients[k] for k in sel.subset]
+    except MadicError:
+        pass  # univariate, a unit minor, or a squared minor that cannot be prepared
+    args = (fs, columns, zbar, assignment, c, max_steps)
+    return _refinement(*args), _refinement(*args, prepared, at), prepared is not None
+
+
+ZBAR_DATA_EXAMPLES = [
+    # lam = 0: the squared minor 4z^2 at y + y^4 is y-regular
+    (["z^2 - y^2"], "y + y^4", 24, QQ, 3),
+    # sheared: 4z^2 at x + x^4 has no pure y term
+    (["z^2 - x^2"], "x + x^4", 24, QQ, 3),
+    # the residual x^2*y is no multiple of dbar^2 = 4x^2*y^2
+    (["z^2 - x^2*y^2 - x^2*y"], "x*y", 16, PrimeField(7), 1),
+    # the quotient (2x^4*y^4 + x^6*y^6)/(4x^2*y^2(1 + x^2*y^2)^2) has
+    # order 4, below the target 5
+    (["z^2 - x^2*y^2"], "x*y + x^3*y^3", 16, QQ, 5),
+    # N = 9 <= 2r + 1 for r = 4: too little precision to divide
+    (["z^2 - x^2*y^2"], "x*y + x^2*y^2", 9, PrimeField(3), 1),
+    # GF(2), sheared: the residual is no multiple of dbar^2
+    (["z^2 + x*z - y^2"], "y + x^3", 12, PrimeField(2), 1),
+]
+
+
+def _zbar_data_case(equations, approx, N, field, c):
+    fs = [parse_polynomial(e, XYZ, field) for e in equations]
+    return fs, _biv_point(approx, N, field), {"z": 0}, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_systems(), st.sampled_from([1, 64]), st.booleans())
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[0]), 64, False)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[1]), 64, False)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[1]), 64, True)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[2]), 64, False)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[3]), 64, False)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[4]), 64, False)
+@example(_zbar_data_case(*ZBAR_DATA_EXAMPLES[5]), 1, True)
+def test_refinement_from_handed_on_zbar_data_is_the_same(case, max_steps, other_divisor):
+    alone, handed, _ = _refine_with_zbar_data(*case, max_steps, other_divisor)
+    assert handed == alone
+
+
+def test_zbar_data_examples_cover_each_outcome():
+    outcomes = []
+    for spec in ZBAR_DATA_EXAMPLES:
+        fs, zbar, assignment, c = _zbar_data_case(*spec)
+        alone, handed, reduced = _refine_with_zbar_data(fs, zbar, assignment, c, 64, False)
+        dsq = PolySystem(fs, assignment).jacobian(zbar, ("z",))[0, 0] ** 2
+        outcome = alone[2] if isinstance(alone, tuple) else alone["status"]
+        outcomes.append((reduced, regularize(dsq)[0].is_identity(), outcome))
+    # (reduced, lam = 0, outcome); a PrecisionError has no reason
+    assert outcomes == [
+        (True, True, STATUS_OK),
+        (True, False, STATUS_OK),
+        (True, False, "residual-not-multiple"),
+        (True, False, "residual-order"),
+        (True, False, None),
+        (True, False, "residual-not-multiple"),
+    ]
 
 
 GF32003 = PrimeField(32003)
