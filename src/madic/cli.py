@@ -157,7 +157,9 @@ def _solver_config(pf, args):
         )
     cfg = SolverConfig(strategy=strategy)
     jl = pf.get_int("jet_length")
-    if jl:
+    if jl is not None:
+        if jl < 1:
+            raise ParseError(f"jet_length must be at least 1 in {pf.path}, got {jl}")
         cfg.jet_length = jl
     if pf.get("K"):
         cfg.K = pf.get_int("K")

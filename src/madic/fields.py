@@ -1,9 +1,10 @@
 """Coefficient fields: exact rationals and prime fields GF(p).
 
-Rational coefficients are `fractions.Fraction` values (always in lowest terms
-with positive denominator), prime-field coefficients are plain ints reduced
-into [0, p).  A field object bundles the arithmetic so polynomial and series
-code never has to branch on the coefficient representation.
+Polynomial coefficients over QQ are `fractions.Fraction` values (always in
+lowest terms with positive denominator), prime-field coefficients are plain
+ints reduced into [0, p).  A field object bundles that arithmetic.  A series
+holds integer numerators over one denominator (`content_free`), residues
+over 1 over GF(p), and builds Fractions only for its `terms` view.
 
 The rational field is the default and matches the characteristic-zero
 infinite-field setting of the theory; GF(p) exists for the exhaustive
@@ -13,7 +14,7 @@ jet-search oracle and is a strictly larger-than-hypotheses mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainMismatchError, MadicError
 
@@ -150,11 +151,21 @@ def common_denominator(field, coeffs):
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
+def content_free(nums, den):
+    """(nums, den) over QQ divided by gcd(den, *nums): the one form of a
+    numerator dict over a positive den, with den 1 when nums is empty."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return {k: n // g for k, n in nums.items()}, den // g
+    return nums, den
+
+
 def field_terms(field, items, den):
     """The term dict of (key, number) pairs over `den`, one field element
     per term, without the terms that vanish.  Over QQ a denominator of 1
     builds each Fraction without a gcd; `den` None keeps the numbers as
-    they are (they are Fractions already)."""
+    they are (numerators of the caller's denominator, or Fractions)."""
     if field.characteristic:
         p = field.p
         return {k: r for k, n in items if (r := n % p)}

@@ -186,29 +186,25 @@ class Polynomial:
         """Formal partial derivative with respect to one variable."""
         if name not in self.vars:
             raise MadicError(f"unknown variable {name!r}")
-        i = self.vars.index(name)
-        f = self.field
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            coeff = f.mul(c, f.convert(e[i]))
-            key = tuple(ne)
-            out[key] = f.add(out.get(key, f.zero()), coeff)
-        return Polynomial(f, self.vars, out)
+        i, p = self.vars.index(name), self.field.characteristic
+        # e -> e - 1 at i is one to one; int coefficients stay ints
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] % p if p else c * e[i]
+               for e, c in self.terms.items() if e[i]}
+        return Polynomial(self.field, self.vars, out)
 
     def hasse(self, names):
         """Hasse derivatives in `names`: alpha -> T_alpha with f(u + t) =
         sum_alpha T_alpha(u) t^alpha.  Term c*u^e gives c * prod_j
-        binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!."""
+        binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!, and int
+        coefficients stay ints."""
         idx = [self.vars.index(v) for v in names]
-        f, out = self.field, {}
+        f, p, out = self.field, self.field.characteristic, {}
         for e, c in self.terms.items():
             for alpha in itertools.product(*(range(e[i] + 1) for i in idx)):
-                k = f.mul(c, f.convert(prod(map(comb, (e[i] for i in idx), alpha))))
-                if not f.is_zero(k):
+                k = c * prod(map(comb, (e[i] for i in idx), alpha))
+                if p:
+                    k %= p
+                if k:
                     rest = list(e)
                     for i, a in zip(idx, alpha):
                         rest[i] -= a
@@ -367,12 +363,12 @@ def determinant(M):
     if n == 0:
         raise MadicError("empty determinant handled by caller")
     # column subsets as bit masks
-    dets = {1 << j: a for j, a in enumerate(M.entries[n - 1]) if a.terms}
+    dets = {1 << j: a for j, a in enumerate(M.entries[n - 1]) if not a.is_zero()}
     for row in reversed(M.entries[: n - 1]):
         above = {}
         for T, d in dets.items():
             for j, a in enumerate(row):
-                if T >> j & 1 or not a.terms:
+                if T >> j & 1 or a.is_zero():
                     continue
                 # j sits after the columns of T below it in T + {j}
                 odd = (T & ((1 << j) - 1)).bit_count() & 1
@@ -382,7 +378,7 @@ def determinant(M):
                     above[S] = above[S] - t if odd else above[S] + t
                 else:
                     above[S] = -t if odd else t
-        dets = {S: d for S, d in above.items() if d.terms}
+        dets = {S: d for S, d in above.items() if not d.is_zero()}
     full = dets.get((1 << n) - 1)
     if full is None:
         z = M[0, 0]

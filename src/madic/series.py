@@ -8,6 +8,14 @@ truncated series cannot be certified, so `ord` returns a lower-bound marker
 Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
 
+A series has one exact form: integer numerators, keyed by exponent tuple,
+over one positive denominator, with their common content removed
+(`fields.content_free`).  Over GF(p) these are the residues over 1, so both
+fields share it, and `==` and `hash` compare it as it is.  The kernels and
+the series operations take and return numerators; `terms`, the Fractions
+over QQ, is built on first read and kept, for printing, JSON and the
+Polynomial layer.  Fractions are built nowhere else on the series side.
+
 Every truncated product of the series and polynomial layers goes through
 one exact sparse kernel, `mul_terms`, over term dicts keyed by exponent
 tuples of one length or, for a univariate dict, by plain degrees:
@@ -17,12 +25,13 @@ tuples of one length or, for a univariate dict, by plain degrees:
 - one operand is sorted by total degree, so the inner loop over it stops at
   the degree cap instead of testing every pair;
 - coefficients are accumulated as plain ints and each output coefficient
-  is reduced once: over GF(p) the residues themselves, over QQ the
-  numerators of each operand over its own lcm denominator, with one
-  Fraction built per output term.  When that lcm is much longer than the
-  largest denominator (many unrelated denominators), the scaled numerators
-  would cost more than Fraction arithmetic, so the Fractions themselves are
-  accumulated instead;
+  is reduced once: over GF(p) the residues themselves, over QQ a series'
+  numerators as they are, and the Fractions of a polynomial scaled to
+  numerators over their lcm denominator, with one Fraction built per
+  output term.  When that lcm is much longer than the largest denominator
+  (many unrelated denominators), the scaled numerators would cost more
+  than Fraction arithmetic, so the Fractions themselves are accumulated
+  instead;
 - each term of an operand of one or two terms shifts and scales the
   other, with no packing (a constant only scales), and the parts are added;
 - a dense univariate product is one big-int multiply (Kronecker
@@ -32,24 +41,24 @@ tuples of one length or, for a univariate dict, by plain degrees:
   same over both fields: both operands keep at least _SLOT_MIN_TERMS terms
   below the cap, span at most _SLOT_SPAN slots per term, and bits(max |a|)
   + bits(max |b|) + bits(min(len a, len b)), plus 1 when a number is
-  negative, is at most 64, so that no slot sum can overflow.  Wider numbers
-  (most QQ numerators over an lcm), multivariate keys and the Fraction
-  fallback take the pairwise loop.
+  negative, is at most 64, so that no slot sum can overflow.  Wider numbers,
+  multivariate keys and the Fraction fallback take the pairwise loop.
 
 Both fields are exact, so the result does not depend on the accumulation
-order or representation.  `LinearChange.apply_series` accumulates its
-one-pass expansion in the same integer representation.
+order or representation.  `LinearChange.apply_series` and Weierstrass
+division read a series' numerators in the same way.
 
-Every inverse of a unit goes through one kernel, `inverse_terms`, by the
-coefficient recurrence b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k} in order of
-total degree: each b_m is one sum of plain numbers reduced once, as in
+Every inverse of a unit goes through one kernel, `inverse_numerators`, by
+the coefficient recurrence b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k} in order
+of total degree: each b_m is one sum of plain numbers reduced once, as in
 `mul_terms`, and a unit of t terms costs t products per output term.
 
-`substitute_terms` is the one substitution kernel, behind `evaluate` and
-`Polynomial.subs`.  It drops a term before any product once its order
-reaches the cap, since the kernel keeps no degree below the sum of its
-operands' orders, and multiplies the rest as raw term dicts through
-`mul_terms`, with powers and monomial prefixes cached.
+`substitute_numerators` is the one substitution kernel, behind `evaluate`
+and, through `substitute_terms`, `Polynomial.subs`.  It drops a term before
+any product once its order reaches the cap, since the kernel keeps no
+degree below the sum of its operands' orders, and multiplies the rest as
+numerator dicts through `mul_terms`, with powers and monomial prefixes
+cached.
 """
 
 from __future__ import annotations
@@ -57,14 +66,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from struct import pack, unpack
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
-from .fields import QQ, check_same_field, common_denominator, field_terms
+from .fields import QQ, check_same_field, common_denominator, content_free, field_terms
 
 
 @dataclass(frozen=True)
@@ -119,11 +127,13 @@ _LCM_GROWTH = 64
 
 def integer_coefficients(field, coeffs):
     """Exact numbers that add and multiply like `coeffs`, over one
-    denominator: `common_denominator`, except that over QQ, when the lcm
-    outgrows the largest denominator (see _LCM_GROWTH), the Fractions
-    themselves over None.  `field_terms` turns sums of their products back
-    into field elements.
+    denominator: `common_denominator`, except over QQ for ints, which stand
+    for themselves, and for Fractions whose lcm outgrows their largest
+    denominator (see _LCM_GROWTH): these are kept as they are, over None.
+    `field_terms` turns sums of their products back into field elements.
     """
+    if not field.characteristic and type(coeffs[0]) is int:
+        return coeffs, None
     nums, den = common_denominator(field, coeffs)
     if field.characteristic == 0:
         longest = max(c.denominator for c in coeffs).bit_length()
@@ -231,14 +241,17 @@ def _slot_product(a, a_nums, b, b_nums, cap, square):
 
 def mul_terms(a, b, field, cap):
     """The exact product of term dicts `a` and `b` over `field`, keeping the
-    terms of total degree < cap.
+    terms of total degree < cap, zero-free.
 
-    Keys are exponent tuples, all of one length, or plain degrees for
-    univariate dicts; the product has keys of the same kind.  See the
-    module docstring for how the product is accumulated.  A univariate
-    product whose integer numbers fit 64-bit slots is one big-int multiply
-    (`_slot_product`, by the rule in the module docstring); a square
-    (`a is b`) packs its operand once.
+    Over GF(p) the values are residues.  Over QQ they are Fractions, or ints
+    that stand for themselves, as the numerators of a series do: the
+    product of two int dicts holds ints, any other product Fractions.  Keys
+    are exponent tuples, all of one length, or plain degrees for univariate
+    dicts; the product has keys of the same kind.  See the module docstring
+    for how the product is accumulated.  A univariate product whose integer
+    numbers fit 64-bit slots is one big-int multiply (`_slot_product`, by
+    the rule in the module docstring); a square (`a is b`) packs its
+    operand once.
     """
     if not a or not b:
         return {}
@@ -247,26 +260,22 @@ def mul_terms(a, b, field, cap):
     if len(a) <= 2:
         # each term of a monomial or binomial shifts and scales b and the
         # parts are added, with no packing (from three terms on, packing wins
-        # over QQ); a reduced element from `field.mul` is falsy only if 0
-        mul, plus, out = field.mul, field.add, {}
+        # over QQ)
+        out = {}
         for ea, ca in a.items():
             if isinstance(ea, int):
-                part = {ea + k: m for k, cb in b.items() if ea + k < cap and (m := mul(ca, cb))}
+                part = {ea + k: ca * cb for k, cb in b.items() if ea + k < cap}
             elif not any(ea):  # a constant only scales
-                part = {k: m for k, cb in b.items() if sum(k) < cap and (m := mul(ca, cb))}
+                part = {k: ca * cb for k, cb in b.items() if sum(k) < cap}
             else:
                 room = cap - sum(ea)
-                part = {
-                    tuple(map(add, ea, k)): m
-                    for k, cb in b.items()
-                    if sum(k) < room and (m := mul(ca, cb))
-                }
+                part = {tuple(map(add, ea, k)): ca * cb for k, cb in b.items() if sum(k) < room}
             if not out:
                 out = part
                 continue
             for e, c in part.items():
-                out[e] = plus(out[e], c) if e in out else c
-        return out if len(a) == 1 else {e: c for e, c in out.items() if c}
+                out[e] = out[e] + c if e in out else c
+        return field_terms(field, out.items(), None)
     key = next(iter(a))
     square = a is b
     a = _packed(a, cap)
@@ -276,14 +285,16 @@ def mul_terms(a, b, field, cap):
     b.sort(key=itemgetter(1))
     a_nums, a_den = integer_coefficients(field, [c for _, _, c in a])
     b_nums, b_den = (a_nums, a_den) if square else integer_coefficients(field, [c for _, _, c in b])
-    if a_den is None or b_den is None:
-        a_nums, b_nums, den = [c for _, _, c in a], [c for _, _, c in b], None
-    else:
-        den = a_den * b_den
-        if min(len(a), len(b)) >= _SLOT_MIN_TERMS and (isinstance(key, int) or len(key) == 1):
-            items = _slot_product(a, a_nums, b, b_nums, cap, square)
-            if items is not None:
-                return field_terms(field, _unpacked(items, key, cap), den)
+    den = None if a_den is None or b_den is None else a_den * b_den
+    if den is None and (a_den, b_den) != (None, None):  # one operand kept: keep both
+        a_nums, b_nums = [c for _, _, c in a], [c for _, _, c in b]
+    if (
+        min(len(a), len(b)) >= _SLOT_MIN_TERMS and (isinstance(key, int) or len(key) == 1)
+        and type(a_nums[0]) is int and type(b_nums[0]) is int
+    ):
+        items = _slot_product(a, a_nums, b, b_nums, cap, square)
+        if items is not None:
+            return field_terms(field, _unpacked(items, key, cap), den)
     b_degs = [d for _, d, _ in b]
     inner = [(k, n) for (k, _, _), n in zip(b, b_nums)]
     # a list indexed by packed key, unless fewer pairs than slots
@@ -309,22 +320,29 @@ def pow_terms(terms, n, field, cap):
     return out
 
 
-def inverse_terms(terms, field, cap):
-    """The inverse of the unit with term dict `terms` over `field`, keeping
-    the terms of total degree < cap; keys as in `mul_terms`.
+def numerators(field, terms):
+    """(numerator dict, den) of a term dict of field elements: Fractions
+    over their lcm denominator, residues over 1."""
+    nums, den = common_denominator(field, list(terms.values()))
+    return dict(zip(terms, nums)), den
+
+
+def inverse_numerators(terms, den, field, cap):
+    """(numerators, den), content-free, of the inverse of the unit with
+    numerator dict `terms` over den, keeping the terms of total degree <
+    cap; keys as in `mul_terms`.
 
     By the coefficient recurrence b_0 = 1/a_0 and, in order of total degree,
     b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k}.  Each b_m is one sum of products
     of plain numbers, reduced once.  Over GF(p) these are residues, with
     -a_k/a_0 taken once per term of a.  Over QQ they are the numerators n_k
-    of a over its lcm denominator (see `integer_coefficients`) and the
-    numerators of b_0, ..., b_{m-1} over their running common denominator,
-    so b_m is one Fraction of that sum; when its denominator does not divide
-    the running one, the running one grows and the stored numerators are
-    rescaled.  The numbers stay as long as the inverse's own coefficients.
-    When the lcm of a outgrows its denominators, the Fractions themselves
-    are summed.  Only the terms of a with deg k <= deg m enter b_m, so a
-    unit of t terms costs t products per output term.
+    of a and the numerators of b_0, ..., b_{m-1} over their running common
+    denominator, the lcm of their own: b_m = -sum / (n_0 * common), and
+    when its reduced denominator does not divide the running one, the
+    running one grows and the stored numerators are rescaled.  The numbers
+    stay as long as the inverse's own coefficients.  Only the terms of a
+    with deg k <= deg m enter b_m, so a unit of t terms costs t products per
+    output term.
 
     Bivariate keys pack as i*2cap + j (`_packed`) and are read at an offset
     of cap*2cap in a zero-filled table: for a term k of a not below m in both
@@ -334,32 +352,28 @@ def inverse_terms(terms, field, cap):
     key = next(iter(terms), None)
     bivariate = isinstance(key, tuple) and len(key) == 2
     zero = (0,) * len(key) if isinstance(key, tuple) else 0
-    a0 = terms.get(zero)
-    if a0 is None or field.is_zero(a0):
+    n0 = terms.get(zero)
+    if n0 is None or field.is_zero(n0):
         raise MadicError("series is not a unit")
-    first = field.inv(a0)
+    p = field.characteristic
+    if p:
+        first, common = pow(n0, p - 2, p), 1
+    else:
+        g = gcd(den, n0)
+        first, common = den // g, n0 // g
+        if common < 0:
+            first, common = -first, -common
     width = 2 * cap if bivariate else 1
     offset = cap * width if bivariate else 0
     rest = sorted((d, k, c) for k, d, c in _packed(terms, cap, 2 * cap) if d)
     if not rest:
-        return {zero: first}
+        return {zero: first}, common
     degs = [d for d, _, _ in rest]
     keys = [k for _, k, _ in rest]
-    coeffs = [c for _, _, c in rest]
-    p = field.characteristic
-    den = None
-    if p:
-        coeffs = [-first * c % p for c in coeffs]
-    else:
-        nums, den = integer_coefficients(field, [a0, *coeffs])
-        if den is None:
-            coeffs = [-c * first for c in coeffs]
-        else:
-            n0, coeffs = nums[0], nums[1:]
-            common, filled = first.denominator, [offset]
+    coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
     table = [0] * (offset + (cap - 1) * width + 1)
-    table[offset] = first if den is None else first.numerator
-    out = {offset: first}
+    table[offset] = first
+    filled = [offset]
     read = table.__getitem__
     for d in range(1, cap):
         t = bisect_right(degs, d)
@@ -370,22 +384,45 @@ def inverse_terms(terms, field, cap):
                 g %= p
             if not g:
                 continue
-            if den is None:
-                table[m] = out[m] = g
-                continue
-            b = out[m] = Fraction(-g, n0 * common)
-            grow = b.denominator // gcd(common, b.denominator)
-            if grow != 1:
-                common *= grow
-                for i in filled:
-                    table[i] *= grow
-            table[m] = b.numerator * (common // b.denominator)
+            if not p:
+                num, below = (-g, n0 * common) if n0 > 0 else (g, -n0 * common)
+                c = gcd(num, below)
+                num, below = num // c, below // c
+                grow = below // gcd(common, below)
+                if grow != 1:
+                    common *= grow
+                    for i in filled:
+                        table[i] *= grow
+                g = num * (common // below)
+            table[m] = g
             filled.append(m)
-    return dict(_unpacked(((m - offset, c) for m, c in out.items()), key, 2 * cap))
+    return dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap)), common
+
+
+def inverse_terms(terms, field, cap):
+    """`inverse_numerators` on a term dict of field elements."""
+    nums, den = inverse_numerators(*numerators(field, terms), field, cap)
+    return field_terms(field, nums.items(), den)
+
+
+def summed(parts, field):
+    """(numerators, den), content-free, of the sum of `parts`, pairs
+    (numerator dict, den) over one field; a negative den subtracts."""
+    den = lcm(*(d for _, d in parts))
+    out = {}
+    for nums, d in parts:
+        s = den // d
+        for k, n in nums.items():
+            n *= s
+            out[k] = out[k] + n if k in out else n
+    return content_free(field_terms(field, out.items(), None), den)
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "vars", "precision", "terms")
+    """k[[x]] or k[[x, y]] mod m^precision: content-free numerators `nums`
+    over `den` (see the module docstring), and the view `terms`."""
+
+    __slots__ = ("field", "vars", "precision", "nums", "den", "_terms")
 
     def __init__(self, field, vars, precision, terms):
         vars = tuple(vars)
@@ -393,24 +430,20 @@ class TruncatedSeries:
             raise MadicError("series live in one or two variables")
         if precision <= 0:
             raise MadicError("precision must be positive")
-        self.field = field
-        self.vars = vars
-        self.precision = precision
-        self.terms = {
-            e: c
-            for e, c in terms.items()
-            if sum(e) < precision and not field.is_zero(c)
-        }
+        terms = {e: field.convert(c) if field.characteristic else c for e, c in terms.items()
+                 if sum(e) < precision and not field.is_zero(c)}
+        self.field, self.vars, self.precision, self._terms = field, vars, precision, None
+        self.nums, self.den = numerators(field, terms)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of_product(cls, field, vars, precision, terms):
-        """A series whose terms are already of degree < precision with
-        nonzero coefficients, as the kernels return them; `terms` is kept,
-        not copied."""
+    def _of_nums(cls, field, vars, precision, nums, den):
+        """A series of content-free, nonzero numerators `nums` of degree <
+        precision over `den`, as the kernels return them, kept, not copied."""
         out = cls.__new__(cls)
-        out.field, out.vars, out.precision, out.terms = field, vars, precision, terms
+        out.field, out.vars, out.precision, out._terms = field, vars, precision, None
+        out.nums, out.den = nums, den
         return out
 
     @classmethod
@@ -419,7 +452,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, vars, precision, field=QQ):
-        c = field.convert(value)
+        c = value if isinstance(value, int) else field.convert(value)
         return cls(field, vars, precision, {(0,) * len(vars): c})
 
     @classmethod
@@ -427,11 +460,19 @@ class TruncatedSeries:
         vars = tuple(vars)
         e = [0] * len(vars)
         e[vars.index(name)] = 1
-        return cls(field, vars, precision, {tuple(e): field.one()})
+        return cls(field, vars, precision, {tuple(e): 1})
 
     @classmethod
     def from_polynomial(cls, p, precision):
         return cls(p.field, p.vars, precision, p.terms)
+
+    @property
+    def terms(self):
+        """The field elements: Fractions over QQ, built once, or residues."""
+        if self._terms is None:
+            f = self.field
+            self._terms = self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
+        return self._terms
 
     def to_polynomial(self):
         from .poly import Polynomial
@@ -447,12 +488,15 @@ class TruncatedSeries:
             )
 
     def is_zero_to_precision(self):
-        return not self.terms
+        return not self.nums
+
+    # read by ring-generic code, such as `poly.determinant`
+    is_zero = is_zero_to_precision
 
     def order(self):
-        if not self.terms:
+        if not self.nums:
             return OrderValue.at_least(self.precision)
-        return OrderValue(min(sum(e) for e in self.terms))
+        return OrderValue(min(sum(e) for e in self.nums))
 
     def norm(self):
         return Norm(self.order())
@@ -461,49 +505,43 @@ class TruncatedSeries:
         return self.terms.get((0,) * len(self.vars), self.field.zero())
 
     def is_unit(self):
-        return not self.field.is_zero(self.constant_term())
+        return (0,) * len(self.vars) in self.nums
 
     def truncate(self, precision):
         if precision > self.precision:
-            raise PrecisionError(
-                f"cannot raise precision {self.precision} -> {precision}"
-            )
-        return TruncatedSeries._of_product(
-            self.field, self.vars, precision,
-            {e: c for e, c in self.terms.items() if sum(e) < precision},
+            raise PrecisionError(f"cannot raise precision {self.precision} -> {precision}")
+        if precision <= 0:
+            raise PrecisionError(f"cannot truncate to precision {precision}")
+        if precision == self.precision:
+            return self
+        nums = {e: n for e, n in self.nums.items() if sum(e) < precision}
+        return TruncatedSeries._of_nums(
+            self.field, self.vars, precision, *content_free(nums, self.den)
         )
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, at the lower precision."""
         if isinstance(other, int):
             other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
         self._check(other)
-        f = self.field
         prec = min(self.precision, other.precision)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero()), c)
-        return TruncatedSeries(f, self.vars, prec, out)
+        a, b = self.truncate(prec), other.truncate(prec)
+        nums, den = summed([(a.nums, a.den), (b.nums, sign * b.den)], self.field)
+        return TruncatedSeries._of_nums(self.field, self.vars, prec, nums, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        return TruncatedSeries._of_product(
-            f, self.vars, self.precision, {e: f.neg(c) for e, c in self.terms.items()}
-        )
+        nums = field_terms(self.field, ((e, -n) for e, n in self.nums.items()), None)
+        return TruncatedSeries._of_nums(self.field, self.vars, self.precision, nums, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
-        self._check(other)
-        f = self.field
-        prec = min(self.precision, other.precision)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.sub(out[e], c) if e in out else f.neg(c)
-        return TruncatedSeries(f, self.vars, prec, out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -512,42 +550,40 @@ class TruncatedSeries:
         if isinstance(other, int):
             other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
         self._check(other)
-        prec = min(self.precision, other.precision)
-        return TruncatedSeries._of_product(
-            self.field, self.vars, prec, mul_terms(self.terms, other.terms, self.field, prec)
-        )
+        f, prec = self.field, min(self.precision, other.precision)
+        nums = mul_terms(self.nums, other.nums, f, prec)
+        return TruncatedSeries._of_nums(f, self.vars, prec, *content_free(nums, self.den * other.den))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         f = self.field
         c = f.convert(c)
-        terms = {e: f.mul(cc, c) for e, cc in self.terms.items()} if c else {}
-        return TruncatedSeries._of_product(f, self.vars, self.precision, terms)
+        num, den = (c, 1) if f.characteristic else (c.numerator, c.denominator)
+        nums = field_terms(f, ((e, n * num) for e, n in self.nums.items()), None)
+        return TruncatedSeries._of_nums(f, self.vars, self.precision, *content_free(nums, self.den * den))
 
     def __pow__(self, n):
         if n < 0:
             raise MadicError("negative series power")
         if n == 0:
             return TruncatedSeries.constant(1, self.vars, self.precision, self.field)
-        return TruncatedSeries._of_product(
-            self.field, self.vars, self.precision,
-            pow_terms(self.terms, n, self.field, self.precision),
-        )
+        f, prec = self.field, self.precision
+        nums = pow_terms(self.nums, n, f, prec)
+        return TruncatedSeries._of_nums(f, self.vars, prec, *content_free(nums, self.den ** n))
 
     def inverse(self, precision=None):
         """Multiplicative inverse of a unit to `precision` (default and at
         most the series' own; the inverse is unique modulo m^precision), by
-        the coefficient recurrence of `inverse_terms`."""
+        the coefficient recurrence of `inverse_numerators`."""
         if precision is None:
             precision = self.precision
         elif precision > self.precision:
-            raise PrecisionError(
-                f"cannot invert at precision {precision} > {self.precision}"
-            )
-        return TruncatedSeries._of_product(
-            self.field, self.vars, precision, inverse_terms(self.terms, self.field, precision)
-        )
+            raise PrecisionError(f"cannot invert at precision {precision} > {self.precision}")
+        elif precision <= 0:
+            raise PrecisionError(f"cannot invert at precision {precision}")
+        nums, den = inverse_numerators(self.nums, self.den, self.field, precision)
+        return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -556,11 +592,12 @@ class TruncatedSeries:
             self.field == other.field
             and self.vars == other.vars
             and self.precision == other.precision
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.field, self.vars, self.precision, frozenset(self.terms.items())))
+        return hash((self.field, self.vars, self.precision, self.den, frozenset(self.nums.items())))
 
     def __str__(self):
         body = str(self.to_polynomial())
@@ -616,40 +653,43 @@ def distance(u, v):
     return Norm(SeriesVector(diffs).order())
 
 
-def substitute_terms(terms, through, images, width, field, cap):
-    """The term dict, over `field` and below total degree cap, of term dict
-    `terms` with term dicts substituted for some of its variables.
+def substitute_numerators(terms, through, images, width, field, cap):
+    """(numerators, den), content-free, below total degree cap, of term dict
+    `terms` with images substituted for some of its variables.
 
-    Each (i, p) in `through` carries exponent i to position p of the
-    result's keys, tuples of length `width`; each (i, image, order) in
-    `images` replaces the variable of exponent i by the term dict `image`,
-    keyed like the result, of that order (cap or more for a zero image).
+    `terms` holds field elements, or ints and Fractions of QQ to convert
+    into a prime `field`.  Each (i, p) in `through` carries exponent i to
+    position p of the result's keys, tuples of length `width`; each (i,
+    nums, den, order) in `images` replaces the variable of exponent i by
+    the numerator dict `nums` over den, keyed like the result, of that order
+    (cap or more for a zero image).
 
     A term c * s * M, with s its monomial in the carried variables and M the
     one in the replaced ones, is dropped before any product when deg(s) +
     sum x_i * order_i over the x_i-th powers in M reaches cap.  The others
-    are grouped as sum C_M * M; M's value is the cached value of its prefix
-    times the cached power of its last variable, both through `mul_terms`.
+    are grouped as sum C_M * M, the C_M over the coefficients' lcm
+    denominator; M's value, over the product of its images' denominators,
+    is the cached value of its prefix times the cached power of its last
+    variable, both through `mul_terms`.
     """
-    convert, is_zero = field.convert, field.is_zero
+    p, convert = field.characteristic, field.convert
+    den = 1 if p else lcm(*(c.denominator for c in terms.values()))
     groups = {}
     for e, c in terms.items():
-        c = convert(c)
         low = 0
         mono = []
-        for i, _, o in images:
+        for i, _, _, o in images:
             x = e[i]
             if x:
                 low += x * o
                 mono.append((i, x))
         key = [0] * width
-        for i, p in through:
-            key[p] = e[i]
+        for i, q in through:
+            key[q] = e[i]
             low += e[i]
-        if low < cap and not is_zero(c):
+        if low < cap and (c := convert(c) if p else c.numerator * (den // c.denominator)):
             groups.setdefault(tuple(mono), {})[tuple(key)] = c
-
-    image = {i: z for i, z, _ in images}
+    image = {i: (z, d) for i, z, d, _ in images}
     # values of monomials in the replaced variables, keyed like the groups
     values = {}
 
@@ -663,19 +703,27 @@ def substitute_terms(terms, through, images, width, field, cap):
             power = values.get(mono[k : k + 1])
             if power is None:
                 i, x = mono[k]
-                power = values[mono[k : k + 1]] = pow_terms(image[i], x, field, cap)
-            out = power if out is None else mul_terms(out, power, field, cap)
+                z, d = image[i]
+                power = values[mono[k : k + 1]] = pow_terms(z, x, field, cap), d ** x
+            out = power if out is None else (mul_terms(out[0], power[0], field, cap), out[1] * power[1])
             values[mono[: k + 1]] = out
         return out
 
-    add = field.add
-    out = {}
+    parts = []
     for mono, coeffs in groups.items():
         if mono:
-            coeffs = mul_terms(coeffs, value(mono), field, cap)
-        for k, c in coeffs.items():
-            out[k] = add(out[k], c) if k in out else c
-    return {k: c for k, c in out.items() if not is_zero(c)}
+            nums, d = value(mono)
+            coeffs = mul_terms(coeffs, nums, field, cap)
+        parts.append((coeffs, d * den if mono else den))
+    return summed(parts, field)
+
+
+def substitute_terms(terms, through, images, width, field, cap):
+    """`substitute_numerators` for the Polynomial layer: each (i, image,
+    order) in `images` and the result are term dicts of field elements."""
+    images = [(i, *numerators(field, z), o) for i, z, o in images]
+    nums, den = substitute_numerators(terms, through, images, width, field, cap)
+    return field_terms(field, nums.items(), den)
 
 
 def evaluate(f, zbar, assignment):
@@ -688,12 +736,12 @@ def evaluate(f, zbar, assignment):
         if v in svars:
             through.append((i, svars.index(v)))
         elif v in assignment:
-            z = zbar[assignment[v]].terms
-            images.append((i, z, min(map(sum, z), default=prec)))
+            z = zbar[assignment[v]]
+            images.append((i, z.nums, z.den, min(map(sum, z.nums), default=prec)))
         elif any(e[i] for e in f.terms):
             raise MadicError(f"unassigned unknown {v!r} in evaluation")
-    terms = substitute_terms(f.terms, through, images, len(svars), zbar.field, prec)
-    return TruncatedSeries._of_product(zbar.field, svars, prec, terms)
+    nums, den = substitute_numerators(f.terms, through, images, len(svars), zbar.field, prec)
+    return TruncatedSeries._of_nums(zbar.field, svars, prec, nums, den)
 
 
 def ideal_order(gens, zbar, assignment):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .bounds import capped_power, default_a_fn, gamma
@@ -24,7 +25,7 @@ from .errors import (
     PrecisionError,
     UnsupportedInstanceError,
 )
-from .fields import PrimeField
+from .fields import PrimeField, content_free
 from .groebner import Ideal, colon, elkik_ideal
 from .poly import PolyMatrix, Polynomial, determinant, jacobian
 from .series import (
@@ -33,6 +34,8 @@ from .series import (
     TruncatedSeries,
     evaluate,
     ideal_order,
+    numerators,
+    summed,
 )
 from .weierstrass import (
     DistinguishedPolynomial,
@@ -144,7 +147,16 @@ def _lift(s, precision):
     """
     if precision < s.precision:
         return s.truncate(precision)
-    return TruncatedSeries._of_product(s.field, s.vars, precision, dict(s.terms))
+    return TruncatedSeries._of_nums(s.field, s.vars, precision, s.nums, s.den)
+
+
+def _over(s, d):
+    """s / d for a positive int d, prime to the characteristic."""
+    if d == 1:
+        return s
+    if s.field.characteristic:
+        return s.scale(Fraction(1, d))
+    return TruncatedSeries._of_nums(s.field, s.vars, s.precision, *content_free(s.nums, s.den * d))
 
 
 def select_minor(fs, zbar, assignment, s, colons=None):
@@ -233,17 +245,21 @@ class PolySystem:
     def taylor(self, columns):
         """(d, h_v for v in `columns`) and, per equation f, the tail F =
         sum_{|alpha| >= 2} T_alpha d^(|alpha|-2) h^alpha of its Hasse
-        derivatives in `columns`, with F's partials in the h_v."""
+        derivatives in `columns`, with F's partials in the h_v.  Each tail
+        comes as D*F and D*partials, with int coefficients, and D, the lcm
+        of f's denominators, so that reading them builds no Fraction."""
         names = ("δ",) + tuple(v + "'" for v in columns)  # no name parses
         tails = []
         for f in self.fs:
+            whole, D = numerators(f.field, f.terms)
             terms = {
                 e + (sum(a) - 2,) + a: c
-                for a, t in f.hasse(columns).items() if sum(a) >= 2
+                for a, t in Polynomial._of_terms(f.field, f.vars, whole).hasse(columns).items()
+                if sum(a) >= 2
                 for e, c in t.terms.items()
             }
             F = Polynomial._of_terms(f.field, f.vars + names, terms)
-            tails.append((F, [F.diff(v) for v in names[1:]]))
+            tails.append((F, [F.diff(v) for v in names[1:]], D))
         return names, tails
 
 
@@ -344,7 +360,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
     # subtracts each numerator as it is
     w = None
 
-    while any(q.terms for q in quotients):
+    while not all(q.is_zero() for q in quotients):
         if steps >= max_steps:
             status = STATUS_STALLED
             break
@@ -352,7 +368,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
             # E at the last step's (z, d, h); a 1x1 Cramer matrix is q
             # alone, so J' is built only for m > 1
             pt = SeriesVector([s.truncate(N - half) for s in base])
-            E = [[evaluate(p, pt, at) for p in slopes] for _, slopes in tails]
+            E = [[_over(evaluate(p, pt, at), D) for p in slopes] for _, slopes, D in tails]
             rows = list(zip(jbar.entries, E))
             if w is None:
                 w = TruncatedSeries.constant(1, zbar.vars, N - half, zbar.field)
@@ -393,19 +409,19 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
         if tails:
             base += [dbar] + h
             pt = SeriesVector([s.truncate(N - r) for s in base])
-            quotients = [_lift(evaluate(F, pt, at), N) for F, _ in tails]
+            quotients = [_lift(_over(evaluate(F, pt, at), D), N) for F, _, D in tails]
         else:
             residuals = system.values(SeriesVector(current))
             try:
                 quotients = [
-                    _lift(divide_series(res, dsq_div), N) if res.terms else zero
+                    zero if res.is_zero() else _lift(divide_series(res, dsq_div), N)
                     for res in residuals
                 ]
             except MadicError:
                 status = STATUS_STALLED
                 break
         # ord f(z) = r + ord q, and N once every quotient vanishes
-        o = min((r + q.order().value for q in quotients if q.terms), default=None)
+        o = min((r + q.order().value for q in quotients if not q.is_zero()), default=None)
         prev = trace[-1] if trace else None
         trace.append(N if o is None else o)
         if prev is not None and o is not None and o <= prev:
@@ -451,7 +467,7 @@ def _move_within(diff, a, c):
     alone decides.  max(c, 0) keeps that so for a negative target, where
     the division still needs a multiple of dbar, ord >= a.
     """
-    return not diff.terms or diff.order().ge(a + max(c, 0))
+    return diff.is_zero() or diff.order().ge(a + max(c, 0))
 
 
 # key of the rows read from the squared minor
@@ -593,18 +609,20 @@ class ReducedRows:
         cap = N + max(1, r - 1) * max(max(g.degree(), 1) for g in self.sources.values())
         z = []
         for i in range(m):
-            zi = {(d, j): c for j in range(r) for (d,), c in point[i * r + j].terms.items()}
-            zi = TruncatedSeries._of_product(fld, xy, cap, zi)
+            coords = point.entries[i * r : (i + 1) * r]
+            parts = [({(d, j): n for (d,), n in s.nums.items()}, s.den) for j, s in enumerate(coords)]
+            zi = TruncatedSeries._of_nums(fld, xy, cap, *summed(parts, fld))
             z.append(zi if change.is_identity() else change.inverse().apply_series(zi))
         z, ambient = SeriesVector(z), {u: i for i, u in enumerate(sys.unknowns)}
 
         def in_y(g):
             P = evaluate(g, z, ambient)
             P = P if change.is_identity() else change.apply_series(P)
-            slices = [{} for _ in range(1 + max((e for _, e in P.terms), default=0))]
-            for (d, e), c in P.terms.items():
-                slices[e][(d,)] = c
-            return [TruncatedSeries(fld, point.vars, N, s) for s in slices]
+            slices = [{} for _ in range(1 + max((e for _, e in P.nums), default=0))]
+            for (d, e), n in P.nums.items():
+                if d < N:
+                    slices[e][(d,)] = n
+            return [TruncatedSeries._of_nums(fld, point.vars, N, *content_free(s, P.den)) for s in slices]
 
         a = list(point)[m * r :]
         read = {}
@@ -819,7 +837,7 @@ def _reconstruct(sys, solved, N):
     a_solved = []
     for p in range(r):
         a = solved[m * r + p]
-        if not fld.is_zero(a.constant_term()):
+        if a.is_unit():
             raise MadicError("solved distinguished coefficient has a unit term")
         a_solved.append(_lift(a, N))
     dist2 = DistinguishedPolynomial(r, a_solved, fld)

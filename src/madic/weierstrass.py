@@ -42,16 +42,16 @@ from math import comb, lcm
 from struct import pack, unpack
 
 from .errors import MadicError, PrecisionError
-from .fields import QQ, check_same_field, common_denominator, field_terms
+from .fields import QQ, check_same_field, common_denominator, content_free, field_terms
 from .poly import Polynomial
-from .series import OrderValue, TruncatedSeries, integer_coefficients, inverse_terms, mul_terms
+from .series import OrderValue, TruncatedSeries, inverse_numerators, mul_terms, summed
 
 
 def y_regular_order(u):
     """Order of u(0, y) as a univariate series; a marker if it vanishes."""
     if len(u.vars) != 2:
         raise MadicError("y-regularity is a bivariate notion")
-    degs = [e[1] for e in u.terms if e[0] == 0]
+    degs = [e[1] for e in u.nums if e[0] == 0]
     if not degs:
         return OrderValue.at_least(u.precision)
     return OrderValue(min(degs))
@@ -88,36 +88,28 @@ class LinearChange:
         Monomials map to homogeneous polynomials of the same degree, so the
         m-adic order and the precision are preserved.  One pass: each term
         c x^i y^j adds c sum_k C(i, k) lam^k x^(i-k) y^(j+k), read from the
-        binomial powers of x + lam*y, into one integer accumulator (see the
-        `series` module).
+        binomial powers of x + lam*y, into one accumulator of the series'
+        numerators.
         """
         if len(s.vars) != 2:
             raise MadicError("linear changes act on bivariate series")
         f = s.field
         check_same_field(f, self.field)
         N = s.precision
-        if not s.terms:
-            return TruncatedSeries._of_product(f, s.vars, N, {})
-        nums, den = integer_coefficients(f, list(s.terms.values()))
-        imax = max(i for i, _ in s.terms)
+        if not s.nums:
+            return s
+        imax = max(i for i, _ in s.nums)
         # x^i -> xpow[i] / dx^i; each term carries dx^(imax-i) to share one
         # denominator
         xpow, dx = self._binomial_rows(imax)
-        scale = dx ** imax
-        if den is None:
-            nums = [n / scale for n in nums]
-        else:
-            den *= scale
-        if scale != 1:
-            nums = [n * dx ** (imax - i) for (i, _), n in zip(s.terms, nums)]
         # packed key of x^(i-k) y^(j+k) is i*N + j - k*(N-1)
         acc = [0] * (N * N)
-        for ((i, j), n) in zip(s.terms, nums):
-            top = i * N + j
+        for (i, j), n in s.nums.items():
+            top, n = i * N + j, n * dx ** (imax - i)
             for k, c in xpow[i]:
                 acc[top - k * (N - 1)] += n * c
-        out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), den)
-        return TruncatedSeries._of_product(f, s.vars, N, out)
+        out = field_terms(f, ((divmod(k, N), v) for k, v in enumerate(acc) if v), None)
+        return TruncatedSeries._of_nums(f, s.vars, N, *content_free(out, s.den * dx ** imax))
 
     def _binomial_rows(self, top):
         """The binomial powers of x + lam*y as (rows, den): with the image
@@ -192,7 +184,7 @@ class DistinguishedPolynomial:
             check_same_field(a.field, self.field)
             if len(a.vars) != 1:
                 raise MadicError("coefficients must be univariate")
-            if not a.field.is_zero(a.constant_term()):
+            if a.is_unit():
                 raise MadicError("a_i(0) must vanish for a Weierstrass polynomial")
 
     def to_series(self, vars, precision):
@@ -200,14 +192,11 @@ class DistinguishedPolynomial:
         fld = self.field
         if self.r == 0:
             return TruncatedSeries.constant(1, vars, precision, fld)
-        terms = {(0, self.r): fld.one()}
-        for p, a in enumerate(self.coeffs, start=1):
-            ypow = self.r - p
-            for (i,), c in a.terms.items():
-                if i + ypow < precision:
-                    key = (i, ypow)
-                    terms[key] = fld.add(terms.get(key, fld.zero()), c)
-        return TruncatedSeries(fld, vars, precision, terms)
+        parts = [({(0, self.r): 1} if self.r < precision else {}, 1)] + [
+            ({(i, self.r - p): n for (i,), n in a.nums.items() if i + self.r - p < precision}, a.den)
+            for p, a in enumerate(self.coeffs, start=1)
+        ]
+        return TruncatedSeries._of_nums(fld, tuple(vars), precision, *summed(parts, fld))
 
     def serialize(self):
         parts = [f"y^{self.r}"]
@@ -224,37 +213,25 @@ def _x_slices(terms):
     return slices
 
 
-def _y_slice(fld, sl):
-    """A nonempty y-slice {degree: coeff} sorted by degree, as (degrees,
-    numbers, den, coeffs): the numbers over den from `integer_coefficients`
-    (den None when they are the Fractions themselves), and the coefficients
-    for a product whose other factor fell back to Fractions."""
+def _y_slice(sl, den):
+    """A nonempty y-slice {degree: numerator} over den, sorted by degree, as
+    (degrees, numerators, den)."""
     degs = sorted(sl)
-    coeffs = [sl[d] for d in degs]
-    nums, den = integer_coefficients(fld, coeffs)
-    return degs, nums, den, coeffs
+    return degs, [sl[d] for d in degs], den
 
 
-_NO_SLICE = ([], [], 1, [])
+_NO_SLICE = ([], [], 1)
 
 
 def _sub_products(fld, g, pairs, top):
-    """g - sum of a*b over the (a, b) in `pairs`, all y-slices as `_y_slice`
-    gives them, to y-degree < top: one integer accumulator over the lcm of
-    the operands' denominators, each output term reduced once."""
-    slices = [g, *(x for pair in pairs for x in pair)]
-    if any(sl[2] is None for sl in slices):
-        # some operand is Fractions already: accumulate Fractions
-        den = None
-        g_nums, g_scale = g[3], 1
-        ops = [(a[0], a[3], b[0], b[3], 1) for a, b in pairs]
-    else:
-        den = lcm(g[2], *(a[2] * b[2] for a, b in pairs))
-        g_nums, g_scale = g[1], den // g[2]
-        ops = [(a[0], a[1], b[0], b[1], den // (a[2] * b[2])) for a, b in pairs]
+    """(numerators, den), content-free, of g - sum of a*b over the (a, b) in
+    `pairs`, all y-slices as `_y_slice` gives them, to y-degree < top: one
+    integer accumulator over the lcm of the operands' denominators."""
+    den = lcm(g[2], *(a[2] * b[2] for a, b in pairs))
+    ops = [(a[0], a[1], b[0], b[1], den // (a[2] * b[2])) for a, b in pairs]
     acc = [0] * top
-    g_degs = g[0]
-    for d, n in zip(g_degs[: bisect_left(g_degs, top)], g_nums):
+    g_degs, g_scale = g[0], den // g[2]
+    for d, n in zip(g_degs[: bisect_left(g_degs, top)], g[1]):
         acc[d] = n * g_scale
     for a_degs, a_nums, b_degs, b_nums, scale in ops:
         for da, na in zip(a_degs, a_nums):
@@ -264,7 +241,7 @@ def _sub_products(fld, g, pairs, top):
             na *= scale
             for db, nb in zip(b_degs[: bisect_left(b_degs, lim)], b_nums):
                 acc[da + db] -= na * nb
-    return field_terms(fld, ((k, n) for k, n in enumerate(acc) if n), den)
+    return content_free(field_terms(fld, ((k, n) for k, n in enumerate(acc) if n), None), den)
 
 
 def _slot_row(nums):
@@ -353,40 +330,43 @@ def weierstrass_divide(g, u, r):
     # stored terms, and for s = 0 slice i keeps only N - i degrees.
     s = r - u.order().value
     caps = [(N - 1 - i) * (1 + s) for i in range(N)]
-    uslices = _x_slices(u.terms)
-    gslices = _x_slices(g.terms)
+    uslices = _x_slices(u.nums)
+    gslices = _x_slices(g.nums)
     e_unit = {j - r: c for j, c in uslices.get(0, {}).items()}
     if min(e_unit) != 0:
         raise MadicError("divisor x^0 slice has unexpected y-order")
     # the unit's inverse to y-degree cap_0, by the coefficient recurrence;
     # None when it is 1 (a distinguished divisor), which multiplies nothing
-    e_inv = inverse_terms(e_unit, fld, caps[0] + 1)
-    if e_inv == {0: fld.one()}:
+    e_inv, e_den = inverse_numerators(e_unit, u.den, fld, caps[0] + 1)
+    if e_inv == {0: 1} and e_den == 1:
         e_inv = None
     p = fld.characteristic
-    if p and 2 * (p - 1).bit_length() + max(len(u.terms), caps[0] + 1).bit_length() <= 64:
+    if p and 2 * (p - 1).bit_length() + max(len(u.nums), caps[0] + 1).bit_length() <= 64:
         q_terms, rem_terms = _slot_slices(p, gslices, uslices, e_inv, caps, r)
+        q, rems = (q_terms, 1), [(terms, 1) for terms in rem_terms]
     else:
-        u_int = {j: _y_slice(fld, sl) for j, sl in uslices.items() if 0 < j < N}
-        q_int, q_terms, rem_terms = {}, {}, [{} for _ in range(r)]
+        # each slice over its own denominator, joined over their lcm
+        u_int = {j: _y_slice(sl, u.den) for j, sl in uslices.items() if 0 < j < N}
+        q_int, q_parts, rem_parts = {}, [], [[] for _ in range(r)]
         for i in range(N):
             gi = gslices.get(i)
             pairs = [(uj, q_int[i - j]) for j, uj in u_int.items() if i - j in q_int]
-            h = _sub_products(fld, _y_slice(fld, gi) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
+            h, den = _sub_products(fld, _y_slice(gi, g.den) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
             tail = {}
             for k, c in h.items():
                 if k < r:
-                    rem_terms[k][(i,)] = c
+                    rem_parts[k].append(({(i,): c}, den))
                 else:
                     tail[k - r] = c
-            qi = tail if e_inv is None else mul_terms(tail, e_inv, fld, caps[i] + 1)
-            if qi:
-                q_int[i] = _y_slice(fld, qi)
-                q_terms.update(((i, j), c) for j, c in qi.items() if i + j < N)
-    q = TruncatedSeries._of_product(fld, g.vars, N, q_terms)
+            if e_inv is not None:
+                tail, den = content_free(mul_terms(tail, e_inv, fld, caps[i] + 1), den * e_den)
+            if tail:
+                q_int[i] = _y_slice(tail, den)
+                q_parts.append(({(i, j): c for j, c in tail.items() if i + j < N}, den))
+        q, rems = summed(q_parts, fld), [summed(parts, fld) for parts in rem_parts]
     xvar = (g.vars[0],)
-    rems = [TruncatedSeries._of_product(fld, xvar, N, terms) for terms in rem_terms]
-    return q, rems
+    rems = [TruncatedSeries._of_nums(fld, xvar, N, *rem) for rem in rems]
+    return TruncatedSeries._of_nums(fld, g.vars, N, *q), rems
 
 
 def prepare(u):
@@ -408,7 +388,7 @@ def prepare(u):
     if r == 0:
         return u.inverse(), DistinguishedPolynomial(0, [], u.field)
     fld = u.field
-    yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): fld.one()})
+    yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): 1})
     q, rems = weierstrass_divide(yr, u, r)
     # y^r = u*q + rem  =>  u*q = y^r - rem =: dist, and unit = q^{-1}
     coeffs = []
@@ -497,16 +477,12 @@ class PreparedDivisor:
             q = v * self._inverse
         elif len(v.vars) == 1:
             k = uo.value
-            if any(e[0] < k for e in v.terms):
+            if any(e < k for e, in v.nums):
                 raise MadicError("series division is not exact")
             prec = min(v.precision, u.precision) - k
-            fld = v.field
-            shifted_v = TruncatedSeries(fld, v.vars, prec, {(e[0] - k,): c for e, c in v.terms.items()})
+            shifted_v = _shifted(v, k, prec)
             if self._inverse is None:
-                shifted_u = TruncatedSeries(
-                    fld, u.vars, u.precision - k, {(e[0] - k,): c for e, c in u.terms.items()}
-                )
-                self._inverse = shifted_u.inverse()
+                self._inverse = _shifted(u, k, u.precision - k).inverse()
             q = shifted_v * self._inverse.truncate(prec)
         else:
             r = uo.value
@@ -523,13 +499,21 @@ class PreparedDivisor:
             q = q.truncate(N - r)
             # exact iff u*q gives v back to precision N; the remainders of
             # the division are fixed only below N - 2r
-            if (u * TruncatedSeries._of_product(q.field, q.vars, N, q.terms) - v).terms:
+            if not (u * TruncatedSeries._of_nums(q.field, q.vars, N, q.nums, q.den) - v).is_zero():
                 raise MadicError("series division is not exact")
         if order_check is not None and not q.order().ge(order_check):
             raise MadicError(
                 f"quotient order {q.order()} below required {order_check}"
             )
         return q
+
+
+def _shifted(s, k, precision):
+    """s / x^k at `precision`, for a univariate s with no term below x^k."""
+    if precision <= 0:
+        raise MadicError("precision must be positive")
+    nums = {(e - k,): n for (e,), n in s.nums.items() if e - k < precision}
+    return TruncatedSeries._of_nums(s.field, s.vars, precision, *content_free(nums, s.den))
 
 
 def divide_series(v, u, order_check=None, w_quotient=None):

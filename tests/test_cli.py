@@ -305,3 +305,18 @@ def test_problem_file_errors_name_the_line_without_a_column(tmp_path, capsys, te
     assert code == 3
     assert f"parse error: line {line}: {message}" in err
     assert "col None" not in err
+
+
+@pytest.mark.parametrize("jet_length", ["0", "-1"])
+def test_jet_length_below_one_is_a_parse_error(tmp_path, capsys, jet_length):
+    # the GF(2) instance of test_live_reduced_jet_search_is_pinned: 0 was
+    # dropped (a search at the default length 4), -1 crashed the search
+    prob = tmp_path / "jets.madic"
+    prob.write_text(
+        "field: GF(2)\nseries_vars: x y\nunknowns: z\nequation: z^2 + x*z - y^2\n"
+        f"approx: y + x^3 + O(m^6)\ntarget_order: 1\njet_length: {jet_length}\n"
+    )
+    code, out, err = run(capsys, "solve", str(prob), "--strategy", "jet-search")
+    assert code == 3
+    assert out == ""
+    assert "jet_length must be at least 1" in err and jet_length in err

@@ -1,0 +1,258 @@
+"""The one stored form of a series against plain Fraction references.
+
+A series holds integer numerators over one positive denominator with their
+common content removed (residues over 1 over GF(p)), and builds its
+Fraction `terms` on first read.  Every operation on that form must give the
+reduced terms that a plain loop over Fractions, with the field's own
+operations, gives; `==` and `hash` must agree with the terms; and every
+result must be in the stored form.  The references live here only.
+"""
+
+from fractions import Fraction
+from math import comb, gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from madic import (
+    LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries, evaluate,
+)
+from madic.series import integer_coefficients
+from madic.weierstrass import divide_series
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)]
+XY = ("x", "y")
+# 16-bit primes: a series over ~70 of them as denominators has an lcm past
+# the limit where the Polynomial layer's product falls back to Fractions
+PRIMES = [p for p in range(40001, 44000, 2) if all(p % d for d in range(3, 210, 2))]
+
+
+# -- plain Fraction references --------------------------------------------
+
+
+def reduced(field, terms, cap):
+    """The terms below degree cap as field elements, without zeros."""
+    out = {e: field.convert(c) for e, c in terms.items() if sum(e) < cap}
+    return {e: c for e, c in out.items() if not field.is_zero(c)}
+
+
+def ref_add(field, a, b, cap):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = field.add(out.get(e, field.zero()), c)
+    return reduced(field, out, cap)
+
+
+def ref_mul(field, a, b, cap):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) < cap:
+                out[e] = field.add(out.get(e, field.zero()), field.mul(ca, cb))
+    return reduced(field, out, cap)
+
+
+def ref_pow(field, a, n, cap, nvars):
+    out = {(0,) * nvars: field.one()}
+    for _ in range(n):
+        out = ref_mul(field, out, a, cap)
+    return out
+
+
+def keys_below(nvars, cap):
+    if nvars == 1:
+        return [(d,) for d in range(cap)]
+    return [(i, d - i) for d in range(cap) for i in range(d + 1)]
+
+
+def ref_inverse(field, a, cap, nvars):
+    """b_m = -(1/a_0) sum_{k != 0, k <= m} a_k b_{m-k}, in order of degree."""
+    zero = (0,) * nvars
+    first = field.inv(a[zero])
+    b = {}
+    for m in keys_below(nvars, cap):
+        if m == zero:
+            b[m] = first
+            continue
+        total = field.zero()
+        for k, c in a.items():
+            rest = tuple(x - y for x, y in zip(m, k))
+            if k != zero and min(rest) >= 0 and rest in b:
+                total = field.add(total, field.mul(c, b[rest]))
+        b[m] = field.neg(field.mul(first, total))
+    return reduced(field, b, cap)
+
+
+def ref_evaluate(field, poly, images, nvars, cap):
+    """Each term c * s * z^a * w^b of `poly` multiplied out."""
+    out = {}
+    for e, c in poly.terms.items():
+        term = {tuple(e[:nvars]): field.convert(c)}
+        for x, image in zip(e[nvars:], images):
+            term = ref_mul(field, term, ref_pow(field, image, x, cap, nvars), cap)
+        out = ref_add(field, out, term, cap)
+    return out
+
+
+def ref_shear(field, lam, a, cap):
+    """c x^i y^j -> c sum_k C(i, k) lam^k x^(i-k) y^(j+k)."""
+    out = {}
+    for (i, j), c in a.items():
+        part = {(i - k, j + k): field.mul(c, field.convert(comb(i, k) * lam**k)) for k in range(i + 1)}
+        out = ref_add(field, out, part, cap)
+    return out
+
+
+# -- the stored form ----------------------------------------------------------
+
+
+def check(s, field, vars, precision, ref):
+    """s has the reference's reduced terms, equals and hashes like the
+    series built from them, and is in the stored form."""
+    assert (s.field, s.vars, s.precision) == (field, vars, precision)
+    want = reduced(field, ref, precision)
+    assert s.terms == want
+    built = TruncatedSeries(field, vars, precision, want)
+    assert s == built and hash(s) == hash(built)
+    assert all(type(n) is int and n for n in s.nums.values()) and all(sum(e) < precision for e in s.nums)
+    if field.characteristic:
+        assert s.den == 1 and all(0 < n < field.p for n in s.nums.values())
+    else:
+        assert type(s.den) is int and s.den > 0 and gcd(s.den, *s.nums.values()) == 1
+
+
+# -- draws --------------------------------------------------------------------
+
+
+@st.composite
+def term_dicts(draw, field, nvars, cap, kind, low=0):
+    """A term dict below degree cap and from degree `low`: sparse, with
+    coefficients over small or 16-bit prime denominators, or (over QQ)
+    dense over distinct 16-bit primes."""
+    keys = [k for k in keys_below(nvars, cap) if sum(k) >= low]
+    if kind == "coprime" and field == QQ:
+        primes = draw(st.permutations(PRIMES))
+        return {k: Fraction(draw(st.integers(-9, 9).filter(bool)), p) for k, p in zip(keys, primes)}
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9] + PRIMES[:4]))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    return draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=10)) if keys else {}
+
+
+# (field, variables, kind): sparse draws over every field, and dense draws
+# over distinct 16-bit primes, whose lcm passes the limit in two variables
+KINDS = [(f, n, "sparse") for f in FIELDS for n in (1, 2)] + [(QQ, 1, "coprime"), (QQ, 2, "coprime")]
+KIND_IDS = [f"{f}-{n}-{k}" for f, n, k in KINDS]
+
+
+@st.composite
+def cases(draw, field, nvars, kind):
+    pa = draw(st.integers(12, 14) if kind == "coprime" and nvars == 2 else st.integers(1, 24))
+    pb = draw(st.integers(1, 24))
+    a = draw(term_dicts(field, nvars, pa, kind))
+    b = draw(term_dicts(field, nvars, pb, "sparse"))
+    return XY[:nvars], pa, pb, a, b
+
+
+@pytest.mark.parametrize("field, nvars, kind", KINDS, ids=KIND_IDS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_operation_matches_the_fraction_reference(field, nvars, kind, data):
+    vars, pa, pb, a, b = data.draw(cases(field, nvars, kind))
+    prec = min(pa, pb)
+    sa, sb = TruncatedSeries(field, vars, pa, a), TruncatedSeries(field, vars, pb, b)
+    if kind == "coprime" and nvars == 2:
+        assert integer_coefficients(QQ, list(a.values()))[1] is None
+    check(sa, field, vars, pa, a)
+    check(sa + sb, field, vars, prec, ref_add(field, a, b, prec))
+    check(sa - sb, field, vars, prec, ref_add(field, a, {e: field.neg(c) for e, c in b.items()}, prec))
+    check(-sa, field, vars, pa, {e: field.neg(c) for e, c in a.items()})
+    c = data.draw(st.sampled_from([0, 1, -2, Fraction(3, 7), Fraction(-5, 4)]))
+    if field.characteristic not in (2, 7) or c in (0, 1, -2):
+        check(sa.scale(c), field, vars, pa, {e: field.mul(v, field.convert(c)) for e, v in a.items()})
+    check(sa * sb, field, vars, prec, ref_mul(field, a, b, prec))
+    n = data.draw(st.integers(0, 3))
+    check(sa**n, field, vars, pa, ref_pow(field, a, n, pa, nvars))
+    q = data.draw(st.integers(1, pa))
+    check(sa.truncate(q), field, vars, q, a)
+    # a unit: a's constant term made nonzero
+    unit = {**a, (0,) * nvars: data.draw(st.sampled_from([1, -1, 5]).map(field.convert))}
+    check(TruncatedSeries(field, vars, pa, unit).inverse(q), field, vars, q, ref_inverse(field, unit, q, nvars))
+
+
+@pytest.mark.parametrize("field, nvars, kind", KINDS, ids=KIND_IDS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.data())
+def test_evaluate_and_shear_match_the_fraction_reference(field, nvars, kind, data):
+    vars, pa, pb, a, b = data.draw(cases(field, nvars, kind))
+    prec = min(pa, pb)
+    names = vars + ("z", "w")
+    poly = Polynomial(field, names, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(names)), st.integers(-4, 4).map(field.convert), max_size=6,
+    )))
+    za, zb = reduced(field, a, prec), reduced(field, b, prec)
+    zbar = SeriesVector([TruncatedSeries(field, vars, prec, za), TruncatedSeries(field, vars, prec, zb)])
+    got = evaluate(poly, zbar, {"z": 0, "w": 1})
+    check(got, field, vars, prec, ref_evaluate(field, poly, [za, zb], nvars, prec))
+    if nvars == 2:
+        lam = data.draw(st.integers(0, 5))
+        shear = LinearChange(lam, field).apply_series(TruncatedSeries(field, vars, pa, a))
+        check(shear, field, vars, pa, ref_shear(field, field.convert(lam), a, pa))
+
+
+@st.composite
+def divisions(draw, field, nvars):
+    """(N, u, w) with u of order r <= 2 and N >= 2r + 2."""
+    r = draw(st.integers(0, 2))
+    N = draw(st.integers(2 * r + 2, 24))
+    low = draw(term_dicts(field, nvars, r + 1, "sparse", low=r).filter(
+        lambda t: any(not field.is_zero(c) for c in t.values())))
+    u = {**draw(term_dicts(field, nvars, N, "sparse", low=r + 1)), **low}
+    return N, u, draw(term_dicts(field, nvars, N, "sparse"))
+
+
+@pytest.mark.parametrize("field, nvars", [(f, n) for f in FIELDS for n in (1, 2)], ids=str)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.data())
+def test_division_gives_back_the_reference_factor(field, nvars, data):
+    # v = u*w to precision N; the quotient of v by u is unique below N - r,
+    # r = ord u, so it is w there
+    N, u, w = data.draw(divisions(field, nvars))
+    vars = XY[:nvars]
+    su = TruncatedSeries(field, vars, N, u)
+    r = su.order().value
+    v = TruncatedSeries(field, vars, N, ref_mul(field, u, w, N))
+    try:
+        q = divide_series(v, su)
+    except MadicError as exc:  # over GF(2) a shear may not regularize u
+        assert "no shear made the series y-regular" in str(exc)
+        return
+    check(q, field, vars, N - r, w)
+
+
+def test_operations_on_denominators_past_the_lcm_limit():
+    # 78 distinct 16-bit primes: the Polynomial layer's product would fall
+    # back to Fractions; the series keeps one denominator, their product
+    N = 12
+    a = {k: Fraction(1 + i % 5, p) for i, (k, p) in enumerate(zip(keys_below(2, N), PRIMES))}
+    a[(0, 0)] = Fraction(3, 2)
+    assert integer_coefficients(QQ, list(a.values()))[1] is None
+    s = TruncatedSeries(QQ, XY, N, a)
+    check(s, QQ, XY, N, a)
+    check(s * s, QQ, XY, N, ref_mul(QQ, a, a, N))
+    check(s.inverse(8), QQ, XY, 8, ref_inverse(QQ, a, 8, 2))
+    check(s - s.truncate(6), QQ, XY, 6, {})
+    check(LinearChange(2).apply_series(s), QQ, XY, N, ref_shear(QQ, 2, a, N))
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+def test_truncate_and_inverse_refuse_a_precision_below_one(precision):
+    from madic import PrecisionError
+
+    s = TruncatedSeries(QQ, ("x",), 6, {(0,): 1, (1,): 2})
+    with pytest.raises(PrecisionError):
+        s.truncate(precision)
+    with pytest.raises(PrecisionError):
+        s.inverse(precision)

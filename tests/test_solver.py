@@ -795,6 +795,34 @@ def test_pipeline_computes_each_value_at_zbar_once(instance, live, refused, monk
     assert sum(z is zbar for z in args("evaluated", "zbar")) == 1
 
 
+def test_refinement_on_the_probe_family_builds_no_fraction():
+    # over QQ a series keeps integer numerators over one denominator, so no
+    # Fraction is built while a tougeron_refine frame is on the stack;
+    # constructions are caught by the code object of Fraction.__new__
+    from madic.problemfile import load_problem
+
+    pf = load_problem(os.path.join(PROBLEMS, "probe_family.madic"))
+    family, labels = pf.family_vectors()
+    refine, new = tougeron_refine.__code__, Fraction.__new__.__code__
+    depth, built = [0], []
+
+    def profile(frame, event, arg):
+        if frame.f_code is refine:
+            depth[0] += {"call": 1, "return": -1}.get(event, 0)
+        elif event == "call" and frame.f_code is new and depth[0]:
+            built.append(frame.f_back.f_code.co_name)
+
+    setprofile(profile)
+    try:
+        report = artin_probe(pf.equations(), family, pf.assignment(), pf.targets(), None, labels)
+    finally:
+        setprofile(None)
+    assert pf.field() == QQ and len(report.rows) == 5
+    assert depth == [0] and built == []
+    digest = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == "2d9e5170ab80837254597346e59c74b86309724fccc6d6cdb46b52d080c330ea"
+
+
 def _refine_with_zbar_data(fs, zbar, assignment, c, max_steps, other_divisor):
     """The refinement of the square system `fs` from zbar, alone and with
     what the pipeline hands on: residuals, J(zbar), dbar and, for a

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -697,24 +698,29 @@ def test_weierstrass_divide_matches_wide_cap_recursion(case, growth):
 
 def test_weierstrass_divide_fraction_fallback_at_the_real_threshold():
     """A dividend slice of 79 terms over distinct ~20-bit primes passes
-    the kernel's lcm threshold: the Fraction fallback runs, alone and mixed
-    with integer slices, and the output is still the wide-cap one."""
+    the lcm threshold past which the Polynomial layer's product falls back
+    to Fractions.  Division reads the series' numerators over their one
+    denominator and builds no Fraction, and the output is still the
+    wide-cap one."""
     N = 80
     odd = range(2**20 - 1, 2**19, -2)
     primes = itertools.islice((p for p in odd if all(p % d for d in range(3, 1025, 2))), N - 1)
     g = TruncatedSeries(QQ, XY, N, {(0, j): Fraction(1, p) for j, p in enumerate(primes)})
     u = S("y + x + x*y + O(m^80)")
-    fallbacks = []
-    real = weierstrass.integer_coefficients
+    assert series.integer_coefficients(QQ, list(g.terms.values()))[1] is None
+    g, u = (TruncatedSeries._of_nums(QQ, XY, N, s.nums, s.den) for s in (g, u))  # no view
+    built = []
 
-    def recording(field, coeffs):
-        nums, den = real(field, coeffs)
-        fallbacks.append(den is None)
-        return nums, den
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            built.append(frame.f_back.f_code.co_name)
 
-    with mock.patch.object(weierstrass, "integer_coefficients", recording):
+    sys.setprofile(profile)
+    try:
         q, rems = weierstrass.weierstrass_divide(g, u, 1)
-    assert any(fallbacks) and not all(fallbacks)
+    finally:
+        sys.setprofile(None)
+    assert built == []
     assert (q, rems) == _wide_cap_divide(g, u, 1)
 
 
@@ -779,12 +785,12 @@ def _recorded_caps(u, monkeypatch):
     bound of the accumulated products and of the kept quotient slice, with
     the largest y-degree that slice kept."""
     inverses, sums, slices = [], [], []
-    real_inverse = weierstrass.inverse_terms
+    real_inverse = weierstrass.inverse_numerators
     real_sub, real_mul = weierstrass._sub_products, weierstrass.mul_terms
 
-    def inverse(terms, fld, cap):
+    def inverse(terms, den, fld, cap):
         inverses.append(cap)
-        return real_inverse(terms, fld, cap)
+        return real_inverse(terms, den, fld, cap)
 
     def sub_products(fld, g, pairs, top):
         sums.append(top)
@@ -795,7 +801,7 @@ def _recorded_caps(u, monkeypatch):
         slices.append((cap, max(out, default=-1)))
         return out
 
-    monkeypatch.setattr(weierstrass, "inverse_terms", inverse)
+    monkeypatch.setattr(weierstrass, "inverse_numerators", inverse)
     monkeypatch.setattr(weierstrass, "_sub_products", sub_products)
     monkeypatch.setattr(weierstrass, "mul_terms", mul)
     prepare(u)
