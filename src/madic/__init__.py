@@ -60,6 +60,7 @@ from .solver import (
     approximate_solve,
     artin_probe,
     build_one_var_system,
+    rank_minors,
     select_minor,
     solve_one_var,
     tougeron_refine,

@@ -37,7 +37,10 @@ def power_bits(base, exp):
 
 def capped_power(base, exp, factor=1):
     """factor * base ** exp for nonnegative ints, refused with CapacityError
-    when its estimated bit length exceeds MAX_BITS."""
+    when its estimated bit length exceeds MAX_BITS.  A negative exponent is
+    refused, as base ** exp would be a float."""
+    if exp < 0:
+        raise MadicError(f"a bound with negative exponent {exp}")
     bits = power_bits(base, exp)
     if factor > 1:
         bits += factor.bit_length()

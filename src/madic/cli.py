@@ -28,10 +28,10 @@ from .solver import (
     SolverConfig,
     approximate_solve,
     artin_probe,
+    rank_minors,
     select_minor,
     tougeron_refine,
 )
-from .series import ideal_order
 from .weierstrass import prepare, w_divide
 
 
@@ -156,13 +156,12 @@ def _solver_config(pf, args):
             + ", ".join(STRATEGIES)
         )
     cfg = SolverConfig(strategy=strategy)
-    jl = pf.get_int("jet_length")
-    if jl is not None:
-        if jl < 1:
-            raise ParseError(f"jet_length must be at least 1 in {pf.path}, got {jl}")
-        cfg.jet_length = jl
-    if pf.get("K"):
-        cfg.K = pf.get_int("K")
+    for key in ("jet_length", "K"):
+        value = pf.get_int(key)
+        if value is not None:
+            if value < 1:
+                raise ParseError(f"{key} must be at least 1 in {pf.path}, got {value}")
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -170,15 +169,13 @@ def cmd_refine(pf, args):
     eqs = pf.equations()
     zbar = pf.approx_vector(precision=args.precision)
     assignment = pf.assignment()
-    c = args.target_order or pf.get_int("target_order")
+    c = args.target_order if args.target_order is not None else pf.get_int("target_order")
     if c is None:
         raise ParseError("refine needs a target_order")
-    colons = {}
-    H = elkik_ideal(eqs, list(pf.unknowns()), colons)
-    hord = ideal_order(H.generators, zbar, assignment)
-    if not hord.finite:
+    ranking = rank_minors(eqs, zbar, assignment)
+    if not ranking.order.finite:
         raise HypothesisError("Jacobian ideal vanishes to precision")
-    sel = select_minor(eqs, zbar, assignment, hord.value + 1, colons)
+    sel = select_minor(ranking, ranking.order.value + 1)
     cert = tougeron_refine(
         [eqs[i] for i in sel.subset], sel.columns, zbar, assignment, c
     )
@@ -190,7 +187,7 @@ def cmd_solve(pf, args):
     cfg = _solver_config(pf, args)
     eqs = pf.equations()
     zbar = pf.approx_vector(precision=args.precision)
-    c = args.target_order or pf.get_int("target_order")
+    c = args.target_order if args.target_order is not None else pf.get_int("target_order")
     if c is None:
         raise ParseError("solve needs a target_order")
     cert = approximate_solve(eqs, zbar, pf.assignment(), c, cfg)
@@ -224,7 +221,7 @@ def cmd_bounds(pf, args):
     d = pf.get_int("d")
     n = pf.get_int("n", 1)
     s = pf.get_int("s", 1)
-    c = args.target_order or pf.get_int("c", 1)
+    c = args.target_order if args.target_order is not None else pf.get_int("c", 1)
     if m is None or d is None:
         raise ParseError("bounds needs m and d")
     K = pf.get_int("K", 2)

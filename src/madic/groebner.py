@@ -380,15 +380,10 @@ def colon(J, I):
     return result
 
 
-def elkik_ideal(fs, diff_vars, colons=None):
-    """Jacobian ideal of a presentation: the sum over all subsets E of the
-    equations of (|E|x|E| Jacobian minors of the rows E) * ((f_i, i in E) : I).
-
-    Returns the raw generator list as an Ideal, without Groebner
-    post-processing.  The empty subset contributes (1) * ((0) : I), which is
-    zero over a domain.  `colons`, a dict when given, receives each colon
-    ideal ((f_i, i in E) : I) under its subset E.
-    """
+def colon_ideals(fs, h_max):
+    """((f_i, i in E) : I) for I = (fs), keyed by each subset E of at most
+    h_max equations, E = () included, by size, then in combinations order:
+    the subset enumeration of the Jacobian ideal."""
     fs = list(fs)
     if not fs:
         raise MadicError("need at least one equation")
@@ -398,31 +393,40 @@ def elkik_ideal(fs, diff_vars, colons=None):
             f"subset enumeration over {n} equations exceeds the cap of "
             f"{ELKIK_SUBSET_CAP} (2^n blow-up)"
         )
-    vars = fs[0].vars
-    field = fs[0].field
     I = Ideal(fs)
+    zero = Polynomial.zero(fs[0].vars, fs[0].field)
+    return {
+        E: colon(Ideal([fs[i] for i in E] or [zero]), I)
+        for h in range(min(n, h_max) + 1)
+        for E in itertools.combinations(range(n), h)
+    }
+
+
+def elkik_ideal(fs, diff_vars):
+    """Jacobian ideal of a presentation: the sum over all subsets E of the
+    equations of (|E|x|E| Jacobian minors of the rows E) * ((f_i, i in E) : I).
+
+    Returns the raw generator list as an Ideal, without Groebner
+    post-processing.  The empty subset contributes (1) * ((0) : I), which is
+    zero over a domain.  Subsets E beyond the column count have no minor.
+    """
+    fs = list(fs)
+    colons = colon_ideals(fs, len(diff_vars))
+    vars, field = fs[0].vars, fs[0].field
     jac = jacobian(fs, diff_vars)
     gens = []
-    for h in range(0, n + 1):
-        if h > len(diff_vars):
-            break  # the minor ideal is zero for h beyond the column count
-        for E in itertools.combinations(range(n), h):
-            if h == 0:
-                sub_minors = [Polynomial.constant(1, vars, field)]
-                col = colon(Ideal([Polynomial.zero(vars, field)]), I)
-            else:
-                sub = jac.submatrix(E, range(len(diff_vars)))
-                sub_minors = minors(sub, h)
-                col = colon(Ideal([fs[i] for i in E]), I)
-            if colons is not None:
-                colons[E] = col
-            for d in sub_minors:
-                if d.is_zero():
-                    continue
-                for k in col.generators:
-                    p = d * k
-                    if not p.is_zero():
-                        gens.append(p)
+    for E, col in colons.items():
+        if E:
+            sub_minors = minors(jac.submatrix(E, range(len(diff_vars))), len(E))
+        else:
+            sub_minors = [Polynomial.constant(1, vars, field)]
+        for d in sub_minors:
+            if d.is_zero():
+                continue
+            for k in col.generators:
+                p = d * k
+                if not p.is_zero():
+                    gens.append(p)
     if not gens:
         gens = [Polynomial.zero(vars, field)]
     return Ideal(gens)

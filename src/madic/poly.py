@@ -329,9 +329,6 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self):
-        return PolyMatrix([list(col) for col in zip(*self.entries)])
-
     def submatrix(self, rows, cols):
         return PolyMatrix([[self.entries[i][j] for j in cols] for i in rows])
 

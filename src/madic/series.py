@@ -501,9 +501,6 @@ class TruncatedSeries:
     def norm(self):
         return Norm(self.order())
 
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), self.field.zero())
-
     def is_unit(self):
         return (0,) * len(self.vars) in self.nums
 

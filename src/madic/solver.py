@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .fields import PrimeField, content_free
-from .groebner import Ideal, colon, elkik_ideal
+from .groebner import colon_ideals
 from .poly import PolyMatrix, Polynomial, determinant, jacobian
 from .series import (
     OrderValue,
@@ -51,6 +51,9 @@ STATUS_HYPOTHESIS = "hypothesis-violated"
 
 STRATEGIES = ("newton", "jet-search")
 
+_MAX_STEPS = 64  # Newton steps before `tougeron_refine` reports a stall
+_JET_CAP = 1_000_000  # most candidates the jet search enumerates
+
 
 def _check_strategy(strategy):
     """Refuse a strategy name the reduced-system solver does not know."""
@@ -65,8 +68,6 @@ class SolverConfig:
     a_fn: callable = default_a_fn
     strategy: str = "newton"
     jet_length: int = 4
-    jet_cap: int = 1_000_000
-    max_steps: int = 64
     # display constants for probe reports; existence-only in the theory
     K: int = 2
     K1: str = "1/e"
@@ -159,62 +160,66 @@ def _over(s, d):
     return TruncatedSeries._of_nums(s.field, s.vars, s.precision, *content_free(s.nums, s.den * d))
 
 
-def select_minor(fs, zbar, assignment, s, colons=None):
-    """Pick a subset E of equations, a Jacobian minor and a colon-ideal
-    witness whose product stays below order s at the approximate solution.
+@dataclass
+class MinorRanking:
+    """ord H(zbar) and the orders it is read from (see `rank_minors`)."""
 
-    Among candidates the one minimizing ord of the squared minor wins;
-    ties break on lexicographically smallest E, then column set, then
-    generator index.  Raises HypothesisError when every product has order
-    at least s.  `colons` maps E to ((f_i, i in E) : I) as `elkik_ideal`
-    leaves it; without it each colon ideal is computed here.
+    unknowns: tuple
+    jac: PolyMatrix  # the symbolic Jacobian on every unknown
+    jbar: PolyMatrix  # jac at zbar
+    pairs: list  # ranked (ord delta(zbar), ord k(zbar), E, columns, witness index, k, delta(zbar))
+    order: OrderValue
+
+
+def rank_minors(fs, zbar, assignment):
+    """Elkik's Jacobian ideal H at zbar, read without forming it: H is
+    generated by the products of the |E| x |E| Jacobian minors delta of the
+    rows E and the generators k of ((f_i, i in E) : I).  Evaluation at zbar
+    is a ring map and k[[x, y]] a domain, so ord (delta k)(zbar) = ord
+    delta(zbar) + ord k(zbar) when that sum is below N = zbar.precision,
+    and ord H(zbar) is the least such sum, at least N when there is none.
+    The pairs of finite orders are kept for `select_minor`, ranked by ord
+    delta(zbar), then E, columns and witness index.
+    E = () has the minor 1 (delta(zbar) None), and ((0) : I) = (1) only
+    for an all-zero system.  `fs` is a list of polynomials or a `PolySystem`.
     """
-    fs = list(fs)
-    unknowns = sorted(assignment, key=assignment.get)
-    I = Ideal(fs)
-    jac = jacobian(fs, unknowns)
+    system = fs if isinstance(fs, PolySystem) else PolySystem(fs, assignment)
+    colons = system.colons
+    unknowns = tuple(sorted(assignment, key=assignment.get))
+    jac = jacobian(system.fs, unknowns)
     jbar = _evaluated(jac, zbar, assignment)
-    best = None
-    min_product_order = None
-    for h in range(1, min(len(fs), len(unknowns)) + 1):
-        for E in itertools.combinations(range(len(fs)), h):
-            col_ideal = colons[E] if colons else colon(Ideal([fs[i] for i in E]), I)
-            kgens = [g for g in col_ideal.generators if not g.is_zero()]
-            if not kgens:
-                continue
-            kvals = [evaluate(k, zbar, assignment).order() for k in kgens]
-            for cols in itertools.combinations(range(len(unknowns)), h):
-                det = determinant(jbar.submatrix(E, cols))
-                dord = det.order()
-                if not dord.finite:
-                    continue
-                for gi, kord in enumerate(kvals):
-                    if not kord.finite:
-                        continue
-                    prod = dord.value + kord.value
-                    if min_product_order is None or prod < min_product_order:
-                        min_product_order = prod
-                    if prod >= s:
-                        continue
-                    measure = (2 * dord.value, E, cols, gi)
-                    if best is None or measure < best[0]:
-                        best = (measure, kgens[gi], det)
-    if best is None:
-        raise HypothesisError(
-            "no Jacobian-minor/colon-witness product has order below "
-            f"s={s} at the approximate solution",
-            measured=min_product_order,
-        )
-    (squared, E, cols, _), k, det = best
-    return MinorSelection(
-        subset=E,
-        columns=tuple(unknowns[c] for c in cols),
-        minor=determinant(jac.submatrix(E, cols)),
-        cofactor=k,
-        minor_order=squared // 2,
-        squared_order=squared,
-        jbar=jbar.submatrix(E, cols),
-        dbar=det,
+    pairs = []
+    for E, ideal in colons.items():
+        kgens = [g for g in ideal.generators if not g.is_zero()]
+        kvals = [evaluate(k, zbar, assignment).order() for k in kgens]
+        for cols in itertools.combinations(range(len(unknowns)), len(E)):
+            det = determinant(jbar.submatrix(E, cols)) if E else None
+            dord = det.order() if E else OrderValue(0)
+            for gi, kord in enumerate(kvals):
+                if dord.finite and kord.finite:
+                    pairs.append((dord.value, kord.value, E, cols, gi, kgens[gi], det))
+    pairs.sort(key=lambda t: (t[0],) + t[2:5])
+    N = zbar.precision
+    least = min((a + b for a, b, *_ in pairs if a + b < N), default=None)
+    order = OrderValue.at_least(N) if least is None else OrderValue(least)
+    return MinorRanking(unknowns, jac, jbar, pairs, order)
+
+
+def select_minor(ranking, s):
+    """The first pair of a `rank_minors` ranking with E nonempty whose
+    product has order below s at the approximate solution: least ord of the
+    minor, then lexicographically smallest E, column set and witness.
+    Raises HypothesisError when every product has order at least s.
+    """
+    for a, b, E, cols, _, k, det in ranking.pairs:
+        if E and a + b < s:
+            minor = determinant(ranking.jac.submatrix(E, cols))
+            names = tuple(ranking.unknowns[c] for c in cols)
+            return MinorSelection(E, names, minor, k, a, 2 * a, ranking.jbar.submatrix(E, cols), det)
+    raise HypothesisError(
+        "no Jacobian-minor/colon-witness product has order below "
+        f"s={s} at the approximate solution",
+        measured=min((a + b for a, b, E, *_ in ranking.pairs if E), default=None),
     )
 
 
@@ -227,11 +232,19 @@ def _evaluated(jac, zbar, assignment):
 
 class PolySystem:
     """Polynomials in the series variables and the unknowns, read at a
-    series vector by `evaluate`; the symbolic Jacobian on a column set is
-    built once."""
+    series vector by `evaluate`, iterating as its equations; the symbolic
+    Jacobian on a column set, and the colon ideals, are built once."""
 
     def __init__(self, fs, assignment):
         self.fs, self.assignment, self._jacobians = list(fs), assignment, {}
+
+    def __iter__(self):
+        return iter(self.fs)
+
+    @cached_property
+    def colons(self):
+        """`groebner.colon_ideals` of the system, up to |E| = #unknowns."""
+        return colon_ideals(self.fs, len(self.assignment))
 
     def values(self, point):
         return [evaluate(f, point, self.assignment) for f in self.fs]
@@ -275,7 +288,7 @@ class AtZbar:
     w_quotients: list | None = None
 
 
-def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=64,
+def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
                     prepared=None, at=None):
     """Newton iteration under the Tougeron hypothesis.
 
@@ -764,7 +777,7 @@ def _one_var_newton(sys, live, residual, c, config):
     _, esub, csub = best
     cert = tougeron_refine(
         sys.rows([live[i] for i in esub]), [unknowns[j] for j in csub], point,
-        sys.assignment, c, config.max_steps,
+        sys.assignment, c,
     )
     if not cert.certified:
         raise UnsupportedInstanceError(
@@ -787,9 +800,9 @@ def _one_var_jet_search(sys, c, config):
     L = config.jet_length
     M = len(sys.unknown_names)
     total = p ** (M * L)
-    if total > config.jet_cap:
+    if total > _JET_CAP:
         raise UnsupportedInstanceError(
-            f"jet search space {p}^{M * L} exceeds the cap {config.jet_cap}"
+            f"jet search space {p}^{M * L} exceeds the cap {_JET_CAP}"
         )
     xvar = sys.point.vars
     # the rows of each source, f_k or the squared minor, apart: a candidate
@@ -867,19 +880,19 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
 
     The gamma threshold derived from the configured rate function is
     recorded and reported but never trusted: every claim in the certificate
-    is re-checked by independent evaluation.
+    is re-checked by independent evaluation.  `fs` is a list of
+    polynomials or a `PolySystem`.
     """
     config = config or SolverConfig()
     _check_strategy(config.strategy)
-    fs = list(fs)
-    unknowns = sorted(assignment, key=assignment.get)
-    m = len(unknowns)
+    system = fs if isinstance(fs, PolySystem) else PolySystem(fs, assignment)
+    fs = system.fs
+    m = len(assignment)
     d = max(2, max((int(f.degree()) for f in fs if not f.is_zero()), default=2))
     N = zbar.precision
 
-    colons = {}
-    H = elkik_ideal(fs, unknowns, colons)
-    hord = ideal_order(H.generators, zbar, assignment)
+    ranking = rank_minors(system, zbar, assignment)
+    hord = ranking.order
     if not hord.finite:
         raise HypothesisError(
             "the Jacobian ideal vanishes at the approximate solution to "
@@ -888,32 +901,30 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         )
     s = hord.value + 1
     gamma_bound = gamma(m, d, s, c, config.a_fn)
-    residuals = [evaluate(f, zbar, assignment) for f in fs]
+    residuals = system.values(zbar)
     resid = SeriesVector(residuals).order()
     meets_gamma = resid.ge(gamma_bound)
 
     if not resid.finite:
-        cert = RefinementCertificate(
+        return RefinementCertificate(
             refined=zbar,
             residual_order=resid,
             coordinate_orders=[OrderValue.at_least(N) for _ in zbar],
             trace=[],
             status=STATUS_OK,
-            iterations=0,
+            gamma_bound=gamma_bound,
+            meets_gamma=meets_gamma,
+            target_order=c,
         )
-        cert.gamma_bound = gamma_bound
-        cert.meets_gamma = meets_gamma
-        cert.target_order = c
-        return cert
 
-    selection = select_minor(fs, zbar, assignment, s, colons)
+    selection = select_minor(ranking, s)
     sel_fs = [fs[i] for i in selection.subset]
     r = selection.squared_order
     at = AtZbar([residuals[i] for i in selection.subset], selection.jbar, selection.dbar)
 
     if r == 0 or len(zbar.vars) == 1:
         cert = tougeron_refine(
-            sel_fs, selection.columns, zbar, assignment, c, config.max_steps, at=at,
+            sel_fs, selection.columns, zbar, assignment, c, at=at,
         )
     else:
         sys = build_one_var_system(fs, selection, zbar, assignment, N, residuals)
@@ -927,7 +938,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         else:
             at.w_quotients = [sys.f_quotients[k] for k in selection.subset]
         cert = tougeron_refine(
-            sel_fs, selection.columns, z2, assignment, c, config.max_steps,
+            sel_fs, selection.columns, z2, assignment, c,
             prepared=sys.divisor, at=at,
         )
         # distances in the certificate must refer to the original input
@@ -1021,16 +1032,16 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
     """
     config = config or SolverConfig()
     _check_strategy(config.strategy)
-    fs = list(fs)
-    unknowns = sorted(assignment, key=assignment.get)
-    m = len(unknowns)
+    system = PolySystem(fs, assignment)
+    fs = system.fs
+    m = len(assignment)
     d = max(2, max((int(f.degree()) for f in fs if not f.is_zero()), default=2))
-    H = elkik_ideal(fs, unknowns)
+    system.colons  # built before any row, as a CapacityError must come first
     rows = []
     for idx, zb in enumerate(family):
         label = labels[idx] if labels else f"member {idx}"
         resid = ideal_order(fs, zb, assignment)
-        hord = ideal_order(H.generators, zb, assignment)
+        hord = rank_minors(system, zb, assignment).order
         for c in targets:
             if not hord.finite:
                 rows.append(
@@ -1046,7 +1057,7 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
             gamma_met = resid.ge(gb)
             note = ""
             try:
-                cert = approximate_solve(fs, zb, assignment, c, config)
+                cert = approximate_solve(system, zb, assignment, c, config)
                 ok = cert.certified
                 achieved = (
                     min(

@@ -155,3 +155,10 @@ def test_towers_past_the_cap_raise_before_building():
         isolated_singularity_bound(2, 1, 1, 10**6)
     with pytest.raises(CapacityError):
         doubly_exponential_bound(10**9, K=10**9)
+
+
+def test_capped_power_refuses_a_negative_exponent():
+    # base ** -1 would be a float
+    with pytest.raises(MadicError, match="negative exponent -1"):
+        capped_power(2, -1)
+    assert capped_power(3, 0, 5) == 5

@@ -320,3 +320,35 @@ def test_jet_length_below_one_is_a_parse_error(tmp_path, capsys, jet_length):
     assert code == 3
     assert out == ""
     assert "jet_length must be at least 1" in err and jet_length in err
+
+
+@pytest.mark.parametrize("K", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, fixture", [("probe", "probe_family.madic"), ("solve", "solve_basic.madic")]
+)
+def test_K_below_one_is_a_parse_error(tmp_path, capsys, command, fixture, K):
+    # K = -1 made the probe's rhs_exponent a float ("2.5"), K = 0 made it
+    # d^0 * (dist + 1)
+    with open(fx(fixture), encoding="utf-8") as fh:
+        text = fh.read()
+    prob = tmp_path / "k.madic"
+    prob.write_text(text + f"K: {K}\n")
+    code, out, err = run(capsys, command, str(prob), "--json")
+    assert code == 3
+    assert out == ""
+    assert "K must be at least 1" in err and K in err
+
+
+@pytest.mark.parametrize(
+    "command, fixture, read",
+    [
+        ("solve", "solve_basic.madic", lambda p: p["certificate"]["target_order"]),
+        ("refine", "solve_basic.madic", lambda p: p["certificate"]["target_order"]),
+        ("bounds", "bounds_basic.madic", lambda p: p["report"]["inputs"]["c"]),
+    ],
+)
+def test_target_order_zero_is_read(capsys, command, fixture, read):
+    # `--target-order 0` was dropped for the file's value (3 and c = 1)
+    code, out, _ = run(capsys, command, fx(fixture), "--target-order", "0", "--json")
+    assert code == 0
+    assert read(json.loads(out)) == 0

@@ -27,10 +27,13 @@ from madic import (
     approximate_solve,
     artin_probe,
     build_one_var_system,
+    elkik_ideal,
     evaluate,
+    ideal_order,
     jacobian,
     parse_polynomial,
     parse_series,
+    rank_minors,
     select_minor,
     solve_one_var,
     tougeron_refine,
@@ -71,7 +74,7 @@ def xy(N):
 def test_select_minor_single_equation():
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(20)
-    sel = select_minor([f], SeriesVector([x + x**4]), {"z": 0}, 3)
+    sel = select_minor(rank_minors([f], SeriesVector([x + x**4]), {"z": 0}), 3)
     assert sel.subset == (0,)
     assert sel.columns == ("z",)
     assert str(sel.minor) == "2*z"
@@ -81,7 +84,7 @@ def test_select_minor_single_equation():
 def test_select_minor_smooth_point_unit_minor():
     f = parse_polynomial("z - x", ("x", "z"))
     x = xs(12)
-    sel = select_minor([f], SeriesVector([x]), {"z": 0}, 1)
+    sel = select_minor(rank_minors([f], SeriesVector([x]), {"z": 0}), 1)
     assert sel.minor_order == 0
     assert sel.squared_order == 0
 
@@ -92,7 +95,7 @@ def test_select_minor_hypothesis_failure():
     f = parse_polynomial("z^2 - x^4", ("x", "z"))
     zero = TruncatedSeries.zero(("x",), 10)
     with pytest.raises(HypothesisError):
-        select_minor([f], SeriesVector([zero]), {"z": 0}, 1)
+        select_minor(rank_minors([f], SeriesVector([zero]), {"z": 0}), 1)
 
 
 def test_select_minor_deterministic():
@@ -102,8 +105,8 @@ def test_select_minor_deterministic():
     ]
     x = xs(20)
     zbar = SeriesVector([x + x**4, x + x**4])
-    a = select_minor(fs, zbar, {"z1": 0, "z2": 1}, 3)
-    b = select_minor(fs, zbar, {"z1": 0, "z2": 1}, 3)
+    a = select_minor(rank_minors(fs, zbar, {"z1": 0, "z2": 1}), 3)
+    b = select_minor(rank_minors(fs, zbar, {"z1": 0, "z2": 1}), 3)
     assert (a.subset, a.columns) == (b.subset, b.columns)
     # single-equation subsets lose here: their colon witnesses vanish to
     # high order, so the full subset with witness 1 is selected
@@ -355,13 +358,13 @@ def _both_steps(fs, zbar, assignment, c, max_steps=64):
 
 
 @st.composite
-def square_systems(draw):
-    """m = 1-3 equations f_i in u_j = z_j - root_j: u_i times a unit or a
-    square, or u_i plus a neighbour's square, some with a cross term u_i
-    u_(i+1), at roots plus one perturbation monomial of degree 3-8."""
+def square_systems(draw, max_m=3):
+    """m = 1-`max_m` equations f_i in u_j = z_j - root_j: u_i times a unit
+    or a square, or u_i plus a neighbour's square, some with a cross term
+    u_i u_(i+1), at roots plus one perturbation monomial of degree 3-8."""
     field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7), GF32003]))
     svars = draw(st.sampled_from([("x",), ("x", "y")]))
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, max_m))
     unknowns = tuple(f"z{i}" for i in range(m))
 
     def monomial(low, high):
@@ -584,7 +587,7 @@ def _bivariate_instance(N=24):
 
 def test_build_one_var_system_invariants():
     f, zbar = _bivariate_instance()
-    sel = select_minor([f], zbar, {"z": 0}, 3)
+    sel = select_minor(rank_minors([f], zbar, {"z": 0}), 3)
     sys = build_one_var_system([f], sel, zbar, {"z": 0})
     assert sys.r == sel.squared_order == 4
     keys = sys.keys()
@@ -609,7 +612,7 @@ def test_build_one_var_system_rejects_unit_minor():
     f = parse_polynomial("z - x*y", ("x", "y", "z"))
     x, y = xy(12)
     zbar = SeriesVector([x * y])
-    sel = select_minor([f], zbar, {"z": 0}, 1)
+    sel = select_minor(rank_minors([f], zbar, {"z": 0}), 1)
     with pytest.raises(MadicError):
         build_one_var_system([f], sel, zbar, {"z": 0})
 
@@ -675,7 +678,7 @@ def test_reduced_rows_are_the_reference_under_a_shear(field):
         [TruncatedSeries.from_polynomial(parse_polynomial(t, XY, field), N) for t in ("x", "x*y + x*y^2")]
     )
     assignment = {"z": 0, "w": 1}
-    sel = select_minor(fs, zbar, assignment, 8)
+    sel = select_minor(rank_minors(fs, zbar, assignment), 8)
     sys = build_one_var_system(fs, sel, zbar, assignment)
     assert not sys.divisor.change.is_identity()
     assert len(sel.subset) < len(fs)
@@ -786,7 +789,7 @@ def test_pipeline_computes_each_value_at_zbar_once(instance, live, refused, monk
     # reduction's quotient, through divide_series
     handed = [a for a in args("divide_series", "w_quotient") if a is not None]
     assert len(handed) == (0 if live else len(residuals))
-    # each colon ideal is built once, in elkik_ideal
+    # each colon ideal is built once, for the system
     built = [tuple(map(str, J.generators)) for J in args("colon", "J")]
     assert len(built) == len(set(built)) == 2 ** len(fs)
     # f and J at zbar once each; the final audit evaluates at the refined point
@@ -943,7 +946,7 @@ def reduction_instances(draw, exact):
 
 def _reduced(f, zbar, N):
     assignment = {"z": 0}
-    sel = select_minor([f], zbar, assignment, zbar.precision)
+    sel = select_minor(rank_minors([f], zbar, assignment), zbar.precision)
     return sel, build_one_var_system([f], sel, zbar, assignment, N)
 
 
@@ -1087,12 +1090,13 @@ def test_strategy_agreement_gf5():
 
 
 def test_unknown_strategy_is_refused_before_any_work(monkeypatch):
-    from madic import solver
+    from madic import groebner
 
     def no_work(*args, **kwargs):
         raise AssertionError("work began under an unknown strategy")
 
-    monkeypatch.setattr(solver, "elkik_ideal", no_work)
+    # the first Groebner work of both is the colon ideals of the system
+    monkeypatch.setattr(groebner, "colon", no_work)
     cfg = SolverConfig(strategy="bogus")
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     x = xs(12)
@@ -1116,13 +1120,16 @@ def test_jet_search_requires_prime_field():
         solve_one_var(sys, 3, "jet-search")
 
 
-def test_jet_search_cap():
+def test_jet_search_cap(monkeypatch):
+    from madic import solver
+
+    monkeypatch.setattr(solver, "_JET_CAP", 10)
     F5 = PrimeField(5)
     f = parse_polynomial("z^2 - x^2", ("x", "z"), field=F5)
     x = xs(12, F5)
     sys = OneVarSystem.from_univariate([f], SeriesVector([x + x**4]), {"z": 0})
-    cfg = SolverConfig(jet_length=4, jet_cap=10)
-    with pytest.raises(UnsupportedInstanceError):
+    cfg = SolverConfig(jet_length=4)
+    with pytest.raises(UnsupportedInstanceError, match="exceeds the cap 10"):
         solve_one_var(sys, 3, "jet-search", cfg)
 
 
@@ -1260,6 +1267,76 @@ def test_one_var_newton_refuses_before_any_determinant(monkeypatch):
 
 
 
+# -- the order of the Jacobian ideal at zbar ---------------------------
+
+
+def _probe_family():
+    from madic.problemfile import load_problem
+
+    pf = load_problem(os.path.join(PROBLEMS, "probe_family.madic"))
+    return pf.equations(), pf.family_vectors()[0], pf.assignment()
+
+
+def _ranking_examples():
+    """An all-zero system, one whose only pair with both orders below N has
+    its sum at N or beyond, the hard two-unknown instance and each member
+    of the probe family, as `square_systems` cases."""
+    vars = ("x", "y", "z0", "z1")
+    zero = Polynomial.zero(vars, QQ)
+    x, y = xy(12)
+    yield [zero, zero], SeriesVector([x, x + y]), {"z0": 0, "z1": 1}, 1
+    # E = (0,): minor 2*z0 of order 3 and witness z0^2 of order 6, below 7
+    fs = [parse_polynomial(f"{z}^2", ("x", "z0", "z1")) for z in ("z0", "z1")]
+    x = xs(7)
+    yield fs, SeriesVector([x**3, x**4]), {"z0": 0, "z1": 1}, 1
+    fs, zbar = _hard_instance()
+    yield fs, zbar, {"z": 0, "w": 1}, 2
+    fs, family, assignment = _probe_family()
+    for zb in family:
+        yield fs, zb, assignment, 3
+
+
+def _with_examples(test):
+    for case in _ranking_examples():
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(square_systems(max_m=2))
+@_with_examples
+def test_ranking_reads_the_order_of_the_jacobian_ideal(case):
+    # ord (delta k)(zbar) = ord delta(zbar) + ord k(zbar), so the least sum
+    # below N is ord H(zbar) for H as elkik_ideal forms it, E = () included.
+    # Two equations at most: the colon ideals of some drawn three-equation
+    # systems take Buchberger past 20 s each
+    fs, zbar, assignment, _ = case
+    H = elkik_ideal(fs, sorted(assignment, key=assignment.get))
+    assert rank_minors(fs, zbar, assignment).order == ideal_order(H.generators, zbar, assignment)
+
+
+def test_probe_builds_each_colon_ideal_once_per_op(monkeypatch):
+    from madic import groebner
+
+    fs, family, assignment = _probe_family()
+    real_colon = groebner.colon
+    colons, elkik = [], []
+
+    def colon(J, I):
+        colons.append(J)
+        return real_colon(J, I)
+
+    monkeypatch.setattr(groebner, "colon", colon)
+    monkeypatch.setattr(groebner, "elkik_ideal", lambda *a: elkik.append(a))
+    for members in (family, family[:1]):
+        colons.clear()
+        report = artin_probe(fs, members, assignment, [3, 4])
+        assert len(report.rows) == 2 * len(members)
+        # one per subset E of the one equation: () and (0,)
+        assert len(colons) == 2
+    assert len(family) == 5 and elkik == []
+
+
 def _spy(monkeypatch, name):
     """Record each call of solver.`name`."""
     from madic import solver
@@ -1355,7 +1432,7 @@ def test_pipeline_bypass_equivalence():
     x = xs(20)
     zbar = SeriesVector([x**2])
     cert = approximate_solve([f], zbar, {"z": 0}, 3)
-    sel = select_minor([f], zbar, {"z": 0}, 1)
+    sel = select_minor(rank_minors([f], zbar, {"z": 0}), 1)
     direct = tougeron_refine([f], sel.columns, zbar, {"z": 0}, 3)
     assert cert.status == direct.status == STATUS_OK
     assert cert.refined[0] == direct.refined[0]
