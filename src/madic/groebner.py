@@ -380,10 +380,26 @@ def colon(J, I):
     return result
 
 
+def _whole_colon(fs):
+    """(I : I) for I = (fs), the whole ring, with the generator `colon`
+    gives it and no Groebner basis: for exactly one nonzero f, whose
+    reduced basis is f / lc(f) (lc in degrevlex, f's own variable order),
+    (f : f) = ((f) / f) = (1 / lc(f)); otherwise the reduced basis (1)."""
+    nonzero = [f for f in fs if not f.is_zero()]
+    vars, field = fs[0].vars, fs[0].field
+    c = field.one()
+    if len(nonzero) == 1:
+        pk = DEGREVLEX.packing(len(vars))
+        terms = pk.pack_terms(nonzero[0].terms, {})
+        c = field.inv(terms[pk.leading(terms)])
+    return Ideal([Polynomial.constant(c, vars, field)])
+
+
 def colon_ideals(fs, h_max):
     """((f_i, i in E) : I) for I = (fs), keyed by each subset E of at most
     h_max equations, E = () included, by size, then in combinations order:
-    the subset enumeration of the Jacobian ideal."""
+    the subset enumeration of the Jacobian ideal.  E = every equation gives
+    (I : I), the whole ring (`_whole_colon`)."""
     fs = list(fs)
     if not fs:
         raise MadicError("need at least one equation")
@@ -396,7 +412,7 @@ def colon_ideals(fs, h_max):
     I = Ideal(fs)
     zero = Polynomial.zero(fs[0].vars, fs[0].field)
     return {
-        E: colon(Ideal([fs[i] for i in E] or [zero]), I)
+        E: _whole_colon(fs) if h == n else colon(Ideal([fs[i] for i in E] or [zero]), I)
         for h in range(min(n, h_max) + 1)
         for E in itertools.combinations(range(n), h)
     }

@@ -114,14 +114,27 @@ class ProblemFile:
             return parse_field_spec(self.scalars["field"])
         return default_field()
 
+    def _names(self, key):
+        """The names listed under `key`, refused when one repeats."""
+        names = tuple(self.require(key).split())
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ParseError(f"{key} names {name!r} twice in {self.path}")
+        return names
+
     def series_vars(self):
-        names = tuple(self.require("series_vars").split())
+        names = self._names("series_vars")
         if len(names) not in (1, 2):
             raise ParseError("series_vars must list one or two names")
         return names
 
     def unknowns(self):
-        return tuple(self.require("unknowns").split())
+        names = self._names("unknowns")
+        svars = self.series_vars() if "series_vars" in self.scalars else ()
+        for name in names:
+            if name in svars:
+                raise ParseError(f"unknowns names the series variable {name!r} in {self.path}")
+        return names
 
     def all_vars(self):
         """Ambient ring variables; series_vars is optional for the purely

@@ -48,10 +48,17 @@ Both fields are exact, so the result does not depend on the accumulation
 order or representation.  `LinearChange.apply_series` and Weierstrass
 division read a series' numerators in the same way.
 
-Every inverse of a unit goes through one kernel, `inverse_numerators`, by
-the coefficient recurrence b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k} in order
-of total degree: each b_m is one sum of plain numbers reduced once, as in
-`mul_terms`, and a unit of t terms costs t products per output term.
+On the pairwise loop a square (`a is b`) pairs each term only with the
+terms after it in degree order, doubled, and adds the diagonal, so each
+cross product is computed once.
+
+Every quotient by a unit, and so every inverse, goes through one kernel,
+`quotient_numerators`, by the coefficient recurrence of power-series
+division Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0 in order of total
+degree from ord a: each Q_m is one sum of plain numbers reduced once, as in
+`mul_terms`, and a unit of t terms costs t products per output term.  A
+quotient a / w (`TruncatedSeries.over`) so costs about what w^-1 alone
+does, and no product by w^-1 follows; the inverse is the case a = 1.
 
 `substitute_numerators` is the one substitution kernel, behind `evaluate`
 and, through `substitute_terms`, `Polynomial.subs`.  It drops a term before
@@ -251,7 +258,7 @@ def mul_terms(a, b, field, cap):
     for how the product is accumulated.  A univariate product whose integer
     numbers fit 64-bit slots is one big-int multiply (`_slot_product`, by
     the rule in the module docstring); a square (`a is b`) packs its
-    operand once.
+    operand once, and on the pairwise loop computes each cross product once.
     """
     if not a or not b:
         return {}
@@ -300,9 +307,19 @@ def mul_terms(a, b, field, cap):
     # a list indexed by packed key, unless fewer pairs than slots
     size = max(k for k, _, _ in a) + max(k for k, _ in inner) + 1
     acc = [0] * size if len(a) * len(b) >= size else defaultdict(int)
-    for (ka, da, _), na in zip(a, a_nums):
-        for kb, nb in inner[: bisect_left(b_degs, cap - da)]:
-            acc[ka + kb] += na * nb
+    if square:
+        # a is sorted too: each pair i < j once, doubled, and the diagonal
+        for i, ((ka, da, _), na) in enumerate(zip(a, a_nums)):
+            if 2 * da >= cap:
+                break
+            acc[2 * ka] += na * na
+            na += na
+            for kb, nb in inner[i + 1 : bisect_left(b_degs, cap - da)]:
+                acc[ka + kb] += na * nb
+    else:
+        for (ka, da, _), na in zip(a, a_nums):
+            for kb, nb in inner[: bisect_left(b_degs, cap - da)]:
+                acc[ka + kb] += na * nb
     items = acc.items() if isinstance(acc, dict) else enumerate(acc)
     return field_terms(field, _unpacked(((k, n) for k, n in items if n), key, cap), den)
 
@@ -327,65 +344,76 @@ def numerators(field, terms):
     return dict(zip(terms, nums)), den
 
 
-def inverse_numerators(terms, den, field, cap):
-    """(numerators, den), content-free, of the inverse of the unit with
-    numerator dict `terms` over den, keeping the terms of total degree <
-    cap; keys as in `mul_terms`.
+def quotient_numerators(a, a_den, w, w_den, field, cap):
+    """(numerators, den), content-free, of the quotient a / w of the
+    numerator dict `a` over a_den by the unit with numerator dict `w` over
+    w_den, keeping the terms of total degree < cap; keys as in `mul_terms`.
+    The inverse of w is the case a = 1.
 
-    By the coefficient recurrence b_0 = 1/a_0 and, in order of total degree,
-    b_m = -(1/a_0) sum_{k != 0} a_k b_{m-k}.  Each b_m is one sum of products
-    of plain numbers, reduced once.  Over GF(p) these are residues, with
-    -a_k/a_0 taken once per term of a.  Over QQ they are the numerators n_k
-    of a and the numerators of b_0, ..., b_{m-1} over their running common
-    denominator, the lcm of their own: b_m = -sum / (n_0 * common), and
-    when its reduced denominator does not divide the running one, the
-    running one grows and the stored numerators are rescaled.  The numbers
-    stay as long as the inverse's own coefficients.  Only the terms of a
-    with deg k <= deg m enter b_m, so a unit of t terms costs t products per
-    output term.
+    By the coefficient recurrence of power-series division (Knuth, TAOCP
+    vol. 2, 4.7), in order of total degree from ord a upward,
+    Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0.  Each Q_m is one sum of
+    products of plain numbers, reduced once.  Over GF(p) these are
+    residues, with -w_k/w_0 and a_m/w_0 taken once per term.  Over QQ the
+    recurrence runs on A = a * a_den * w_den / g, g = gcd(a_den, w_den), an
+    int dict, and the result is divided by a_den / g at the end.  Its
+    numbers are the numerators n_k of w and those of Q_0, ..., Q_{m-1} over
+    their running common denominator, the lcm of their own:
+    Q_m = (A_m * common - sum) / (n_0 * common), and when its reduced
+    denominator does not divide the running one, the running one grows and
+    the stored numerators are rescaled.  Only the terms of w with
+    deg k <= deg m - ord a enter Q_m, so a unit of t terms costs t products
+    per output term, and a unit of one term only scales a.
 
     Bivariate keys pack as i*2cap + j (`_packed`) and are read at an offset
-    of cap*2cap in a zero-filled table: for a term k of a not below m in both
+    of cap*2cap in a zero-filled table: for a term k of w not below m in both
     exponents, the packed m - k lands below the offset or on a j slot
     >= cap, where no key is stored, so it reads 0.
     """
-    key = next(iter(terms), None)
+    key = next(iter(w), None)
     bivariate = isinstance(key, tuple) and len(key) == 2
     zero = (0,) * len(key) if isinstance(key, tuple) else 0
-    n0 = terms.get(zero)
+    n0 = w.get(zero)
     if n0 is None or field.is_zero(n0):
         raise MadicError("series is not a unit")
     p = field.characteristic
-    if p:
-        first, common = pow(n0, p - 2, p), 1
-    else:
-        g = gcd(den, n0)
-        first, common = den // g, n0 // g
-        if common < 0:
-            first, common = -first, -common
     width = 2 * cap if bivariate else 1
     offset = cap * width if bivariate else 0
-    rest = sorted((d, k, c) for k, d, c in _packed(terms, cap, 2 * cap) if d)
+    top = _packed(a, cap, 2 * cap) if a else []
+    if not top:
+        return {}, 1
+    low = min(d for _, d, _ in top)
+    if p:
+        first, scale = pow(n0, p - 2, p), 1
+        top = {k: first * c % p for k, _, c in top}
+    else:
+        g = gcd(a_den, w_den)
+        first, scale = w_den // g, a_den // g
+        top = {k: c * first for k, _, c in top}
+    rest = sorted((d, k, c) for k, d, c in _packed(w, cap, 2 * cap) if d)
     if not rest:
-        return {zero: first}, common
+        if p:
+            return dict(_unpacked(top.items(), key, 2 * cap)), 1
+        nums = dict(_unpacked(((k, c if n0 > 0 else -c) for k, c in top.items()), key, 2 * cap))
+        return content_free(nums, scale * abs(n0))
     degs = [d for d, _, _ in rest]
     keys = [k for _, k, _ in rest]
     coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
     table = [0] * (offset + (cap - 1) * width + 1)
-    table[offset] = first
-    filled = [offset]
-    read = table.__getitem__
-    for d in range(1, cap):
-        t = bisect_right(degs, d)
+    filled = []
+    read, lead = table.__getitem__, top.get
+    common = 1
+    for d in range(low, cap):
+        t = bisect_right(degs, d - low)
         ks, cs = keys[:t], coeffs[:t]
         for m in range(offset + d, offset + d * width + 1, width - 1) if bivariate else (d,):
             g = sum(map(mul, cs, map(read, map(sub, repeat(m), ks))))
-            if p:
-                g %= p
+            c = lead(m - offset, 0)
+            g = (g + c) % p if p else c * common - g
             if not g:
                 continue
             if not p:
-                num, below = (-g, n0 * common) if n0 > 0 else (g, -n0 * common)
+                num, below = (g, n0 * common) if n0 > 0 else (-g, -n0 * common)
                 c = gcd(num, below)
                 num, below = num // c, below // c
                 grow = below // gcd(common, below)
@@ -396,13 +424,8 @@ def inverse_numerators(terms, den, field, cap):
                 g = num * (common // below)
             table[m] = g
             filled.append(m)
-    return dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap)), common
-
-
-def inverse_terms(terms, field, cap):
-    """`inverse_numerators` on a term dict of field elements."""
-    nums, den = inverse_numerators(*numerators(field, terms), field, cap)
-    return field_terms(field, nums.items(), den)
+    nums = dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap))
+    return content_free(nums, common * scale) if scale != 1 else (nums, common)
 
 
 def summed(parts, field):
@@ -572,14 +595,31 @@ class TruncatedSeries:
     def inverse(self, precision=None):
         """Multiplicative inverse of a unit to `precision` (default and at
         most the series' own; the inverse is unique modulo m^precision), by
-        the coefficient recurrence of `inverse_numerators`."""
+        the coefficient recurrence of `quotient_numerators` with a = 1."""
         if precision is None:
             precision = self.precision
         elif precision > self.precision:
             raise PrecisionError(f"cannot invert at precision {precision} > {self.precision}")
         elif precision <= 0:
             raise PrecisionError(f"cannot invert at precision {precision}")
-        nums, den = inverse_numerators(self.nums, self.den, self.field, precision)
+        one = {(0,) * len(self.vars): 1}
+        nums, den = quotient_numerators(one, 1, self.nums, self.den, self.field, precision)
+        return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
+
+    def over(self, w, precision=None):
+        """The quotient self / w by a unit w to `precision` (default and at
+        most the lower of the two; the quotient is unique modulo
+        m^precision), by the coefficient recurrence of
+        `quotient_numerators`: no inverse of w is formed."""
+        self._check(w)
+        most = min(self.precision, w.precision)
+        if precision is None:
+            precision = most
+        elif precision > most:
+            raise PrecisionError(f"cannot divide at precision {precision} > {most}")
+        elif precision <= 0:
+            raise PrecisionError(f"cannot divide at precision {precision}")
+        nums, den = quotient_numerators(self.nums, self.den, w.nums, w.den, self.field, precision)
         return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
 
     def __eq__(self, other):

@@ -233,10 +233,12 @@ def _evaluated(jac, zbar, assignment):
 class PolySystem:
     """Polynomials in the series variables and the unknowns, read at a
     series vector by `evaluate`, iterating as its equations; the symbolic
-    Jacobian on a column set, and the colon ideals, are built once."""
+    Jacobian on a column set, and the colon ideals, are built once, and the
+    minors are ranked once per approximate solution."""
 
     def __init__(self, fs, assignment):
         self.fs, self.assignment, self._jacobians = list(fs), assignment, {}
+        self._ranked = None  # (zbar, its ranking), for the last zbar ranked
 
     def __iter__(self):
         return iter(self.fs)
@@ -245,6 +247,14 @@ class PolySystem:
     def colons(self):
         """`groebner.colon_ideals` of the system, up to |E| = #unknowns."""
         return colon_ideals(self.fs, len(self.assignment))
+
+    def ranking(self, zbar):
+        """`rank_minors` of the system at zbar, kept for the same zbar
+        object, so that `artin_probe` and each `approximate_solve` of a
+        member share it."""
+        if self._ranked is None or self._ranked[0] is not zbar:
+            self._ranked = zbar, rank_minors(self, zbar, self.assignment)
+        return self._ranked[1]
 
     def values(self, point):
         return [evaluate(f, point, self.assignment) for f in self.fs]
@@ -299,8 +309,10 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
     Requires each residual f_i(zbar) to be an exact multiple of d^2 with
     quotient q_i of order >= c.  A step moves the selected coordinates z by
     d*h, h_j = -det(J with column j replaced by q) * w^-1, w = det J / d, so
-    the only divisions are by d^2 (certified above), d and units.  w^-1 is
-    taken only below N - min ord of the numerators d*det(...), at most
+    the only divisions are by d^2 (certified above), d and units.  Only h
+    below N - ord d reaches the step, and there h_j is exact: over k[[x]]
+    each det(...) is divided by w in one recurrence; over k[[x, y]] w^-1 is
+    taken once, below N - min ord of the numerators d*det(...), at most
     r + min ord q for r = ord d^2, so f(z) + d J h = d^2 q (1 - w w^-1)
     stays in d^2 m^(N - r) and the next quotient is exact mod m^(N - r).
 
@@ -326,7 +338,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
     residuals = system.values(zbar) if at is None else at.residuals
     if len(residuals) != len(columns):
         raise MadicError("need as many equations as selected columns")
-    N, m = zbar.precision, len(columns)
+    N, m, bivariate = zbar.precision, len(columns), len(zbar.vars) == 2
     jbar = system.jacobian(zbar, columns) if at is None else at.jbar
     dbar = determinant(jbar) if at is None else at.dbar
     if not dbar.order().finite:
@@ -406,17 +418,22 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
             ))
             for j in range(m)
         ]
-        # the numerator dbar * cramer has order half + ord(cramer); a term
-        # of w^-1 of degree >= N - ord(numerator) only reaches degrees >= N
-        # of the step, so w is inverted only below N - min ord
+        # the numerator dbar * cramer has order half + ord(cramer), so only
+        # h below N - half reaches degrees < N of the step: a univariate
+        # step divides each cramer by w there in one recurrence; a
+        # bivariate one, whose quotients cost more than products, inverts w
+        # once, below N - min ord
         orders = [half + cr.order().value for cr in cramers]
         h = [zero] * m
-        if min(orders) < N and w is not None:
+        if min(orders) < N and w is not None and bivariate:
             winv = _lift(w.inverse(min(w.precision, N - min(orders))), N)
         base = list(current)  # the step expands f around it
         for j, (ci, cr, o) in enumerate(zip(col_index, cramers, orders)):
             if o < N:
-                h[j] = -cr if w is None else -(cr * winv)
+                if w is None:
+                    h[j] = -cr
+                else:
+                    h[j] = -(cr * winv) if bivariate else -_lift(cr.over(w, N - half), N)
                 current[ci] = _lift(current[ci] + dbar * h[j], N)
         steps += 1
         if tails:
@@ -891,7 +908,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
     d = max(2, max((int(f.degree()) for f in fs if not f.is_zero()), default=2))
     N = zbar.precision
 
-    ranking = rank_minors(system, zbar, assignment)
+    ranking = system.ranking(zbar)
     hord = ranking.order
     if not hord.finite:
         raise HypothesisError(
@@ -1041,7 +1058,7 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
     for idx, zb in enumerate(family):
         label = labels[idx] if labels else f"member {idx}"
         resid = ideal_order(fs, zb, assignment)
-        hord = rank_minors(system, zb, assignment).order
+        hord = system.ranking(zb).order
         for c in targets:
             if not hord.finite:
                 rows.append(

@@ -44,7 +44,7 @@ from struct import pack, unpack
 from .errors import MadicError, PrecisionError
 from .fields import QQ, check_same_field, common_denominator, content_free, field_terms
 from .poly import Polynomial
-from .series import OrderValue, TruncatedSeries, inverse_numerators, mul_terms, summed
+from .series import OrderValue, TruncatedSeries, mul_terms, quotient_numerators, summed
 
 
 def y_regular_order(u):
@@ -337,7 +337,7 @@ def weierstrass_divide(g, u, r):
         raise MadicError("divisor x^0 slice has unexpected y-order")
     # the unit's inverse to y-degree cap_0, by the coefficient recurrence;
     # None when it is 1 (a distinguished divisor), which multiplies nothing
-    e_inv, e_den = inverse_numerators(e_unit, u.den, fld, caps[0] + 1)
+    e_inv, e_den = quotient_numerators({0: 1}, 1, e_unit, u.den, fld, caps[0] + 1)
     if e_inv == {0: 1} and e_den == 1:
         e_inv = None
     p = fld.characteristic
@@ -440,11 +440,11 @@ def generic_euclid(P, r, v_var, a_vars):
 class PreparedDivisor:
     """A divisor u prepared once for repeated certified exact division.
 
-    Holds what every division by u needs and that depends on u alone: u^-1
-    for a unit; for a univariate u of order k, the inverse of u/x^k at
-    precision u.precision - k, truncated to each dividend's precision (the
-    inverse is unique modulo m^p, so the quotients are those of a fresh
-    division); for a bivariate u of order r, the shear from `regularize`
+    Holds what every division by u needs and that depends on u alone: for a
+    univariate u of order k, the unit u/x^k at precision u.precision - k,
+    by which each dividend v/x^k is divided in one recurrence
+    (`TruncatedSeries.over`, which forms no inverse); for a bivariate unit
+    u, u^-1; for a bivariate u of order r, the shear from `regularize`
     (which keeps its inverse), the distinguished polynomial from `prepare`
     and the inverse of the unit.  The bivariate preparation runs on the
     first call of `prepare` or bivariate division, so constructing a
@@ -456,7 +456,8 @@ class PreparedDivisor:
         self.order = u.order()
         self.change = None
         self.dist = None
-        self._inverse = None  # u^-1, the shifted inverse, or the unit's
+        self._inverse = None  # u^-1 or the unit's inverse, bivariate
+        self._shifted = None  # u / x^k, univariate
 
     def prepare(self):
         """Set `change` and `dist` of a bivariate u, once."""
@@ -471,19 +472,17 @@ class PreparedDivisor:
         uo = self.order
         if not uo.finite:
             raise MadicError("division by a series that vanishes to precision")
-        if uo.value == 0:
-            if self._inverse is None:
-                self._inverse = u.inverse()
-            q = v * self._inverse
-        elif len(v.vars) == 1:
+        if len(v.vars) == 1:
             k = uo.value
             if any(e < k for e, in v.nums):
                 raise MadicError("series division is not exact")
-            prec = min(v.precision, u.precision) - k
-            shifted_v = _shifted(v, k, prec)
+            if self._shifted is None:
+                self._shifted = _shifted(u, k, u.precision - k)
+            q = _shifted(v, k, min(v.precision, u.precision) - k).over(self._shifted)
+        elif uo.value == 0:
             if self._inverse is None:
-                self._inverse = _shifted(u, k, u.precision - k).inverse()
-            q = shifted_v * self._inverse.truncate(prec)
+                self._inverse = u.inverse()
+            q = v * self._inverse
         else:
             r = uo.value
             N = min(v.precision, u.precision)
@@ -512,6 +511,8 @@ def _shifted(s, k, precision):
     """s / x^k at `precision`, for a univariate s with no term below x^k."""
     if precision <= 0:
         raise MadicError("precision must be positive")
+    if not k:
+        return s.truncate(precision)
     nums = {(e - k,): n for (e,), n in s.nums.items() if e - k < precision}
     return TruncatedSeries._of_nums(s.field, s.vars, precision, *content_free(nums, s.den))
 

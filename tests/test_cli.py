@@ -129,6 +129,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "names, approx, message",
+    [
+        ("series_vars: x y\nunknowns: z z\n", 2, "unknowns names 'z' twice"),
+        ("series_vars: x x\nunknowns: z\n", 1, "series_vars names 'x' twice"),
+        ("series_vars: x y\nunknowns: x z\n", 2, "unknowns names the series variable 'x'"),
+    ],
+)
+def test_repeated_or_clashing_names_are_parse_errors(tmp_path, capsys, names, approx, message):
+    bad = tmp_path / "names.madic"
+    bad.write_text(
+        "field: Q\n" + names + "equation: z^2 - x^2*y^2\n"
+        + "approx: x*y + x^3*y^3 + O(m^12)\n" * approx + "target_order: 1\n"
+    )
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 3
+    assert message in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/file.madic")
     assert code == 3

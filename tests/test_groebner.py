@@ -37,7 +37,7 @@ from madic import (
     radical_member,
 )
 from madic.fields import common_denominator, field_terms
-from madic.groebner import normal_form_terms
+from madic.groebner import colon_ideals, normal_form_terms
 from madic.monomials import MAX_EXPONENT, divisor
 from madic.poly import exact_div
 
@@ -631,3 +631,27 @@ def test_rescaled_benchmark_systems_match_sympy(system):
     ]
     polys = [parse_polynomial(s, names) for s in eqs]
     assert _our_basis_set(polys, DEGREVLEX) == _sympy_basis(polys, " ".join(names), "grevlex")
+
+
+@st.composite
+def whole_systems(draw):
+    """1-3 equations in x, y of at most three terms, over QQ or GF(p), some
+    of them zero."""
+    field = draw(st.sampled_from([QQ, GF]))
+    if field == QQ:
+        coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 3)])
+    else:
+        coeffs = st.sampled_from([1, 2, GF.p - 1, GF.p - 2])
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3)
+    return [Polynomial(field, ("x", "y"), t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(whole_systems())
+def test_colon_of_every_equation_is_the_one_colon_gives(fs):
+    # (I : I) is the whole ring; its generator, printed as a cofactor, is
+    # 1/lc(f) for one nonzero f and 1 otherwise, with no Groebner basis
+    got = colon_ideals(fs, len(fs))[tuple(range(len(fs)))]
+    want = colon(Ideal(fs), Ideal(fs))
+    assert [str(g) for g in got.generators] == [str(g) for g in want.generators]
+    assert got.generators == want.generators

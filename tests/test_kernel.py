@@ -1,4 +1,4 @@
-"""The sparse truncated-product and inverse kernels against naive references.
+"""The sparse truncated-product and quotient kernels against naive references.
 
 The references are plain loops: a pairwise product that tests every pair
 against the degree cap and adds with the field's own operations (also on
@@ -12,6 +12,7 @@ oracles.
 import gc
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -22,7 +23,8 @@ from madic import (
     TruncatedSeries, evaluate,
 )
 from madic import series
-from madic.series import integer_coefficients, inverse_terms, mul_terms
+from madic.fields import field_terms
+from madic.series import integer_coefficients, mul_terms, numerators, quotient_numerators
 
 XY = ("x", "y")
 
@@ -68,6 +70,15 @@ def naive_pow(terms, n, field, cap, nvars):
     for _ in range(n):
         out = naive_mul_terms(out, terms, field, cap)
     return out
+
+
+def inverse_terms(terms, field, cap):
+    """The kernel's inverse of a term dict of field elements: the quotient
+    of 1 by it."""
+    key = next(iter(terms), 0)
+    one = {(0,) * len(key) if isinstance(key, tuple) else 0: 1}
+    nums, den = quotient_numerators(one, 1, *numerators(field, terms), field, cap)
+    return field_terms(field, nums.items(), den)
 
 
 def newton_inverse_terms(terms, field, cap):
@@ -349,6 +360,22 @@ def test_dense_square_matches_pairwise_loop(data):
     assert s ** 2 == s * s
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_square_equals_the_product_with_a_copy(data):
+    # `a is b` pairs each term only with those after it, doubled; a copy
+    # takes the loop over every pair: both keep the same terms below cap
+    field = data.draw(st.sampled_from(FIELDS))
+    nvars = data.draw(st.sampled_from([0, 1, 2]))
+    a = data.draw(term_dicts(field, nvars, 13, max_terms=40))
+    cap = data.draw(st.integers(0, 28))
+    expected = naive_mul_terms(a, a, field, cap)
+    assert mul_terms(a, a, field, cap) == mul_terms(a, dict(a), field, cap) == expected
+    if nvars:
+        s = TruncatedSeries(field, XY[:nvars], max(cap, 1), a)
+        assert s * s == s * TruncatedSeries(field, s.vars, s.precision, a)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_dense_product_past_64_bit_slots_falls_back(data):
@@ -512,6 +539,50 @@ def test_inverse_of_a_non_unit_raises():
     for terms in ({}, {1: 3}, {(0,): 0, (1,): 1}, {(1, 0): Fraction(1, 2)}):
         with pytest.raises(MadicError, match="not a unit"):
             inverse_terms(terms, QQ, 5)
+
+
+# -- quotients ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(units(), st.data())
+def test_quotient_is_the_product_by_the_inverse(case, data):
+    # a / w in one recurrence equals a * w^-1 cut below cap, for a of any
+    # order (its first exponent raised by 0-4) and units of one term or more
+    field, w, cap = case
+    key = next(iter(w))
+    nvars = len(key) if isinstance(key, tuple) else 0
+    shift = data.draw(st.integers(0, 4))
+    a = data.draw(term_dicts(field, nvars, 10))
+    a = {
+        (k + shift if nvars == 0 else (k[0] + shift,) + k[1:]): c
+        for k, c in a.items() if not field.is_zero(c)
+    }
+    nums, den = quotient_numerators(*numerators(field, a), *numerators(field, w), field, cap)
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    expected = naive_mul_terms(a, newton_inverse_terms(w, field, cap), field, cap)
+    assert field_terms(field, nums.items(), den) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), units())
+def test_series_over_is_the_product_by_the_inverse(pair, case):
+    a, _ = pair
+    field, w, _ = case
+    if not isinstance(next(iter(w)), tuple) or len(next(iter(w))) != len(a.vars) or field != a.field:
+        w = {(0,) * len(a.vars): a.field.one()}
+    w = TruncatedSeries(a.field, a.vars, 12, w)
+    assert a.over(w) == a * w.inverse()
+    cap = min(a.precision, w.precision)
+    assert a.over(w, cap) == a * w.inverse()
+    with pytest.raises(PrecisionError):
+        a.over(w, cap + 1)
+
+
+def test_quotient_by_a_non_unit_raises():
+    for w, one in (({}, {0: 1}), ({1: 3}, {0: 1}), ({(0,): 0, (1,): 1}, {(0,): 1}), ({(1, 0): 1}, {(0, 0): 1})):
+        with pytest.raises(MadicError, match="not a unit"):
+            quotient_numerators(one, 1, w, 1, QQ, 5)
 
 
 # -- linear changes -----------------------------------------------------------

@@ -274,21 +274,39 @@ def test_refine_prepares_squared_minor_afresh_unless_equal():
 
 
 def _refine_recording_inverses(monkeypatch, full, *args):
-    """tougeron_refine(*args) and the (precision of w, precision asked for)
-    of each inverse it takes; with `full`, every inverse is taken at w's
-    own precision whatever was asked."""
-    asked = []
-    real = TruncatedSeries.inverse
+    """tougeron_refine(*args), the (precision of w, precision asked for) of
+    each inverse it takes and the same of each quotient by a unit w.  With
+    `full`, every inverse is taken at w's own precision whatever was asked,
+    and every quotient is the product by such an inverse."""
+    asked, divided = [], []
+    real_inverse, real_over = TruncatedSeries.inverse, TruncatedSeries.over
 
     def inverse(self, precision=None):
         asked.append((self.precision, precision))
-        return real(self) if full else real(self, precision)
+        return real_inverse(self) if full else real_inverse(self, precision)
+
+    def over(self, w, precision=None):
+        divided.append((w.precision, precision))
+        if not full:
+            return real_over(self, w, precision)
+        q = self * real_inverse(w)
+        return q if precision is None else q.truncate(precision)
 
     monkeypatch.setattr(TruncatedSeries, "inverse", inverse)
+    monkeypatch.setattr(TruncatedSeries, "over", over)
     try:
-        return tougeron_refine(*args), asked
+        return tougeron_refine(*args), asked, divided
     finally:
         monkeypatch.undo()
+
+
+def _assert_same_certificate(lean, full):
+    assert lean.status == STATUS_OK and lean.iterations >= 2
+    for name in (fld.name for fld in dataclasses.fields(lean)):
+        a, b = getattr(lean, name), getattr(full, name)
+        if name == "refined":
+            a, b = list(a), list(b)
+        assert a == b, name
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
@@ -309,21 +327,37 @@ def test_refine_inverts_w_only_below_what_the_step_reads(monkeypatch, field, equ
     f = parse_polynomial(equation, ("x",) + unknowns, field)
     entries = [parse_series(f"{p} + O(m^{N})", ("x",), field)[0] for p in point]
     zbar = SeriesVector([TruncatedSeries.from_polynomial(p, N) for p in entries])
-    args = ([f], unknowns[:1], zbar, {u: i for i, u in enumerate(unknowns)}, 3)
-    lean, asked = _refine_recording_inverses(monkeypatch, False, *args)
-    full, _ = _refine_recording_inverses(monkeypatch, True, *args)
-    assert lean.status == STATUS_OK and lean.iterations >= 2
-    for name in (fld.name for fld in dataclasses.fields(lean)):
-        a, b = getattr(lean, name), getattr(full, name)
-        if name == "refined":
-            a, b = list(a), list(b)
-        assert a == b, name
-    # each step inverts w only below N - min ord of its Cramer numerators,
-    # here below w's own precision at every step
+    assignment = {u: i for i, u in enumerate(unknowns)}
+    args = ([f], unknowns[:1], zbar, assignment, 3)
+    lean, asked, divided = _refine_recording_inverses(monkeypatch, False, *args)
+    full, _, _ = _refine_recording_inverses(monkeypatch, True, *args)
+    _assert_same_certificate(lean, full)
+    # a univariate step takes no inverse: it divides each Cramer numerator
+    # by w below N - ord dbar, the only part of h the step reads
+    assert asked == []
+    half = evaluate(f.diff(unknowns[0]), zbar, assignment).order().value
+    steps = [(own, cap) for own, cap in divided if cap is not None]
+    # step 0 divides nothing: its w is 1
+    assert len(steps) == lean.iterations - 1
+    assert all(own == cap == N - half for own, cap in steps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_refine_inverts_bivariate_w_only_below_what_the_step_reads(monkeypatch, field):
+    N = 24
+    f = parse_polynomial("z^2 - x^2*y^2", XYZ, field)
+    point = parse_series(f"x*y + x^3*y^2 + O(m^{N})", ("x", "y"), field)[0]
+    zbar = SeriesVector([TruncatedSeries.from_polynomial(point, N)])
+    args = ([f], ("z",), zbar, {"z": 0}, 3)
+    lean, asked, divided = _refine_recording_inverses(monkeypatch, False, *args)
+    full, _, _ = _refine_recording_inverses(monkeypatch, True, *args)
+    _assert_same_certificate(lean, full)
+    # each bivariate step inverts w once, below N - min ord of its Cramer
+    # numerators, here below w's own precision at every step
     steps = [(own, cap) for own, cap in asked if cap is not None]
-    # step 0 takes none: its w is 1
     assert len(steps) == lean.iterations - 1
     assert all(cap < own < N for own, cap in steps)
+    assert divided == []
 
 
 # -- Taylor steps against the evaluate-and-divide step -----------------
@@ -789,9 +823,10 @@ def test_pipeline_computes_each_value_at_zbar_once(instance, live, refused, monk
     # reduction's quotient, through divide_series
     handed = [a for a in args("divide_series", "w_quotient") if a is not None]
     assert len(handed) == (0 if live else len(residuals))
-    # each colon ideal is built once, for the system
+    # each colon ideal of a proper subset E is built once, for the system;
+    # E = every equation gives the whole ring and runs no colon
     built = [tuple(map(str, J.generators)) for J in args("colon", "J")]
-    assert len(built) == len(set(built)) == 2 ** len(fs)
+    assert len(built) == len(set(built)) == 2 ** len(fs) - 1
     # f and J at zbar once each; the final audit evaluates at the refined point
     at_zbar = [f for f, z in zip(args("evaluate", "f"), args("evaluate", "zbar")) if z is zbar]
     assert [sum(g is f for g in at_zbar) for f in fs] == [1] * len(fs)
@@ -1332,9 +1367,21 @@ def test_probe_builds_each_colon_ideal_once_per_op(monkeypatch):
         colons.clear()
         report = artin_probe(fs, members, assignment, [3, 4])
         assert len(report.rows) == 2 * len(members)
-        # one per subset E of the one equation: () and (0,)
-        assert len(colons) == 2
+        # one per proper subset E of the one equation: (); E = (0,) gives
+        # the whole ring with no colon run
+        assert len(colons) == 1
     assert len(family) == 5 and elkik == []
+
+
+def test_probe_ranks_each_member_once(monkeypatch):
+    # artin_probe reads ord H at each member, and approximate_solve of each
+    # target selects its minor from the same ranking
+    fs, family, assignment = _probe_family()
+    ranked = _spy(monkeypatch, "rank_minors")
+    report = artin_probe(fs, family, assignment, [3, 4])
+    assert len(report.rows) == 2 * len(family)
+    assert len(ranked) == len(family)
+    assert all(args[1] is zbar for args, zbar in zip(ranked, family))
 
 
 def _spy(monkeypatch, name):

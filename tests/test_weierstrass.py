@@ -785,12 +785,12 @@ def _recorded_caps(u, monkeypatch):
     bound of the accumulated products and of the kept quotient slice, with
     the largest y-degree that slice kept."""
     inverses, sums, slices = [], [], []
-    real_inverse = weierstrass.inverse_numerators
+    real_quotient = weierstrass.quotient_numerators
     real_sub, real_mul = weierstrass._sub_products, weierstrass.mul_terms
 
-    def inverse(terms, den, fld, cap):
+    def quotient(a, a_den, terms, den, fld, cap):
         inverses.append(cap)
-        return real_inverse(terms, den, fld, cap)
+        return real_quotient(a, a_den, terms, den, fld, cap)
 
     def sub_products(fld, g, pairs, top):
         sums.append(top)
@@ -801,7 +801,7 @@ def _recorded_caps(u, monkeypatch):
         slices.append((cap, max(out, default=-1)))
         return out
 
-    monkeypatch.setattr(weierstrass, "inverse_numerators", inverse)
+    monkeypatch.setattr(weierstrass, "quotient_numerators", quotient)
     monkeypatch.setattr(weierstrass, "_sub_products", sub_products)
     monkeypatch.setattr(weierstrass, "mul_terms", mul)
     prepare(u)
