@@ -30,6 +30,7 @@ monic and coefficients are residues throughout.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from math import gcd
@@ -357,36 +358,45 @@ def intersect(I, J):
 def colon(J, I):
     """The ideal quotient (J : I) = {g : g*I ⊆ J}.
 
-    Computed per generator of I via (J : (g)) = (J ∩ (g)) / g, then
-    intersected over the generators.
+    (J : I) is the intersection over the nonzero generators g of I of
+    (J : (g)) = (J ∩ (g)) / g.  A generator g of I that is also a generator
+    of J has (J : (g)) = (1) and is skipped: no intersection is run for it.
+    The generators returned are those of the full computation:
+      - J = (0) gives the zero ideal, and I = (0) gives (1);
+      - exactly one nonzero g gives (J ∩ (g)) / g as it is, and (1 / lc(g))
+        when g is a generator of J;
+      - two or more nonzero generators give the reduced degrevlex basis of
+        (J : I), which is (1) when every one of them is a generator of J.
     """
     if J.vars != I.vars or J.field != I.field:
         raise DomainMismatchError("ideals over different rings")
-    result = None
     nonzero = [g for g in I.generators if not g.is_zero()]
     if not nonzero:
         # (J : (0)) is the whole ring
         return Ideal([Polynomial.constant(1, J.vars, J.field)])
-    for g in nonzero:
-        if J.is_zero():
-            quot = Ideal([Polynomial.zero(J.vars, J.field)])
-        else:
-            meet = intersect(J, Ideal([g]))
-            quot = Ideal(
-                [exact_div(h, g) for h in meet.generators if not h.is_zero()]
-                or [Polynomial.zero(J.vars, J.field)]
-            )
-        result = quot if result is None else intersect(result, quot)
-    return result
+    if J.is_zero():
+        return Ideal([Polynomial.zero(J.vars, J.field)])
+    rest = [g for g in nonzero if g not in J.generators]
+    if not rest:
+        return _whole_colon(nonzero)
+    quots = []
+    for g in rest:
+        meet = intersect(J, Ideal([g]))
+        quots.append(Ideal([exact_div(h, g) for h in meet.generators if not h.is_zero()]))
+    if len(nonzero) == 1:
+        return quots[0]
+    if len(quots) == 1:
+        return Ideal(buchberger(quots[0].generators))
+    return functools.reduce(intersect, quots)
 
 
-def _whole_colon(fs):
-    """(I : I) for I = (fs), the whole ring, with the generator `colon`
-    gives it and no Groebner basis: for exactly one nonzero f, whose
-    reduced basis is f / lc(f) (lc in degrevlex, f's own variable order),
-    (f : f) = ((f) / f) = (1 / lc(f)); otherwise the reduced basis (1)."""
-    nonzero = [f for f in fs if not f.is_zero()]
-    vars, field = fs[0].vars, fs[0].field
+def _whole_colon(nonzero):
+    """(J : I), the whole ring, when the nonzero generators of I are all
+    generators of J, with the generator that the intersections give and
+    no Groebner basis: for exactly one, f, whose reduced basis is
+    f / lc(f) (lc in degrevlex, f's own variable order), (J ∩ (f)) / f =
+    (1 / lc(f)); otherwise the reduced basis (1)."""
+    vars, field = nonzero[0].vars, nonzero[0].field
     c = field.one()
     if len(nonzero) == 1:
         pk = DEGREVLEX.packing(len(vars))
@@ -399,7 +409,7 @@ def colon_ideals(fs, h_max):
     """((f_i, i in E) : I) for I = (fs), keyed by each subset E of at most
     h_max equations, E = () included, by size, then in combinations order:
     the subset enumeration of the Jacobian ideal.  E = every equation gives
-    (I : I), the whole ring (`_whole_colon`)."""
+    (I : I), the whole ring, with no intersection (see `colon`)."""
     fs = list(fs)
     if not fs:
         raise MadicError("need at least one equation")
@@ -412,7 +422,7 @@ def colon_ideals(fs, h_max):
     I = Ideal(fs)
     zero = Polynomial.zero(fs[0].vars, fs[0].field)
     return {
-        E: _whole_colon(fs) if h == n else colon(Ideal([fs[i] for i in E] or [zero]), I)
+        E: colon(Ideal([fs[i] for i in E] or [zero]), I)
         for h in range(min(n, h_max) + 1)
         for E in itertools.combinations(range(n), h)
     }

@@ -33,7 +33,6 @@ from .series import (
     SeriesVector,
     TruncatedSeries,
     evaluate,
-    ideal_order,
     numerators,
     summed,
 )
@@ -234,11 +233,12 @@ class PolySystem:
     """Polynomials in the series variables and the unknowns, read at a
     series vector by `evaluate`, iterating as its equations; the symbolic
     Jacobian on a column set, and the colon ideals, are built once, and the
-    minors are ranked once per approximate solution."""
+    equations are evaluated and the minors ranked once per approximate
+    solution."""
 
     def __init__(self, fs, assignment):
         self.fs, self.assignment, self._jacobians = list(fs), assignment, {}
-        self._ranked = None  # (zbar, its ranking), for the last zbar ranked
+        self._zbar, self._kept = None, {}  # the last zbar read and what was read there
 
     def __iter__(self):
         return iter(self.fs)
@@ -248,13 +248,22 @@ class PolySystem:
         """`groebner.colon_ideals` of the system, up to |E| = #unknowns."""
         return colon_ideals(self.fs, len(self.assignment))
 
+    def _at(self, zbar, key, compute):
+        """compute(), kept under `key` for the same zbar object, so that
+        `artin_probe` and each `approximate_solve` of a member share it."""
+        if self._zbar is not zbar:
+            self._zbar, self._kept = zbar, {}
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
     def ranking(self, zbar):
-        """`rank_minors` of the system at zbar, kept for the same zbar
-        object, so that `artin_probe` and each `approximate_solve` of a
-        member share it."""
-        if self._ranked is None or self._ranked[0] is not zbar:
-            self._ranked = zbar, rank_minors(self, zbar, self.assignment)
-        return self._ranked[1]
+        """`rank_minors` of the system at zbar, kept for the same zbar."""
+        return self._at(zbar, "ranking", lambda: rank_minors(self, zbar, self.assignment))
+
+    def residuals(self, zbar):
+        """f(zbar) for every equation, kept for the same zbar."""
+        return self._at(zbar, "residuals", lambda: self.values(zbar))
 
     def values(self, point):
         return [evaluate(f, point, self.assignment) for f in self.fs]
@@ -918,7 +927,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         )
     s = hord.value + 1
     gamma_bound = gamma(m, d, s, c, config.a_fn)
-    residuals = system.values(zbar)
+    residuals = system.residuals(zbar)
     resid = SeriesVector(residuals).order()
     meets_gamma = resid.ge(gamma_bound)
 
@@ -1057,7 +1066,7 @@ def artin_probe(fs, family, assignment, targets, config=None, labels=None):
     rows = []
     for idx, zb in enumerate(family):
         label = labels[idx] if labels else f"member {idx}"
-        resid = ideal_order(fs, zb, assignment)
+        resid = SeriesVector(system.residuals(zb)).order()
         hord = system.ranking(zb).order
         for c in targets:
             if not hord.finite:

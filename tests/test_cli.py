@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +38,19 @@ def test_elkik_golden_h(capsys):
     assert blob["comparison_equal"] is True
     assert blob["member"]["z^3"] is False
     assert blob["radical_member"]["z"] is True
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    # `python -m madic` from a checkout, with src on the path
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "madic", "elkik", fx("elkik_f.madic"), "--json"],
+        capture_output=True, text=True, env=env,
+    )
+    code, out, _ = run(capsys, "elkik", fx("elkik_f.madic"), "--json")
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == out
 
 
 def test_solve_certified(capsys):

@@ -823,10 +823,10 @@ def test_pipeline_computes_each_value_at_zbar_once(instance, live, refused, monk
     # reduction's quotient, through divide_series
     handed = [a for a in args("divide_series", "w_quotient") if a is not None]
     assert len(handed) == (0 if live else len(residuals))
-    # each colon ideal of a proper subset E is built once, for the system;
-    # E = every equation gives the whole ring and runs no colon
+    # each colon ideal is built once, for the system; E = every equation
+    # gives the whole ring with no intersection (tests/test_groebner.py)
     built = [tuple(map(str, J.generators)) for J in args("colon", "J")]
-    assert len(built) == len(set(built)) == 2 ** len(fs) - 1
+    assert len(built) == len(set(built)) == 2 ** len(fs)
     # f and J at zbar once each; the final audit evaluates at the refined point
     at_zbar = [f for f, z in zip(args("evaluate", "f"), args("evaluate", "zbar")) if z is zbar]
     assert [sum(g is f for g in at_zbar) for f in fs] == [1] * len(fs)
@@ -1354,23 +1354,28 @@ def test_probe_builds_each_colon_ideal_once_per_op(monkeypatch):
     from madic import groebner
 
     fs, family, assignment = _probe_family()
-    real_colon = groebner.colon
-    colons, elkik = [], []
+    real_colon, real_intersect = groebner.colon, groebner.intersect
+    colons, meets, elkik = [], [], []
 
     def colon(J, I):
         colons.append(J)
         return real_colon(J, I)
 
+    def intersect(I, J):
+        meets.append(I)
+        return real_intersect(I, J)
+
     monkeypatch.setattr(groebner, "colon", colon)
+    monkeypatch.setattr(groebner, "intersect", intersect)
     monkeypatch.setattr(groebner, "elkik_ideal", lambda *a: elkik.append(a))
     for members in (family, family[:1]):
         colons.clear()
         report = artin_probe(fs, members, assignment, [3, 4])
         assert len(report.rows) == 2 * len(members)
-        # one per proper subset E of the one equation: (); E = (0,) gives
-        # the whole ring with no colon run
-        assert len(colons) == 1
-    assert len(family) == 5 and elkik == []
+        # one per subset E of the one equation: E = () gives the zero
+        # ideal and E = (0,) the whole ring, neither with an intersection
+        assert len(colons) == 2
+    assert len(family) == 5 and elkik == [] and meets == []
 
 
 def test_probe_ranks_each_member_once(monkeypatch):
@@ -1382,6 +1387,30 @@ def test_probe_ranks_each_member_once(monkeypatch):
     assert len(report.rows) == 2 * len(family)
     assert len(ranked) == len(family)
     assert all(args[1] is zbar for args, zbar in zip(ranked, family))
+
+
+def test_probe_evaluates_each_equation_once_per_member():
+    # artin_probe reads the residual order at each member, and
+    # approximate_solve of each target takes f(zbar) from the same values;
+    # the final audit evaluates at the refined point, another vector
+    from madic.series import evaluate as real_evaluate
+
+    fs, family, assignment = _probe_family()
+    at = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is real_evaluate.__code__:
+            at.append((frame.f_locals["f"], frame.f_locals["zbar"]))
+
+    setprofile(profile)
+    try:
+        report = artin_probe(fs, family, assignment, [3, 4])
+    finally:
+        setprofile(None)
+    assert len(report.rows) == 2 * len(family)
+    assert [[sum(g is f and z is zb for g, z in at) for f in fs] for zb in family] == [
+        [1] * len(fs) for _ in family
+    ]
 
 
 def _spy(monkeypatch, name):
