@@ -165,11 +165,19 @@ def _solver_config(pf, args):
     return cfg
 
 
+def _target_order(pf, args, key="target_order", default=None):
+    """--target-order, or else the file's `key`; ParseError below 0."""
+    c, where = (pf.get_int(key, default), key) if args.target_order is None else (args.target_order, "--target-order")
+    if c is not None and c < 0:
+        raise ParseError(f"{where} must be at least 0 in {pf.path}, got {c}")
+    return c
+
+
 def cmd_refine(pf, args):
     eqs = pf.equations()
     zbar = pf.approx_vector(precision=args.precision)
     assignment = pf.assignment()
-    c = args.target_order if args.target_order is not None else pf.get_int("target_order")
+    c = _target_order(pf, args)
     if c is None:
         raise ParseError("refine needs a target_order")
     ranking = rank_minors(eqs, zbar, assignment)
@@ -187,7 +195,7 @@ def cmd_solve(pf, args):
     cfg = _solver_config(pf, args)
     eqs = pf.equations()
     zbar = pf.approx_vector(precision=args.precision)
-    c = args.target_order if args.target_order is not None else pf.get_int("target_order")
+    c = _target_order(pf, args)
     if c is None:
         raise ParseError("solve needs a target_order")
     cert = approximate_solve(eqs, zbar, pf.assignment(), c, cfg)
@@ -221,7 +229,7 @@ def cmd_bounds(pf, args):
     d = pf.get_int("d")
     n = pf.get_int("n", 1)
     s = pf.get_int("s", 1)
-    c = args.target_order if args.target_order is not None else pf.get_int("c", 1)
+    c = _target_order(pf, args, "c", 1)
     if m is None or d is None:
         raise ParseError("bounds needs m and d")
     K = pf.get_int("K", 2)

@@ -1,10 +1,14 @@
 """Coefficient fields: exact rationals and prime fields GF(p).
 
-Polynomial coefficients over QQ are `fractions.Fraction` values (always in
-lowest terms with positive denominator), prime-field coefficients are plain
-ints reduced into [0, p).  A field object bundles that arithmetic.  A series
-holds integer numerators over one denominator (`content_free`), residues
-over 1 over GF(p), and builds Fractions only for its `terms` view.
+A field object bundles the arithmetic of its elements: over QQ
+`fractions.Fraction` values (always in lowest terms with positive
+denominator), over GF(p) plain ints reduced into [0, p).
+
+Polynomials and series keep no field elements.  Both hold one exact form
+(`exact_form`): integer numerators over one positive denominator, with
+their common content removed (`content_free`); over GF(p) the residues over
+1.  Field elements are built only for their `terms` view (`field_terms`),
+so this is the one module that imports `fractions`.
 
 The rational field is the default and matches the characteristic-zero
 infinite-field setting of the theory; GF(p) exists for the exhaustive
@@ -16,7 +20,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainMismatchError, MadicError
+from .errors import CapacityError, DomainMismatchError, MadicError
+
+# Miller-Rabin on the prime bases 2..41 is exact below their least strong
+# pseudoprime (Sorenson and Webster, 2015); 2..37 pass 318665857834031151167461.
+PRIME_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Whether n is prime, by Miller-Rabin on the bases 2..41; CapacityError
+    from PRIME_BOUND on, where they no longer decide."""
+    if n >= PRIME_BOUND:
+        raise CapacityError(f"cannot certify that {n} is prime: the test is exact only below {PRIME_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _WITNESSES
+    )
 
 
 class RationalField:
@@ -76,14 +99,8 @@ class PrimeField:
     """GF(p) for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2:
+        if not is_prime(p):
             raise MadicError(f"not a prime: {p}")
-        n = p
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                raise MadicError(f"not a prime: {p}")
-            f += 1
         self.p = p
         self.characteristic = p
 
@@ -141,38 +158,39 @@ class PrimeField:
 QQ = RationalField()
 
 
-def common_denominator(field, coeffs):
-    """(nums, den) with coeffs[i] == nums[i] / den: over GF(p) the residues
-    over 1, over QQ the numerators over the lcm of the denominators."""
-    if field.characteristic:
-        return list(coeffs), 1
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
-
-
 def content_free(nums, den):
-    """(nums, den) over QQ divided by gcd(den, *nums): the one form of a
-    numerator dict over a positive den, with den 1 when nums is empty."""
+    """(nums, den) over QQ divided by gcd(den, *nums), with the sign that
+    makes den positive: the one form of a numerator dict over a nonzero
+    den, with den 1 when nums is empty."""
     if den != 1:
         g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
         if g != 1:
             return {k: n // g for k, n in nums.items()}, den // g
     return nums, den
 
 
+def exact_form(field, terms):
+    """(nums, den), the one form of a term dict of field elements (over QQ
+    Fractions or ints): the nonzero residues over 1, or the nonzero
+    numerators over their lcm denominator, content-free."""
+    if field.characteristic:
+        convert = field.convert
+        return {k: r for k, c in terms.items() if (r := convert(c))}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return content_free({k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den)
+
+
 def field_terms(field, items, den):
     """The term dict of (key, number) pairs over `den`, one field element
-    per term, without the terms that vanish.  Over QQ a denominator of 1
-    builds each Fraction without a gcd; `den` None keeps the numbers as
-    they are (numerators of the caller's denominator, or Fractions)."""
+    per term, without the terms that vanish; `den` None keeps the numbers
+    as they are, numerators of the caller's denominator."""
     if field.characteristic:
         p = field.p
         return {k: r for k, n in items if (r := n % p)}
     if den is None:
         return {k: n for k, n in items if n}
-    if den == 1:
-        return {k: Fraction(n) for k, n in items if n}
     return {k: Fraction(n, den) for k, n in items if n}
 
 

@@ -16,16 +16,17 @@ coefficient, negated tail, the tail's fieldwise maximum for the overflow
 check), and an Ideal keeps the prepared divisors of its cached basis for
 membership and normal forms.
 
-Over QQ the engine works on integers from packing to unpacking: each
-generator's denominators are cleared once, a prepared divisor is a
-primitive integer polynomial with a positive leading coefficient, every
-reduction returns (rem, scale) with remainder rem / scale (see
+Over QQ the engine works on integers from packing to unpacking: a
+polynomial enters as its numerators (`Polynomial.nums`), a prepared divisor
+is a primitive integer polynomial with a positive leading coefficient,
+every reduction returns (rem, scale) with remainder rem / scale (see
 `monomials` for the pseudo-reduction and its content-removal rule), and
 S-polynomials cross-multiply by the leading coefficients over their gcd.
-Fractions are built only at the Polynomial boundary: one per term of each
-reduced basis element, made monic, and of each normal form, rem / (D *
-scale) for the dividend's common denominator D.  Over GF(p) divisors are
-monic and coefficients are residues throughout.
+Results leave in the same form, through `Polynomial._of_nums`: a reduced
+basis element is its integer remainder over its leading coefficient, and a
+normal form rem over D * scale, for D the dividend's denominator.  Over
+GF(p) divisors are monic and coefficients are residues throughout.  No
+Fraction is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import CapacityError, DomainMismatchError, MadicError
-from .fields import field_terms
+from .fields import content_free
 from .monomials import MAX_EXPONENT, divisor, reduce_terms, shared_packing
 from .poly import Polynomial, exact_div, jacobian, minors
 
@@ -93,19 +94,12 @@ def normal_form_terms(terms, divisors, packing, field):
     return reduce_terms(terms, divisors, packing, field)
 
 
-def _over(field, terms, den):
-    """The integer term dict `terms` divided by `den`, as field elements:
-    over GF(p) the terms are residues and den is 1, so they are returned
-    as they are."""
-    return terms if field.characteristic else field_terms(field, terms.items(), den)
-
-
 def _divisors(polys, packing, table):
     """Prepared divisors of the nonzero polynomials, in list order."""
     out = []
     for g in polys:
         if not g.is_zero():
-            terms, _ = packing.pack_integers(g.terms, g.field, table)
+            terms = packing.pack_terms(g.nums, table)
             out.append(divisor(terms, packing.leading(terms), packing, g.field))
     return out
 
@@ -118,10 +112,9 @@ def normal_form(p, basis, order=DEGREVLEX):
     else:
         pk = order.packing(len(p.vars))
         divisors = _divisors(basis, pk, table)
-        terms, den = pk.pack_integers(p.terms, p.field, table)
-        rem, scale = normal_form_terms(terms, divisors, pk, p.field)
-        den *= scale
-    return Polynomial(p.field, p.vars, pk.unpack_terms(_over(p.field, rem, den), table))
+        rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), divisors, pk, p.field)
+        den = p.den * scale
+    return Polynomial._of_nums(p.field, p.vars, *content_free(pk.unpack_terms(rem, table), den))
 
 
 def buchberger(gens, order=DEGREVLEX):
@@ -130,7 +123,7 @@ def buchberger(gens, order=DEGREVLEX):
     Every basis element is kept as a prepared divisor (leading monomial,
     leading coefficient, negated tail, the tail's fieldwise maximum) from
     the moment it joins, so neither the pair loop nor a reduction re-derives
-    leading data.  Over QQ each generator is scaled to integers once, and
+    leading data.  Over QQ each generator enters as its numerators, and
     the basis stays integral until `_reduce_basis` makes it monic.
     """
     gens = [g for g in gens if not g.is_zero()]
@@ -147,8 +140,7 @@ def buchberger(gens, order=DEGREVLEX):
 
     basis = []
     for g in gens:
-        terms, _ = pk.pack_integers(g.terms, field, table)
-        rem, _ = normal_form_terms(terms, basis, pk, field)
+        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field)
         if rem:
             basis.append(divisor(rem, next(iter(rem)), pk, field))
 
@@ -235,7 +227,8 @@ def _reduce_basis(basis, pk, field, vars, table):
         )
     ]
     # tail-reduce each element against the others; the leading term stays
-    # and is divided out, one Fraction per term over QQ
+    # and becomes the denominator: rem over rem[lt] is monic (over GF(p)
+    # divisors are monic already, and rem[lt] is 1)
     p = field.characteristic
     reduced = []
     for i, (lt, lc, tail, _) in enumerate(minimal):
@@ -243,9 +236,9 @@ def _reduce_basis(basis, pk, field, vars, table):
         terms = {lt: lc}
         terms.update((e, -c % p if p else -c) for e, c in tail)
         rem, _ = normal_form_terms(terms, others, pk, field)
-        reduced.append((lt ^ pk.flip, _over(field, rem, rem[lt])))
+        reduced.append((lt ^ pk.flip, rem, rem[lt]))
     reduced.sort(key=itemgetter(0))
-    return [Polynomial(field, vars, pk.unpack_terms(rem, table)) for _, rem in reduced]
+    return [Polynomial._of_nums(field, vars, *content_free(pk.unpack_terms(r, table), lc)) for _, r, lc in reduced]
 
 
 class Ideal:
@@ -281,9 +274,8 @@ class Ideal:
         pk = self.basis_order.packing(len(self.vars))
         if self._divisors is None:
             self._divisors = _divisors(self.cached_basis, pk, {})
-        terms, den = pk.pack_integers(p.terms, p.field, table)
-        rem, scale = normal_form_terms(terms, self._divisors, pk, p.field)
-        return rem, den * scale, pk
+        rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), self._divisors, pk, p.field)
+        return rem, p.den * scale, pk
 
     def normal_form(self, p):
         self.groebner()
@@ -325,12 +317,12 @@ def _with_fresh_var(polys, name):
 
 def _drop_var(p, name, target_vars):
     i = p.vars.index(name)
-    terms = {}
-    for e, c in p.terms.items():
+    nums = {}
+    for e, n in p.nums.items():
         if e[i] != 0:
             raise MadicError("polynomial still involves the eliminated variable")
-        terms[tuple(x for k, x in enumerate(e) if k != i)] = c
-    return Polynomial(p.field, target_vars, terms)
+        nums[tuple(x for k, x in enumerate(e) if k != i)] = n
+    return Polynomial._of_nums(p.field, target_vars, nums, p.den)
 
 
 def intersect(I, J):
@@ -348,7 +340,7 @@ def intersect(I, J):
     basis = buchberger(gens, MonomialOrder("block", split=1))
     kept = []
     for g in basis:
-        if g.terms and all(e[0] == 0 for e in g.terms):
+        if g.nums and all(e[0] == 0 for e in g.nums):
             kept.append(_drop_var(g, TAG_VAR, I.vars))
     if not kept:
         kept = [Polynomial.zero(I.vars, I.field)]
@@ -399,9 +391,10 @@ def _whole_colon(nonzero):
     vars, field = nonzero[0].vars, nonzero[0].field
     c = field.one()
     if len(nonzero) == 1:
+        # lc(f) is f's leading numerator over f.den
         pk = DEGREVLEX.packing(len(vars))
-        terms = pk.pack_terms(nonzero[0].terms, {})
-        c = field.inv(terms[pk.leading(terms)])
+        nums = pk.pack_terms(nonzero[0].nums, {})
+        c = field.div(nonzero[0].den, field.convert(nums[pk.leading(nums)]))
     return Ideal([Polynomial.constant(c, vars, field)])
 
 

@@ -30,10 +30,10 @@ coefficient, negated tail and the fieldwise maximum of the tail's
 monomials, so one add and one mask per reduction step tell whether any of
 its products overflows.
 
-Coefficients are plain ints from packing (`Packing.pack_integers`, which
-clears the denominators of a QQ polynomial with one lcm) to unpacking.
-Over GF(p) they are residues, a prepared divisor is monic and every step
-reduces mod p inline.  Over QQ a prepared divisor is the primitive integer
+Coefficients are plain ints from packing to unpacking: a polynomial is
+packed as its numerators (`Packing.pack_terms` of `Polynomial.nums`), over
+its one denominator.  Over GF(p) they are residues, a prepared divisor is
+monic and every step reduces mod p inline.  Over QQ a prepared divisor is the primitive integer
 multiple of the polynomial with a positive leading coefficient, and a
 reduction is a pseudo-reduction that returns (rem, scale), the remainder
 being rem / scale: a step by a divisor with leading coefficient lc on a
@@ -55,7 +55,6 @@ from math import gcd
 from operator import mul
 
 from .errors import CapacityError
-from .fields import common_denominator
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -94,14 +93,12 @@ class Packing:
         """The exponent tuple of a packed monomial."""
         return tuple([(m >> o) & MAX_EXPONENT for o in self.offsets])
 
-    def pack_terms(self, terms, table, coeffs=None):
-        """Pack a term dict, with `coeffs` (one per term, in order) in
-        place of its coefficients if given; `table` records each exponent
-        tuple under its packed monomial, so unpacking gives back the same
-        tuple objects."""
+    def pack_terms(self, terms, table):
+        """Pack a term dict; `table` records each exponent tuple under its
+        packed monomial, so unpacking gives back the same tuple objects."""
         units = self.units
         out = {}
-        for e, c in terms.items() if coeffs is None else zip(terms, coeffs):
+        for e, c in terms.items():
             if sum(e) > MAX_EXPONENT and any(
                 sum(e[a:b]) > MAX_EXPONENT for a, b in self.blocks
             ):
@@ -110,15 +107,6 @@ class Packing:
             table.setdefault(m, e)
             out[m] = c
         return out
-
-    def pack_integers(self, terms, field, table):
-        """Pack a term dict of field elements as integers over one
-        denominator: (packed integer terms, den), see
-        `fields.common_denominator`; over GF(p) the residues over 1."""
-        if field.characteristic:
-            return self.pack_terms(terms, table), 1
-        nums, den = common_denominator(field, list(terms.values()))
-        return self.pack_terms(terms, table, nums), den
 
     def unpack_terms(self, terms, table):
         """A term dict with exponent tuples, one tuple per packed monomial

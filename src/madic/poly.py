@@ -4,6 +4,13 @@ A polynomial is a map from exponent tuples to nonzero coefficients, together
 with an ordered variable universe and a coefficient field.  All arithmetic is
 exact; no zero coefficient is ever stored.
 
+Coefficients have the one exact form of a series (`fields.exact_form`):
+integer numerators `nums`, content-free over one positive denominator
+`den`, and over GF(p) the residues over 1.  Every operation, the Groebner
+engine's results included, builds its output through `_of_nums`; `==` and
+`hash` compare the form as it is.  `terms`, the field elements, is a view
+built on each read (Fractions over QQ) for printing and for callers.
+
 Products, powers and substitutions run on the series kernels, with a cap
 above the result's degree so that nothing is truncated.
 
@@ -18,30 +25,40 @@ from math import comb, prod
 from operator import mul
 
 from .errors import DomainMismatchError, MadicError
-from .fields import QQ, check_same_field, field_terms
+from .fields import QQ, check_same_field, content_free, exact_form, field_terms
 from .monomials import divisor, reduce_terms, shared_packing
-from .series import mul_terms, pow_terms, substitute_terms
+from .series import mul_terms, pow_terms, substitute_numerators, summed
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
 
 class Polynomial:
-    __slots__ = ("field", "vars", "terms")
+    """Numerators `nums` over `den` (see the module docstring), and `terms`."""
+
+    __slots__ = ("field", "vars", "nums", "den")
 
     def __init__(self, field, vars, terms):
         self.field = field
         self.vars = tuple(vars)
-        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+        self.nums, self.den = exact_form(field, terms)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of_terms(cls, field, vars, terms):
-        """A polynomial that keeps `terms`, a kernel's zero-free output."""
+    def _of_nums(cls, field, vars, nums, den):
+        """A polynomial of content-free, nonzero numerators `nums` over
+        `den`, as the kernels return them, kept, not copied."""
         out = cls.__new__(cls)
-        out.field, out.vars, out.terms = field, vars, terms
+        out.field, out.vars, out.nums, out.den = field, vars, nums, den
         return out
+
+    @property
+    def terms(self):
+        """The field elements: Fractions over QQ, built on each read, or
+        the residues themselves."""
+        f = self.field
+        return self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
 
     @classmethod
     def zero(cls, vars, field=QQ):
@@ -49,10 +66,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, vars, field=QQ):
-        c = field.convert(value)
-        if field.is_zero(c):
-            return cls(field, vars, {})
-        return cls(field, vars, {(0,) * len(vars): c})
+        return cls(field, vars, {(0,) * len(vars): field.convert(value)})
 
     @classmethod
     def variable(cls, name, vars, field=QQ):
@@ -61,14 +75,11 @@ class Polynomial:
             raise MadicError(f"unknown variable {name!r} (universe {vars})")
         e = [0] * len(vars)
         e[vars.index(name)] = 1
-        return cls(field, vars, {tuple(e): field.one()})
+        return cls._of_nums(field, vars, {tuple(e): 1}, 1)
 
     @classmethod
     def monomial(cls, exponents, coeff, vars, field=QQ):
-        c = field.convert(coeff)
-        if field.is_zero(c):
-            return cls(field, vars, {})
-        return cls(field, vars, {tuple(exponents): c})
+        return cls(field, vars, {tuple(exponents): field.convert(coeff)})
 
     # -- structural helpers -------------------------------------------
 
@@ -80,25 +91,25 @@ class Polynomial:
             )
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_coeff(self):
         return self.terms.get((0,) * len(self.vars), self.field.zero())
 
     def degree(self):
         """Max total degree, NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def extend_vars(self, new_vars):
         """Re-embed into a larger (or reordered) variable universe."""
@@ -108,36 +119,32 @@ class Polynomial:
             if v not in new_vars:
                 raise MadicError(f"variable {v!r} missing from new universe")
             pos.append(new_vars.index(v))
-        terms = {}
-        for e, c in self.terms.items():
+        nums = {}
+        for e, n in self.nums.items():
             ne = [0] * len(new_vars)
             for p, x in zip(pos, e):
                 ne[p] = x
-            terms[tuple(ne)] = c
-        return Polynomial(self.field, new_vars, terms)
+            nums[tuple(ne)] = n
+        return Polynomial._of_nums(self.field, new_vars, nums, self.den)
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int,)):
+    def __add__(self, other, sign=1):
+        """self + sign * other."""
+        if isinstance(other, int):
             other = Polynomial.constant(other, self.vars, self.field)
         self._check_compatible(other)
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero()), c)
-        return Polynomial(f, self.vars, out)
+        nums, den = summed([(self.nums, self.den), (other.nums, sign * other.den)], self.field)
+        return Polynomial._of_nums(self.field, self.vars, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        return Polynomial(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
+        nums = field_terms(self.field, ((e, -n) for e, n in self.nums.items()), None)
+        return Polynomial._of_nums(self.field, self.vars, nums, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(other, self.vars, self.field)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,12 +153,12 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other, self.vars, self.field)
         self._check_compatible(other)
-        a, b = self.terms, other.terms
+        f, a, b = self.field, self.nums, other.nums
         if not a or not b:
-            return Polynomial.zero(self.vars, self.field)
+            return Polynomial.zero(self.vars, f)
         # cap one above the product's degree: nothing is truncated
         cap = max(map(sum, a)) + max(map(sum, b)) + 1
-        return Polynomial._of_terms(self.field, self.vars, mul_terms(a, b, self.field, cap))
+        return Polynomial._of_nums(f, self.vars, *content_free(mul_terms(a, b, f, cap), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -163,10 +170,11 @@ class Polynomial:
             raise MadicError("negative polynomial power")
         if n == 0:
             return Polynomial.constant(1, self.vars, self.field)
-        terms = self.terms
-        power = pow_terms(terms, n, self.field, n * max(map(sum, terms), default=0) + 1)
-        # no two polynomials share a terms dict; n = 1 returns the argument
-        return Polynomial._of_terms(self.field, self.vars, dict(power) if power is terms else power)
+        f, nums = self.field, self.nums
+        power = pow_terms(nums, n, f, n * max(map(sum, nums), default=0) + 1)
+        # n = 1 returns the argument, and no two polynomials share a dict
+        power = dict(power) if power is nums else power
+        return Polynomial._of_nums(f, self.vars, *content_free(power, self.den ** n))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -174,11 +182,12 @@ class Polynomial:
         return (
             self.field == other.field
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.field, self.vars, frozenset(self.terms.items())))
+        return hash((self.field, self.vars, self.den, frozenset(self.nums.items())))
 
     # -- calculus and substitution ------------------------------------
 
@@ -186,22 +195,21 @@ class Polynomial:
         """Formal partial derivative with respect to one variable."""
         if name not in self.vars:
             raise MadicError(f"unknown variable {name!r}")
-        i, p = self.vars.index(name), self.field.characteristic
-        # e -> e - 1 at i is one to one; int coefficients stay ints
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] % p if p else c * e[i]
-               for e, c in self.terms.items() if e[i]}
-        return Polynomial(self.field, self.vars, out)
+        f, i = self.field, self.vars.index(name)
+        # e -> e - 1 at i is one to one
+        nums = field_terms(f, ((e[:i] + (e[i] - 1,) + e[i + 1:], n * e[i])
+                               for e, n in self.nums.items() if e[i]), None)
+        return Polynomial._of_nums(f, self.vars, *content_free(nums, self.den))
 
     def hasse(self, names):
         """Hasse derivatives in `names`: alpha -> T_alpha with f(u + t) =
         sum_alpha T_alpha(u) t^alpha.  Term c*u^e gives c * prod_j
-        binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!, and int
-        coefficients stay ints."""
+        binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!"""
         idx = [self.vars.index(v) for v in names]
         f, p, out = self.field, self.field.characteristic, {}
-        for e, c in self.terms.items():
+        for e, n in self.nums.items():
             for alpha in itertools.product(*(range(e[i] + 1) for i in idx)):
-                k = c * prod(map(comb, (e[i] for i in idx), alpha))
+                k = n * prod(map(comb, (e[i] for i in idx), alpha))
                 if p:
                     k %= p
                 if k:
@@ -210,7 +218,7 @@ class Polynomial:
                         rest[i] -= a
                     # e -> e - alpha is one to one, so no two terms meet
                     out.setdefault(alpha, {})[tuple(rest)] = k
-        return {a: Polynomial._of_terms(f, self.vars, t) for a, t in out.items()}
+        return {a: Polynomial._of_nums(f, self.vars, *content_free(t, self.den)) for a, t in out.items()}
 
     def subs(self, mapping):
         """Substitute polynomials for variables.
@@ -230,30 +238,25 @@ class Polynomial:
                 if img.vars != tvars:
                     raise DomainMismatchError("substitution images disagree on universe")
                 check_same_field(img.field, field)
-                images.append((i, img.terms))
-                weights.append(max(map(sum, img.terms), default=0))
+                images.append((i, img.nums, img.den))
+                weights.append(max(map(sum, img.nums), default=0))
             elif v in tvars:
                 through.append((i, tvars.index(v)))
                 weights.append(1)
             else:
                 raise MadicError(f"unknown variable {v!r} (universe {tvars})")
-        cap = max((sum(map(mul, e, weights)) for e in self.terms), default=0) + 1
-        images = [(i, z, min(map(sum, z), default=cap)) for i, z in images]
-        terms = substitute_terms(self.terms, through, images, len(tvars), field, cap)
-        return Polynomial._of_terms(field, tvars, terms)
+        cap = max((sum(map(mul, e, weights)) for e in self.nums), default=0) + 1
+        images = [(i, z, d, min(map(sum, z), default=cap)) for i, z, d in images]
+        nums, den = substitute_numerators(self.nums, self.den, through, images, len(tvars), field, cap)
+        return Polynomial._of_nums(field, tvars, nums, den)
 
     # -- printing -----------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True
-        )
-
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for e, c in self._sorted_terms():
+        for e, c in sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True):
             factors = []
             for v, x in zip(self.vars, e):
                 if x == 1:
@@ -293,24 +296,24 @@ def exact_div(p, g):
     f = p.field
     pk = shared_packing(len(p.vars), ((0, len(p.vars)),))
     table = {}
-    gterms, _ = pk.pack_integers(g.terms, f, table)
+    gterms = pk.pack_terms(g.nums, table)
     glt = pk.leading(gterms)
     d = divisor(gterms, glt, pk, f)
-    terms, den = pk.pack_integers(p.terms, f, table)
     quo = {}
-    rem, scale = reduce_terms(terms, [d], pk, f, quo)
+    rem, scale = reduce_terms(pk.pack_terms(p.nums, table), [d], pk, f, quo)
     if rem:
         raise MadicError("polynomial division is not exact")
-    # p = quo / (den * scale) * d, where d is g times (d's lc) / (g's lc):
-    # the quotient is rescaled once, one field element per term
-    lc = g.terms[table[glt]]
-    if not f.characteristic:
-        num, den = d[1] * lc.denominator, den * scale * lc.numerator
-        quo = field_terms(f, ((q, c * num) for q, c in quo.items()), den)
-    elif lc != 1:
+    # p.nums * scale = quo * d for d = g.nums * lc(d) / lc(g.nums): the
+    # quotient is quo * lc(d) * g.den / (lc(g.nums) * p.den * scale), which
+    # over GF(p) is quo / lc(g.nums)
+    lc = gterms[glt]
+    if f.characteristic:
         inv = f.inv(lc)
-        quo = {q: c * inv % f.p for q, c in quo.items()}
-    return Polynomial(f, p.vars, pk.unpack_terms(quo, table))
+        quo, den = {q: c * inv % f.p for q, c in quo.items()}, 1
+    else:
+        num, den = d[1] * g.den, p.den * scale * lc
+        quo = {q: c * num for q, c in quo.items()}
+    return Polynomial._of_nums(f, p.vars, *content_free(pk.unpack_terms(quo, table), den))
 
 
 class PolyMatrix:

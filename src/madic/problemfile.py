@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParseError, PrecisionError
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, is_prime
 from .parse import parse_polynomial, parse_series
 from .series import SeriesVector, TruncatedSeries
 
@@ -60,7 +60,10 @@ def parse_field_spec(text):
         return QQ
     m = _GF_RE.match(text)
     if m:
-        return PrimeField(int(m.group(1)))
+        p = int(m.group(1))
+        if not is_prime(p):
+            raise ParseError(f"field must be Q or GF(p) for a prime p; not a prime: {p}")
+        return PrimeField(p)
     raise ParseError(f"unknown field {text!r}; expected Q or GF(p)")
 
 
@@ -86,12 +89,13 @@ class ProblemFile:
         return self.scalars.get(key, default)
 
     def get_int(self, key, default=None):
-        if key not in self.scalars:
-            return default
+        return self._int(key, self.scalars[key]) if key in self.scalars else default
+
+    def _int(self, key, text):
         try:
-            return int(self.scalars[key])
+            return int(text)
         except ValueError:
-            raise ParseError(f"{key} must be an integer, got {self.scalars[key]!r}")
+            raise ParseError(f"{key} must be an integer, got {text!r}")
 
     def get_list(self, key):
         return self.lists.get(key, [])
@@ -212,10 +216,17 @@ class ProblemFile:
         return lo, hi
 
     def targets(self):
+        """The target orders of `targets`, or else of `target_order`;
+        ParseError below 0."""
         if "targets" in self.scalars:
-            return [int(t) for t in self.scalars["targets"].split()]
-        c = self.get_int("target_order")
-        return [c] if c is not None else []
+            key, out = "targets", [self._int("targets", t) for t in self.scalars["targets"].split()]
+        else:
+            key, c = "target_order", self.get_int("target_order")
+            out = [] if c is None else [c]
+        for c in out:
+            if c < 0:
+                raise ParseError(f"{key} must be at least 0 in {self.path}, got {c}")
+        return out
 
 
 def load_problem(path):

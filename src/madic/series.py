@@ -8,30 +8,25 @@ truncated series cannot be certified, so `ord` returns a lower-bound marker
 Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
 
-A series has one exact form: integer numerators, keyed by exponent tuple,
-over one positive denominator, with their common content removed
-(`fields.content_free`).  Over GF(p) these are the residues over 1, so both
-fields share it, and `==` and `hash` compare it as it is.  The kernels and
-the series operations take and return numerators; `terms`, the Fractions
-over QQ, is built on first read and kept, for printing, JSON and the
-Polynomial layer.  Fractions are built nowhere else on the series side.
+A series has the one exact form of `fields.exact_form`, which it shares
+with `poly.Polynomial`: integer numerators, keyed by exponent tuple, over
+one positive denominator, with their common content removed.  Over GF(p)
+these are the residues over 1, so both fields share it, and `==` and
+`hash` compare it as it is.  The kernels and the series operations take
+and return numerators; `terms`, the Fractions over QQ, is built on first
+read and kept, for printing and JSON.
 
 Every truncated product of the series and polynomial layers goes through
-one exact sparse kernel, `mul_terms`, over term dicts keyed by exponent
-tuples of one length or, for a univariate dict, by plain degrees:
+one exact sparse kernel, `mul_terms`, over numerator dicts keyed by
+exponent tuples of one length or, for a univariate dict, by plain degrees:
 
 - each exponent tuple is packed into one int with its exponents as digits
   in base cap, so that adding packed keys adds exponents;
 - one operand is sorted by total degree, so the inner loop over it stops at
   the degree cap instead of testing every pair;
-- coefficients are accumulated as plain ints and each output coefficient
-  is reduced once: over GF(p) the residues themselves, over QQ a series'
-  numerators as they are, and the Fractions of a polynomial scaled to
-  numerators over their lcm denominator, with one Fraction built per
-  output term.  When that lcm is much longer than the largest denominator
-  (many unrelated denominators), the scaled numerators would cost more
-  than Fraction arithmetic, so the Fractions themselves are accumulated
-  instead;
+- numbers are accumulated as plain ints, numerators over QQ and residues
+  over GF(p), where each output number is reduced once; the product's
+  denominator, the product of the operands', is the caller's;
 - each term of an operand of one or two terms shifts and scales the
   other, with no packing (a constant only scales), and the parts are added;
 - a dense univariate product is one big-int multiply (Kronecker
@@ -41,8 +36,8 @@ tuples of one length or, for a univariate dict, by plain degrees:
   same over both fields: both operands keep at least _SLOT_MIN_TERMS terms
   below the cap, span at most _SLOT_SPAN slots per term, and bits(max |a|)
   + bits(max |b|) + bits(min(len a, len b)), plus 1 when a number is
-  negative, is at most 64, so that no slot sum can overflow.  Wider numbers,
-  multivariate keys and the Fraction fallback take the pairwise loop.
+  negative, is at most 64, so that no slot sum can overflow.  Wider numbers
+  and multivariate keys take the pairwise loop.
 
 Both fields are exact, so the result does not depend on the accumulation
 order or representation.  `LinearChange.apply_series` and Weierstrass
@@ -61,11 +56,10 @@ quotient a / w (`TruncatedSeries.over`) so costs about what w^-1 alone
 does, and no product by w^-1 follows; the inverse is the case a = 1.
 
 `substitute_numerators` is the one substitution kernel, behind `evaluate`
-and, through `substitute_terms`, `Polynomial.subs`.  It drops a term before
-any product once its order reaches the cap, since the kernel keeps no
-degree below the sum of its operands' orders, and multiplies the rest as
-numerator dicts through `mul_terms`, with powers and monomial prefixes
-cached.
+and `Polynomial.subs`.  It drops a term before any product once its order
+reaches the cap, since the kernel keeps no degree below the sum of its
+operands' orders, and multiplies the rest as numerator dicts through
+`mul_terms`, with powers and monomial prefixes cached.
 """
 
 from __future__ import annotations
@@ -79,7 +73,7 @@ from operator import add, itemgetter, mul, sub
 from struct import pack, unpack
 
 from .errors import DomainMismatchError, MadicError, PrecisionError
-from .fields import QQ, check_same_field, common_denominator, content_free, field_terms
+from .fields import QQ, check_same_field, content_free, exact_form, field_terms
 
 
 @dataclass(frozen=True)
@@ -125,28 +119,6 @@ class Norm:
 
 
 # -- the product kernel ------------------------------------------------
-
-# Over QQ an operand is scaled to integers only while its lcm denominator is
-# at most this many times as long as its largest denominator (plus a word of
-# slack); past that the scaled numerators cost more than Fraction arithmetic.
-_LCM_GROWTH = 64
-
-
-def integer_coefficients(field, coeffs):
-    """Exact numbers that add and multiply like `coeffs`, over one
-    denominator: `common_denominator`, except over QQ for ints, which stand
-    for themselves, and for Fractions whose lcm outgrows their largest
-    denominator (see _LCM_GROWTH): these are kept as they are, over None.
-    `field_terms` turns sums of their products back into field elements.
-    """
-    if not field.characteristic and type(coeffs[0]) is int:
-        return coeffs, None
-    nums, den = common_denominator(field, coeffs)
-    if field.characteristic == 0:
-        longest = max(c.denominator for c in coeffs).bit_length()
-        if den.bit_length() > _LCM_GROWTH * longest + 64:
-            return list(coeffs), None
-    return nums, den
 
 
 def _packed(terms, cap, width=None):
@@ -204,11 +176,11 @@ def _slot_int(degs, nums, low, span, fmt, top):
     return (int.from_bytes(pack(fmt % span, *slots), "little") ^ bias) - bias
 
 
-def _slot_product(a, a_nums, b, b_nums, cap, square):
+def _slot_product(a, b, cap, square):
     """The (degree, number) pairs of the product of univariate packed
-    operands `a` and `b` (see `_packed`) with numbers `a_nums` and `b_nums`,
-    below degree cap, by Kronecker substitution; None when an operand is
-    too sparse or a slot could overflow.  `square` says that b is a.
+    operands `a` and `b` (see `_packed`) below degree cap, by Kronecker
+    substitution; None when an operand is too sparse or a slot could
+    overflow.  `square` says that b is a.
 
     Each operand becomes one int with a 64-bit slot per degree from its
     lowest, and one multiply puts every sum of the product in its own slot.
@@ -219,6 +191,8 @@ def _slot_product(a, a_nums, b, b_nums, cap, square):
     the packed int minus that bias is the operand, and the product plus the
     bias has every slot in [0, 2^64).
     """
+    a_nums = [n for _, _, n in a]
+    b_nums = a_nums if square else [n for _, _, n in b]
     a_min, a_max = min(a_nums), max(a_nums)
     b_min, b_max = (a_min, a_max) if square else (min(b_nums), max(b_nums))
     signed = a_min < 0 or b_min < 0
@@ -247,12 +221,11 @@ def _slot_product(a, a_nums, b, b_nums, cap, square):
 
 
 def mul_terms(a, b, field, cap):
-    """The exact product of term dicts `a` and `b` over `field`, keeping the
-    terms of total degree < cap, zero-free.
+    """The exact product of numerator dicts `a` and `b` over `field`,
+    keeping the terms of total degree < cap, zero-free.
 
-    Over GF(p) the values are residues.  Over QQ they are Fractions, or ints
-    that stand for themselves, as the numerators of a series do: the
-    product of two int dicts holds ints, any other product Fractions.  Keys
+    Over GF(p) the values are residues, over QQ integer numerators; the
+    product's are those of the product of the operands' denominators.  Keys
     are exponent tuples, all of one length, or plain degrees for univariate
     dicts; the product has keys of the same kind.  See the module docstring
     for how the product is accumulated.  A univariate product whose integer
@@ -290,26 +263,18 @@ def mul_terms(a, b, field, cap):
     if not a or not b:
         return {}
     b.sort(key=itemgetter(1))
-    a_nums, a_den = integer_coefficients(field, [c for _, _, c in a])
-    b_nums, b_den = (a_nums, a_den) if square else integer_coefficients(field, [c for _, _, c in b])
-    den = None if a_den is None or b_den is None else a_den * b_den
-    if den is None and (a_den, b_den) != (None, None):  # one operand kept: keep both
-        a_nums, b_nums = [c for _, _, c in a], [c for _, _, c in b]
-    if (
-        min(len(a), len(b)) >= _SLOT_MIN_TERMS and (isinstance(key, int) or len(key) == 1)
-        and type(a_nums[0]) is int and type(b_nums[0]) is int
-    ):
-        items = _slot_product(a, a_nums, b, b_nums, cap, square)
+    if min(len(a), len(b)) >= _SLOT_MIN_TERMS and (isinstance(key, int) or len(key) == 1):
+        items = _slot_product(a, b, cap, square)
         if items is not None:
-            return field_terms(field, _unpacked(items, key, cap), den)
+            return field_terms(field, _unpacked(items, key, cap), None)
     b_degs = [d for _, d, _ in b]
-    inner = [(k, n) for (k, _, _), n in zip(b, b_nums)]
+    inner = [(k, n) for k, _, n in b]
     # a list indexed by packed key, unless fewer pairs than slots
     size = max(k for k, _, _ in a) + max(k for k, _ in inner) + 1
     acc = [0] * size if len(a) * len(b) >= size else defaultdict(int)
     if square:
         # a is sorted too: each pair i < j once, doubled, and the diagonal
-        for i, ((ka, da, _), na) in enumerate(zip(a, a_nums)):
+        for i, (ka, da, na) in enumerate(a):
             if 2 * da >= cap:
                 break
             acc[2 * ka] += na * na
@@ -317,11 +282,11 @@ def mul_terms(a, b, field, cap):
             for kb, nb in inner[i + 1 : bisect_left(b_degs, cap - da)]:
                 acc[ka + kb] += na * nb
     else:
-        for (ka, da, _), na in zip(a, a_nums):
+        for ka, da, na in a:
             for kb, nb in inner[: bisect_left(b_degs, cap - da)]:
                 acc[ka + kb] += na * nb
     items = acc.items() if isinstance(acc, dict) else enumerate(acc)
-    return field_terms(field, _unpacked(((k, n) for k, n in items if n), key, cap), den)
+    return field_terms(field, _unpacked(((k, n) for k, n in items if n), key, cap), None)
 
 
 def pow_terms(terms, n, field, cap):
@@ -335,13 +300,6 @@ def pow_terms(terms, n, field, cap):
         if n:
             terms = mul_terms(terms, terms, field, cap)
     return out
-
-
-def numerators(field, terms):
-    """(numerator dict, den) of a term dict of field elements: Fractions
-    over their lcm denominator, residues over 1."""
-    nums, den = common_denominator(field, list(terms.values()))
-    return dict(zip(terms, nums)), den
 
 
 def quotient_numerators(a, a_den, w, w_den, field, cap):
@@ -453,10 +411,8 @@ class TruncatedSeries:
             raise MadicError("series live in one or two variables")
         if precision <= 0:
             raise MadicError("precision must be positive")
-        terms = {e: field.convert(c) if field.characteristic else c for e, c in terms.items()
-                 if sum(e) < precision and not field.is_zero(c)}
         self.field, self.vars, self.precision, self._terms = field, vars, precision, None
-        self.nums, self.den = numerators(field, terms)
+        self.nums, self.den = exact_form(field, {e: c for e, c in terms.items() if sum(e) < precision})
 
     # -- constructors -------------------------------------------------
 
@@ -487,7 +443,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_polynomial(cls, p, precision):
-        return cls(p.field, p.vars, precision, p.terms)
+        out = cls(p.field, p.vars, precision, {})
+        nums = {e: n for e, n in p.nums.items() if sum(e) < precision}
+        out.nums, out.den = content_free(nums, p.den)
+        return out
 
     @property
     def terms(self):
@@ -499,7 +458,7 @@ class TruncatedSeries:
 
     def to_polynomial(self):
         from .poly import Polynomial
-        return Polynomial(self.field, self.vars, dict(self.terms))
+        return Polynomial._of_nums(self.field, self.vars, self.nums, self.den)
 
     # -- basics -------------------------------------------------------
 
@@ -577,11 +536,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        f = self.field
-        c = f.convert(c)
-        num, den = (c, 1) if f.characteristic else (c.numerator, c.denominator)
-        nums = field_terms(f, ((e, n * num) for e, n in self.nums.items()), None)
-        return TruncatedSeries._of_nums(f, self.vars, self.precision, *content_free(nums, self.den * den))
+        return self * TruncatedSeries.constant(c, self.vars, self.precision, self.field)
 
     def __pow__(self, n):
         if n < 0:
@@ -690,29 +645,30 @@ def distance(u, v):
     return Norm(SeriesVector(diffs).order())
 
 
-def substitute_numerators(terms, through, images, width, field, cap):
-    """(numerators, den), content-free, below total degree cap, of term dict
-    `terms` with images substituted for some of its variables.
+def substitute_numerators(nums, den, through, images, width, field, cap):
+    """(numerators, den), content-free, below total degree cap, of the
+    numerator dict `nums` over `den` with images substituted for some of its
+    variables.
 
-    `terms` holds field elements, or ints and Fractions of QQ to convert
-    into a prime `field`.  Each (i, p) in `through` carries exponent i to
-    position p of the result's keys, tuples of length `width`; each (i,
-    nums, den, order) in `images` replaces the variable of exponent i by
-    the numerator dict `nums` over den, keyed like the result, of that order
-    (cap or more for a zero image).
+    Over a prime `field`, `nums` over `den` may also be the form of a QQ
+    polynomial: its numbers are read mod p.  Each (i, p) in `through`
+    carries exponent i to position p of the result's keys, tuples of length
+    `width`; each (i, nums, den, order) in `images` replaces the variable of
+    exponent i by the numerator dict `nums` over den, keyed like the result,
+    of that order (cap or more for a zero image).
 
     A term c * s * M, with s its monomial in the carried variables and M the
     one in the replaced ones, is dropped before any product when deg(s) +
     sum x_i * order_i over the x_i-th powers in M reaches cap.  The others
-    are grouped as sum C_M * M, the C_M over the coefficients' lcm
-    denominator; M's value, over the product of its images' denominators,
-    is the cached value of its prefix times the cached power of its last
-    variable, both through `mul_terms`.
+    are grouped as sum C_M * M, the C_M over den; M's value, over the
+    product of its images' denominators, is the cached value of its prefix
+    times the cached power of its last variable, both through `mul_terms`.
     """
-    p, convert = field.characteristic, field.convert
-    den = 1 if p else lcm(*(c.denominator for c in terms.values()))
+    p = field.characteristic
+    if p:  # den is 1 unless nums over den is a QQ polynomial's
+        scale, den = field.inv(den), 1
     groups = {}
-    for e, c in terms.items():
+    for e, c in nums.items():
         low = 0
         mono = []
         for i, _, _, o in images:
@@ -724,7 +680,7 @@ def substitute_numerators(terms, through, images, width, field, cap):
         for i, q in through:
             key[q] = e[i]
             low += e[i]
-        if low < cap and (c := convert(c) if p else c.numerator * (den // c.denominator)):
+        if low < cap and (c := c * scale % p if p else c):
             groups.setdefault(tuple(mono), {})[tuple(key)] = c
     image = {i: (z, d) for i, z, d, _ in images}
     # values of monomials in the replaced variables, keyed like the groups
@@ -749,18 +705,10 @@ def substitute_numerators(terms, through, images, width, field, cap):
     parts = []
     for mono, coeffs in groups.items():
         if mono:
-            nums, d = value(mono)
-            coeffs = mul_terms(coeffs, nums, field, cap)
+            vals, d = value(mono)
+            coeffs = mul_terms(coeffs, vals, field, cap)
         parts.append((coeffs, d * den if mono else den))
     return summed(parts, field)
-
-
-def substitute_terms(terms, through, images, width, field, cap):
-    """`substitute_numerators` for the Polynomial layer: each (i, image,
-    order) in `images` and the result are term dicts of field elements."""
-    images = [(i, *numerators(field, z), o) for i, z, o in images]
-    nums, den = substitute_numerators(terms, through, images, width, field, cap)
-    return field_terms(field, nums.items(), den)
 
 
 def evaluate(f, zbar, assignment):
@@ -775,9 +723,9 @@ def evaluate(f, zbar, assignment):
         elif v in assignment:
             z = zbar[assignment[v]]
             images.append((i, z.nums, z.den, min(map(sum, z.nums), default=prec)))
-        elif any(e[i] for e in f.terms):
+        elif any(e[i] for e in f.nums):
             raise MadicError(f"unassigned unknown {v!r} in evaluation")
-    nums, den = substitute_numerators(f.terms, through, images, len(svars), zbar.field, prec)
+    nums, den = substitute_numerators(f.nums, f.den, through, images, len(svars), zbar.field, prec)
     return TruncatedSeries._of_nums(zbar.field, svars, prec, nums, den)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .bounds import capped_power, default_a_fn, gamma
@@ -33,7 +32,6 @@ from .series import (
     SeriesVector,
     TruncatedSeries,
     evaluate,
-    numerators,
     summed,
 )
 from .weierstrass import (
@@ -148,15 +146,6 @@ def _lift(s, precision):
     if precision < s.precision:
         return s.truncate(precision)
     return TruncatedSeries._of_nums(s.field, s.vars, precision, s.nums, s.den)
-
-
-def _over(s, d):
-    """s / d for a positive int d, prime to the characteristic."""
-    if d == 1:
-        return s
-    if s.field.characteristic:
-        return s.scale(Fraction(1, d))
-    return TruncatedSeries._of_nums(s.field, s.vars, s.precision, *content_free(s.nums, s.den * d))
 
 
 @dataclass
@@ -277,21 +266,20 @@ class PolySystem:
     def taylor(self, columns):
         """(d, h_v for v in `columns`) and, per equation f, the tail F =
         sum_{|alpha| >= 2} T_alpha d^(|alpha|-2) h^alpha of its Hasse
-        derivatives in `columns`, with F's partials in the h_v.  Each tail
-        comes as D*F and D*partials, with int coefficients, and D, the lcm
-        of f's denominators, so that reading them builds no Fraction."""
+        derivatives in `columns`, with F's partials in the h_v.  F's
+        numerators are those of the T_alpha over f.den, each T_alpha's
+        denominator dividing f's."""
         names = ("δ",) + tuple(v + "'" for v in columns)  # no name parses
         tails = []
         for f in self.fs:
-            whole, D = numerators(f.field, f.terms)
-            terms = {
-                e + (sum(a) - 2,) + a: c
-                for a, t in Polynomial._of_terms(f.field, f.vars, whole).hasse(columns).items()
+            nums = {
+                e + (sum(a) - 2,) + a: n * (f.den // t.den)
+                for a, t in f.hasse(columns).items()
                 if sum(a) >= 2
-                for e, c in t.terms.items()
+                for e, n in t.nums.items()
             }
-            F = Polynomial._of_terms(f.field, f.vars + names, terms)
-            tails.append((F, [F.diff(v) for v in names[1:]], D))
+            F = Polynomial._of_nums(f.field, f.vars + names, *content_free(nums, f.den))
+            tails.append((F, [F.diff(v) for v in names[1:]]))
         return names, tails
 
 
@@ -402,7 +390,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
             # E at the last step's (z, d, h); a 1x1 Cramer matrix is q
             # alone, so J' is built only for m > 1
             pt = SeriesVector([s.truncate(N - half) for s in base])
-            E = [[_over(evaluate(p, pt, at), D) for p in slopes] for _, slopes, D in tails]
+            E = [[evaluate(p, pt, at) for p in slopes] for _, slopes in tails]
             rows = list(zip(jbar.entries, E))
             if w is None:
                 w = TruncatedSeries.constant(1, zbar.vars, N - half, zbar.field)
@@ -448,7 +436,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
         if tails:
             base += [dbar] + h
             pt = SeriesVector([s.truncate(N - r) for s in base])
-            quotients = [_lift(_over(evaluate(F, pt, at), D), N) for F, _, D in tails]
+            quotients = [_lift(evaluate(F, pt, at), N) for F, _ in tails]
         else:
             residuals = system.values(SeriesVector(current))
             try:

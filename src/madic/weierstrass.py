@@ -42,7 +42,7 @@ from math import comb, lcm
 from struct import pack, unpack
 
 from .errors import MadicError, PrecisionError
-from .fields import QQ, check_same_field, common_denominator, content_free, field_terms
+from .fields import QQ, check_same_field, content_free, field_terms
 from .poly import Polynomial
 from .series import OrderValue, TruncatedSeries, mul_terms, quotient_numerators, summed
 
@@ -120,8 +120,8 @@ class LinearChange:
         expands each power once."""
         field = self.field
         if self._rows is None:
-            pair, den = common_denominator(field, (field.one(), self.lam))
-            self._rows = (pair, den, [])
+            den = self.lam.denominator  # 1 for a residue
+            self._rows = ((den, self.lam.numerator), den, [])
         (u, v), den, rows = self._rows
         for n in range(len(rows), top + 1):
             row = [(k, comb(n, k) * u ** (n - k) * v ** k) for k in range(n + 1)]
@@ -420,21 +420,23 @@ def generic_euclid(P, r, v_var, a_vars):
         raise MadicError("need exactly r generic coefficient variables")
     vars = tuple(P.vars) + tuple(v for v in (v_var, *a_vars) if v not in P.vars)
     P = P.extend_vars(vars)
-    fld = P.field
+    fld, p = P.field, P.field.characteristic
     vi = vars.index(v_var)
+    # the slices hold numerators over P.den, residues over GF(p)
     slices = {}
-    for e, c in P.terms.items():
-        slices.setdefault(e[vi], {})[e[:vi] + (0,) + e[vi + 1:]] = c
+    for e, n in P.nums.items():
+        slices.setdefault(e[vi], {})[e[:vi] + (0,) + e[vi + 1:]] = n
     a_idx = [vars.index(a) for a in a_vars]
     for e in range(max(slices, default=-1), r - 1, -1):
-        Pe = [(x, c) for x, c in slices.pop(e, {}).items() if not fld.is_zero(c)]
-        for p, ai in enumerate(a_idx, start=1):
-            low = slices.setdefault(e - p, {})
-            for x, c in Pe:
+        Pe = [(x, n) for x, n in slices.pop(e, {}).items() if n]
+        for k, ai in enumerate(a_idx, start=1):
+            low = slices.setdefault(e - k, {})
+            for x, n in Pe:
                 x = x[:ai] + (x[ai] + 1,) + x[ai + 1:]
-                prev = low.get(x)
-                low[x] = fld.neg(c) if prev is None else fld.sub(prev, c)
-    return [Polynomial(fld, vars, slices.get(l, {})) for l in range(r)]
+                v = low.get(x, 0) - n
+                low[x] = v % p if p else v
+    rems = (field_terms(fld, slices.get(l, {}).items(), None) for l in range(r))
+    return [Polynomial._of_nums(fld, vars, *content_free(nums, P.den)) for nums in rems]
 
 
 class PreparedDivisor:

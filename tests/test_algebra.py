@@ -3,7 +3,6 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy
@@ -25,7 +24,6 @@ from madic import (
     minors,
     parse_polynomial,
 )
-from madic import series
 from madic.poly import NEG_INF, PolyMatrix
 
 
@@ -217,10 +215,7 @@ def cached_subs(p, mapping):
 
 KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(32003), PrimeField(2**31 - 1)]
 NAMES = ("a", "b", "c", "d", "e")
-# distinct prime denominators, whose lcm outgrows each of them; the tests
-# drawing them set the growth limit far below zero, so that every QQ
-# product accumulates Fractions
-NO_GROWTH = -(10**9)
+# distinct prime denominators, whose lcm outgrows each of them
 PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
 
 
@@ -254,29 +249,27 @@ def kernel_cases(draw):
     if draw(st.booleans()):  # a constant term, or a constant polynomial
         p = p + Polynomial.constant(draw(st.integers(1, 5)), vars, field)
     q = draw(kernel_polys(field, vars, kind))
-    return p, q, kind == "primes"
+    return p, q
 
 
 @settings(max_examples=200, deadline=None)
 @given(kernel_cases())
 def test_product_matches_pairwise_loop(case):
-    p, q, fractions = case
-    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
-        assert (p * q).terms == pairwise_mul(p, q).terms
-        assert (q * p).terms == pairwise_mul(p, q).terms
-        assert (p * p).terms == pairwise_mul(p, p).terms
+    p, q = case
+    assert (p * q).terms == pairwise_mul(p, q).terms
+    assert (q * p).terms == pairwise_mul(p, q).terms
+    assert (p * p).terms == pairwise_mul(p, p).terms
 
 
 @settings(max_examples=100, deadline=None)
 @given(kernel_cases(), st.integers(0, 5))
 def test_power_matches_square_and_multiply(case, n):
-    p, _, fractions = case
-    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
-        power = p ** n
+    p, _ = case
+    power = p ** n
     assert power.terms == pairwise_pow(p, n).terms
     assert power.vars == p.vars and power.field == p.field
     if n == 1:
-        assert power == p and power.terms is not p.terms
+        assert power == p and power.nums is not p.nums
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,9 +286,7 @@ def test_subs_matches_cached_pairwise_substitution(data):
     for v in source:
         if data.draw(st.booleans()):
             mapping[v] = data.draw(kernel_polys(field, target, kind, max_terms=3))
-    fractions = kind == "primes"
-    with mock.patch.object(series, "_LCM_GROWTH", NO_GROWTH if fractions else series._LCM_GROWTH):
-        out = p.subs(mapping)
+    out = p.subs(mapping)
     assert out.vars == target and out.field == field
     assert out.terms == cached_subs(p, mapping).terms
 
@@ -347,6 +338,24 @@ def test_parse_rational_coefficients():
 
 def test_parse_implicit_multiplication():
     assert P("(1+x)(1-x)") == P("1 - x^2")
+
+
+def test_prime_fields_are_decided_by_miller_rabin():
+    from madic import CapacityError
+    from madic.fields import PRIME_BOUND, is_prime
+
+    assert [n for n in range(60) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(561)
+    # the least strong pseudoprime to every prime base up to 37, which base
+    # 41 finds out; the one up to 41 is the bound, from which no answer is
+    # exact
+    assert not is_prime(318665857834031151167461)
+    for n in (PRIME_BOUND, PRIME_BOUND + 2):
+        with pytest.raises(CapacityError, match=str(PRIME_BOUND)):
+            PrimeField(n)
+    with pytest.raises(MadicError, match="not a prime: 4"):
+        PrimeField(4)
+    assert PrimeField(2**61 - 1).inv(2) * 2 % (2**61 - 1) == 1
 
 
 def test_gfp_arithmetic():

@@ -1,4 +1,5 @@
-"""Every top-level function of `src/madic` is used by the library.
+"""Every top-level function of `src/madic` is used by the library, and
+only `fields` imports `fractions`.
 
 A function counts as used when some code in `src/madic` outside its own
 body reads its name (a call, a reference or an attribute), or when
@@ -49,3 +50,16 @@ def test_every_top_level_function_has_a_caller_or_is_exported():
             if not any(fn.name in _names_read(other, {fn}) for other in trees.values()):
                 unused.append(f"{name}:{fn.name}")
     assert unused == []
+
+
+def test_only_fields_imports_fractions():
+    # polynomials and series hold integer numerators over one denominator;
+    # Fractions are the fields' elements, built only for the `terms` views
+    importers = sorted(
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    )
+    assert importers == ["fields.py"]

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -386,3 +388,96 @@ def test_target_order_zero_is_read(capsys, command, fixture, read):
     code, out, _ = run(capsys, command, fx(fixture), "--target-order", "0", "--json")
     assert code == 0
     assert read(json.loads(out)) == 0
+
+
+@contextmanager
+def _budget(seconds):
+    """Fail the enclosed block by TimeoutError once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+SOLVE_BODY = (
+    "series_vars: x y\nunknowns: z\nequation: z^2 - x^2\n"
+    "approx: x + x^4 + O(m^24)\ntarget_order: 3\n"
+)
+
+
+def test_a_large_prime_field_is_decided_at_once(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division up to its square root ran for minutes
+    prob = tmp_path / "big.madic"
+    prob.write_text("field: GF(2305843009213693951)\n" + SOLVE_BODY)
+    with _budget(1):
+        code, out, _ = run(capsys, "solve", str(prob), "--json")
+    assert code == 0
+    assert json.loads(out)["certificate"]["status"] == "certified-to-precision"
+
+
+@pytest.mark.parametrize("p", ["1", "4", "561"])
+def test_a_field_that_is_not_prime_is_a_parse_error(tmp_path, capsys, p):
+    # 561 = 3 * 11 * 17 is a Carmichael number
+    prob = tmp_path / "field.madic"
+    prob.write_text(f"field: GF({p})\n" + SOLVE_BODY)
+    code, out, err = run(capsys, "solve", str(prob))
+    assert code == 3
+    assert out == ""
+    assert f"parse error: field must be Q or GF(p) for a prime p; not a prime: {p}" in err
+
+
+PROBE_BODY = (
+    "series_vars: x\nunknowns: z\nequation: z^2 - x^2\n"
+    "family: x + x^{k} + O(m^30)\nfamily_range: 4 5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, flag, where",
+    [
+        ("solve", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), False, "target_order"),
+        ("solve", SOLVE_BODY, True, "--target-order"),
+        ("refine", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), False, "target_order"),
+        ("refine", SOLVE_BODY, True, "--target-order"),
+        ("bounds", "m: 1\nd: 2\nc: -2\n", False, "c"),
+        ("bounds", "m: 1\nd: 2\n", True, "--target-order"),
+        ("probe", PROBE_BODY + "targets: 3 -2\n", False, "targets"),
+        ("probe", PROBE_BODY + "target_order: -2\n", False, "target_order"),
+    ],
+    ids=["solve-key", "solve-flag", "refine-key", "refine-flag", "bounds-c", "bounds-flag",
+         "probe-targets", "probe-key"],
+)
+def test_a_negative_target_order_is_a_parse_error(tmp_path, capsys, command, text, flag, where):
+    # refine certified with -2 while solve failed in bounds.gamma, untyped
+    prob = tmp_path / "neg.madic"
+    prob.write_text(text)
+    argv = [command, str(prob), "--json"] + (["--target-order", "-2"] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"{where} must be at least 0" in err and "-2" in err
+
+
+def test_a_field_past_the_primality_bound_is_a_capacity_error(tmp_path, capsys):
+    prob = tmp_path / "huge.madic"
+    prob.write_text("field: GF(3317044064679887385961981)\n" + SOLVE_BODY)
+    code, out, err = run(capsys, "solve", str(prob))
+    assert code == 4
+    assert out == ""
+    assert "exact only below 3317044064679887385961981" in err
+
+
+def test_a_target_that_is_not_an_integer_is_a_parse_error(tmp_path, capsys):
+    # `targets: 3 x` raised an untyped ValueError
+    prob = tmp_path / "targets.madic"
+    prob.write_text(PROBE_BODY + "targets: 3 x\n")
+    code, out, err = run(capsys, "probe", str(prob))
+    assert code == 3
+    assert out == ""
+    assert "targets must be an integer, got 'x'" in err

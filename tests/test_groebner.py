@@ -36,7 +36,7 @@ from madic import (
     parse_polynomial,
     radical_member,
 )
-from madic.fields import common_denominator, field_terms
+from madic.fields import exact_form, field_terms
 from madic.groebner import colon_ideals, normal_form_terms
 from madic.monomials import MAX_EXPONENT, divisor
 from madic.poly import exact_div
@@ -262,10 +262,10 @@ def engine_normal_form(terms, divisors, order, field):
     table = {}
     prepared = []
     for g in divisors:
-        packed, _ = pk.pack_integers(g, field, table)
+        packed = pk.pack_terms(exact_form(field, g)[0], table)
         prepared.append(divisor(packed, pk.leading(packed), pk, field))
-    packed, den = pk.pack_integers(terms, field, table)
-    rem, scale = normal_form_terms(packed, prepared, pk, field)
+    nums, den = exact_form(field, terms)
+    rem, scale = normal_form_terms(pk.pack_terms(nums, table), prepared, pk, field)
     keys = [m ^ pk.flip for m in rem]
     assert keys == sorted(keys, reverse=True)  # remainder in decreasing order
     return pk.unpack_terms(field_terms(field, rem.items(), den * scale), table)
@@ -464,7 +464,7 @@ def _awkward(g, rng, order):
     leading coefficient, for k in {2, 6, 10, 15} and a prime q: cleared of
     its denominator q it is non-primitive with a negative leading
     coefficient."""
-    nums, _ = common_denominator(QQ, list(g.terms.values()))
+    nums = list(exact_form(QQ, g.terms)[0].values())
     content = gcd(*nums)
     lead = list(g.terms).index(max(g.terms, key=tuple_key(order)))
     if nums[lead] < 0:
@@ -588,11 +588,11 @@ def test_content_removal_bounds_coefficient_swell():
     table = {}
     prepared = []
     for g in divisors:
-        packed, _ = pk.pack_integers(g.terms, QQ, table)
+        packed = pk.pack_terms(g.nums, table)
         prepared.append(divisor(packed, pk.leading(packed), pk, QQ))
-    terms, den = pk.pack_integers(parse_polynomial("x^60 + y", xy).terms, QQ, table)
-    rem, scale = normal_form_terms(terms, prepared, pk, QQ)
-    assert den == 1
+    p = parse_polynomial("x^60 + y", xy)
+    rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), prepared, pk, QQ)
+    assert p.den == 1
     assert pk.unpack_terms(field_terms(QQ, rem.items(), scale), table) == {
         (0, 1): 1,
         (0, 0): 1,

@@ -23,8 +23,8 @@ from madic import (
     TruncatedSeries, evaluate,
 )
 from madic import series
-from madic.fields import field_terms
-from madic.series import integer_coefficients, mul_terms, numerators, quotient_numerators
+from madic.fields import exact_form, field_terms
+from madic.series import mul_terms, quotient_numerators
 
 XY = ("x", "y")
 
@@ -53,6 +53,14 @@ def naive_mul_terms(a, b, field, cap):
     return {e: c for e, c in out.items() if not field.is_zero(c)}
 
 
+def kernel_mul(a, b, field, cap):
+    """`mul_terms` on the exact forms of term dicts of field elements (a
+    square, `a is b`, stays one), read back as field elements."""
+    a_nums, a_den = exact_form(field, a)
+    b_nums, b_den = (a_nums, a_den) if a is b else exact_form(field, b)
+    return field_terms(field, mul_terms(a_nums, b_nums, field, cap).items(), a_den * b_den)
+
+
 def naive_mul(a, b):
     prec = min(a.precision, b.precision)
     return TruncatedSeries(a.field, a.vars, prec, naive_mul_terms(a.terms, b.terms, a.field, prec))
@@ -77,7 +85,7 @@ def inverse_terms(terms, field, cap):
     of 1 by it."""
     key = next(iter(terms), 0)
     one = {(0,) * len(key) if isinstance(key, tuple) else 0: 1}
-    nums, den = quotient_numerators(one, 1, *numerators(field, terms), field, cap)
+    nums, den = quotient_numerators(one, 1, *exact_form(field, terms), field, cap)
     return field_terms(field, nums.items(), den)
 
 
@@ -181,13 +189,12 @@ def test_series_product_matches_pairwise_loop(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(series_pairs(), st.sampled_from([10**9, -(10**9)]))
-def test_fraction_and_integer_accumulation_agree(pair, growth):
-    # a huge limit always scales to integers, a negative one always
-    # accumulates Fractions; both must give the pairwise loop's product
+@given(series_pairs())
+def test_fraction_and_integer_accumulation_agree(pair):
+    # the numerators' product over the product of the denominators is the
+    # pairwise loop's product of Fractions
     a, b = pair
-    with mock.patch.object(series, "_LCM_GROWTH", growth):
-        assert a * b == naive_mul(a, b)
+    assert a * b == naive_mul(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +204,7 @@ def test_degree_keyed_product_keeps_inclusive_cap(data):
     ycap = data.draw(st.integers(0, 12))
     a = data.draw(term_dicts(field, 0, ycap + 3))
     b = data.draw(term_dicts(field, 0, ycap + 3))
-    got = mul_terms(a, b, field, ycap + 1)
+    got = kernel_mul(a, b, field, ycap + 1)
     assert got == naive_mul_terms(a, b, field, ycap + 1)
     assert all(k <= ycap for k in got)
 
@@ -225,8 +232,8 @@ def test_single_term_operand_shifts_and_scales(data):
     a = data.draw(term_dicts(field, nvars, cap + 2, max_terms=1).filter(bool))
     b = data.draw(term_dicts(field, nvars, cap + 2))
     expected = naive_mul_terms(a, b, field, cap)
-    assert mul_terms(a, b, field, cap) == expected
-    assert mul_terms(b, a, field, cap) == expected
+    assert kernel_mul(a, b, field, cap) == expected
+    assert kernel_mul(b, a, field, cap) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +246,7 @@ def test_three_variable_product_below_its_full_degree(data):
     b = data.draw(term_dicts(field, 3, 4).filter(lambda t: len(t) > 1))
     full = max(map(sum, a)) + max(map(sum, b))
     cap = data.draw(st.integers(1, full))
-    got = mul_terms(a, b, field, cap)
+    got = kernel_mul(a, b, field, cap)
     assert got == naive_mul_terms(a, b, field, cap)
     assert all(sum(e) < cap for e in got)
 
@@ -253,24 +260,22 @@ def test_series_power_matches_repeated_products(pair, n):
 
 
 def test_distinct_prime_denominators_accumulate_fractions():
+    # numerators over an lcm of 120 distinct primes, and over the small
+    # shared denominator 6
     primes = [p for p in range(1000, 3000) if all(p % d for d in range(2, 46))]
     a = {(i,): Fraction(i + 1, primes[i]) for i in range(120)}
     b = {(i,): Fraction(1 - i, primes[120 + i]) for i in range(120)}
-    nums, den = integer_coefficients(QQ, list(a.values()))
-    assert den is None and nums == list(a.values())
-    assert mul_terms(a, b, QQ, 120) == naive_mul_terms(a, b, QQ, 120)
-    # one operand past the limit, the other over a small shared denominator
+    assert kernel_mul(a, b, QQ, 120) == naive_mul_terms(a, b, QQ, 120)
     c = {(i,): Fraction(2 * i - 7, 6) for i in range(40)}
-    assert integer_coefficients(QQ, list(c.values()))[1] == 6
-    assert mul_terms(a, c, QQ, 120) == naive_mul_terms(a, c, QQ, 120)
-    assert mul_terms(c, a, QQ, 120) == naive_mul_terms(c, a, QQ, 120)
+    assert kernel_mul(a, c, QQ, 120) == naive_mul_terms(a, c, QQ, 120)
+    assert kernel_mul(c, a, QQ, 120) == naive_mul_terms(c, a, QQ, 120)
 
 
 def test_shared_denominator_is_exact():
     coeffs = [Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9), Fraction(3)]
-    nums, den = integer_coefficients(QQ, coeffs)
+    nums, den = exact_form(QQ, dict(enumerate(coeffs)))
     assert den == 36
-    assert [Fraction(n, den) for n in nums] == coeffs
+    assert [Fraction(nums[i], den) for i in range(len(coeffs))] == coeffs
 
 
 # -- dense products -------------------------------------------------------
@@ -354,7 +359,7 @@ def test_dense_square_matches_pairwise_loop(data):
     field = data.draw(st.sampled_from([PrimeField(32003), PrimeField(2), QQ]))
     a = data.draw(dense_operands(field, max_terms=64 if field == QQ else 160))
     cap = data.draw(st.integers(1, 2 * max_degree(a) + 2))
-    assert mul_terms(a, a, field, cap) == naive_mul_terms(a, a, field, cap)
+    assert kernel_mul(a, a, field, cap) == naive_mul_terms(a, a, field, cap)
     s = TruncatedSeries(field, ("x",), cap, same_kind({(0,): 1}, a))
     assert s * s == naive_mul(s, s)
     assert s ** 2 == s * s
@@ -370,7 +375,7 @@ def test_square_equals_the_product_with_a_copy(data):
     a = data.draw(term_dicts(field, nvars, 13, max_terms=40))
     cap = data.draw(st.integers(0, 28))
     expected = naive_mul_terms(a, a, field, cap)
-    assert mul_terms(a, a, field, cap) == mul_terms(a, dict(a), field, cap) == expected
+    assert kernel_mul(a, a, field, cap) == kernel_mul(a, dict(a), field, cap) == expected
     if nvars:
         s = TruncatedSeries(field, XY[:nvars], max(cap, 1), a)
         assert s * s == s * TruncatedSeries(field, s.vars, s.precision, a)
@@ -437,12 +442,12 @@ def test_signed_numerators_at_the_64_bit_edge(monkeypatch, n):
         a = {(i,): Fraction(-top_a if i % 5 else top_a - i) for i in range(n)}
         b = {(i,): Fraction(top_b if i % 3 else -top_b, 1) for i in range(n)}
         for cap in (n, 2 * n):
-            assert mul_terms(a, b, QQ, cap) == naive_mul_terms(a, b, QQ, cap)
-        assert mul_terms(a, a, QQ, n) == naive_mul_terms(a, a, QQ, n)
+            assert kernel_mul(a, b, QQ, cap) == naive_mul_terms(a, b, QQ, cap)
+        assert kernel_mul(a, a, QQ, n) == naive_mul_terms(a, a, QQ, n)
         assert taken[-3:] == [expect] * 3
-    # a shared denominator scales every numerator: over 3 they carry 3^2
+    # numerators over 3: their product is over 3^2
     c = {(i,): Fraction(-(2**20) + i, 3) for i in range(n)}
-    assert mul_terms(c, c, QQ, 2 * n) == naive_mul_terms(c, c, QQ, 2 * n)
+    assert kernel_mul(c, c, QQ, 2 * n) == naive_mul_terms(c, c, QQ, 2 * n)
     assert taken[-1] is True
 
 
@@ -488,13 +493,11 @@ def test_inverse_matches_newton_doubling(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(units(QQ), st.sampled_from([10**9, -(10**9)]))
-def test_inverse_fraction_and_integer_accumulation_agree(case, growth):
-    # a huge limit always scales to integers, a negative one always sums
-    # Fractions; both must give Newton's inverse
+@given(units(QQ))
+def test_inverse_fraction_and_integer_accumulation_agree(case):
+    # the recurrence on numerators gives Newton's inverse over Fractions
     field, terms, cap = case
-    with mock.patch.object(series, "_LCM_GROWTH", growth):
-        assert inverse_terms(terms, field, cap) == newton_inverse_terms(terms, field, cap)
+    assert inverse_terms(terms, field, cap) == newton_inverse_terms(terms, field, cap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -517,12 +520,10 @@ def test_series_inverse_wraps_the_kernel_at_any_precision(case):
 def test_inverse_over_distinct_prime_denominators_sums_fractions():
     primes = [p for p in range(1000, 3000) if all(p % d for d in range(2, 46))]
     u = {(0,): Fraction(3, 7), **{(i,): Fraction(i + 1, primes[i]) for i in range(1, 90)}}
-    assert integer_coefficients(QQ, list(u.values()))[1] is None
     assert inverse_terms(u, QQ, 90) == newton_inverse_terms(u, QQ, 90)
     keys = [(i, d - i) for d in range(1, 13) for i in range(d + 1)]
     v = {(0, 0): Fraction(-5, 2)}
     v.update((k, Fraction(n % 5 + 1, p)) for n, (k, p) in enumerate(zip(keys, primes)))
-    assert integer_coefficients(QQ, list(v.values()))[1] is None
     assert inverse_terms(v, QQ, 13) == newton_inverse_terms(v, QQ, 13)
 
 
@@ -558,7 +559,7 @@ def test_quotient_is_the_product_by_the_inverse(case, data):
         (k + shift if nvars == 0 else (k[0] + shift,) + k[1:]): c
         for k, c in a.items() if not field.is_zero(c)
     }
-    nums, den = quotient_numerators(*numerators(field, a), *numerators(field, w), field, cap)
+    nums, den = quotient_numerators(*exact_form(field, a), *exact_form(field, w), field, cap)
     assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
     expected = naive_mul_terms(a, newton_inverse_terms(w, field, cap), field, cap)
     assert field_terms(field, nums.items(), den) == expected
@@ -615,8 +616,7 @@ def test_apply_series_matches_term_by_term_expansion(case):
 @given(change_cases())
 def test_apply_series_fraction_accumulation(case):
     change, s = case
-    with mock.patch.object(series, "_LCM_GROWTH", -(10**9)):
-        assert change.apply_series(s) == naive_apply_series(change, s)
+    assert change.apply_series(s) == naive_apply_series(change, s)
 
 
 # -- evaluation -------------------------------------------------------------

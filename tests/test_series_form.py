@@ -1,29 +1,33 @@
-"""The one stored form of a series against plain Fraction references.
+"""The one stored form of series and polynomials against plain Fraction
+references.
 
-A series holds integer numerators over one positive denominator with their
-common content removed (residues over 1 over GF(p)), and builds its
-Fraction `terms` on first read.  Every operation on that form must give the
-reduced terms that a plain loop over Fractions, with the field's own
-operations, gives; `==` and `hash` must agree with the terms; and every
+A series and a polynomial hold integer numerators over one positive
+denominator with their common content removed (residues over 1 over GF(p)),
+and build their Fraction `terms` on read.  Every operation on that form must
+give the reduced terms that a plain loop over Fractions, with the field's
+own operations, gives; `==` and `hash` must agree with the terms; and every
 result must be in the stored form.  The references live here only.
 """
 
+import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, inf, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from madic import (
-    LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries, evaluate,
+    Ideal, LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries,
+    buchberger, colon, evaluate, intersect,
 )
-from madic.series import integer_coefficients
+from madic.poly import exact_div
 from madic.weierstrass import divide_series
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)]
 XY = ("x", "y")
-# 16-bit primes: a series over ~70 of them as denominators has an lcm past
-# the limit where the Polynomial layer's product falls back to Fractions
+# 16-bit primes: a series over ~70 of them as denominators has an lcm of
+# over a thousand bits
 PRIMES = [p for p in range(40001, 44000, 2) if all(p % d for d in range(3, 210, 2))]
 
 
@@ -142,7 +146,7 @@ def term_dicts(draw, field, nvars, cap, kind, low=0):
 
 
 # (field, variables, kind): sparse draws over every field, and dense draws
-# over distinct 16-bit primes, whose lcm passes the limit in two variables
+# over distinct 16-bit primes, whose lcm is long in two variables
 KINDS = [(f, n, "sparse") for f in FIELDS for n in (1, 2)] + [(QQ, 1, "coprime"), (QQ, 2, "coprime")]
 KIND_IDS = [f"{f}-{n}-{k}" for f, n, k in KINDS]
 
@@ -163,8 +167,6 @@ def test_every_operation_matches_the_fraction_reference(field, nvars, kind, data
     vars, pa, pb, a, b = data.draw(cases(field, nvars, kind))
     prec = min(pa, pb)
     sa, sb = TruncatedSeries(field, vars, pa, a), TruncatedSeries(field, vars, pb, b)
-    if kind == "coprime" and nvars == 2:
-        assert integer_coefficients(QQ, list(a.values()))[1] is None
     check(sa, field, vars, pa, a)
     check(sa + sb, field, vars, prec, ref_add(field, a, b, prec))
     check(sa - sb, field, vars, prec, ref_add(field, a, {e: field.neg(c) for e, c in b.items()}, prec))
@@ -233,12 +235,11 @@ def test_division_gives_back_the_reference_factor(field, nvars, data):
 
 
 def test_operations_on_denominators_past_the_lcm_limit():
-    # 78 distinct 16-bit primes: the Polynomial layer's product would fall
-    # back to Fractions; the series keeps one denominator, their product
+    # 78 distinct 16-bit primes: the series keeps one denominator, their
+    # product
     N = 12
     a = {k: Fraction(1 + i % 5, p) for i, (k, p) in enumerate(zip(keys_below(2, N), PRIMES))}
     a[(0, 0)] = Fraction(3, 2)
-    assert integer_coefficients(QQ, list(a.values()))[1] is None
     s = TruncatedSeries(QQ, XY, N, a)
     check(s, QQ, XY, N, a)
     check(s * s, QQ, XY, N, ref_mul(QQ, a, a, N))
@@ -256,3 +257,155 @@ def test_truncate_and_inverse_refuse_a_precision_below_one(precision):
         s.truncate(precision)
     with pytest.raises(PrecisionError):
         s.inverse(precision)
+
+
+# -- polynomials ----------------------------------------------------------------
+
+POLY_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+UVW = ("u", "v", "w")
+ST = ("s", "t")
+
+
+def check_poly(p, field, vars, ref):
+    """p has the reference's reduced terms, equals and hashes like the
+    polynomial built from them, and is in the one form."""
+    assert (p.field, p.vars) == (field, vars)
+    want = reduced(field, ref, inf)
+    assert p.terms == want
+    built = Polynomial(field, vars, want)
+    assert p == built and hash(p) == hash(built)
+    assert all(type(n) is int and n for n in p.nums.values())
+    if field.characteristic:
+        assert p.den == 1 and all(0 < n < field.p for n in p.nums.values())
+    else:
+        assert type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+
+
+def check_engine_output(p, field, vars):
+    """An output of the ideal engine, which no plain loop recomputes: its
+    terms are its numerators over its denominator, and it is in the form."""
+    check_poly(p, field, vars, {e: Fraction(n, p.den) for e, n in p.nums.items()})
+
+
+def ref_diff(field, a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: field.mul(c, field.convert(e[i])) for e, c in a.items() if e[i]}
+
+
+def ref_hasse(field, a, idx):
+    """alpha -> the terms c * prod_j binom(e_j, alpha_j) * u^(e - alpha)."""
+    out = {}
+    for e, c in a.items():
+        for alpha in itertools.product(*(range(e[i] + 1) for i in idx)):
+            rest = list(e)
+            for i, x in zip(idx, alpha):
+                rest[i] -= x
+            k = field.convert(prod(comb(e[i], x) for i, x in zip(idx, alpha)))
+            out.setdefault(alpha, {})[tuple(rest)] = field.mul(c, k)
+    return {alpha: reduced(field, t, inf) for alpha, t in out.items()}
+
+
+def ref_subs(field, a, images, nvars):
+    """Each term c * prod_v image_v^e_v multiplied out."""
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for x, image in zip(e, images):
+            term = ref_mul(field, term, ref_pow(field, image, x, inf, nvars), inf)
+        out = ref_add(field, out, term, inf)
+    return out
+
+
+@st.composite
+def poly_terms(draw, field, nvars, max_terms=4, max_deg=2):
+    if field == QQ:
+        coeff = st.one_of(
+            st.integers(-6, 6),
+            st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 35] + PRIMES[:3])),
+        )
+    else:
+        coeff = st.integers(-field.p, 2 * field.p)  # residues are the constructor's to reduce
+    keys = st.tuples(*[st.integers(0, max_deg)] * nvars)
+    return draw(st.dictionaries(keys, coeff, max_size=max_terms))
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=str)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_polynomial_operation_matches_the_fraction_reference(field, data):
+    a_in, b_in = data.draw(poly_terms(field, 3)), data.draw(poly_terms(field, 3))
+    a, b = reduced(field, a_in, inf), reduced(field, b_in, inf)
+    pa, pb = Polynomial(field, UVW, a_in), Polynomial(field, UVW, b_in)
+    check_poly(pa, field, UVW, a)
+    check_poly(Polynomial.zero(UVW, field), field, UVW, {})
+    c = data.draw(st.sampled_from([0, 1, -2, 6, Fraction(3, 7), Fraction(-5, 4)]))
+    if field.characteristic not in (2, 7) or type(c) is int:
+        c = field.convert(c)
+        check_poly(Polynomial.constant(c, UVW, field), field, UVW, {(0, 0, 0): c})
+        check_poly(Polynomial.monomial((1, 0, 2), c, UVW, field), field, UVW, {(1, 0, 2): c})
+        check_poly(pa.scale(c), field, UVW, {e: field.mul(v, c) for e, v in a.items()})
+    check_poly(Polynomial.variable("v", UVW, field), field, UVW, {(0, 1, 0): 1})
+    check_poly(pa + pb, field, UVW, ref_add(field, a, b, inf))
+    check_poly(pa - pb, field, UVW, ref_add(field, a, {e: field.neg(v) for e, v in b.items()}, inf))
+    check_poly(pa - pa, field, UVW, {})
+    check_poly(-pa, field, UVW, {e: field.neg(v) for e, v in a.items()})
+    check_poly(pa * pb, field, UVW, ref_mul(field, a, b, inf))
+    check_poly(pa * pa, field, UVW, ref_mul(field, a, a, inf))
+    n = data.draw(st.integers(0, 3))
+    check_poly(pa**n, field, UVW, ref_pow(field, a, n, inf, 3))
+    for i, name in enumerate(UVW):
+        check_poly(pa.diff(name), field, UVW, ref_diff(field, a, i))
+    hasse = pa.hasse(("u", "w"))
+    want = {alpha: t for alpha, t in ref_hasse(field, a, (0, 2)).items() if t}
+    assert set(hasse) == set(want)
+    for alpha, t in hasse.items():
+        check_poly(t, field, UVW, want[alpha])
+    images = [data.draw(poly_terms(field, 2, max_terms=3)) for _ in UVW]
+    mapping = {v: Polynomial(field, ST, t) for v, t in zip(UVW, images)}
+    ref = ref_subs(field, a, [reduced(field, t, inf) for t in images], 2)
+    check_poly(pa.subs(mapping), field, ST, ref)
+    if b:
+        check_poly(exact_div(pa * pb, pb), field, UVW, a)
+    # equal polynomials built two ways: one form, one hash
+    pc = Polynomial(field, UVW, data.draw(poly_terms(field, 3)))
+    left, right = (pa + pb) * pc, pa * pc + pb * pc
+    assert left == right and hash(left) == hash(right)
+    assert left.nums == right.nums and left.den == right.den
+    s = TruncatedSeries(field, ("u", "v"), 8, {e[:2]: v for e, v in a.items()})
+    check_poly(s.to_polynomial(), field, ("u", "v"), reduced(field, s.terms, inf))
+
+
+def sympy_basis(gens, field):
+    """The reduced degrevlex basis of `gens` by sympy, as term dicts of field
+    elements."""
+    names = sympy.symbols(gens[0].vars)
+    exprs = [sum(sympy.Rational(str(c)) * sympy.Mul(*(x**k for x, k in zip(names, e))) for e, c in g.terms.items())
+             for g in gens if not g.is_zero()]
+    if not exprs:
+        return []
+    opts = {"modulus": field.p} if field.characteristic else {"domain": "QQ"}
+    out = []
+    for g in sympy.groebner(exprs, *names, order="grevlex", **opts).exprs:
+        terms = sympy.Poly(g, *names).terms()
+        out.append(reduced(field, {e: Fraction(int(c.p), int(c.q)) if field == QQ else int(c) for e, c in terms}, inf))
+    return out
+
+
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=str)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.data())
+def test_engine_outputs_are_in_the_one_form(field, data):
+    xy = ("x", "y")
+    gens = [Polynomial(field, xy, data.draw(poly_terms(field, 2, max_terms=3))) for _ in range(2)]
+    basis = buchberger(gens)
+    for g in basis:
+        check_engine_output(g, field, xy)
+    assert sorted(sorted(g.terms.items()) for g in basis) == sorted(sorted(t.items()) for t in sympy_basis(gens, field))
+    I, J = Ideal(gens[:1]), Ideal(gens[1:] + [Polynomial(field, xy, data.draw(poly_terms(field, 2, max_terms=2)))])
+    meet = intersect(I, J)
+    for g in meet.generators:
+        check_engine_output(g, field, xy)
+        assert I.contains(g) and J.contains(g)
+    quotient = colon(J, I)
+    for g in quotient.generators:
+        check_engine_output(g, field, xy)
+        assert all(J.contains(g * f) for f in I.generators)
