@@ -62,6 +62,7 @@ def cmd_elkik(pf, args):
     eqs = pf.equations(fld)
     H = elkik_ideal(eqs, list(pf.all_vars()))
     I = Ideal(eqs)
+    HI = H + I
     payload = {
         "command": "elkik",
         "generators": _basis_str(H),
@@ -71,17 +72,17 @@ def cmd_elkik(pf, args):
     lines += [f"  {g}" for g in payload["generators"]]
     compare = pf.polynomials("compare")
     if compare:
-        eq = ideal_equal(H + I, Ideal(compare) + I)
+        eq = ideal_equal(HI, Ideal(compare) + I)
         payload["comparison_equal"] = eq
         lines.append(f"equals comparison ideal modulo the equations: {eq}")
     verdicts = {}
     for text, p in zip(pf.get_list("member"), pf.polynomials("member")):
-        verdicts[text] = (H + I).contains(p)
+        verdicts[text] = HI.contains(p)
         lines.append(f"member {text}: {verdicts[text]}")
     payload["member"] = verdicts
     rad = {}
     for text, p in zip(pf.get_list("radical_member"), pf.polynomials("radical_member")):
-        rad[text] = radical_member(p, H + I)
+        rad[text] = radical_member(p, HI)
         lines.append(f"radical member {text}: {rad[text]}")
     payload["radical_member"] = rad
     return 0, payload, lines
@@ -233,6 +234,9 @@ def cmd_bounds(pf, args):
     if m is None or d is None:
         raise ParseError("bounds needs m and d")
     K = pf.get_int("K", 2)
+    for key, value, least in (("m", m, 1), ("d", d, 2), ("n", n, 1), ("s", s, 1), ("K", K, 1)):
+        if value < least:
+            raise ParseError(f"{key} must be at least {least} in {pf.path}, got {value}")
     rep = BoundReport.compute(m, d, n, s, c, K=K)
     payload = {"command": "bounds", "report": rep.to_json(), "status": "ok"}
     body = rep.to_json()

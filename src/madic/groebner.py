@@ -16,6 +16,20 @@ coefficient, negated tail, the tail's fieldwise maximum for the overflow
 check), and an Ideal keeps the prepared divisors of its cached basis for
 membership and normal forms.
 
+`buchberger` enters the nonzero generators by total degree, each reduced
+by the basis so far, and takes S-pairs by least sugar, then least lcm
+(Giovini, Mora, Niesi, Robbiano, Traverso, ISSAC 1991): a generator's sugar
+is its total degree, a pair's is max over its i, j of sugar_i + deg lcm -
+deg lt_i, and a new element inherits its pair's.  When an element h joins,
+the Gebauer-Moeller update (JSC 1988) runs once: it keeps one new pair per
+minimal lcm and drops the coprime ones, drops each old pair (i, j) whose
+lcm lt_h divides and differs from lcm(i, h) and lcm(j, h), and an element
+whose leading monomial lt_h divides makes no new pairs.  These tests run on
+packed ints restricted to their exponent fields.  One reducer index per
+run maps a monomial to the position of its first divisor in the basis, or
+records that none of the first n divide it; the basis only grows by
+appending, so an entry stays valid and a miss scans only later divisors.
+
 Over QQ the engine works on integers from packing to unpacking: a
 polynomial enters as its numerators (`Polynomial.nums`), a prepared divisor
 is a primitive integer polynomial with a positive leading coefficient,
@@ -32,8 +46,8 @@ Fraction is built.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter
 
@@ -86,12 +100,13 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 
 
-def normal_form_terms(terms, divisors, packing, field):
+def normal_form_terms(terms, divisors, packing, field, index=None):
     """Fully reduce a packed integer term dict, which is consumed, by
     prepared divisors: (rem, scale) with remainder rem / scale (see
-    `monomials.reduce_terms`).  Groebner reductions enter the kernel here,
-    so traces count them apart from exact division."""
-    return reduce_terms(terms, divisors, packing, field)
+    `monomials.reduce_terms`, and there for the reducer `index`).
+    Groebner reductions enter the kernel here, so traces count them apart
+    from exact division."""
+    return reduce_terms(terms, divisors, packing, field, index=index)
 
 
 def _divisors(polys, packing, table):
@@ -120,13 +135,14 @@ def normal_form(p, basis, order=DEGREVLEX):
 def buchberger(gens, order=DEGREVLEX):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Every basis element is kept as a prepared divisor (leading monomial,
-    leading coefficient, negated tail, the tail's fieldwise maximum) from
-    the moment it joins, so neither the pair loop nor a reduction re-derives
-    leading data.  Over QQ each generator enters as its numerators, and
-    the basis stays integral until `_reduce_basis` makes it monic.
+    The nonzero generators enter by total degree, each reduced by the
+    basis so far, and S-pairs are taken by least sugar, then least lcm.
+    Every basis element is kept as a prepared divisor from the moment it
+    joins, and one reducer index serves every reduction of the run.  Over
+    QQ each generator enters as its numerators, and the basis stays
+    integral until `_reduce_basis` makes it monic.
     """
-    gens = [g for g in gens if not g.is_zero()]
+    gens = sorted((g for g in gens if not g.is_zero()), key=Polynomial.degree)
     if not gens:
         return []
     field = gens[0].field
@@ -135,58 +151,58 @@ def buchberger(gens, order=DEGREVLEX):
         if g.vars != vars or g.field != field:
             raise DomainMismatchError("generators over different rings")
     pk = order.packing(len(vars))
-    G = pk.guard
+    G, E = pk.guard, pk.exponents
     table = {}
-
+    index = {}
     basis = []
-    for g in gens:
-        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field)
-        if rem:
-            basis.append(divisor(rem, next(iter(rem)), pk, field))
+    exps = []  # leading monomials on their exponent fields alone
+    excess = []  # sugar less the degree of the leading monomial
+    live = []  # elements whose leading monomial no later one divides
+    pairs = []  # heap of (sugar, lcm key, i, j, lcm)
 
-    lts = [d[0] for d in basis]
-    exps = [pk.unpack(lt) for lt in lts]
-    pairs = []
-    counter = itertools.count()
-
-    def push_pair(i, j):
-        lcm = pk.lcm(exps[i], exps[j])
-        heapq.heappush(pairs, (lcm ^ pk.flip, next(counter), i, j, lcm))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
-
-    done = set()
-    while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        # product criterion: coprime leading monomials
-        if lcm == lts[i] + lts[j]:
-            continue
-        # chain criterion: some lt_k divides the lcm and the pairs of k with
-        # i and j are done (k is neither, as no pair (k, k) is ever done)
-        lg = lcm | G
-        if any(
-            (lg - lt) & G == G
-            and ((k, i) if k < i else (i, k)) in done
-            and ((k, j) if k < j else (j, k)) in done
-            for k, lt in enumerate(lts)
-        ):
-            continue
-        s = _spoly(basis[i], basis[j], lcm, pk, field)
-        rem, _ = normal_form_terms(s, basis, pk, field)
-        if not rem:
-            continue
+    def join(rem, sugar):
+        """Append rem to the basis and update the pairs (Gebauer-Moeller)."""
+        nonlocal pairs, live
         lt = next(iter(rem))
+        v, h = lt & E, len(basis)
+        ex = sugar - sum(pk.unpack(lt))
+        lcms = [pk.field_max(e, v) for e in exps]
+        # an old pair whose lcm lt_h divides, and differs from both its
+        # lcms with h, is covered by those
+        pairs = [
+            p for p in pairs
+            if (((w := p[4] & E) | G) - v) & G != G or lcms[p[2]] == w or lcms[p[3]] == w
+        ]
+        heapify(pairs)
+        # one new pair per minimal lcm, none where a pair of that lcm is
+        # coprime; a proper divisor is a smaller int, so it comes first
+        by_lcm = {}
+        for k in live:
+            by_lcm.setdefault(lcms[k], []).append(k)
+        minimal = []
+        for m in sorted(by_lcm):
+            if any(((m | G) - d) & G == G for d in minimal):
+                continue
+            minimal.append(m)
+            if all(m != exps[k] + v for k in by_lcm[m]):
+                k = by_lcm[m][0]
+                lcm, deg = pk.with_degrees(m)
+                heappush(pairs, (deg + max(excess[k], ex), lcm ^ pk.flip, k, h, lcm))
+        live = [k for k in live if ((exps[k] | G) - v) & G != G] + [h]
         basis.append(divisor(rem, lt, pk, field))
-        lts.append(lt)
-        exps.append(pk.unpack(lt))
-        new = len(basis) - 1
-        for k in range(new):
-            push_pair(k, new)
+        exps.append(v)
+        excess.append(ex)
 
-    return _reduce_basis(basis, pk, field, vars, table)
+    for g in gens:
+        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field, index)
+        if rem:
+            join(rem, g.degree())
+    while pairs:
+        sugar, _, i, j, lcm = heappop(pairs)
+        rem, _ = normal_form_terms(_spoly(basis[i], basis[j], lcm, pk, field), basis, pk, field, index)
+        if rem:
+            join(rem, sugar)
+    return _reduce_basis([basis[k] for k in live], pk, field, vars, table)
 
 
 def _spoly(f, g, lcm, pk, field):
@@ -215,17 +231,8 @@ def _spoly(f, g, lcm, pk, field):
     return res
 
 
-def _reduce_basis(basis, pk, field, vars, table):
-    # minimalize: drop generators whose leading term another one divides
-    lts = [d[0] for d in basis]
-    minimal = [
-        basis[i]
-        for i, lt in enumerate(lts)
-        if not any(
-            j != i and pk.divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(basis))
-        )
-    ]
+def _reduce_basis(minimal, pk, field, vars, table):
+    """The reduced basis from a minimal one, given as prepared divisors."""
     # tail-reduce each element against the others; the leading term stays
     # and becomes the denominator: rem over rem[lt] is monic (over GF(p)
     # divisors are monic already, and rem[lt] is 1)
@@ -452,8 +459,9 @@ def elkik_ideal(fs, diff_vars):
 
 
 def radical_member(p, I):
-    """p ∈ √I, decided by the Rabinowitsch trick: 1 ∈ I + (1 - w*p)."""
-    lifted, new_vars = _with_fresh_var(I.generators + [p], RABINOWITSCH_VAR)
+    """p ∈ √I, decided by the Rabinowitsch trick: 1 ∈ I + (1 - w*p), with
+    I given by its cached basis when it has one."""
+    lifted, new_vars = _with_fresh_var((I.cached_basis or I.generators) + [p], RABINOWITSCH_VAR)
     w = Polynomial.variable(RABINOWITSCH_VAR, new_vars, I.field)
     one = Polynomial.constant(1, new_vars, I.field)
     gens = lifted[:-1] + [one - w * lifted[-1]]

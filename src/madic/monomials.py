@@ -67,13 +67,14 @@ class Packing:
     order, given as blocks (start, stop) of variables, most significant
     first; see the module docstring."""
 
-    __slots__ = ("blocks", "units", "offsets", "guard", "flip")
+    __slots__ = ("blocks", "units", "offsets", "guard", "flip", "exponents")
 
     def __init__(self, nvars, blocks):
         self.blocks = blocks
         self.units = [0] * nvars  # the packed monomial of each variable
         self.offsets = [0] * nvars
         self.guard = self.flip = 0
+        self.exponents = 0  # the value bits of every exponent field
         pos = 0
         for a, b in reversed(blocks):
             deg = pos + (b - a) * FIELD_BITS if b - a > 1 else None
@@ -81,6 +82,7 @@ class Packing:
                 self.offsets[i] = pos
                 self.units[i] = 1 << pos
                 self.guard |= _GUARD << pos
+                self.exponents |= MAX_EXPONENT << pos
                 if deg is not None:
                     self.units[i] |= 1 << deg
                     self.flip |= MAX_EXPONENT << pos
@@ -119,13 +121,14 @@ class Packing:
             out[e] = c
         return out
 
-    def lcm(self, a, b):
-        """The packed lcm of two packable exponent tuples.  A degree field
-        may reach its guard bit but never carries past it (it holds at most
-        twice MAX_EXPONENT): the lcm still compares right, a divisibility
-        test against it can only miss, and a product formed from it is
-        checked."""
-        return sum(map(mul, map(max, a, b), self.units))
+    def with_degrees(self, m):
+        """(packed monomial, total degree) of the monomial whose exponent
+        fields are those of `m` (`m & exponents`).  A degree field of the
+        lcm of two packed monomials may reach its guard bit but never
+        carries past it (it holds at most twice MAX_EXPONENT): the lcm
+        still compares right, and a product formed from it is checked."""
+        e = self.unpack(m)
+        return sum(map(mul, e, self.units)), sum(e)
 
     def field_max(self, a, b):
         """Fieldwise maximum of two packed monomials."""
@@ -172,7 +175,7 @@ def divisor(terms, lt, packing, field):
     return lt, lc, tail, functools.reduce(packing.field_max, (m for m, _ in tail), 0)
 
 
-def reduce_terms(terms, divisors, packing, field, quotient=None):
+def reduce_terms(terms, divisors, packing, field, quotient=None, index=None):
     """Fully reduce the packed integer term dict `terms`, which is
     consumed, by prepared divisors.
 
@@ -182,25 +185,32 @@ def reduce_terms(terms, divisors, packing, field, quotient=None):
     `quotient` is a dict, each step records its cofactor in it, so with a
     single divisor terms / scale == quotient / scale * divisor + rem /
     scale.
+
+    `index`, if a dict, is a reducer index kept across calls on one list
+    of divisors that only grows by appending: it maps a monomial to the
+    position of its first divisor, or to the length of the list when no
+    divisor divides it, so a later step scans only from there.
     """
     if field.characteristic:
-        return _reduce_modular(terms, divisors, packing, field.p, quotient), 1
-    return _reduce_integral(terms, divisors, packing, quotient)
+        return _reduce_modular(terms, divisors, packing, field.p, quotient, index), 1
+    return _reduce_integral(terms, divisors, packing, quotient, index)
 
 
-def _reduce_modular(work, divisors, packing, p, quotient):
+def _reduce_modular(work, divisors, packing, p, quotient, index):
     """`reduce_terms` over GF(p): monic divisors, residues reduced inline."""
     G, flip = packing.guard, packing.flip
     heap = [-(m ^ flip) for m in work]
     heapify(heap)
     rem = {}
+    count = len(divisors)
     while heap:
         m = -heappop(heap) ^ flip
         c = work.pop(m, None)
         if c is None:
             continue  # the term cancelled after its key was pushed
         mg = m | G
-        for lt, _, tail, hi in divisors:
+        for at in range(0 if index is None else index.get(m, 0), count):
+            lt, _, tail, hi = divisors[at]
             if (mg - lt) & G == G:
                 q = m - lt
                 if (q + hi) & G:
@@ -221,11 +231,14 @@ def _reduce_modular(work, divisors, packing, p, quotient):
                             del work[n]
                 break
         else:
+            at = count
             rem[m] = c
+        if index is not None:
+            index[m] = at
     return rem
 
 
-def _reduce_integral(work, divisors, packing, quotient):
+def _reduce_integral(work, divisors, packing, quotient, index):
     """`reduce_terms` over QQ, by pseudo-reduction on integers.
 
     Reducing a term c by a divisor with leading coefficient lc takes
@@ -239,6 +252,7 @@ def _reduce_integral(work, divisors, packing, quotient):
     heap = [-(m ^ flip) for m in work]
     heapify(heap)
     rem = {}
+    count = len(divisors)
     parts = (work, rem) if quotient is None else (work, rem, quotient)
     scale = 1
     limit = 1  # remove the content once scale.bit_length() reaches 2 * limit
@@ -248,7 +262,8 @@ def _reduce_integral(work, divisors, packing, quotient):
         if c is None:
             continue  # the term cancelled after its key was pushed
         mg = m | G
-        for lt, lc, tail, hi in divisors:
+        for at in range(0 if index is None else index.get(m, 0), count):
+            lt, lc, tail, hi = divisors[at]
             if (mg - lt) & G == G:
                 q = m - lt
                 if (q + hi) & G:
@@ -282,7 +297,10 @@ def _reduce_integral(work, divisors, packing, quotient):
                     limit = scale.bit_length()
                 break
         else:
+            at = count
             rem[m] = c
+        if index is not None:
+            index[m] = at
     return rem, scale
 
 

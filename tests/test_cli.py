@@ -405,6 +405,27 @@ def _budget(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+def test_elkik_hard_ends_within_five_seconds(capsys):
+    # 47 raw generators of H up to degree 16, a basis of six: about 35 s
+    # while generators entered in the order given and pairs by lcm alone
+    with _budget(5):
+        code, out, _ = run(capsys, "elkik", fx("elkik_hard.madic"), "--json")
+    assert code == 0
+    assert len(json.loads(out)["generators"]) == 6
+
+
+@pytest.mark.parametrize("key, value, least", [("m", 0, 1), ("d", 1, 2), ("n", 0, 1), ("s", 0, 1), ("K", 0, 1)])
+def test_bounds_key_below_its_minimum_is_a_parse_error(tmp_path, capsys, key, value, least):
+    # s: 0 ended as an untyped "need s >= 1 and c >= 0" (exit 2)
+    keys = {"m": 1, "d": 2, "n": 1, "s": 1, "c": 1, key: value}
+    prob = tmp_path / "bounds.madic"
+    prob.write_text("".join(f"{k}: {v}\n" for k, v in keys.items()))
+    code, out, err = run(capsys, "bounds", str(prob), "--json")
+    assert code == 3
+    assert out == ""
+    assert f"parse error: {key} must be at least {least}" in err and f"got {value}" in err
+
+
 SOLVE_BODY = (
     "series_vars: x y\nunknowns: z\nequation: z^2 - x^2\n"
     "approx: x + x^4 + O(m^24)\ntarget_order: 3\n"

@@ -21,6 +21,7 @@ GOLDEN = [
     ("divide", "divide_example", 0, "1eae04a0a7d556b37b9bcab1f187817918841e1ea50a0b8d381dd2fcdc8f1a6a"),
     ("elkik", "elkik_f", 0, "528638e4a692ff7fc50b6cf45ec1f43d3f779453b8f1db0c1785b9620f6579cc"),
     ("elkik", "elkik_h", 0, "02466a351fff39276f570c4dc31632b234b4b4cc7cb5217ec7608d451e8888dc"),
+    ("elkik", "elkik_hard", 0, "3e151f0d50d6a331b4620800bd096edfeef60f08fd4af8bbd6feacd05ea0311f"),
     ("groebner", "ideal_example", 0, "4c055368f52d5e68a682411cc3429e8e81eb72072e80006a8b228188f61f3e69"),
     ("colon", "ideal_example", 0, "ad3b7a45f0e1db1a201d8e0f87943ec6ee27c63349ca1ade390c3bfb9761f846"),
     ("prepare", "prepare_example", 0, "95e369d39624ed7bb51a445f41884094b270d1737c7b2613bd8374d39a7e28ec"),

@@ -4,13 +4,18 @@ The property tests compare the packed, heap-ordered engine with a plain
 reference kept only here: a reduction loop that scans the work set for its
 largest term under order keys computed on exponent tuples.  The integer
 kernel over QQ is also compared with sympy, on coefficients with distinct
-prime denominators and on non-monic, non-primitive divisors.
+prime denominators and on non-monic, non-primitive divisors.  Buchberger's
+pair loop is compared, bit for bit, with the loop it replaced, also kept
+only here.
 """
 
+import heapq
+import itertools
 import random
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 import sympy
@@ -36,6 +41,7 @@ from madic import (
     parse_polynomial,
     radical_member,
 )
+import madic.groebner as groebner
 from madic.fields import exact_form, field_terms
 from madic.groebner import colon_ideals, normal_form_terms
 from madic.monomials import MAX_EXPONENT, divisor
@@ -340,7 +346,9 @@ def test_packed_monomials_match_exponent_tuples(order, n, data):
     assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (key(a) < key(b))
     assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
     assert pa + pb == pack(tuple(x + y for x, y in zip(a, b)))
-    assert pk.lcm(a, b) == pack(tuple(map(max, a, b)))
+    lcm = tuple(map(max, a, b))
+    E = pk.exponents
+    assert pk.with_degrees(pk.field_max(pa & E, pb & E)) == (pack(lcm), sum(lcm))
     top = pk.field_max(pa, pb)
     assert pk.unpack(top) == tuple(map(max, a, b))
     assert pk.divides(pa, top) and pk.divides(pb, top)
@@ -719,8 +727,6 @@ def test_colon_skipping_shared_generators_gives_the_per_generator_colon(pair):
 def test_shear_colon_ideals_skip_the_generators_of_each_subset(monkeypatch):
     # x(z+2t), x(z-2t), yz, yt, the benchmark's shear shape: each generator
     # of I that lies in (f_i, i in E) costs no intersection (101 before)
-    import madic.groebner as groebner
-
     calls = []
 
     def counting(I, J):
@@ -731,3 +737,157 @@ def test_shear_colon_ideals_skip_the_generators_of_each_subset(monkeypatch):
     fs = [P(e, FOUR) for e in ("x*(z+2*t)", "x*(z-2*t)", "y*z", "y*t")]
     colon_ideals(fs, len(fs))
     assert len(calls) == 42
+
+
+# -- the pair loop against the one it replaced -----------------------------
+
+
+def reference_buchberger(gens, order=DEGREVLEX):
+    """`buchberger` before sugar selection and the Gebauer-Moeller update:
+    the generators enter in the order given, pairs are taken by least lcm
+    alone, every pair (k, new) is pushed when an element joins, the chain
+    criterion scans the whole basis for every pair taken, and the basis is
+    made minimal by testing every element against every other."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    field, vars = gens[0].field, gens[0].vars
+    pk = order.packing(len(vars))
+    G = pk.guard
+    table = {}
+    basis = []
+    for g in gens:
+        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field)
+        if rem:
+            basis.append(divisor(rem, next(iter(rem)), pk, field))
+    lts = [d[0] for d in basis]
+    exps = [pk.unpack(lt) for lt in lts]
+    pairs = []
+    counter = itertools.count()
+
+    def push_pair(i, j):
+        lcm = sum(map(mul, map(max, exps[i], exps[j]), pk.units))
+        heapq.heappush(pairs, (lcm ^ pk.flip, next(counter), i, j, lcm))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push_pair(i, j)
+    done = set()
+    while pairs:
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if lcm == lts[i] + lts[j]:
+            continue
+        lg = lcm | G
+        if any(
+            (lg - lt) & G == G
+            and ((k, i) if k < i else (i, k)) in done
+            and ((k, j) if k < j else (j, k)) in done
+            for k, lt in enumerate(lts)
+        ):
+            continue
+        s = groebner._spoly(basis[i], basis[j], lcm, pk, field)
+        rem, _ = normal_form_terms(s, basis, pk, field)
+        if not rem:
+            continue
+        lt = next(iter(rem))
+        basis.append(divisor(rem, lt, pk, field))
+        lts.append(lt)
+        exps.append(pk.unpack(lt))
+        for k in range(len(basis) - 1):
+            push_pair(k, len(basis) - 1)
+    minimal = [
+        basis[i]
+        for i, lt in enumerate(lts)
+        if not any(j != i and pk.divides(lts[j], lt) and (lts[j] != lt or j < i) for j in range(len(basis)))
+    ]
+    return groebner._reduce_basis(minimal, pk, field, vars, table)
+
+
+@st.composite
+def generator_lists(draw):
+    """1-4 polynomials in x, y, z over QQ, GF(2) or GF(32003), shuffled,
+    some of them repeated and some zero, and a monomial order."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), GF]))
+    order = draw(st.sampled_from(ORDERS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    coeffs = [1, -1, 3, Fraction(-2, 3)] if field == QQ else [1, 2, -1]
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 2) for _ in XYZ)
+            terms[e] = field.convert(rng.choice(coeffs))
+        polys.append(Polynomial(field, XYZ, terms))
+    polys += rng.sample(polys, rng.randint(0, len(polys)))
+    polys += [Polynomial.zero(XYZ, field)] * rng.randint(0, 2)
+    rng.shuffle(polys)
+    return polys, order
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(generator_lists())
+def test_buchberger_matches_the_reference_loop_bit_for_bit(case):
+    gens, order = case
+    got = buchberger(gens, order)
+    want = reference_buchberger(gens, order)
+    assert [(g.nums, g.den) for g in got] == [(g.nums, g.den) for g in want]
+    assert [str(g) for g in got] == [str(g) for g in want]
+
+
+@st.composite
+def growing_reductions(draw):
+    """Prepared divisors, split into a first list and what is appended to
+    it later, and term dicts to reduce before and after, over QQ or GF(p)."""
+    field = draw(st.sampled_from([QQ, GF]))
+    order = draw(st.sampled_from(ORDERS))
+    pk = order.packing(len(XYZ))
+    table = {}
+
+    def packed(terms):
+        return pk.pack_terms(exact_form(field, terms)[0], table)
+
+    prepared = []
+    for g in draw(st.lists(term_dicts(field, min_size=1), min_size=2, max_size=5)):
+        terms = packed(g)
+        prepared.append(divisor(terms, pk.leading(terms), pk, field))
+    split = draw(st.integers(0, len(prepared)))
+    dividends = [packed(t) for t in draw(st.lists(term_dicts(field), min_size=2, max_size=6))]
+    return prepared, split, dividends, pk, field
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(growing_reductions())
+def test_reducer_index_gives_what_a_plain_scan_gives(case):
+    prepared, split, dividends, pk, field = case
+    divisors = prepared[:split]
+    index = {}
+    for k, terms in enumerate(dividends + dividends):
+        if k == len(dividends):
+            divisors += prepared[split:]  # the basis grows between calls
+        got = normal_form_terms(dict(terms), divisors, pk, field, index)
+        assert got == normal_form_terms(dict(terms), list(divisors), pk, field)
+    assert all(0 <= at <= len(divisors) for at in index.values())
+
+
+DET = ("x*z - y^2", "x*(t + 2*x) - y*z", "y*(t + 2*x) - z^2")
+
+
+def test_det_system_reduces_fewer_s_pairs_than_the_reference_loop(monkeypatch):
+    # the 2x2 minors of [[x, y, z], [y, z, t + 2x]], the benchmark's det
+    # shape: the generators of H + I whose basis the benchmark op computes
+    fs = [P(e, FOUR) for e in DET]
+    gens = elkik_ideal(fs, list(FOUR)).generators + fs
+    pairs = []
+
+    def counting(*args):
+        pairs.append(1)
+        return spoly(*args)
+
+    spoly = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    got = buchberger(gens)
+    ours, pairs[:] = len(pairs), []
+    want = reference_buchberger(gens)
+    assert [str(g) for g in got] == [str(g) for g in want]
+    assert ours < len(pairs)
