@@ -149,6 +149,12 @@ def cmd_divide(pf, args):
     return 0, payload, lines
 
 
+def _at_least(pf, key, value, least):
+    """ParseError naming `key` when `value` is below `least`."""
+    if value < least:
+        raise ParseError(f"{key} must be at least {least} in {pf.path}, got {value}")
+
+
 def _solver_config(pf, args):
     strategy = args.strategy or pf.get("strategy") or "newton"
     if strategy not in STRATEGIES:
@@ -160,8 +166,7 @@ def _solver_config(pf, args):
     for key in ("jet_length", "K"):
         value = pf.get_int(key)
         if value is not None:
-            if value < 1:
-                raise ParseError(f"{key} must be at least 1 in {pf.path}, got {value}")
+            _at_least(pf, key, value, 1)
             setattr(cfg, key, value)
     return cfg
 
@@ -169,8 +174,8 @@ def _solver_config(pf, args):
 def _target_order(pf, args, key="target_order", default=None):
     """--target-order, or else the file's `key`; ParseError below 0."""
     c, where = (pf.get_int(key, default), key) if args.target_order is None else (args.target_order, "--target-order")
-    if c is not None and c < 0:
-        raise ParseError(f"{where} must be at least 0 in {pf.path}, got {c}")
+    if c is not None:
+        _at_least(pf, where, c, 0)
     return c
 
 
@@ -235,8 +240,7 @@ def cmd_bounds(pf, args):
         raise ParseError("bounds needs m and d")
     K = pf.get_int("K", 2)
     for key, value, least in (("m", m, 1), ("d", d, 2), ("n", n, 1), ("s", s, 1), ("K", K, 1)):
-        if value < least:
-            raise ParseError(f"{key} must be at least {least} in {pf.path}, got {value}")
+        _at_least(pf, key, value, least)
     rep = BoundReport.compute(m, d, n, s, c, K=K)
     payload = {"command": "bounds", "report": rep.to_json(), "status": "ok"}
     body = rep.to_json()

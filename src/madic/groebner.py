@@ -25,10 +25,7 @@ the Gebauer-Moeller update (JSC 1988) runs once: it keeps one new pair per
 minimal lcm and drops the coprime ones, drops each old pair (i, j) whose
 lcm lt_h divides and differs from lcm(i, h) and lcm(j, h), and an element
 whose leading monomial lt_h divides makes no new pairs.  These tests run on
-packed ints restricted to their exponent fields.  One reducer index per
-run maps a monomial to the position of its first divisor in the basis, or
-records that none of the first n divide it; the basis only grows by
-appending, so an entry stays valid and a miss scans only later divisors.
+packed ints restricted to their exponent fields.
 
 Over QQ the engine works on integers from packing to unpacking: a
 polynomial enters as its numerators (`Polynomial.nums`), a prepared divisor
@@ -100,13 +97,12 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 
 
-def normal_form_terms(terms, divisors, packing, field, index=None):
+def normal_form_terms(terms, divisors, packing, field):
     """Fully reduce a packed integer term dict, which is consumed, by
     prepared divisors: (rem, scale) with remainder rem / scale (see
-    `monomials.reduce_terms`, and there for the reducer `index`).
-    Groebner reductions enter the kernel here, so traces count them apart
-    from exact division."""
-    return reduce_terms(terms, divisors, packing, field, index=index)
+    `monomials.reduce_terms`).  Groebner reductions enter the kernel here,
+    so traces count them apart from exact division."""
+    return reduce_terms(terms, divisors, packing, field)
 
 
 def _divisors(polys, packing, table):
@@ -138,9 +134,8 @@ def buchberger(gens, order=DEGREVLEX):
     The nonzero generators enter by total degree, each reduced by the
     basis so far, and S-pairs are taken by least sugar, then least lcm.
     Every basis element is kept as a prepared divisor from the moment it
-    joins, and one reducer index serves every reduction of the run.  Over
-    QQ each generator enters as its numerators, and the basis stays
-    integral until `_reduce_basis` makes it monic.
+    joins.  Over QQ each generator enters as its numerators, and the basis
+    stays integral until `_reduce_basis` makes it monic.
     """
     gens = sorted((g for g in gens if not g.is_zero()), key=Polynomial.degree)
     if not gens:
@@ -151,9 +146,8 @@ def buchberger(gens, order=DEGREVLEX):
         if g.vars != vars or g.field != field:
             raise DomainMismatchError("generators over different rings")
     pk = order.packing(len(vars))
-    G, E = pk.guard, pk.exponents
+    E, divides = pk.exponents, pk.divides
     table = {}
-    index = {}
     basis = []
     exps = []  # leading monomials on their exponent fields alone
     excess = []  # sugar less the degree of the leading monomial
@@ -171,7 +165,7 @@ def buchberger(gens, order=DEGREVLEX):
         # lcms with h, is covered by those
         pairs = [
             p for p in pairs
-            if (((w := p[4] & E) | G) - v) & G != G or lcms[p[2]] == w or lcms[p[3]] == w
+            if not divides(v, w := p[4] & E) or lcms[p[2]] == w or lcms[p[3]] == w
         ]
         heapify(pairs)
         # one new pair per minimal lcm, none where a pair of that lcm is
@@ -181,25 +175,25 @@ def buchberger(gens, order=DEGREVLEX):
             by_lcm.setdefault(lcms[k], []).append(k)
         minimal = []
         for m in sorted(by_lcm):
-            if any(((m | G) - d) & G == G for d in minimal):
+            if any(divides(d, m) for d in minimal):
                 continue
             minimal.append(m)
             if all(m != exps[k] + v for k in by_lcm[m]):
                 k = by_lcm[m][0]
                 lcm, deg = pk.with_degrees(m)
                 heappush(pairs, (deg + max(excess[k], ex), lcm ^ pk.flip, k, h, lcm))
-        live = [k for k in live if ((exps[k] | G) - v) & G != G] + [h]
+        live = [k for k in live if not divides(v, exps[k])] + [h]
         basis.append(divisor(rem, lt, pk, field))
         exps.append(v)
         excess.append(ex)
 
     for g in gens:
-        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field, index)
+        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field)
         if rem:
             join(rem, g.degree())
     while pairs:
         sugar, _, i, j, lcm = heappop(pairs)
-        rem, _ = normal_form_terms(_spoly(basis[i], basis[j], lcm, pk, field), basis, pk, field, index)
+        rem, _ = normal_form_terms(_spoly(basis[i], basis[j], lcm, pk, field), basis, pk, field)
         if rem:
             join(rem, sugar)
     return _reduce_basis([basis[k] for k in live], pk, field, vars, table)

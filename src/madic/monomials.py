@@ -175,7 +175,7 @@ def divisor(terms, lt, packing, field):
     return lt, lc, tail, functools.reduce(packing.field_max, (m for m, _ in tail), 0)
 
 
-def reduce_terms(terms, divisors, packing, field, quotient=None, index=None):
+def reduce_terms(terms, divisors, packing, field, quotient=None):
     """Fully reduce the packed integer term dict `terms`, which is
     consumed, by prepared divisors.
 
@@ -185,32 +185,25 @@ def reduce_terms(terms, divisors, packing, field, quotient=None, index=None):
     `quotient` is a dict, each step records its cofactor in it, so with a
     single divisor terms / scale == quotient / scale * divisor + rem /
     scale.
-
-    `index`, if a dict, is a reducer index kept across calls on one list
-    of divisors that only grows by appending: it maps a monomial to the
-    position of its first divisor, or to the length of the list when no
-    divisor divides it, so a later step scans only from there.
     """
     if field.characteristic:
-        return _reduce_modular(terms, divisors, packing, field.p, quotient, index), 1
-    return _reduce_integral(terms, divisors, packing, quotient, index)
+        return _reduce_modular(terms, divisors, packing, field.p, quotient), 1
+    return _reduce_integral(terms, divisors, packing, quotient)
 
 
-def _reduce_modular(work, divisors, packing, p, quotient, index):
+def _reduce_modular(work, divisors, packing, p, quotient):
     """`reduce_terms` over GF(p): monic divisors, residues reduced inline."""
     G, flip = packing.guard, packing.flip
     heap = [-(m ^ flip) for m in work]
     heapify(heap)
     rem = {}
-    count = len(divisors)
     while heap:
         m = -heappop(heap) ^ flip
         c = work.pop(m, None)
         if c is None:
             continue  # the term cancelled after its key was pushed
         mg = m | G
-        for at in range(0 if index is None else index.get(m, 0), count):
-            lt, _, tail, hi = divisors[at]
+        for lt, _, tail, hi in divisors:
             if (mg - lt) & G == G:
                 q = m - lt
                 if (q + hi) & G:
@@ -231,14 +224,11 @@ def _reduce_modular(work, divisors, packing, p, quotient, index):
                             del work[n]
                 break
         else:
-            at = count
             rem[m] = c
-        if index is not None:
-            index[m] = at
     return rem
 
 
-def _reduce_integral(work, divisors, packing, quotient, index):
+def _reduce_integral(work, divisors, packing, quotient):
     """`reduce_terms` over QQ, by pseudo-reduction on integers.
 
     Reducing a term c by a divisor with leading coefficient lc takes
@@ -252,7 +242,6 @@ def _reduce_integral(work, divisors, packing, quotient, index):
     heap = [-(m ^ flip) for m in work]
     heapify(heap)
     rem = {}
-    count = len(divisors)
     parts = (work, rem) if quotient is None else (work, rem, quotient)
     scale = 1
     limit = 1  # remove the content once scale.bit_length() reaches 2 * limit
@@ -262,8 +251,7 @@ def _reduce_integral(work, divisors, packing, quotient, index):
         if c is None:
             continue  # the term cancelled after its key was pushed
         mg = m | G
-        for at in range(0 if index is None else index.get(m, 0), count):
-            lt, lc, tail, hi = divisors[at]
+        for lt, lc, tail, hi in divisors:
             if (mg - lt) & G == G:
                 q = m - lt
                 if (q + hi) & G:
@@ -297,10 +285,7 @@ def _reduce_integral(work, divisors, packing, quotient, index):
                     limit = scale.bit_length()
                 break
         else:
-            at = count
             rem[m] = c
-        if index is not None:
-            index[m] = at
     return rem, scale
 
 

@@ -835,41 +835,6 @@ def test_buchberger_matches_the_reference_loop_bit_for_bit(case):
     assert [str(g) for g in got] == [str(g) for g in want]
 
 
-@st.composite
-def growing_reductions(draw):
-    """Prepared divisors, split into a first list and what is appended to
-    it later, and term dicts to reduce before and after, over QQ or GF(p)."""
-    field = draw(st.sampled_from([QQ, GF]))
-    order = draw(st.sampled_from(ORDERS))
-    pk = order.packing(len(XYZ))
-    table = {}
-
-    def packed(terms):
-        return pk.pack_terms(exact_form(field, terms)[0], table)
-
-    prepared = []
-    for g in draw(st.lists(term_dicts(field, min_size=1), min_size=2, max_size=5)):
-        terms = packed(g)
-        prepared.append(divisor(terms, pk.leading(terms), pk, field))
-    split = draw(st.integers(0, len(prepared)))
-    dividends = [packed(t) for t in draw(st.lists(term_dicts(field), min_size=2, max_size=6))]
-    return prepared, split, dividends, pk, field
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(growing_reductions())
-def test_reducer_index_gives_what_a_plain_scan_gives(case):
-    prepared, split, dividends, pk, field = case
-    divisors = prepared[:split]
-    index = {}
-    for k, terms in enumerate(dividends + dividends):
-        if k == len(dividends):
-            divisors += prepared[split:]  # the basis grows between calls
-        got = normal_form_terms(dict(terms), divisors, pk, field, index)
-        assert got == normal_form_terms(dict(terms), list(divisors), pk, field)
-    assert all(0 <= at <= len(divisors) for at in index.values())
-
-
 DET = ("x*z - y^2", "x*(t + 2*x) - y*z", "y*(t + 2*x) - z^2")
 
 
