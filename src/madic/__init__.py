@@ -41,16 +41,7 @@ from .groebner import (
 )
 from .parse import parse_polynomial, parse_series
 from .poly import NEG_INF, Polynomial, PolyMatrix, determinant, jacobian, minors
-from .series import (
-    Norm,
-    OrderValue,
-    SeriesVector,
-    TruncatedSeries,
-    default_precision,
-    distance,
-    evaluate,
-    ideal_order,
-)
+from .series import OrderValue, SeriesVector, TruncatedSeries, evaluate
 from .solver import (
     MinorSelection,
     OneVarSystem,

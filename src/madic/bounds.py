@@ -152,12 +152,12 @@ class BoundReport:
     doubly_exponential_bound: int = field(init=False)
 
     @classmethod
-    def compute(cls, m, d, n, s, c, a_fn=default_a_fn, K=2):
+    def compute(cls, m, d, n, s, c, K=2):
         rep = cls(m, d, n, s, c)
         rep.elkik_degree_bound = elkik_degree_bound(m, d)
         rep.colon_degree_bound = colon_degree_bound(m, d)
         rep.power_exponent = power_exponent(m, d, n)
-        rep.gamma = gamma(m, d, s, c, a_fn)
+        rep.gamma = gamma(m, d, s, c)
         rep.beta_estimate = beta_estimate(m, d, s, K)
         rep.doubly_exponential_bound = doubly_exponential_bound(c, K)
         return rep

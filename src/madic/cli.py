@@ -149,12 +149,6 @@ def cmd_divide(pf, args):
     return 0, payload, lines
 
 
-def _at_least(pf, key, value, least):
-    """ParseError naming `key` when `value` is below `least`."""
-    if value < least:
-        raise ParseError(f"{key} must be at least {least} in {pf.path}, got {value}")
-
-
 def _solver_config(pf, args):
     strategy = args.strategy or pf.get("strategy") or "newton"
     if strategy not in STRATEGIES:
@@ -166,7 +160,7 @@ def _solver_config(pf, args):
     for key in ("jet_length", "K"):
         value = pf.get_int(key)
         if value is not None:
-            _at_least(pf, key, value, 1)
+            pf.at_least(key, value, 1)
             setattr(cfg, key, value)
     return cfg
 
@@ -175,7 +169,7 @@ def _target_order(pf, args, key="target_order", default=None):
     """--target-order, or else the file's `key`; ParseError below 0."""
     c, where = (pf.get_int(key, default), key) if args.target_order is None else (args.target_order, "--target-order")
     if c is not None:
-        _at_least(pf, where, c, 0)
+        pf.at_least(where, c, 0)
     return c
 
 
@@ -240,7 +234,7 @@ def cmd_bounds(pf, args):
         raise ParseError("bounds needs m and d")
     K = pf.get_int("K", 2)
     for key, value, least in (("m", m, 1), ("d", d, 2), ("n", n, 1), ("s", s, 1), ("K", K, 1)):
-        _at_least(pf, key, value, least)
+        pf.at_least(key, value, least)
     rep = BoundReport.compute(m, d, n, s, c, K=K)
     payload = {"command": "bounds", "report": rep.to_json(), "status": "ok"}
     body = rep.to_json()
@@ -308,8 +302,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        handler, flags = _COMMANDS[args.command]
         pf = load_problem(args.file)
-        code, payload, lines = _COMMANDS[args.command][0](pf, args)
+        if "--precision" in flags and args.precision is not None:
+            pf.at_least("--precision", args.precision, 1)
+        code, payload, lines = handler(pf, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -118,14 +118,10 @@ def _divisors(polys, packing, table):
 def normal_form(p, basis, order=DEGREVLEX):
     """Normal form of p modulo a Groebner basis; zero iff p is a member."""
     table = {}
-    if isinstance(basis, Ideal):
-        rem, den, pk = basis.groebner(order)._remainder(p, table)
-    else:
-        pk = order.packing(len(p.vars))
-        divisors = _divisors(basis, pk, table)
-        rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), divisors, pk, p.field)
-        den = p.den * scale
-    return Polynomial._of_nums(p.field, p.vars, *content_free(pk.unpack_terms(rem, table), den))
+    pk = order.packing(len(p.vars))
+    divisors = _divisors(basis, pk, table)
+    rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), divisors, pk, p.field)
+    return Polynomial._of_nums(p.field, p.vars, *content_free(pk.unpack_terms(rem, table), p.den * scale))
 
 
 def buchberger(gens, order=DEGREVLEX):
@@ -254,44 +250,31 @@ class Ideal:
         for g in self.generators:
             if g.vars != self.vars or g.field != self.field:
                 raise DomainMismatchError("generators over different rings")
-        self.default_order = order
-        self.cached_basis = None
-        self.basis_order = None
+        self.order = order
+        self.cached_basis = None  # the reduced basis under `order`
         self._divisors = None  # prepared divisors of cached_basis
 
-    def groebner(self, order=None):
-        order = order or self.default_order
-        if self.cached_basis is None or self.basis_order != order:
-            self.cached_basis = buchberger(self.generators, order)
-            self.basis_order = order
-            self._divisors = None
+    def groebner(self):
+        if self.cached_basis is None:
+            self.cached_basis = buchberger(self.generators, self.order)
         return self
 
-    def _remainder(self, p, table):
-        """(rem, den, packing): the packed integer remainder of p modulo
-        the cached basis is rem / den."""
+    def contains(self, p):
+        """Whether p reduces to zero by the cached basis."""
         if p.vars != self.vars or p.field != self.field:
             raise DomainMismatchError("polynomial and ideal over different rings")
-        pk = self.basis_order.packing(len(self.vars))
+        self.groebner()
+        pk = self.order.packing(len(self.vars))
         if self._divisors is None:
             self._divisors = _divisors(self.cached_basis, pk, {})
-        rem, scale = normal_form_terms(pk.pack_terms(p.nums, table), self._divisors, pk, p.field)
-        return rem, p.den * scale, pk
-
-    def normal_form(self, p):
-        self.groebner()
-        return normal_form(p, self, self.basis_order)
-
-    def contains(self, p):
-        self.groebner()
-        return not self._remainder(p, {})[0]
+        return not normal_form_terms(pk.pack_terms(p.nums, {}), self._divisors, pk, p.field)[0]
 
     def is_zero(self):
         return all(g.is_zero() for g in self.generators)
 
     def __add__(self, other):
         if isinstance(other, Ideal):
-            return Ideal(self.generators + other.generators, self.default_order)
+            return Ideal(self.generators + other.generators, self.order)
         return NotImplemented
 
     def serialize(self):

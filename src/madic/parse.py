@@ -55,9 +55,8 @@ class _Parser:
         self.i += 1
         return tok
 
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, 1, tok[2] + 1)
+    def fail(self, msg):
+        raise ParseError(msg, 1, self.peek()[2] + 1)
 
     def expect_op(self, op):
         kind, val, _ = self.peek()

@@ -77,10 +77,6 @@ class Polynomial:
         e[vars.index(name)] = 1
         return cls._of_nums(field, vars, {tuple(e): 1}, 1)
 
-    @classmethod
-    def monomial(cls, exponents, coeff, vars, field=QQ):
-        return cls(field, vars, {tuple(exponents): field.convert(coeff)})
-
     # -- structural helpers -------------------------------------------
 
     def _check_compatible(self, other):
@@ -104,12 +100,6 @@ class Polynomial:
         if not self.nums:
             return NEG_INF
         return max(sum(e) for e in self.nums)
-
-    def degree_in(self, name):
-        if not self.nums:
-            return NEG_INF
-        i = self.vars.index(name)
-        return max(e[i] for e in self.nums)
 
     def extend_vars(self, new_vars):
         """Re-embed into a larger (or reordered) variable universe."""

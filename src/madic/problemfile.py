@@ -76,7 +76,7 @@ class ProblemFile:
     """Parsed problem file: raw strings plus typed accessors.
 
     Equation/series text is kept verbatim so a single file can be re-read
-    under a different field or precision supplied on the command line.
+    at a precision supplied on the command line.
     """
 
     path: str
@@ -96,6 +96,11 @@ class ProblemFile:
             return int(text)
         except ValueError:
             raise ParseError(f"{key} must be an integer, got {text!r}")
+
+    def at_least(self, key, value, least):
+        """ParseError naming `key` when `value` is below `least`."""
+        if value < least:
+            raise ParseError(f"{key} must be at least {least} in {self.path}, got {value}")
 
     def get_list(self, key):
         return self.lists.get(key, [])
@@ -155,9 +160,8 @@ class ProblemFile:
         vars = self.all_vars()
         return [parse_polynomial(t, vars, fld) for t in self.require_list("equation")]
 
-    def polynomials(self, key, vars=None, fld=None):
-        fld = fld or self.field()
-        vars = vars or self.all_vars()
+    def polynomials(self, key):
+        vars, fld = self.all_vars(), self.field()
         return [parse_polynomial(t, vars, fld) for t in self.get_list(key)]
 
     def series_value(self, text, precision=None, fld=None):
@@ -181,15 +185,15 @@ class ProblemFile:
         prec = min(s.precision for s in entries)
         return SeriesVector([s.truncate(prec) for s in entries])
 
-    def approx_vector(self, precision=None, fld=None):
+    def approx_vector(self, precision=None):
         texts = self.require_list("approx")
         if len(texts) != len(self.unknowns()):
             raise ParseError(
                 f"{len(self.unknowns())} unknowns but {len(texts)} approx lines"
             )
-        return self._uniform_vector(texts, precision, fld or self.field())
+        return self._uniform_vector(texts, precision, self.field())
 
-    def family_vectors(self, precision=None, fld=None):
+    def family_vectors(self, precision=None):
         """Expand `family` template lines over the `family_range` indices.
 
         Each family line is a series literal that may contain `{k}`; the
@@ -197,7 +201,7 @@ class ProblemFile:
         """
         templates = self.require_list("family")
         lo, hi = self._range()
-        fld = fld or self.field()
+        fld = self.field()
         out = []
         labels = []
         for k in range(lo, hi + 1):
@@ -210,7 +214,7 @@ class ProblemFile:
         parts = self.require("family_range").split()
         if len(parts) != 2:
             raise ParseError("family_range must be two integers")
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = (self._int("family_range", t) for t in parts)
         if hi < lo:
             raise ParseError("empty family_range")
         return lo, hi
@@ -224,8 +228,7 @@ class ProblemFile:
             key, c = "target_order", self.get_int("target_order")
             out = [] if c is None else [c]
         for c in out:
-            if c < 0:
-                raise ParseError(f"{key} must be at least 0 in {self.path}, got {c}")
+            self.at_least(key, c, 0)
         return out
 
 

@@ -105,19 +105,6 @@ class OrderValue:
         return {"kind": "at-least-precision", "value": self.value}
 
 
-@dataclass(frozen=True)
-class Norm:
-    """The symbolic norm e^{-ord}; an upper bound e^{-N} for an apparently
-    zero series."""
-
-    order: OrderValue
-
-    def __str__(self):
-        if self.order.finite:
-            return f"e^-{self.order.value}"
-        return f"<= e^-{self.order.value}"
-
-
 # -- the product kernel ------------------------------------------------
 
 
@@ -435,13 +422,6 @@ class TruncatedSeries:
         return cls(field, vars, precision, {(0,) * len(vars): c})
 
     @classmethod
-    def variable(cls, name, vars, precision, field=QQ):
-        vars = tuple(vars)
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return cls(field, vars, precision, {tuple(e): 1})
-
-    @classmethod
     def from_polynomial(cls, p, precision):
         out = cls(p.field, p.vars, precision, {})
         nums = {e: n for e, n in p.nums.items() if sum(e) < precision}
@@ -479,9 +459,6 @@ class TruncatedSeries:
         if not self.nums:
             return OrderValue.at_least(self.precision)
         return OrderValue(min(sum(e) for e in self.nums))
-
-    def norm(self):
-        return Norm(self.order())
 
     def is_unit(self):
         return (0,) * len(self.vars) in self.nums
@@ -637,14 +614,6 @@ class SeriesVector:
         return "(" + ", ".join(str(s) for s in self.entries) + ")"
 
 
-def distance(u, v):
-    """Ultrametric distance: the max-norm of u - v."""
-    if len(u) != len(v):
-        raise DomainMismatchError("series vectors of different dimensions")
-    diffs = [a - b for a, b in zip(u, v)]
-    return Norm(SeriesVector(diffs).order())
-
-
 def substitute_numerators(nums, den, through, images, width, field, cap):
     """(numerators, den), content-free, below total degree cap, of the
     numerator dict `nums` over `den` with images substituted for some of its
@@ -728,18 +697,3 @@ def evaluate(f, zbar, assignment):
     nums, den = substitute_numerators(f.nums, f.den, through, images, len(svars), zbar.field, prec)
     return TruncatedSeries._of_nums(zbar.field, svars, prec, nums, den)
 
-
-def ideal_order(gens, zbar, assignment):
-    """Min order of the generators evaluated at zbar; a generating set
-    suffices since evaluation is linear over the ambient ring."""
-    orders = [evaluate(g, zbar, assignment).order() for g in gens]
-    finite = [o for o in orders if o.finite]
-    if not finite:
-        return OrderValue.at_least(zbar.precision)
-    return min(finite, key=lambda o: o.value)
-
-
-def default_precision(gamma_bound, target_order, slack=8):
-    """Working precision: enough headroom for Newton doubling past the
-    requested bound.  The slack constant is arbitrary."""
-    return max(gamma_bound, 2 * target_order + slack)

@@ -295,8 +295,7 @@ class AtZbar:
     w_quotients: list | None = None
 
 
-def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
-                    prepared=None, at=None):
+def tougeron_refine(fs, columns, zbar, assignment, c, prepared=None, at=None):
     """Newton iteration under the Tougeron hypothesis.
 
     `fs` is a list of polynomials or a system read, like a `PolySystem`,
@@ -383,7 +382,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
     w = None
 
     while not all(q.is_zero() for q in quotients):
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             status = STATUS_STALLED
             break
         if steps and tails:
@@ -486,8 +485,8 @@ def tougeron_refine(fs, columns, zbar, assignment, c, max_steps=_MAX_STEPS,
 
 def _move_within(diff, a, c):
     """Whether the move diff = z_j - zbar_j lies in (dbar) m^c mod m^N,
-    a = ord dbar, with the verdict of divide_series(diff, dbar,
-    order_check=c).
+    a = ord dbar: whether diff / dbar, which `divide_series` certifies, has
+    order at least c.
 
     Each move is dbar*H by construction, and k[[x, y]] is a domain, so the
     quotient is unique below N - a with order ord diff - a: the order
@@ -545,7 +544,7 @@ class OneVarSystem:
     def zbar_division(self):
         """(quotient, remainders) of each sheared zbar_i by the distinguished polynomial."""
         change, dist = self.divisor.change, self.divisor.dist
-        return [w_divide(z if change.is_identity() else change.apply_series(z), dist) for z in self.zbar]
+        return [w_divide(change.apply_series(z), dist) for z in self.zbar]
 
     @cached_property
     def point(self):
@@ -597,6 +596,14 @@ def _euclid(slices, a, zero):
     return slices[:r], slices[r:]
 
 
+def _from_y_coefficients(coords, vars, cap, field):
+    """sum_j coords[j] y^j below total degree cap, over vars = (x, y), for
+    coords[j] univariate in x: numerator n of x^d in coords[j] sits at key
+    (d, j)."""
+    parts = [({(d, j): n for (d,), n in s.nums.items() if d + j < cap}, s.den) for j, s in enumerate(coords)]
+    return TruncatedSeries._of_nums(field, vars, cap, *summed(parts, field))
+
+
 class ReducedRows:
     """Rows of a bivariate reduction, read at a point (z_ij, a_p) over
     k[[x]]/x^N, N the point's precision.
@@ -636,15 +643,12 @@ class ReducedRows:
         cap = N + max(1, r - 1) * max(max(g.degree(), 1) for g in self.sources.values())
         z = []
         for i in range(m):
-            coords = point.entries[i * r : (i + 1) * r]
-            parts = [({(d, j): n for (d,), n in s.nums.items()}, s.den) for j, s in enumerate(coords)]
-            zi = TruncatedSeries._of_nums(fld, xy, cap, *summed(parts, fld))
-            z.append(zi if change.is_identity() else change.inverse().apply_series(zi))
+            zi = _from_y_coefficients(point.entries[i * r : (i + 1) * r], xy, cap, fld)
+            z.append(change.inverse().apply_series(zi))
         z, ambient = SeriesVector(z), {u: i for i, u in enumerate(sys.unknowns)}
 
         def in_y(g):
-            P = evaluate(g, z, ambient)
-            P = P if change.is_identity() else change.apply_series(P)
+            P = change.apply_series(evaluate(g, z, ambient))
             slices = [{} for _ in range(1 + max((e for _, e in P.nums), default=0))]
             for (d, e), n in P.nums.items():
                 if d < N:
@@ -708,8 +712,7 @@ def build_one_var_system(fs, selection, zbar, assignment, N=None, residuals=None
     f_values, f_quotients = {}, {}
     for k in selection.subset:
         res = evaluate(fs[k], zbar, assignment) if residuals is None else residuals[k]
-        res = res if change.is_identity() else change.apply_series(res)
-        f_quotients[k], rems = w_divide(res, divisor.dist)
+        f_quotients[k], rems = w_divide(change.apply_series(res), divisor.dist)
         for l, rem in enumerate(rems):
             f_values[(k, l)] = _lift(rem, N)
 
@@ -869,23 +872,13 @@ def _reconstruct(sys, solved, N):
         a_solved.append(_lift(a, N))
     dist2 = DistinguishedPolynomial(r, a_solved, fld)
     dist2_series = dist2.to_series(svars, N)
+    inv = sys.divisor.change.inverse()
     entries = []
-    yser = TruncatedSeries.variable(svars[1], svars, N, fld)
     for i in range(m):
         zi = _lift(dist2_series * _lift(sys.zbar_division[i][0], N), N)
-        for j in range(r):
-            uni = solved[i * r + j]
-            biv = TruncatedSeries(
-                fld, svars, N, {(e[0], 0): cc for e, cc in uni.terms.items()}
-            )
-            zi = zi + biv * yser ** j
-        entries.append(_lift(zi, N))
-    vec = SeriesVector(entries)
-    change = sys.divisor.change
-    if not change.is_identity():
-        inv = change.inverse()
-        vec = SeriesVector([inv.apply_series(s) for s in vec])
-    return vec
+        zi = zi + _from_y_coefficients(solved.entries[i * r : (i + 1) * r], svars, N, fld)
+        entries.append(inv.apply_series(zi))
+    return SeriesVector(entries)
 
 
 def approximate_solve(fs, zbar, assignment, c, config=None):

@@ -89,8 +89,10 @@ class LinearChange:
         m-adic order and the precision are preserved.  One pass: each term
         c x^i y^j adds c sum_k C(i, k) lam^k x^(i-k) y^(j+k), read from the
         binomial powers of x + lam*y, into one accumulator of the series'
-        numerators.
+        numerators.  The identity shear returns s itself.
         """
+        if self.is_identity():
+            return s
         if len(s.vars) != 2:
             raise MadicError("linear changes act on bivariate series")
         f = s.field
@@ -156,7 +158,7 @@ def regularize(u):
     for t in range(_SHEAR_TRIES):
         lam = rng.randrange(1, p) if p and t else t
         change = LinearChange(lam, u.field)
-        v = u if lam == 0 else change.apply_series(u)
+        v = change.apply_series(u)
         yo = y_regular_order(v)
         if yo.finite and yo.value == o.value:
             return change, v
@@ -467,7 +469,7 @@ class PreparedDivisor:
             self.change, u_reg = regularize(self.u)
             self._inverse, self.dist = prepare(u_reg)
 
-    def divide(self, v, order_check=None, w_quotient=None):
+    def divide(self, v, w_quotient=None):
         """Certified exact division v / u; see `divide_series`."""
         u = self.u
         v._check(u)
@@ -493,19 +495,12 @@ class PreparedDivisor:
             self.prepare()
             change = self.change
             if w_quotient is None:
-                v_reg = v if change.is_identity() else change.apply_series(v)
-                w_quotient = w_divide(v_reg, self.dist)[0]
-            q_reg = w_quotient * self._inverse
-            q = q_reg if change.is_identity() else change.inverse().apply_series(q_reg)
-            q = q.truncate(N - r)
+                w_quotient = w_divide(change.apply_series(v), self.dist)[0]
+            q = change.inverse().apply_series(w_quotient * self._inverse).truncate(N - r)
             # exact iff u*q gives v back to precision N; the remainders of
             # the division are fixed only below N - 2r
             if not (u * TruncatedSeries._of_nums(q.field, q.vars, N, q.nums, q.den) - v).is_zero():
                 raise MadicError("series division is not exact")
-        if order_check is not None and not q.order().ge(order_check):
-            raise MadicError(
-                f"quotient order {q.order()} below required {order_check}"
-            )
         return q
 
 
@@ -519,17 +514,16 @@ def _shifted(s, k, precision):
     return TruncatedSeries._of_nums(s.field, s.vars, precision, *content_free(nums, s.den))
 
 
-def divide_series(v, u, order_check=None, w_quotient=None):
+def divide_series(v, u, w_quotient=None):
     """Certified exact division v / u of truncated series.
 
     `u` is a series or a PreparedDivisor; pass a PreparedDivisor to divide
     many dividends by one u without preparing it again.  Raises MadicError
     when v is not a multiple of u to the available precision.  The
-    quotient's precision drops by ord(u).  `order_check`, when given,
-    additionally requires ord(v/u) >= order_check.  `w_quotient`, for a
+    quotient's precision drops by ord(u).  `w_quotient`, for a
     bivariate u, is the quotient of the sheared v by u's distinguished
     polynomial when the caller has it; every check still runs.
     """
     if not isinstance(u, PreparedDivisor):
         u = PreparedDivisor(u)
-    return u.divide(v, order_check, w_quotient)
+    return u.divide(v, w_quotient)

@@ -39,10 +39,17 @@ from madic import (
     unit_a_fn,
     w_divide,
 )
+from madic.poly import NEG_INF
 from madic.solver import STATUS_OK, SolverConfig
 
 FOUR = ("x", "y", "z", "t")
 XY = ("x", "y")
+
+
+def degree_in(p, name):
+    """Degree of p in the variable `name`, NEG_INF for zero."""
+    i = p.vars.index(name)
+    return max((e[i] for e in p.nums), default=NEG_INF)
 
 
 def _report(n, ok, desc):
@@ -181,7 +188,7 @@ def test_criterion_5_generic_division_degree_bounds():
             R = Polynomial.zero(vars, field)
             for l, c in enumerate(generic_euclid(P, r, "V", a_names)):
                 R = R + c * V**l
-            if R.degree_in("V") >= r:
+            if degree_in(R, "V") >= r:
                 violations += 1
             elif not R.is_zero() and R.degree() > P.degree():
                 violations += 1
@@ -222,7 +229,7 @@ def test_criterion_6_weierstrass_round_trips():
         inverse2, dist2 = prepare(u * dist.to_series(XY, N))
         ok = ok and inverse2.inverse() == u and dist2.r == dist.r and dist2.coeffs == dist.coeffs
 
-    y = TruncatedSeries.variable("y", XY, N)
+    y = TruncatedSeries.from_polynomial(Polynomial.variable("y", XY), N)
     for _ in range(200):
         terms = {
             (rng.randint(0, 6), rng.randint(0, 6)): Fraction(rng.randint(-4, 4))
@@ -249,7 +256,7 @@ def test_criterion_7_tougeron_suite():
     rng = random.Random(1007)
     N = 32
     c = 3
-    x = TruncatedSeries.variable("x", ("x",), N)
+    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",)), N)
     ok = True
     checked = 0
 
@@ -259,16 +266,12 @@ def test_criterion_7_tougeron_suite():
     for _ in range(24):
         root = Polynomial.variable("x", ("x",), QQ)
         for _ in range(rng.randint(0, 2)):
-            root = root + Polynomial.monomial(
-                (rng.randint(2, 4),), Fraction(rng.randint(-2, 2)), ("x",), QQ
-            )
+            root = root + Polynomial(QQ, ("x",), {(rng.randint(2, 4),): Fraction(rng.randint(-2, 2))})
         instances.append(("quad", root, rng.randint(4, 7)))
     for _ in range(25):
         root = Polynomial.zero(("x",), QQ)
         for _ in range(rng.randint(1, 3)):
-            root = root + Polynomial.monomial(
-                (rng.randint(1, 5),), Fraction(rng.randint(-3, 3)), ("x",), QQ
-            )
+            root = root + Polynomial(QQ, ("x",), {(rng.randint(1, 5),): Fraction(rng.randint(-3, 3))})
         instances.append(("lin", root, rng.randint(3, 7)))
 
     for kind, root, k in instances:
@@ -292,7 +295,7 @@ def test_criterion_7_tougeron_suite():
         diff = cert.refined[0] - zbar[0]
         if not diff.is_zero_to_precision():
             try:
-                divide_series(diff, dbar, order_check=c)
+                good = good and divide_series(diff, dbar).order().ge(c)
             except Exception:
                 good = False
         prev = None
@@ -339,7 +342,7 @@ def test_criterion_9_strategy_cross_validation():
     F5 = PrimeField(5)
     c = 3
     cfg = SolverConfig(jet_length=4)
-    x = TruncatedSeries.variable("x", ("x",), 12, F5)
+    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",), F5), 12)
     suite = []
     for k in (4, 5, 6):
         f = parse_polynomial("z^2 - x^2", ("x", "z"), field=F5)
@@ -380,7 +383,7 @@ def test_criterion_10_implication_audit():
 
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     N = 30
-    x = TruncatedSeries.variable("x", ("x",), N)
+    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",)), N)
     family = [SeriesVector([x + x**k]) for k in range(4, 12)]
     rep = artin_probe([f], family, {"z": 0}, [2, 3], cfg)
     defects += len(rep.defects)

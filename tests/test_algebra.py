@@ -157,7 +157,7 @@ def test_hasse_derivatives_sum_to_the_shifted_polynomial(field, terms):
     ext = ("x", "u", "v", "s", "t")
     shifted = Polynomial.zero(ext, field)
     for alpha, t in f.hasse(("u", "v")).items():
-        shifted = shifted + t.extend_vars(ext) * Polynomial.monomial((0, 0, 0) + alpha, 1, ext, field)
+        shifted = shifted + t.extend_vars(ext) * Polynomial(field, ext, {(0, 0, 0) + alpha: 1})
     var = {name: Polynomial.variable(name, ext, field) for name in ext}
     assert shifted == f.subs({"u": var["u"] + var["s"], "v": var["v"] + var["t"]})
 

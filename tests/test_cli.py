@@ -459,30 +459,40 @@ PROBE_BODY = (
 )
 
 
+NEG_TARGET = ["--target-order", "-2"]
+
+
 @pytest.mark.parametrize(
-    "command, text, flag, where",
+    "command, text, flags, where, least, value",
     [
-        ("solve", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), False, "target_order"),
-        ("solve", SOLVE_BODY, True, "--target-order"),
-        ("refine", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), False, "target_order"),
-        ("refine", SOLVE_BODY, True, "--target-order"),
-        ("bounds", "m: 1\nd: 2\nc: -2\n", False, "c"),
-        ("bounds", "m: 1\nd: 2\n", True, "--target-order"),
-        ("probe", PROBE_BODY + "targets: 3 -2\n", False, "targets"),
-        ("probe", PROBE_BODY + "target_order: -2\n", False, "target_order"),
+        ("solve", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), [], "target_order", 0, -2),
+        ("solve", SOLVE_BODY, NEG_TARGET, "--target-order", 0, -2),
+        ("refine", SOLVE_BODY.replace("target_order: 3", "target_order: -2"), [], "target_order", 0, -2),
+        ("refine", SOLVE_BODY, NEG_TARGET, "--target-order", 0, -2),
+        ("bounds", "m: 1\nd: 2\nc: -2\n", [], "c", 0, -2),
+        ("bounds", "m: 1\nd: 2\n", NEG_TARGET, "--target-order", 0, -2),
+        ("probe", PROBE_BODY + "targets: 3 -2\n", [], "targets", 0, -2),
+        ("probe", PROBE_BODY + "target_order: -2\n", [], "target_order", 0, -2),
+        # a precision below 1 ended as an untyped "precision must be positive"
+        ("solve", SOLVE_BODY, ["--precision", "0"], "--precision", 1, 0),
+        ("refine", SOLVE_BODY, ["--precision", "-3"], "--precision", 1, -3),
+        ("probe", PROBE_BODY + "targets: 3\n", ["--precision", "0"], "--precision", 1, 0),
+        ("prepare", "series_vars: x y\nseries: y^2 - x + O(m^8)\n", ["--precision", "0"], "--precision", 1, 0),
+        ("divide", "series_vars: x y\ndividend: y^3 + O(m^8)\ndivisor: y^2 - x + O(m^8)\n",
+         ["--precision", "0"], "--precision", 1, 0),
     ],
     ids=["solve-key", "solve-flag", "refine-key", "refine-flag", "bounds-c", "bounds-flag",
-         "probe-targets", "probe-key"],
+         "probe-targets", "probe-key", "solve-precision", "refine-precision", "probe-precision",
+         "prepare-precision", "divide-precision"],
 )
-def test_a_negative_target_order_is_a_parse_error(tmp_path, capsys, command, text, flag, where):
+def test_a_negative_target_order_is_a_parse_error(tmp_path, capsys, command, text, flags, where, least, value):
     # refine certified with -2 while solve failed in bounds.gamma, untyped
     prob = tmp_path / "neg.madic"
     prob.write_text(text)
-    argv = [command, str(prob), "--json"] + (["--target-order", "-2"] if flag else [])
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, command, str(prob), "--json", *flags)
     assert code == 3
     assert out == ""
-    assert f"{where} must be at least 0" in err and "-2" in err
+    assert err == f"parse error: {where} must be at least {least} in {prob}, got {value}\n"
 
 
 def test_a_field_past_the_primality_bound_is_a_capacity_error(tmp_path, capsys):
@@ -502,3 +512,9 @@ def test_a_target_that_is_not_an_integer_is_a_parse_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "targets must be an integer, got 'x'" in err
+    # so was `family_range: 1 x`
+    prob.write_text(PROBE_BODY.replace("family_range: 4 5", "family_range: 1 x") + "targets: 3\n")
+    code, out, err = run(capsys, "probe", str(prob))
+    assert code == 3
+    assert out == ""
+    assert err == "parse error: family_range must be an integer, got 'x'\n"

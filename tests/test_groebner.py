@@ -392,7 +392,7 @@ def test_exact_div_round_trip(field, seed):
 
 def test_exponent_past_the_cap_raises():
     big = MAX_EXPONENT + 1
-    x = Polynomial.monomial((big, 0), 1, ("x", "y"))
+    x = Polynomial(QQ, ("x", "y"), {(big, 0): 1})
     with pytest.raises(CapacityError):
         buchberger([x])
     with pytest.raises(CapacityError):

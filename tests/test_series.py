@@ -1,4 +1,4 @@
-"""Truncated power-series arithmetic, orders, norms and evaluation."""
+"""Truncated power-series arithmetic, orders and evaluation."""
 
 import random
 from fractions import Fraction
@@ -15,10 +15,7 @@ from madic import (
     QQ,
     SeriesVector,
     TruncatedSeries,
-    default_precision,
-    distance,
     evaluate,
-    ideal_order,
     parse_polynomial,
     parse_series,
 )
@@ -42,13 +39,12 @@ def test_truncation_drops_high_terms():
     assert s.precision == 4
 
 
-def test_order_and_norm():
+def test_order_of_a_series_and_of_an_apparent_zero():
     s = S("x^3 + x^7 + O(m^10)")
     assert s.order() == OrderValue(3)
-    assert str(s.norm()) == "e^-3"
     z = TruncatedSeries.zero(("x",), 6)
     assert not z.order().finite
-    assert str(z.norm()) == "<= e^-6"
+    assert str(z.order()) == "at-least-precision(6)"
 
 
 def test_order_lower_bound_semantics():
@@ -137,15 +133,17 @@ def test_cannot_raise_precision():
 
 
 def test_ultrametric_distance():
-    u = SeriesVector([S("x + O(m^10)"), S("x^2 + O(m^10)")])
-    v = SeriesVector([S("x + x^4 + O(m^10)"), S("x^2 + O(m^10)")])
-    d = distance(u, v)
-    assert d.order == OrderValue(4)
+    # the distance of two vectors is e^-ord(u - v), the order of a vector
+    # the least order of its coordinates
+    def order(u, v):
+        return SeriesVector([a - b for a, b in zip(u, v)]).order()
+
+    u = [S("x + O(m^10)"), S("x^2 + O(m^10)")]
+    v = [S("x + x^4 + O(m^10)"), S("x^2 + O(m^10)")]
+    assert order(u, v) == OrderValue(4)
     # triangle inequality is an equality or better in the ultrametric
-    w = SeriesVector([S("x + x^2 + O(m^10)"), S("O(m^10)")])
-    duw = distance(u, w).order.value
-    dvw = distance(v, w).order.value
-    assert distance(u, v).order.value >= min(duw, dvw)
+    w = [S("x + x^2 + O(m^10)"), S("O(m^10)")]
+    assert order(u, v).value >= min(order(u, w).value, order(v, w).value)
 
 
 def test_evaluate_polynomial_at_series():
@@ -162,16 +160,3 @@ def test_evaluate_unassigned_unknown_fails():
     with pytest.raises(MadicError):
         evaluate(f, zbar, {"z": 0})
 
-
-def test_ideal_order_is_min_generator_order():
-    fs = [
-        parse_polynomial("z - x", ("x", "z")),
-        parse_polynomial("z^2 - x^2", ("x", "z")),
-    ]
-    zbar = SeriesVector([S("x + x^3 + O(m^10)")])
-    assert ideal_order(fs, zbar, {"z": 0}) == OrderValue(3)
-
-
-def test_default_precision_headroom():
-    assert default_precision(10, 3) == max(10, 14)
-    assert default_precision(4, 20) == 48

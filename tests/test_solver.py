@@ -9,6 +9,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from sys import setprofile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from madic import (
     HypothesisError,
     MadicError,
     OneVarSystem,
+    OrderValue,
     Polynomial,
     PreparedDivisor,
     PrimeField,
@@ -29,7 +31,6 @@ from madic import (
     build_one_var_system,
     elkik_ideal,
     evaluate,
-    ideal_order,
     jacobian,
     parse_polynomial,
     parse_series,
@@ -38,6 +39,7 @@ from madic import (
     solve_one_var,
     tougeron_refine,
 )
+from madic import solver
 from madic.cli import main
 from madic.solver import (
     _NO_NEWTON_MINOR,
@@ -57,15 +59,22 @@ from madic.weierstrass import divide_series, regularize, w_divide
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
+def variable(name, vars, N, field=QQ):
+    return TruncatedSeries.from_polynomial(Polynomial.variable(name, vars, field), N)
+
+
+def degree_in(p, name):
+    """Degree of p in the variable `name`, for p nonzero."""
+    i = p.vars.index(name)
+    return max(e[i] for e in p.nums)
+
+
 def xs(N, field=QQ):
-    return TruncatedSeries.variable("x", ("x",), N, field)
+    return variable("x", ("x",), N, field)
 
 
 def xy(N):
-    return (
-        TruncatedSeries.variable("x", ("x", "y"), N),
-        TruncatedSeries.variable("y", ("x", "y"), N),
-    )
+    return variable("x", ("x", "y"), N), variable("y", ("x", "y"), N)
 
 
 # -- select_minor -----------------------------------------------------
@@ -162,9 +171,9 @@ def test_refine_step_zero_divides_nothing_by_the_minor(monkeypatch):
     divisions, inverses = [], []
     real_divide, real_inverse = solver.divide_series, TruncatedSeries.inverse
 
-    def divide(v, u, order_check=None):
+    def divide(v, u):
         divisions.append(v == u.u)
-        return real_divide(v, u, order_check)
+        return real_divide(v, u)
 
     def inverse(self, precision=None):
         inverses.append(precision)
@@ -387,8 +396,9 @@ def _refinement(system, *args):
 
 def _both_steps(fs, zbar, assignment, c, max_steps=64):
     columns = tuple(sorted(assignment, key=assignment.get))
-    args = (columns, zbar, assignment, c, max_steps)
-    return _refinement(fs, *args), _refinement(_Divided(fs, assignment), *args)
+    args = (columns, zbar, assignment, c)
+    with mock.patch.object(solver, "_MAX_STEPS", max_steps):
+        return _refinement(fs, *args), _refinement(_Divided(fs, assignment), *args)
 
 
 @st.composite
@@ -451,9 +461,9 @@ def test_bivariate_taylor_refine_evaluates_and_divides_only_at_the_ends(monkeypa
     real_divide, real_evaluate = solver.divide_series, solver.evaluate
     real_jacobian = PolySystem.jacobian
 
-    def divide(v, u, order_check=None):
+    def divide(v, u):
         divisions.append(v)
-        return real_divide(v, u, order_check)
+        return real_divide(v, u)
 
     def evaluate_(f, point, assignment):
         evaluations.append(f)
@@ -484,9 +494,9 @@ def test_univariate_taylor_refine_divides_only_the_initial_residuals(monkeypatch
     divisions = []
     real = solver.divide_series
 
-    def divide(v, u, order_check=None):
+    def divide(v, u):
         divisions.append(v)
-        return real(v, u, order_check)
+        return real(v, u)
 
     monkeypatch.setattr(solver, "divide_series", divide)
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
@@ -553,8 +563,7 @@ def test_move_within_gives_the_division_verdict(case):
             return
     assert diff.terms
     try:
-        divide_series(diff, dbar, order_check=c)
-        expected = True
+        expected = divide_series(diff, dbar).order().ge(c)
     except MadicError:
         expected = False
     assert _move_within(diff, dbar.order().value, c) == expected
@@ -678,8 +687,8 @@ def _reference_reduction(p, change, unknowns, sys, svars):
             {e[:vi] + (0,) + e[vi + 1:]: c for e, c in work.terms.items() if e[vi] == l},
         )
 
-    while not work.is_zero() and work.degree_in(svars[1]) >= r:
-        e = work.degree_in(svars[1])
+    while not work.is_zero() and degree_in(work, svars[1]) >= r:
+        e = degree_in(work, svars[1])
         work = work - coefficient(e) * Y ** (e - r) * A
     return [coefficient(l) for l in range(r)]
 
@@ -874,7 +883,7 @@ def _refine_with_zbar_data(fs, zbar, assignment, c, max_steps, other_divisor):
     sel = MinorSelection(tuple(range(len(fs))), columns, None, None, 0, 0, jbar, at.dbar)
     if other_divisor and len(zbar.vars) == 2:
         # not dbar times a unit: that has the same distinguished polynomial
-        x, y = (TruncatedSeries.variable(v, zbar.vars, zbar.precision, zbar.field) for v in zbar.vars)
+        x, y = (variable(v, zbar.vars, zbar.precision, zbar.field) for v in zbar.vars)
         sel = dataclasses.replace(sel, dbar=at.dbar * (x + y))
     prepared = None
     try:
@@ -882,8 +891,9 @@ def _refine_with_zbar_data(fs, zbar, assignment, c, max_steps, other_divisor):
         prepared, at.w_quotients = sys.divisor, [sys.f_quotients[k] for k in sel.subset]
     except MadicError:
         pass  # univariate, a unit minor, or a squared minor that cannot be prepared
-    args = (fs, columns, zbar, assignment, c, max_steps)
-    return _refinement(*args), _refinement(*args, prepared, at), prepared is not None
+    args = (fs, columns, zbar, assignment, c)
+    with mock.patch.object(solver, "_MAX_STEPS", max_steps):
+        return _refinement(*args), _refinement(*args, prepared, at), prepared is not None
 
 
 ZBAR_DATA_EXAMPLES = [
@@ -1335,6 +1345,22 @@ def _with_examples(test):
     for case in _ranking_examples():
         test = example(case)(test)
     return test
+
+
+def ideal_order(gens, zbar, assignment):
+    """Min order of the generators evaluated at zbar; a generating set
+    suffices since evaluation is linear over the ambient ring."""
+    orders = [evaluate(g, zbar, assignment).order() for g in gens]
+    finite = [o for o in orders if o.finite]
+    if not finite:
+        return OrderValue.at_least(zbar.precision)
+    return min(finite, key=lambda o: o.value)
+
+
+def test_ideal_order_is_min_generator_order():
+    fs = [parse_polynomial("z - x", ("x", "z")), parse_polynomial("z^2 - x^2", ("x", "z"))]
+    x = xs(10)
+    assert ideal_order(fs, SeriesVector([x + x**3]), {"z": 0}) == OrderValue(3)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
