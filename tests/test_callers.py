@@ -134,10 +134,8 @@ def _unused(trees):
     for qual, called, fn in functions:
         if qual in unused:
             continue
-        bound = qual.count(".") == 2 and not any(
-            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
-        )
-        for name, position in _defaulted(fn, bound).items():
+        # a method's call binds self or cls
+        for name, position in _defaulted(fn, qual.count(".") == 2).items():
             if name in PUBLIC_API.get(qual, ()):
                 continue
             passed = [(_passed(call, name, position), owner) for c, call, owner in calls if c == called and owner is not fn]
