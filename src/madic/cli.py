@@ -111,7 +111,7 @@ def cmd_groebner(pf, args):
 
 
 def cmd_prepare(pf, args):
-    s = pf.series_value(pf.require("series"), precision=args.precision)
+    s = pf.series_value("series", pf.require("series"), precision=args.precision)
     inverse, dist = prepare(s)
     unit = inverse.inverse()
     payload = {
@@ -132,8 +132,8 @@ def cmd_prepare(pf, args):
 
 
 def cmd_divide(pf, args):
-    g = pf.series_value(pf.require("dividend"), precision=args.precision)
-    u = pf.series_value(pf.require("divisor"), precision=args.precision)
+    g = pf.series_value("dividend", pf.require("dividend"), precision=args.precision)
+    u = pf.series_value("divisor", pf.require("divisor"), precision=args.precision)
     _, dist = prepare(u)
     q, rems = w_divide(g, dist)
     payload = {

@@ -41,6 +41,7 @@ class ParseError(MadicError):
     """Malformed polynomial / series / problem-file text."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         if line is not None:
             where = f"line {line}" if column is None else f"line {line}, col {column}"
             message = f"{where}: {message}"

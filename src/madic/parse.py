@@ -11,135 +11,147 @@ Series literals are a polynomial followed by a mandatory precision suffix
 from __future__ import annotations
 
 import re
+from math import comb, lcm
+from operator import add
 
-from .errors import ParseError
-from .fields import QQ
+from .bounds import power_bits
+from .errors import CapacityError, ParseError
+from .fields import QQ, content_free
 from .poly import Polynomial
+from .series import mul_terms, pow_terms
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+# Cap on a power's size before it is expanded: C(k + t - 1, t - 1) terms for a base of t
+# terms, times max(64, k * bitlen(t * its largest number), or bitlen(p) over GF(p)) bits
+MAX_POWER_BITS = 1 << 18
 
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            raise ParseError(f"unexpected character {text[pos]!r}", 1, pos + 1)
-        if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+_TOKEN = r"\d+(?!\d)|[A-Za-z][A-Za-z0-9_]*(?![A-Za-z0-9_])|[-+*/^()]"
+_TOKENS = re.compile(_TOKEN)
+# tokens are as long as they can be, so the run of them is found without backtracking
+_RUN = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 
 
 class _Parser:
+    """Recursive descent over the tokens of a valid text, "" after them, into
+    numerator form: a sum is (nums, den), content-free, and a product of atoms
+    is one term (n, d, e); only factors of several terms meet the kernels."""
+
     def __init__(self, text, vars, field):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.vars = tuple(vars)
-        self.field = field
+        self.text, self.vars, self.field, self.p, self.i = text, tuple(vars), field, field.characteristic, 0
+        self.tokens = _TOKENS.findall(text) + [""]
+        self.one = (0,) * len(self.vars)
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, msg, i=None):
+        """ParseError at token i, by default the next one."""
+        starts = [m.start() for m in _TOKENS.finditer(self.text)] + [len(self.text)]
+        raise ParseError(msg, 1, starts[self.i if i is None else i] + 1)
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, msg):
-        raise ParseError(msg, 1, self.peek()[2] + 1)
-
-    def expect_op(self, op):
-        kind, val, _ = self.peek()
-        if kind != "op" or val != op:
-            self.fail(f"expected {op!r}")
-        self.next()
-
-    def parse_expr(self):
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            negate = val == "-"
-            self.next()
-        out = self.parse_term()
-        if negate:
-            out = -out
+    def expr(self):
+        tokens, p, out, den, tok = self.tokens, self.p, {}, 1, self.tokens[self.i]
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                t = self.parse_term()
-                out = out + t if val == "+" else out - t
-            else:
-                return out
+            self.i += tok in ("+", "-")
+            nums, d = self.term()
+            m = lcm(den, d)
+            out = {k: v * (m // den) for k, v in out.items()} if m != den else out
+            s, den = (-1 if tok == "-" else 1) * (m // d), m
+            for k, v in nums.items():
+                v = out.get(k, 0) + s * v
+                out[k] = v % p if p else v
+                if not out[k]:
+                    del out[k]  # a sum that vanishes drops at once
+            tok = tokens[self.i]
+            if tok not in ("+", "-"):
+                return content_free(out, den)
 
-    def parse_term(self):
-        out = self.parse_factor()
+    def term(self):
+        """The product of factors as (n, d, e) times `poly`, into which a factor
+        of several terms is multiplied after the term collected before it."""
+        tokens, p = self.tokens, self.p
+        n, d, e, poly, tok = 1, 1, self.one, None, "*"
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = out * self.parse_factor()
-            elif kind == "op" and val == "/":
-                self.next()
-                d = self.parse_factor()
-                if not d.is_constant() or d.is_zero():
+            f = self.factor()
+            if tok == "/":
+                if len(f) != 3 or f[2] != self.one or not f[0]:
                     self.fail("divisor must be a nonzero constant")
-                out = out.scale(self.field.inv(d.constant_coeff()))
-            elif kind in ("int", "ident") or (kind == "op" and val == "("):
-                out = out * self.parse_factor()
+                f = (pow(f[0], p - 2, p), 1, f[2]) if p else (f[1] if f[0] > 0 else -f[1], abs(f[0]), f[2])
+            if len(f) == 3:
+                n, d, e = n * f[0], d * f[1], tuple(map(add, e, f[2]))
+                if p:
+                    n %= p
+            elif poly is None:
+                poly = f
             else:
-                return out
+                (a, ad), (b, bd) = self.times(n, d, e, poly), f
+                n, d, e = 1, 1, self.one
+                if a:  # the cap is one above the product's degree: nothing is truncated
+                    a, ad = content_free(mul_terms(a, b, self.field, max(map(sum, a)) + max(map(sum, b)) + 1), ad * bd)
+                poly = a, ad
+            tok = tokens[self.i]
+            if tok in ("", "+", "-", ")", "^"):
+                return self.times(n, d, e, poly)
+            self.i += tok in ("*", "/")
 
-    def parse_factor(self):
-        base = self.parse_atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            k, e, _ = self.peek()
-            if k != "int":
-                self.fail("exponent must be a non-negative integer")
-            self.next()
-            base = base ** e
-        return base
+    def times(self, n, d, e, poly):
+        """(nums, den) of the term (n, d, e), times `poly` unless None."""
+        if poly is None or not n:
+            return content_free({e: n} if n else {}, d)
+        p = self.p
+        return content_free({tuple(map(add, k, e)): v * n % p if p else v * n for k, v in poly[0].items()}, poly[1] * d)
 
-    def parse_atom(self):
-        kind, val, tok = self.next()
-        if kind == "int":
-            return Polynomial.constant(val, self.vars, self.field)
-        if kind == "ident":
-            if val not in self.vars:
-                raise ParseError(
-                    f"unknown variable {val!r} (declared: {', '.join(self.vars)})",
-                    1,
-                    tok + 1,
-                )
-            return Polynomial.variable(val, self.vars, self.field)
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and val == "-":
-            return -self.parse_factor()
-        raise ParseError("expected a term", 1, tok + 1)
+    def factor(self):
+        base = self.atom()
+        if self.tokens[self.i] != "^":
+            return base
+        self.i += 1
+        k = self.tokens[self.i]
+        if not k.isdigit():
+            self.fail("exponent must be a non-negative integer")
+        self.i, k = self.i + 1, int(k)
+        if k == 0:
+            return 1, 1, self.one
+        nums, den = self.times(*base, None) if len(base) == 3 else base
+        t = len(nums)
+        bits = max(64, self.p.bit_length() if self.p else power_bits(t * max([den, *map(abs, nums.values())]), k))
+        if t and comb(k + t - 1, t - 1) * bits > MAX_POWER_BITS:
+            raise CapacityError(f"a power of more than {MAX_POWER_BITS} bits")
+        if t > 1:
+            return content_free(pow_terms(nums, k, self.field, k * max(map(sum, nums)) + 1), den**k)
+        (e, n), = nums.items() or ((self.one, 0),)
+        return pow(n, k, self.p) if self.p else n**k, den**k, tuple(x * k for x in e)
+
+    def atom(self):
+        i, tok = self.i, self.tokens[self.i]
+        self.i += 1
+        if tok.isdigit():
+            return int(tok) % self.p if self.p else int(tok), 1, self.one
+        if tok[:1].isalpha():
+            if tok not in self.vars:
+                self.fail(f"unknown variable {tok!r} (declared: {', '.join(self.vars)})", i)
+            j = self.vars.index(tok)
+            return 1, 1, self.one[:j] + (1,) + self.one[j + 1:]
+        if tok == "(":
+            nums, den = self.expr()
+            if self.tokens[self.i] != ")":
+                self.fail("expected ')'")
+            self.i += 1
+            if len(nums) > 1:
+                return nums, den
+            (e, n), = nums.items() or ((self.one, 0),)  # a sum of one term, or none
+            return n, den, e
+        if tok == "-":
+            f, p = self.factor(), self.p
+            return (-f[0] % p if p else -f[0],) + f[1:] if len(f) == 3 else self.times(p - 1 if p else -1, 1, self.one, f)
+        self.fail("expected a term", i)
 
 
 def parse_polynomial(text, vars, field=QQ):
+    pos = _RUN.match(text).end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r}", 1, pos + 1)
     p = _Parser(text, vars, field)
-    out = p.parse_expr()
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input after polynomial", 1, pos + 1)
-    return out
+    nums, den = p.expr()
+    if p.tokens[p.i]:
+        p.fail("trailing input after polynomial")
+    return Polynomial._of_nums(field, p.vars, nums, den)
 
 
 _O_SUFFIX = re.compile(r"^(.*?)[+\s]*O\(\s*m\s*\^\s*(\d+)\s*\)\s*$", re.DOTALL)

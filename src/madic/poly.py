@@ -92,9 +92,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.nums)
 
-    def constant_coeff(self):
-        return self.terms.get((0,) * len(self.vars), self.field.zero())
-
     def degree(self):
         """Max total degree, NEG_INF for the zero polynomial."""
         if not self.nums:
@@ -151,9 +148,6 @@ class Polynomial:
         return Polynomial._of_nums(f, self.vars, *content_free(mul_terms(a, b, f, cap), self.den * other.den))
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        return self * Polynomial.constant(c, self.vars, self.field)
 
     def __pow__(self, n):
         if n < 0:

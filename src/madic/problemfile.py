@@ -76,12 +76,14 @@ class ProblemFile:
     """Parsed problem file: raw strings plus typed accessors.
 
     Equation/series text is kept verbatim so a single file can be re-read
-    at a precision supplied on the command line.
+    at a precision supplied on the command line; `where` maps (key, value)
+    to the file line and column where that value is first written.
     """
 
     path: str
     scalars: dict = dc_field(default_factory=dict)
     lists: dict = dc_field(default_factory=dict)
+    where: dict = dc_field(default_factory=dict)
 
     # -- raw access ---------------------------------------------------
 
@@ -155,23 +157,33 @@ class ProblemFile:
     def assignment(self):
         return {u: i for i, u in enumerate(self.unknowns())}
 
+    def _read(self, key, value, parse):
+        """parse() of `value` of `key`, with a ParseError at its line and column
+        in the file; a family line is read with {k} replaced, so at its line."""
+        try:
+            return parse()
+        except ParseError as exc:
+            line, col = self.where.get((key, value), (exc.line, 1))
+            raise ParseError(exc.message, line, exc.column and key != "family" and col + exc.column - 1 or None) from None
+
     def equations(self, fld=None):
         fld = fld or self.field()
         vars = self.all_vars()
-        return [parse_polynomial(t, vars, fld) for t in self.require_list("equation")]
+        return [self._read("equation", t, lambda: parse_polynomial(t, vars, fld)) for t in self.require_list("equation")]
 
     def polynomials(self, key):
         vars, fld = self.all_vars(), self.field()
-        return [parse_polynomial(t, vars, fld) for t in self.get_list(key)]
+        return [self._read(key, t, lambda: parse_polynomial(t, vars, fld)) for t in self.get_list(key)]
 
-    def series_value(self, text, precision=None, fld=None):
-        """The series literal `text`, truncated to `precision` when given.
+    def series_value(self, key, text, precision=None, fld=None, written=None):
+        """The series literal `text` of `key` (`written` is a family line's
+        template), truncated to `precision` when given.
 
         A precision above the literal's O(m^N) would claim digits the input
         does not determine, so it is refused.
         """
-        fld = fld or self.field()
-        poly, prec = parse_series(text, self.series_vars(), fld)
+        fld, svars = fld or self.field(), self.series_vars()
+        poly, prec = self._read(key, written or text, lambda: parse_series(text, svars, fld))
         if precision is not None:
             if precision > prec:
                 raise PrecisionError(
@@ -180,8 +192,8 @@ class ProblemFile:
             prec = precision
         return TruncatedSeries.from_polynomial(poly, prec)
 
-    def _uniform_vector(self, texts, precision, fld):
-        entries = [self.series_value(t, precision, fld) for t in texts]
+    def _uniform_vector(self, key, texts, precision, fld, written=None):
+        entries = [self.series_value(key, t, precision, fld, w) for t, w in zip(texts, written or texts)]
         prec = min(s.precision for s in entries)
         return SeriesVector([s.truncate(prec) for s in entries])
 
@@ -191,7 +203,7 @@ class ProblemFile:
             raise ParseError(
                 f"{len(self.unknowns())} unknowns but {len(texts)} approx lines"
             )
-        return self._uniform_vector(texts, precision, self.field())
+        return self._uniform_vector("approx", texts, precision, self.field())
 
     def family_vectors(self, precision=None):
         """Expand `family` template lines over the `family_range` indices.
@@ -206,7 +218,7 @@ class ProblemFile:
         labels = []
         for k in range(lo, hi + 1):
             texts = [t.replace("{k}", str(k)) for t in templates]
-            out.append(self._uniform_vector(texts, precision, fld))
+            out.append(self._uniform_vector("family", texts, precision, fld, templates))
             labels.append(f"k={k}")
         return out, labels
 
@@ -245,6 +257,7 @@ def load_problem(path):
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
+        pf.where.setdefault((key, value), (lineno, raw.index(value, raw.index(":") + 1) + 1))
         if key in _REPEATABLE:
             pf.lists.setdefault(key, []).append(value)
         elif key in _SCALAR:

@@ -19,7 +19,6 @@ from madic import (
     SeriesVector,
     TruncatedSeries,
     UnsupportedInstanceError,
-    approximate_solve,
     artin_probe,
     colon,
     divide_series,
@@ -33,7 +32,6 @@ from madic import (
     parse_polynomial,
     prepare,
     radical_member,
-    select_minor,
     solve_one_var,
     tougeron_refine,
     unit_a_fn,

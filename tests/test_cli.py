@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from madic.cli import main
+from madic.parse import MAX_POWER_BITS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -341,6 +342,50 @@ def test_problem_file_errors_name_the_line_without_a_column(tmp_path, capsys, te
     assert code == 3
     assert f"parse error: line {line}: {message}" in err
     assert "col None" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("groebner", "# the example of the docs\nfield: Q\nunknowns: x y\n\norder: lex\nequation: x +* y\n"),
+        ("solve", "series_vars: x y\nunknowns: z\nequation: z^2 - x^2\napprox:   x +* y + O(m^8)\ntarget_order: 1\n"),
+        ("elkik", "unknowns: x y\nequation: x*y\ncompare: x^2\n  compare: x^2 +* y  # the second\n"),
+    ],
+    ids=["equation", "approx", "compare"],
+)
+def test_a_parse_error_names_the_file_line_and_the_column_in_it(tmp_path, capsys, command, text):
+    # each was reported at line 1 with its column inside the value
+    bad = tmp_path / "bad.madic"
+    bad.write_text(text)
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1) if "+*" in raw)
+    col = text.splitlines()[line - 1].index("*") + 1
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 3
+    assert out == ""
+    assert err == f"parse error: line {line}, col {col}: expected a term\n"
+    if command == "groebner":
+        assert (line, col) == (6, 14)
+
+
+def test_a_parse_error_in_a_family_line_names_the_line_alone(tmp_path, capsys):
+    # {k} is replaced before the line is read, so a column would not be one
+    bad = tmp_path / "family.madic"
+    bad.write_text("series_vars: x\nunknowns: z\nequation: z^2 - x^2\nfamily: x +* x^{k} + O(m^30)\nfamily_range: 4 5\ntargets: 3\n")
+    code, out, err = run(capsys, "probe", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err == "parse error: line 4: expected a term\n"
+
+
+def test_a_power_past_the_cap_ends_with_exit_4_at_once(tmp_path, capsys):
+    # (1+x+y)^400 ran past 20 s while every power was expanded
+    big = tmp_path / "power.madic"
+    big.write_text("unknowns: x y\nequation: (1+x+y)^400\n")
+    with _budget(2):
+        code, out, err = run(capsys, "groebner", str(big))
+    assert code == 4
+    assert out == ""
+    assert err == f"capacity error: a power of more than {MAX_POWER_BITS} bits\n"
 
 
 @pytest.mark.parametrize("jet_length", ["0", "-1"])

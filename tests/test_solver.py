@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -668,7 +667,7 @@ def _reference_reduction(p, change, unknowns, sys, svars):
     sys_vars = svars + tuple(sys.unknown_names)
     z_names, a_names = sys.unknown_names[: -r], sys.unknown_names[-r:]
     x, y = (Polynomial.variable(v, p.vars, fld) for v in svars)
-    sheared = p.subs({svars[0]: x + y.scale(change.lam), svars[1]: y})
+    sheared = p.subs({svars[0]: x + y * Polynomial.constant(change.lam, p.vars, fld), svars[1]: y})
     Y = Polynomial.variable(svars[1], sys_vars, fld)
     images = {}
     for i, u in enumerate(unknowns):
