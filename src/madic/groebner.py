@@ -1,43 +1,44 @@
 """Groebner-basis engine: Buchberger, membership, intersection, colon ideals,
 the Elkik Jacobian ideal and radical membership via the Rabinowitsch trick.
 
-Default order is degrevlex; intersections eliminate a fresh tag variable with
-a block order.  Ideal equality is decided by mutual normal-form reduction of
-generators, never by comparing bases.
+Default order is degrevlex.  Ideal equality is decided by mutual
+normal-form reduction of generators, never by comparing bases.
 
 Inside the engine a monomial is one packed int laid out for the order (see
 `monomials`): a product is one add, a divisibility test a subtract and a
-mask, an order key one xor.  Exponent tuples appear only at the Polynomial
-boundary, through one table per call, so the polynomials one call returns
-share one tuple per distinct monomial.  Reduction is heap-ordered: a term's
-key is computed once, when it enters the work set.  Every basis element is
-prepared once, when it joins the basis (leading monomial, leading
+mask, an order key one xor.  `_groebner` is the packed core: packed integer
+term dicts in, the reduced basis out as (numerators, leading coefficient)
+pairs; `buchberger` is its Polynomial face.  Intersections and colons stay
+packed from the first intersection to the Ideal that `colon` returns, whose
+Polynomials are built when a caller reads them.  The tag variable t of an
+intersection is the top field of a block(1) packing of (t, x), whose lower
+block is the degrevlex packing of x bit for bit: t*g adds t's unit to each
+monomial, and a t-free basis element is already packed for x.  Radical
+membership enters a cached degrevlex basis as a known Groebner basis, with
+w put first, so that degrevlex on the w-free monomials is the old order.
+Every basis element is prepared once (leading monomial, leading
 coefficient, negated tail, the tail's fieldwise maximum for the overflow
-check), and an Ideal keeps the prepared divisors of its cached basis for
-membership and normal forms.
+check), and an Ideal keeps the prepared divisors of its cached basis.
 
-`buchberger` enters the nonzero generators by total degree, each reduced
-by the basis so far, and takes S-pairs by least sugar, then least lcm
-(Giovini, Mora, Niesi, Robbiano, Traverso, ISSAC 1991): a generator's sugar
-is its total degree, a pair's is max over its i, j of sugar_i + deg lcm -
-deg lt_i, and a new element inherits its pair's.  When an element h joins,
-the Gebauer-Moeller update (JSC 1988) runs once: it keeps one new pair per
-minimal lcm and drops the coprime ones, drops each old pair (i, j) whose
-lcm lt_h divides and differs from lcm(i, h) and lcm(j, h), and an element
-whose leading monomial lt_h divides makes no new pairs.  These tests run on
-packed ints restricted to their exponent fields.
+The generators enter by total degree, each reduced by the basis so far,
+and S-pairs are taken by least sugar, then least lcm (Giovini, Mora,
+Niesi, Robbiano, Traverso, ISSAC 1991): a generator's sugar is its total
+degree, a pair's is max over its i, j of sugar_i + deg lcm - deg lt_i, and
+a new element inherits its pair's.  When an element h joins, the
+Gebauer-Moeller update (JSC 1988) runs once, on plain ints restricted to
+their exponent fields: it keeps one new pair per minimal lcm and drops the
+coprime ones, drops each old pair (i, j) whose lcm lt_h divides and
+differs from lcm(i, h) and lcm(j, h), and an element whose leading
+monomial lt_h divides makes no new pairs.  A nonzero constant ends the run.
 
 Over QQ the engine works on integers from packing to unpacking: a
-polynomial enters as its numerators (`Polynomial.nums`), a prepared divisor
-is a primitive integer polynomial with a positive leading coefficient,
-every reduction returns (rem, scale) with remainder rem / scale (see
-`monomials` for the pseudo-reduction and its content-removal rule), and
+polynomial enters as its numerators, a prepared divisor is a primitive
+integer polynomial with a positive leading coefficient, every reduction
+returns (rem, scale) with remainder rem / scale (see `monomials`), and
 S-polynomials cross-multiply by the leading coefficients over their gcd.
-Results leave in the same form, through `Polynomial._of_nums`: a reduced
-basis element is its integer remainder over its leading coefficient, and a
-normal form rem over D * scale, for D the dividend's denominator.  Over
-GF(p) divisors are monic and coefficients are residues throughout.  No
-Fraction is built.
+A reduced basis element leaves as its integer remainder over its leading
+coefficient.  Over GF(p) divisors are monic and coefficients are residues
+throughout.  No Fraction is built.
 """
 
 from __future__ import annotations
@@ -50,13 +51,8 @@ from operator import itemgetter
 
 from .errors import CapacityError, DomainMismatchError, MadicError
 from .fields import content_free
-from .monomials import MAX_EXPONENT, divisor, reduce_terms, shared_packing
-from .poly import Polynomial, exact_div, jacobian, minors
-
-# Fresh variables injected by the engine; the public parser cannot produce
-# identifiers starting with an underscore, so collisions are impossible.
-TAG_VAR = "_t"
-RABINOWITSCH_VAR = "_w"
+from .monomials import FIELD_BITS, MAX_EXPONENT, divisor, reduce_terms, shared_packing
+from .poly import Polynomial, exact_quotient, jacobian, minors
 
 ELKIK_SUBSET_CAP = 20
 
@@ -95,6 +91,7 @@ class MonomialOrder:
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
+_TAGGED = MonomialOrder("block", split=1)  # the tag variable t of `intersect` first
 
 
 def normal_form_terms(terms, divisors, packing, field):
@@ -125,30 +122,32 @@ def normal_form(p, basis, order=DEGREVLEX):
 
 
 def buchberger(gens, order=DEGREVLEX):
-    """Reduced Groebner basis of the ideal generated by `gens`.
-
-    The nonzero generators enter by total degree, each reduced by the
-    basis so far, and S-pairs are taken by least sugar, then least lcm.
-    Every basis element is kept as a prepared divisor from the moment it
-    joins.  Over QQ each generator enters as its numerators, and the basis
-    stays integral until `_reduce_basis` makes it monic.
-    """
-    gens = sorted((g for g in gens if not g.is_zero()), key=Polynomial.degree)
+    """Reduced Groebner basis of the ideal generated by `gens`: the packed
+    core `_groebner` on their numerators, under `order`."""
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    field = gens[0].field
-    vars = gens[0].vars
+    field, vars = gens[0].field, gens[0].vars
     for g in gens:
         if g.vars != vars or g.field != field:
             raise DomainMismatchError("generators over different rings")
-    pk = order.packing(len(vars))
-    E, divides = pk.exponents, pk.divides
-    table = {}
-    basis = []
-    exps = []  # leading monomials on their exponent fields alone
-    excess = []  # sugar less the degree of the leading monomial
-    live = []  # elements whose leading monomial no later one divides
-    pairs = []  # heap of (sugar, lcm key, i, j, lcm)
+    pk, table = order.packing(len(vars)), {}
+    minimal = _groebner([(pk.pack_terms(g.nums, table), g.degree()) for g in gens], pk, field)
+    return _polys(_reduce_basis(minimal, pk, field), pk, field, vars, table)
+
+
+def _groebner(gens, pk, field, known=()):
+    """A minimal Groebner basis, as prepared divisors, of `gens`, (packed
+    integer term dict, total degree) pairs whose dicts are consumed, and of
+    `known`, the prepared divisors of a reduced basis under a degree order,
+    with no S-pair among them; the basis 1 as soon as a nonzero constant
+    joins.  `_reduce_basis` makes it reduced."""
+    G, E, flip, S = pk.guard, pk.exponents, pk.flip, FIELD_BITS - 1
+    basis = list(known)
+    exps = [d[0] & E for d in basis]  # leading monomials on their exponent fields alone
+    excess = [0] * len(basis)  # sugar less the degree of the leading monomial
+    live = list(range(len(basis)))  # elements whose leading monomial no later one divides
+    pairs = []  # heap of (sugar, lcm key, i, j, lcm, lcm's exponent fields)
 
     def join(rem, sugar):
         """Append rem to the basis and update the pairs (Gebauer-Moeller)."""
@@ -156,14 +155,14 @@ def buchberger(gens, order=DEGREVLEX):
         lt = next(iter(rem))
         v, h = lt & E, len(basis)
         ex = sugar - sum(pk.unpack(lt))
-        lcms = [pk.field_max(e, v) for e in exps]
+        # the fieldwise max of e and v: v's fields, and e's where e >= v
+        lcms = [(e & (s := (ge := ((e | G) - v) & G) - (ge >> S))) | (v & ~s) for e in exps]
         # an old pair whose lcm lt_h divides, and differs from both its
         # lcms with h, is covered by those
-        pairs = [
-            p for p in pairs
-            if not divides(v, w := p[4] & E) or lcms[p[2]] == w or lcms[p[3]] == w
-        ]
-        heapify(pairs)
+        kept = [p for p in pairs if (((w := p[5]) | G) - v) & G != G or lcms[p[2]] == w or lcms[p[3]] == w]
+        if len(kept) < len(pairs):
+            heapify(kept)
+            pairs = kept
         # one new pair per minimal lcm, none where a pair of that lcm is
         # coprime; a proper divisor is a smaller int, so it comes first
         by_lcm = {}
@@ -171,28 +170,31 @@ def buchberger(gens, order=DEGREVLEX):
             by_lcm.setdefault(lcms[k], []).append(k)
         minimal = []
         for m in sorted(by_lcm):
-            if any(divides(d, m) for d in minimal):
+            if any(((m | G) - d) & G == G for d in minimal):
                 continue
             minimal.append(m)
             if all(m != exps[k] + v for k in by_lcm[m]):
                 k = by_lcm[m][0]
                 lcm, deg = pk.with_degrees(m)
-                heappush(pairs, (deg + max(excess[k], ex), lcm ^ pk.flip, k, h, lcm))
-        live = [k for k in live if not divides(v, exps[k])] + [h]
+                heappush(pairs, (deg + max(excess[k], ex), lcm ^ flip, k, h, lcm, m))
+        live = [k for k in live if ((exps[k] | G) - v) & G != G] + [h]
         basis.append(divisor(rem, lt, pk, field))
         exps.append(v)
         excess.append(ex)
 
-    for g in gens:
-        rem, _ = normal_form_terms(pk.pack_terms(g.nums, table), basis, pk, field)
+    def entries():
+        yield from sorted(gens, key=itemgetter(1))
+        while pairs:
+            sugar, _, i, j, lcm, _ = heappop(pairs)
+            yield _spoly(basis[i], basis[j], lcm, pk, field), sugar
+
+    for terms, sugar in entries():
+        rem, _ = normal_form_terms(terms, basis, pk, field)
         if rem:
-            join(rem, g.degree())
-    while pairs:
-        sugar, _, i, j, lcm = heappop(pairs)
-        rem, _ = normal_form_terms(_spoly(basis[i], basis[j], lcm, pk, field), basis, pk, field)
-        if rem:
+            if not next(iter(rem)):
+                return [(0, 1, [], 0)]
             join(rem, sugar)
-    return _reduce_basis([basis[k] for k in live], pk, field, vars, table)
+    return [basis[k] for k in live]
 
 
 def _spoly(f, g, lcm, pk, field):
@@ -221,8 +223,9 @@ def _spoly(f, g, lcm, pk, field):
     return res
 
 
-def _reduce_basis(minimal, pk, field, vars, table):
-    """The reduced basis from a minimal one, given as prepared divisors."""
+def _reduce_basis(minimal, pk, field):
+    """The reduced basis, as (rem, lc) pairs by ascending leading monomial,
+    from a minimal one, given as prepared divisors."""
     # tail-reduce each element against the others; the leading term stays
     # and becomes the denominator: rem over rem[lt] is monic (over GF(p)
     # divisors are monic already, and rem[lt] is 1)
@@ -235,42 +238,78 @@ def _reduce_basis(minimal, pk, field, vars, table):
         rem, _ = normal_form_terms(terms, others, pk, field)
         reduced.append((lt ^ pk.flip, rem, rem[lt]))
     reduced.sort(key=itemgetter(0))
-    return [Polynomial._of_nums(field, vars, *content_free(pk.unpack_terms(r, table), lc)) for _, r, lc in reduced]
+    return [(r, lc) for _, r, lc in reduced]
+
+
+def _polys(packed, pk, field, vars, table):
+    """Polynomials of packed (numerators, den) pairs."""
+    return [Polynomial._of_nums(field, vars, *content_free(pk.unpack_terms(r, table), d)) for r, d in packed]
 
 
 class Ideal:
-    """An ideal given by generators, with a lazily cached reduced basis."""
+    """An ideal given by generators, with a lazily cached reduced basis.
+    `intersect` and `colon` build it from its nonzero generators packed
+    (`packed`), and its Polynomials are built on their first read."""
 
     def __init__(self, generators, order=DEGREVLEX):
-        self.generators = list(generators)
-        if not self.generators:
+        self._generators = list(generators)
+        if not self._generators:
             raise MadicError("an Ideal needs at least one generator (possibly 0)")
-        self.vars = self.generators[0].vars
-        self.field = self.generators[0].field
-        for g in self.generators:
+        self.vars = self._generators[0].vars
+        self.field = self._generators[0].field
+        for g in self._generators:
             if g.vars != self.vars or g.field != self.field:
                 raise DomainMismatchError("generators over different rings")
         self.order = order
         self.cached_basis = None  # the reduced basis under `order`
         self._divisors = None  # prepared divisors of cached_basis
+        self._packed = None
+
+    @classmethod
+    def _of_packed(cls, vars, field, packed):
+        """The ideal of packed (numerators, den) pairs, kept, not copied."""
+        out = cls.__new__(cls)
+        out.vars, out.field, out.order, out._packed = vars, field, DEGREVLEX, packed
+        out._generators = out.cached_basis = out._divisors = None
+        return out
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            pk = DEGREVLEX.packing(len(self.vars))
+            zero = [Polynomial.zero(self.vars, self.field)]
+            self._generators = _polys(self._packed, pk, self.field, self.vars, {}) or zero
+        return self._generators
+
+    def packed(self):
+        """The nonzero generators as (numerators, den) pairs under the
+        degrevlex packing, built once; callers copy before consuming."""
+        if self._packed is None:
+            pk, table = DEGREVLEX.packing(len(self.vars)), {}
+            self._packed = [(pk.pack_terms(g.nums, table), g.den) for g in self._generators if not g.is_zero()]
+        return self._packed
 
     def groebner(self):
         if self.cached_basis is None:
             self.cached_basis = buchberger(self.generators, self.order)
         return self
 
+    def prepared(self):
+        """The prepared divisors of the cached basis, built once."""
+        self.groebner()
+        if self._divisors is None:
+            self._divisors = _divisors(self.cached_basis, self.order.packing(len(self.vars)), {})
+        return self._divisors
+
     def contains(self, p):
         """Whether p reduces to zero by the cached basis."""
         if p.vars != self.vars or p.field != self.field:
             raise DomainMismatchError("polynomial and ideal over different rings")
-        self.groebner()
         pk = self.order.packing(len(self.vars))
-        if self._divisors is None:
-            self._divisors = _divisors(self.cached_basis, pk, {})
-        return not normal_form_terms(pk.pack_terms(p.nums, {}), self._divisors, pk, p.field)[0]
+        return not normal_form_terms(pk.pack_terms(p.nums, {}), self.prepared(), pk, p.field)[0]
 
     def is_zero(self):
-        return all(g.is_zero() for g in self.generators)
+        return not self.packed()
 
     def __add__(self, other):
         if isinstance(other, Ideal):
@@ -293,42 +332,25 @@ def ideal_equal(I, J):
     )
 
 
-def _with_fresh_var(polys, name):
-    some = polys[0]
-    new_vars = (name,) + some.vars
-    return [p.extend_vars(new_vars) for p in polys], new_vars
-
-
-def _drop_var(p, name, target_vars):
-    i = p.vars.index(name)
-    nums = {}
-    for e, n in p.nums.items():
-        if e[i] != 0:
-            raise MadicError("polynomial still involves the eliminated variable")
-        nums[tuple(x for k, x in enumerate(e) if k != i)] = n
-    return Polynomial._of_nums(p.field, target_vars, nums, p.den)
+def _degree(nums, pk):
+    """The total degree of a nonzero packed term dict under degrevlex."""
+    return sum(pk.unpack(max(nums)))
 
 
 def intersect(I, J):
-    """I ∩ J by eliminating a tag variable t from t*I + (1-t)*J."""
+    """I ∩ J by eliminating a tag variable t from t*I + (1-t)*J, t the top
+    field of a block(1) packing of (t, x), whose t-free part is degrevlex."""
     if I.vars != J.vars or I.field != J.field:
         raise DomainMismatchError("ideals over different rings")
     if I.is_zero() or J.is_zero():
         return Ideal([Polynomial.zero(I.vars, I.field)])
-    polys = I.generators + J.generators
-    lifted, new_vars = _with_fresh_var(polys, TAG_VAR)
-    t = Polynomial.variable(TAG_VAR, new_vars, I.field)
-    one = Polynomial.constant(1, new_vars, I.field)
-    gens = [t * g for g in lifted[: len(I.generators)]]
-    gens += [(one - t) * g for g in lifted[len(I.generators) :]]
-    basis = buchberger(gens, MonomialOrder("block", split=1))
-    kept = []
-    for g in basis:
-        if g.nums and all(e[0] == 0 for e in g.nums):
-            kept.append(_drop_var(g, TAG_VAR, I.vars))
-    if not kept:
-        kept = [Polynomial.zero(I.vars, I.field)]
-    return Ideal(kept)
+    n, field, p = len(I.vars), I.field, I.field.characteristic
+    pk, dpk = _TAGGED.packing(n + 1), DEGREVLEX.packing(n)
+    T = pk.units[0]
+    gens = [({m + T: c for m, c in g.items()}, _degree(g, dpk) + 1) for g, _ in I.packed()]
+    gens += [(g | {m + T: -c % p if p else -c for m, c in g.items()}, _degree(g, dpk) + 1) for g, _ in J.packed()]
+    # the t-free elements of the minimal basis reduce by each other alone
+    return Ideal._of_packed(I.vars, field, _reduce_basis([d for d in _groebner(gens, pk, field) if d[0] < T], pk, field))
 
 
 def colon(J, I):
@@ -355,14 +377,18 @@ def colon(J, I):
     rest = [g for g in nonzero if g not in J.generators]
     if not rest:
         return _whole_colon(nonzero)
+    # each quotient (J ∩ (g)) / g stays packed for the intersections after it
+    field, pk = J.field, DEGREVLEX.packing(len(J.vars))
     quots = []
     for g in rest:
-        meet = intersect(J, Ideal([g]))
-        quots.append(Ideal([exact_div(h, g) for h in meet.generators if not h.is_zero()]))
+        G = Ideal([g])
+        meet, ((gterms, gden),) = intersect(J, G).packed(), G.packed()
+        quots.append(Ideal._of_packed(J.vars, field, [exact_quotient(dict(h), d, gterms, gden, pk, field) for h, d in meet]))
     if len(nonzero) == 1:
         return quots[0]
     if len(quots) == 1:
-        return Ideal(buchberger(quots[0].generators))
+        gens = [(dict(h), _degree(h, pk)) for h, _ in quots[0].packed()]
+        return Ideal._of_packed(J.vars, field, _reduce_basis(_groebner(gens, pk, field), pk, field))
     return functools.reduce(intersect, quots)
 
 
@@ -436,11 +462,25 @@ def elkik_ideal(fs, diff_vars):
 
 
 def radical_member(p, I):
-    """p ∈ √I, decided by the Rabinowitsch trick: 1 ∈ I + (1 - w*p), with
-    I given by its cached basis when it has one."""
-    lifted, new_vars = _with_fresh_var((I.cached_basis or I.generators) + [p], RABINOWITSCH_VAR)
-    w = Polynomial.variable(RABINOWITSCH_VAR, new_vars, I.field)
-    one = Polynomial.constant(1, new_vars, I.field)
-    gens = lifted[:-1] + [one - w * lifted[-1]]
-    basis = buchberger(gens, DEGREVLEX)
-    return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
+    """p ∈ √I, decided by the Rabinowitsch trick: 1 ∈ I + (1 - w*p) under
+    degrevlex on (w, x).  Put first, w has the lowest field, and degrevlex
+    on the w-free monomials is degrevlex on x: a cached degrevlex basis of
+    I is a Groebner basis there too, and enters as known, so only 1 - w*p
+    is reduced and paired.  Otherwise I's basis or generators enter."""
+    if p.vars != I.vars or p.field != I.field:
+        raise DomainMismatchError("polynomial and ideal over different rings")
+    n, field, q = len(I.vars), I.field, I.field.characteristic
+    xpk, pk = DEGREVLEX.packing(n), DEGREVLEX.packing(n + 1)
+
+    def lift(m):
+        # every field moves up one; the degree field is new for n = 1
+        return m << FIELD_BITS | (m << 2 * FIELD_BITS if n == 1 else 0)
+
+    rab = {lift(m) + pk.units[0]: -c % q if q else -c for m, c in xpk.pack_terms(p.nums, {}).items()}
+    gens, known = [(rab | {0: p.den}, p.degree() + 1)], []
+    if I.cached_basis is not None and I.order == DEGREVLEX:
+        known = [(lift(lt), lc, [(lift(m), c) for m, c in tail], lift(hi)) for lt, lc, tail, hi in I.prepared()]
+    else:
+        gens += [({lift(m): c for m, c in xpk.pack_terms(g.nums, {}).items()}, g.degree())
+                 for g in I.cached_basis or I.generators if not g.is_zero()]
+    return any(not d[0] for d in _groebner(gens, pk, field, known))

@@ -136,9 +136,6 @@ class Packing:
         sel = ge - (ge >> (FIELD_BITS - 1))  # value bits of those fields
         return (a & sel) | (b & ~sel)
 
-    def divides(self, a, b):
-        return ((b | self.guard) - a) & self.guard == self.guard
-
     def leading(self, terms):
         """The largest monomial of a nonempty packed term dict."""
         flip = self.flip

@@ -11,6 +11,7 @@ Series literals are a polynomial followed by a mandatory precision suffix
 from __future__ import annotations
 
 import re
+import sys
 from math import comb, lcm
 from operator import add
 
@@ -20,8 +21,10 @@ from .fields import QQ, content_free
 from .poly import Polynomial
 from .series import mul_terms, pow_terms
 
-# Cap on a power's size before it is expanded: C(k + t - 1, t - 1) terms for a base of t
-# terms, times max(64, k * bitlen(t * its largest number), or bitlen(p) over GF(p)) bits
+# Cap on a power's or a product's terms times bits per term (at least 64, bitlen(p) over
+# GF(p)) before it is expanded: C(k + t - 1, t - 1) terms of k * bitlen(t * its largest number)
+# bits for a base of t terms; a product adds the bits of its factors, and has at most the
+# product of their term counts and the monomials of its degree or less
 MAX_POWER_BITS = 1 << 18
 
 _TOKEN = r"\d+(?!\d)|[A-Za-z][A-Za-z0-9_]*(?![A-Za-z0-9_])|[-+*/^()]"
@@ -83,12 +86,27 @@ class _Parser:
                 (a, ad), (b, bd) = self.times(n, d, e, poly), f
                 n, d, e = 1, 1, self.one
                 if a:  # the cap is one above the product's degree: nothing is truncated
-                    a, ad = content_free(mul_terms(a, b, self.field, max(map(sum, a)) + max(map(sum, b)) + 1), ad * bd)
+                    cap, nv = max(map(sum, a)) + max(map(sum, b)) + 1, len(self.vars)
+                    bits = _height(a, ad).bit_length() + _height(b, bd).bit_length()
+                    self.charge(min(len(a) * len(b), comb(cap - 1 + nv, nv)), bits, "a product")
+                    a, ad = content_free(mul_terms(a, b, self.field, cap), ad * bd)
                 poly = a, ad
             tok = tokens[self.i]
             if tok in ("", "+", "-", ")", "^"):
                 return self.times(n, d, e, poly)
             self.i += tok in ("*", "/")
+
+    def charge(self, terms, bits, what):
+        """CapacityError when `terms` terms of `bits` bits (see MAX_POWER_BITS) pass the cap."""
+        if terms * max(64, self.p.bit_length() if self.p else bits) > MAX_POWER_BITS:
+            raise CapacityError(f"{what} of more than {MAX_POWER_BITS} bits")
+
+    def integer(self, i):
+        """The integer literal at token i, refused past the interpreter's digit limit."""
+        try:
+            return int(self.tokens[i])
+        except ValueError:
+            self.fail(f"an integer literal of more than {sys.get_int_max_str_digits()} digits", i)
 
     def times(self, n, d, e, poly):
         """(nums, den) of the term (n, d, e), times `poly` unless None."""
@@ -105,14 +123,13 @@ class _Parser:
         k = self.tokens[self.i]
         if not k.isdigit():
             self.fail("exponent must be a non-negative integer")
-        self.i, k = self.i + 1, int(k)
+        self.i, k = self.i + 1, self.integer(self.i)
         if k == 0:
             return 1, 1, self.one
         nums, den = self.times(*base, None) if len(base) == 3 else base
         t = len(nums)
-        bits = max(64, self.p.bit_length() if self.p else power_bits(t * max([den, *map(abs, nums.values())]), k))
-        if t and comb(k + t - 1, t - 1) * bits > MAX_POWER_BITS:
-            raise CapacityError(f"a power of more than {MAX_POWER_BITS} bits")
+        if t:
+            self.charge(comb(k + t - 1, t - 1), power_bits(_height(nums, den), k), "a power")
         if t > 1:
             return content_free(pow_terms(nums, k, self.field, k * max(map(sum, nums)) + 1), den**k)
         (e, n), = nums.items() or ((self.one, 0),)
@@ -122,7 +139,8 @@ class _Parser:
         i, tok = self.i, self.tokens[self.i]
         self.i += 1
         if tok.isdigit():
-            return int(tok) % self.p if self.p else int(tok), 1, self.one
+            n = self.integer(i)
+            return n % self.p if self.p else n, 1, self.one
         if tok[:1].isalpha():
             if tok not in self.vars:
                 self.fail(f"unknown variable {tok!r} (declared: {', '.join(self.vars)})", i)
@@ -141,6 +159,11 @@ class _Parser:
             f, p = self.factor(), self.p
             return (-f[0] % p if p else -f[0],) + f[1:] if len(f) == 3 else self.times(p - 1 if p else -1, 1, self.one, f)
         self.fail("expected a term", i)
+
+
+def _height(nums, den):
+    """The term count times the largest number of a sum in numerator form."""
+    return len(nums) * max([den, *map(abs, nums.values())])
 
 
 def parse_polynomial(text, vars, field=QQ):

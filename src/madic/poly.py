@@ -26,7 +26,7 @@ from operator import mul
 
 from .errors import DomainMismatchError, MadicError
 from .fields import QQ, check_same_field, content_free, exact_form, field_terms
-from .monomials import divisor, reduce_terms, shared_packing
+from .monomials import divisor, reduce_terms
 from .series import mul_terms, pow_terms, substitute_numerators, summed
 
 # Degree of the zero polynomial.
@@ -68,15 +68,6 @@ class Polynomial:
     def constant(cls, value, vars, field=QQ):
         return cls(field, vars, {(0,) * len(vars): field.convert(value)})
 
-    @classmethod
-    def variable(cls, name, vars, field=QQ):
-        vars = tuple(vars)
-        if name not in vars:
-            raise MadicError(f"unknown variable {name!r} (universe {vars})")
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return cls._of_nums(field, vars, {tuple(e): 1}, 1)
-
     # -- structural helpers -------------------------------------------
 
     def _check_compatible(self, other):
@@ -88,9 +79,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.nums
-
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.nums)
 
     def degree(self):
         """Max total degree, NEG_INF for the zero polynomial."""
@@ -266,38 +254,27 @@ class Polynomial:
         return f"<poly {self} over {self.field!r}>"
 
 
-def exact_div(p, g):
-    """Exact division p / g; raises MadicError if g does not divide p.
-
-    Single-divisor multivariate division by the heap-ordered reduction of
-    the ideal engine, under degrevlex: a lone polynomial is a Groebner basis
-    of the ideal it generates, so the remainder vanishes iff p is a
-    multiple of g, and then the quotient is p / g whatever the order.
+def exact_quotient(terms, den, gterms, gden, pk, field):
+    """(nums, den), content-free, of the exact quotient of terms / den by
+    gterms / gden, packed integer term dicts (`terms` is consumed; over
+    GF(p) both dens are 1); raises MadicError if it is not exact.  A lone
+    polynomial is a Groebner basis of the ideal it generates, so one
+    reduction by it decides, under any order.
     """
-    p._check_compatible(g)
-    if g.is_zero():
-        raise MadicError("division by the zero polynomial")
-    f = p.field
-    pk = shared_packing(len(p.vars), ((0, len(p.vars)),))
-    table = {}
-    gterms = pk.pack_terms(g.nums, table)
-    glt = pk.leading(gterms)
-    d = divisor(gterms, glt, pk, f)
-    quo = {}
-    rem, scale = reduce_terms(pk.pack_terms(p.nums, table), [d], pk, f, quo)
+    glt, quo = pk.leading(gterms), {}
+    d = divisor(gterms, glt, pk, field)
+    rem, scale = reduce_terms(terms, [d], pk, field, quo)
     if rem:
         raise MadicError("polynomial division is not exact")
-    # p.nums * scale = quo * d for d = g.nums * lc(d) / lc(g.nums): the
-    # quotient is quo * lc(d) * g.den / (lc(g.nums) * p.den * scale), which
-    # over GF(p) is quo / lc(g.nums)
+    # terms * scale = quo * d for d = gterms * lc(d) / lc(gterms): the
+    # quotient is quo * lc(d) * gden / (lc(gterms) * den * scale), which
+    # over GF(p) is quo / lc(gterms)
     lc = gterms[glt]
-    if f.characteristic:
-        inv = f.inv(lc)
-        quo, den = {q: c * inv % f.p for q, c in quo.items()}, 1
-    else:
-        num, den = d[1] * g.den, p.den * scale * lc
-        quo = {q: c * num for q, c in quo.items()}
-    return Polynomial._of_nums(f, p.vars, *content_free(pk.unpack_terms(quo, table), den))
+    if field.characteristic:
+        inv = field.inv(lc)
+        return {q: c * inv % field.p for q, c in quo.items()}, 1
+    num = d[1] * gden
+    return content_free({q: c * num for q, c in quo.items()}, den * scale * lc)
 
 
 class PolyMatrix:

@@ -39,6 +39,7 @@ from madic import (
 )
 from madic.poly import NEG_INF
 from madic.solver import STATUS_OK, SolverConfig
+from helpers import variable
 
 FOUR = ("x", "y", "z", "t")
 XY = ("x", "y")
@@ -182,7 +183,7 @@ def test_criterion_5_generic_division_degree_bounds():
             P = Polynomial(field, vars, terms)
             if P.is_zero():
                 continue
-            V = Polynomial.variable("V", vars, field)
+            V = variable("V", vars, field)
             R = Polynomial.zero(vars, field)
             for l, c in enumerate(generic_euclid(P, r, "V", a_names)):
                 R = R + c * V**l
@@ -227,7 +228,7 @@ def test_criterion_6_weierstrass_round_trips():
         inverse2, dist2 = prepare(u * dist.to_series(XY, N))
         ok = ok and inverse2.inverse() == u and dist2.r == dist.r and dist2.coeffs == dist.coeffs
 
-    y = TruncatedSeries.from_polynomial(Polynomial.variable("y", XY), N)
+    y = TruncatedSeries.from_polynomial(variable("y", XY), N)
     for _ in range(200):
         terms = {
             (rng.randint(0, 6), rng.randint(0, 6)): Fraction(rng.randint(-4, 4))
@@ -254,7 +255,7 @@ def test_criterion_7_tougeron_suite():
     rng = random.Random(1007)
     N = 32
     c = 3
-    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",)), N)
+    x = TruncatedSeries.from_polynomial(variable("x", ("x",)), N)
     ok = True
     checked = 0
 
@@ -262,7 +263,7 @@ def test_criterion_7_tougeron_suite():
     # the documented instance first
     instances.append(("quad", parse_polynomial("x", ("x",)), 4))
     for _ in range(24):
-        root = Polynomial.variable("x", ("x",), QQ)
+        root = variable("x", ("x",), QQ)
         for _ in range(rng.randint(0, 2)):
             root = root + Polynomial(QQ, ("x",), {(rng.randint(2, 4),): Fraction(rng.randint(-2, 2))})
         instances.append(("quad", root, rng.randint(4, 7)))
@@ -275,7 +276,7 @@ def test_criterion_7_tougeron_suite():
     for kind, root, k in instances:
         rvars = ("x", "z")
         root_p = root.extend_vars(rvars)
-        zvar = Polynomial.variable("z", rvars, QQ)
+        zvar = variable("z", rvars, QQ)
         if kind == "quad":
             f = zvar * zvar - root_p * root_p
             delta = parse_polynomial("2*z", rvars)
@@ -340,7 +341,7 @@ def test_criterion_9_strategy_cross_validation():
     F5 = PrimeField(5)
     c = 3
     cfg = SolverConfig(jet_length=4)
-    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",), F5), 12)
+    x = TruncatedSeries.from_polynomial(variable("x", ("x",), F5), 12)
     suite = []
     for k in (4, 5, 6):
         f = parse_polynomial("z^2 - x^2", ("x", "z"), field=F5)
@@ -381,7 +382,7 @@ def test_criterion_10_implication_audit():
 
     f = parse_polynomial("z^2 - x^2", ("x", "z"))
     N = 30
-    x = TruncatedSeries.from_polynomial(Polynomial.variable("x", ("x",)), N)
+    x = TruncatedSeries.from_polynomial(variable("x", ("x",)), N)
     family = [SeriesVector([x + x**k]) for k in range(4, 12)]
     rep = artin_probe([f], family, {"z": 0}, [2, 3], cfg)
     defects += len(rep.defects)

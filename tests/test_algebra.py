@@ -25,6 +25,7 @@ from madic import (
     parse_polynomial,
 )
 from madic.poly import NEG_INF, PolyMatrix
+from helpers import exact_div, variable
 
 
 def P(text, vars=("x", "y", "z")):
@@ -87,7 +88,7 @@ def _naive_subs(p, mapping, tvars, field):
     for e, c in p.terms.items():
         term = {(0,) * len(tvars): field.convert(c)}
         for v, x in zip(p.vars, e):
-            img = mapping[v].terms if v in mapping else Polynomial.variable(v, tvars, field).terms
+            img = mapping[v].terms if v in mapping else variable(v, tvars, field).terms
             for _ in range(x):
                 term = mul(term, img)
         for te, tc in term.items():
@@ -158,7 +159,7 @@ def test_hasse_derivatives_sum_to_the_shifted_polynomial(field, terms):
     shifted = Polynomial.zero(ext, field)
     for alpha, t in f.hasse(("u", "v")).items():
         shifted = shifted + t.extend_vars(ext) * Polynomial(field, ext, {(0, 0, 0) + alpha: 1})
-    var = {name: Polynomial.variable(name, ext, field) for name in ext}
+    var = {name: variable(name, ext, field) for name in ext}
     assert shifted == f.subs({"u": var["u"] + var["s"], "v": var["v"] + var["t"]})
 
 
@@ -197,7 +198,7 @@ def cached_subs(p, mapping):
     target = next(iter(mapping.values()))
     tvars, field = target.vars, target.field
     images = [
-        mapping[v] if v in mapping else Polynomial.variable(v, tvars, field) for v in p.vars
+        mapping[v] if v in mapping else variable(v, tvars, field) for v in p.vars
     ]
     out = {}
     cache = [{} for _ in p.vars]
@@ -515,8 +516,6 @@ def test_minors_edge_cases():
 
 
 def test_exact_division_error():
-    from madic.poly import exact_div
-
     with pytest.raises(MadicError):
         exact_div(P("x^2 + 1"), P("x"))
     assert exact_div(P("x^2 - y^2"), P("x - y")) == P("x + y")

@@ -388,6 +388,32 @@ def test_a_power_past_the_cap_ends_with_exit_4_at_once(tmp_path, capsys):
     assert err == f"capacity error: a power of more than {MAX_POWER_BITS} bits\n"
 
 
+def test_a_product_past_the_cap_ends_with_exit_4_at_once(tmp_path, capsys):
+    # the factors were multiplied one by one, at a cost about cubic in their
+    # count: 100 of them took 0.34 s
+    big = tmp_path / "product.madic"
+    big.write_text("unknowns: x y\nequation: " + "*".join(["(1+x+y)"] * 400) + "\n")
+    with _budget(2):
+        code, out, err = run(capsys, "groebner", str(big))
+    assert code == 4
+    assert out == ""
+    assert err == f"capacity error: a product of more than {MAX_POWER_BITS} bits\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit in this interpreter")
+@pytest.mark.parametrize("text", ["{}*x", "x^{}"], ids=["literal", "exponent"])
+def test_an_integer_past_the_digit_limit_is_a_parse_error_at_its_column(tmp_path, capsys, text):
+    # int() raised an untyped ValueError past the interpreter's digit limit
+    limit = sys.get_int_max_str_digits()
+    prob = tmp_path / "digits.madic"
+    prob.write_text("unknowns: x\nequation: " + text.format("1" * (limit + 700)) + "\n")
+    code, out, err = run(capsys, "groebner", str(prob))
+    assert code == 3
+    assert out == ""
+    col = 11 + text.index("{")
+    assert err == f"parse error: line 2, col {col}: an integer literal of more than {limit} digits\n"
+
+
 @pytest.mark.parametrize("jet_length", ["0", "-1"])
 def test_jet_length_below_one_is_a_parse_error(tmp_path, capsys, jet_length):
     # the GF(2) instance of test_live_reduced_jet_search_is_pinned: 0 was

@@ -45,7 +45,7 @@ import madic.groebner as groebner
 from madic.fields import exact_form, field_terms
 from madic.groebner import colon_ideals, normal_form_terms
 from madic.monomials import MAX_EXPONENT, divisor
-from madic.poly import exact_div
+from helpers import exact_div, variable
 
 
 def P(text, vars=("x", "y", "z")):
@@ -327,6 +327,12 @@ def test_heap_reduction_term_cancels_and_comes_back():
     assert engine_normal_form(p.terms, gs, DEGREVLEX, QQ) == want
 
 
+def _divides(pk, a, b):
+    """Whether the packed monomial a divides b: no field of b - a borrows
+    from its guard bit."""
+    return ((b | pk.guard) - a) & pk.guard == pk.guard
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ORDERS), st.integers(1, 5), st.data())
 def test_packed_monomials_match_exponent_tuples(order, n, data):
@@ -344,14 +350,14 @@ def test_packed_monomials_match_exponent_tuples(order, n, data):
     pa, pb = pack(a), pack(b)
     assert pk.unpack(pa) == a
     assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (key(a) < key(b))
-    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert _divides(pk, pa, pb) == all(x <= y for x, y in zip(a, b))
     assert pa + pb == pack(tuple(x + y for x, y in zip(a, b)))
     lcm = tuple(map(max, a, b))
     E = pk.exponents
     assert pk.with_degrees(pk.field_max(pa & E, pb & E)) == (pack(lcm), sum(lcm))
     top = pk.field_max(pa, pb)
     assert pk.unpack(top) == tuple(map(max, a, b))
-    assert pk.divides(pa, top) and pk.divides(pb, top)
+    assert _divides(pk, pa, top) and _divides(pk, pb, top)
 
 
 def _random_poly(rng, field, vars, max_deg=2, max_terms=3):
@@ -385,7 +391,7 @@ def test_exact_div_round_trip(field, seed):
     p = _random_poly(rng, field, XYZ, max_terms=5)
     g = _random_poly(rng, field, XYZ, max_terms=4)
     assert exact_div(p * g, g) == p
-    if not g.is_constant():
+    if g.degree() > 0:
         with pytest.raises(MadicError):
             exact_div(p * g + Polynomial.constant(1, XYZ, field), g)
 
@@ -799,9 +805,9 @@ def reference_buchberger(gens, order=DEGREVLEX):
     minimal = [
         basis[i]
         for i, lt in enumerate(lts)
-        if not any(j != i and pk.divides(lts[j], lt) and (lts[j] != lt or j < i) for j in range(len(basis)))
+        if not any(j != i and _divides(pk, lts[j], lt) and (lts[j] != lt or j < i) for j in range(len(basis)))
     ]
-    return groebner._reduce_basis(minimal, pk, field, vars, table)
+    return groebner._polys(groebner._reduce_basis(minimal, pk, field), pk, field, vars, table)
 
 
 @st.composite
@@ -856,3 +862,163 @@ def test_det_system_reduces_fewer_s_pairs_than_the_reference_loop(monkeypatch):
     want = reference_buchberger(gens)
     assert [str(g) for g in got] == [str(g) for g in want]
     assert ours < len(pairs)
+
+
+# -- the packed ideal operations against the Polynomial-level ones ---------
+
+
+def _lift(polys, name):
+    """The polynomials over (name,) + their variables."""
+    new_vars = (name,) + polys[0].vars
+    return [p.extend_vars(new_vars) for p in polys], new_vars
+
+
+def reference_intersect(I, J):
+    """`intersect` as Polynomials: t*I + (1-t)*J over (t,) + vars, a block
+    order basis, and its elements free of t with t dropped."""
+    zero = [Polynomial.zero(I.vars, I.field)]
+    if I.is_zero() or J.is_zero():
+        return zero
+    lifted, new_vars = _lift(I.generators + J.generators, "_t")
+    t = variable("_t", new_vars, I.field)
+    one = Polynomial.constant(1, new_vars, I.field)
+    k = len(I.generators)
+    gens = [t * g for g in lifted[:k]] + [(one - t) * g for g in lifted[k:]]
+    kept = []
+    for g in reference_buchberger(gens, MonomialOrder("block", split=1)):
+        if all(e[0] == 0 for e in g.nums):
+            nums = {e[1:]: n for e, n in g.nums.items()}
+            kept.append(Polynomial._of_nums(g.field, I.vars, nums, g.den))
+    return kept or zero
+
+
+def reference_colon(J, I):
+    """`colon` as Polynomials, on `reference_intersect` and `exact_div`."""
+    nonzero = [g for g in I.generators if not g.is_zero()]
+    if not nonzero:
+        return [Polynomial.constant(1, J.vars, J.field)]
+    if J.is_zero():
+        return [Polynomial.zero(J.vars, J.field)]
+    rest = [g for g in nonzero if g not in J.generators]
+    if not rest:
+        return groebner._whole_colon(nonzero).generators
+    quots = [[exact_div(h, g) for h in reference_intersect(J, Ideal([g]))] for g in rest]
+    if len(nonzero) == 1:
+        return quots[0]
+    if len(quots) == 1:
+        return reference_buchberger(quots[0])
+    meet = quots[0]
+    for q in quots[1:]:
+        meet = reference_intersect(Ideal(meet), Ideal(q))
+    return meet
+
+
+def reference_radical_member(p, I):
+    """`radical_member` as Polynomials: 1 in I + (1 - w*p), with I given by
+    its cached basis when it has one, in one basis of every generator."""
+    lifted, new_vars = _lift((I.cached_basis or I.generators) + [p], "_w")
+    w = variable("_w", new_vars, I.field)
+    one = Polynomial.constant(1, new_vars, I.field)
+    basis = reference_buchberger(lifted[:-1] + [one - w * lifted[-1]])
+    return len(basis) == 1 and basis[0].degree() == 0
+
+
+@st.composite
+def ideal_cases(draw):
+    """(J, I, p): 1-3 generators each in x, or in x and y, over QQ, GF(2)
+    or GF(32003), some zero, repeated or constant; I under degrevlex or a
+    block order, with its basis cached or not; p a polynomial."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), GF]))
+    coeffs = [Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 3)] if field == QQ else [1, 2, -1]
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    XY = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y")]))
+
+    def poly():
+        kind = rng.random()
+        if kind < 0.1:
+            return Polynomial.zero(XY, field)
+        if kind < 0.15:
+            return Polynomial.constant(rng.choice(coeffs), XY, field)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[tuple(rng.randint(0, 2) for _ in XY)] = field.convert(rng.choice(coeffs))
+        return Polynomial(field, XY, terms)
+
+    def gens():
+        out = [poly() for _ in range(rng.randint(1, 3))]
+        return out + rng.sample(out, rng.randint(0, 1))
+
+    J = Ideal(gens())
+    I = Ideal(gens(), draw(st.sampled_from([DEGREVLEX, MonomialOrder("block", split=1)])))
+    if draw(st.booleans()):
+        I.groebner()
+    return J, I, poly()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ideal_cases())
+def test_intersect_colon_and_radical_match_the_polynomial_references(case):
+    J, I, p = case
+    for got, want in ((intersect(J, I).generators, reference_intersect(J, I)),
+                      (colon(J, I).generators, reference_colon(J, I))):
+        assert [(g.nums, g.den) for g in got] == [(g.nums, g.den) for g in want]
+        assert [str(g) for g in got] == [str(g) for g in want]
+    assert radical_member(p, I) == reference_radical_member(p, I)
+
+
+def test_radical_member_whose_basis_is_the_unit_ideal():
+    # x is nilpotent mod (x^3, y^2 - x), so the run ends as soon as a
+    # constant joins; y is too, and x + 1 is a unit mod the ideal
+    I = Ideal([P("x^3"), P("y^2 - x")])
+    I.groebner()
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return core(*args)
+
+    core = groebner._groebner
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner, "_groebner", counting)
+        assert radical_member(P("x"), I) and radical_member(P("y"), I)
+        assert not radical_member(P("x + 1"), I)
+    assert calls == [1, 1, 1]
+    for q in ("x", "y", "x + 1"):
+        assert radical_member(P(q), I) == reference_radical_member(P(q), I)
+
+
+def test_radical_member_under_another_order_takes_the_generators_path(monkeypatch):
+    # a cached lex basis is not a degrevlex one: it enters as generators,
+    # with no known basis, as it did before the known-basis entry
+    I = Ideal([P("x^2 - y"), P("y^3 - z")], LEX).groebner()
+    seen = []
+
+    def spying(gens, pk, field, known=()):
+        seen.append((len(gens), len(known)))
+        return core(gens, pk, field, known)
+
+    core = groebner._groebner
+    monkeypatch.setattr(groebner, "_groebner", spying)
+    assert radical_member(P("x"), I) == reference_radical_member(P("x"), I) is False
+    assert radical_member(P("x^6 - z"), I) == reference_radical_member(P("x^6 - z"), I) is True
+    assert seen == [(len(I.cached_basis) + 1, 0)] * 2
+    J = Ideal(I.generators).groebner()
+    seen.clear()
+    assert radical_member(P("x^6 - z"), J)
+    assert seen == [(1, len(J.cached_basis))]
+
+
+def test_shear_colon_ideals_build_no_polynomial_product(monkeypatch):
+    # the colon path stays packed from the first intersection to the ideals
+    # it returns: no Polynomial product and no extension by a tag variable
+    fs = [P(e, FOUR) for e in ("x*(z+2*t)", "x*(z-2*t)", "y*z", "y*t")]
+    want = {E: [str(g) for g in J.generators] for E, J in colon_ideals(fs, len(fs)).items()}
+
+    def refuse(*args):
+        raise AssertionError("a Polynomial product on the colon path")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "extend_vars", refuse)
+    got = colon_ideals(fs, len(fs))
+    monkeypatch.undo()
+    assert {E: [str(g) for g in J.generators] for E, J in got.items()} == want

@@ -4,9 +4,10 @@
 Polynomial and every sum, product, quotient and power one Polynomial
 operation.  The parser must give the same numerators, denominator and key
 order, or the same ParseError message, on texts drawn from the grammar over
-QQ and three prime fields.  It differs on purpose in two ways: trailing
-whitespace is accepted, and a power whose expansion would exceed
-`parse.MAX_POWER_BITS` is refused with CapacityError.
+QQ and three prime fields.  It differs on purpose in three ways: trailing
+whitespace is accepted, a power or a product whose expansion would exceed
+`parse.MAX_POWER_BITS` is refused with CapacityError, and an integer past
+the interpreter's digit limit is a ParseError at its column.
 """
 
 import re
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from madic import CapacityError, ParseError, Polynomial, PrimeField, QQ, parse_polynomial
+from madic import parse
 from madic.parse import MAX_POWER_BITS
+from madic.series import mul_terms
+from helpers import variable
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))")
 
@@ -90,7 +94,7 @@ class _Reference:
             elif kind == "op" and val == "/":
                 self.next()
                 d = self.parse_factor()
-                if not d.is_constant() or d.is_zero():
+                if d.degree() != 0:  # not a nonzero constant
                     self.fail("divisor must be a nonzero constant")
                 c = self.field.inv(d.terms[(0,) * len(self.vars)])
                 out = out * Polynomial.constant(c, self.vars, self.field)
@@ -122,7 +126,7 @@ class _Reference:
                     1,
                     tok + 1,
                 )
-            return Polynomial.variable(val, self.vars, self.field)
+            return variable(val, self.vars, self.field)
         if kind == "op" and val == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -226,7 +230,7 @@ def test_edge_cases_parse_as_the_reference_does(text, field):
 @given(text=texts())
 def test_texts_parse_as_the_reference_does(text, field):
     got = outcome(parse_polynomial, text, field)
-    assume(not str(got).startswith("CapacityError"))  # the power cap, which the reference lacks
+    assume(not str(got).startswith("CapacityError"))  # the caps, which the reference lacks
     assert got == outcome(reference_parse, text, field)
 
 
@@ -259,3 +263,27 @@ def test_powers_below_the_cap_are_built():
     assert len(parse_polynomial("(1+x+y)^88", ("x", "y"), PrimeField(32003)).nums) == 4005
     assert parse_polynomial("2^262000", ("x",)).nums == {(0,): 2**262000}
     assert parse_polynomial("x^1000000", ("x",)).nums == {(1000000,): 1}
+
+
+def test_a_product_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # the product of 100 factors 1+x+y has 5151 terms, and they were
+    # multiplied one by one; now every product the kernel builds is inside
+    # the cap, and the refusal comes before the last factor
+    sizes = []
+
+    def counting(a, b, *args):
+        out = mul_terms(a, b, *args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(parse, "mul_terms", counting)
+    with pytest.raises(CapacityError, match=f"a product of more than {MAX_POWER_BITS} bits"):
+        parse_polynomial("*".join(["(1+x+y)"] * 100), ("x", "y"), PrimeField(32003))
+    assert max(sizes) * 64 <= MAX_POWER_BITS and len(sizes) < 99
+
+
+def test_products_below_the_cap_are_built():
+    # 4005 terms over GF(32003), as the power (1+x+y)^88 gives them
+    text = "(1+x+y)^44*(1+x+y)^44"
+    got = parse_polynomial(text, ("x", "y"), PrimeField(32003))
+    assert got == parse_polynomial("(1+x+y)^88", ("x", "y"), PrimeField(32003))

@@ -54,12 +54,13 @@ from madic.solver import (
 )
 from madic.poly import determinant
 from madic.weierstrass import divide_series, regularize, w_divide
+from helpers import variable as polynomial_variable
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
 def variable(name, vars, N, field=QQ):
-    return TruncatedSeries.from_polynomial(Polynomial.variable(name, vars, field), N)
+    return TruncatedSeries.from_polynomial(polynomial_variable(name, vars, field), N)
 
 
 def degree_in(p, name):
@@ -666,18 +667,18 @@ def _reference_reduction(p, change, unknowns, sys, svars):
     r, fld = sys.r, p.field
     sys_vars = svars + tuple(sys.unknown_names)
     z_names, a_names = sys.unknown_names[: -r], sys.unknown_names[-r:]
-    x, y = (Polynomial.variable(v, p.vars, fld) for v in svars)
+    x, y = (polynomial_variable(v, p.vars, fld) for v in svars)
     sheared = p.subs({svars[0]: x + y * Polynomial.constant(change.lam, p.vars, fld), svars[1]: y})
-    Y = Polynomial.variable(svars[1], sys_vars, fld)
+    Y = polynomial_variable(svars[1], sys_vars, fld)
     images = {}
     for i, u in enumerate(unknowns):
         images[u] = Polynomial.zero(sys_vars, fld)
         for j in range(r):
-            images[u] = images[u] + Polynomial.variable(z_names[i * r + j], sys_vars, fld) * Y**j
+            images[u] = images[u] + polynomial_variable(z_names[i * r + j], sys_vars, fld) * Y**j
     work = sheared.subs(images)
     A = Y**r
     for q, name in enumerate(a_names, start=1):
-        A = A + Polynomial.variable(name, sys_vars, fld) * Y ** (r - q)
+        A = A + polynomial_variable(name, sys_vars, fld) * Y ** (r - q)
     vi = sys_vars.index(svars[1])
 
     def coefficient(l):
