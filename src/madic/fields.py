@@ -7,8 +7,12 @@ denominator), over GF(p) plain ints reduced into [0, p).
 Polynomials and series keep no field elements.  Both hold one exact form
 (`exact_form`): integer numerators over one positive denominator, with
 their common content removed (`content_free`); over GF(p) the residues over
-1.  Field elements are built only for their `terms` view (`field_terms`),
-so this is the one module that imports `fractions`.
+1.  `ExactForm` is the class of that form, the base of `poly.Polynomial`
+and `series.TruncatedSeries`: it holds the operations that do not depend on
+precision, the ring check, `+` and `-` (each kind sums through `summed`),
+negation, comparison, hashing, printing and the `terms` view.  Field elements are
+built only for that view (`field_terms`), on each read, so this is the one
+module that imports `fractions`.
 
 The rational field is the default and matches the characteristic-zero
 infinite-field setting of the theory; GF(p) exists for the exhaustive
@@ -194,6 +198,101 @@ def field_terms(field, items, den):
     return {k: Fraction(n, den) for k, n in items if n}
 
 
+def summed(parts, field):
+    """(numerators, den), content-free, of the sum of `parts`, pairs
+    (numerator dict, den) over one field; a negative den subtracts."""
+    den = lcm(*(d for _, d in parts))
+    out = {}
+    for nums, d in parts:
+        s = den // d
+        for k, n in nums.items():
+            n *= s
+            out[k] = out[k] + n if k in out else n
+    return content_free(field_terms(field, out.items(), None), den)
+
+
 def check_same_field(a, b):
     if a != b:
         raise DomainMismatchError(f"coefficient domains differ: {a!r} vs {b!r}")
+
+
+class ExactForm:
+    """Content-free integer numerators `nums`, keyed by exponent tuple, over
+    one positive denominator `den`, in the variables `vars` over `field`.
+
+    A subclass gives its constructors, `_like(nums, den)` (an element of
+    the same kind, ring and precision), `_key()` (the ring, which `==` and
+    `hash` compare with the form), `_plus(other, sign)`, `__mul__` with
+    `__rmul__ = __mul__`, and `__pow__`; `_tail()` is what its printed form
+    ends with."""
+
+    __slots__ = ("field", "vars", "nums", "den")
+
+    @property
+    def terms(self):
+        """The field elements: Fractions over QQ, built on each read, or
+        the residues themselves."""
+        f = self.field
+        return self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
+
+    def is_zero(self):
+        return not self.nums
+
+    def _check(self, other):
+        """`other` as an element of this ring, an int as its constant;
+        DomainMismatchError when its field or variables differ."""
+        if isinstance(other, int):
+            return self._like(field_terms(self.field, [((0,) * len(self.vars), other)], None), 1)
+        check_same_field(self.field, other.field)
+        if self.vars != other.vars:
+            raise DomainMismatchError(f"variables differ: {self.vars} vs {other.vars}")
+        return other
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like(field_terms(self.field, ((e, -n) for e, n in self.nums.items()), None), self.den)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key() and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self._key(), self.den, frozenset(self.nums.items())))
+
+    def _tail(self):
+        return ""
+
+    def __str__(self):
+        parts = []
+        for e, c in sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True):
+            factors = []
+            for v, x in zip(self.vars, e):
+                if x == 1:
+                    factors.append(v)
+                elif x > 1:
+                    factors.append(f"{v}^{x}")
+            cs = str(c)
+            if factors and cs == "1":
+                body = "*".join(factors)
+            elif factors and cs == "-1":
+                body = "-" + "*".join(factors)
+            elif factors:
+                body = cs + "*" + "*".join(factors)
+            else:
+                body = cs
+            parts.append(body)
+        s = parts[0] if parts else "0"
+        for p in parts[1:]:
+            s += " - " + p[1:] if p.startswith("-") else " + " + p
+        return s + self._tail()

@@ -52,7 +52,7 @@ from operator import itemgetter
 from .errors import CapacityError, DomainMismatchError, MadicError
 from .fields import content_free
 from .monomials import FIELD_BITS, MAX_EXPONENT, divisor, reduce_terms, shared_packing
-from .poly import Polynomial, exact_quotient, jacobian, minors
+from .poly import Polynomial, jacobian, minors
 
 ELKIK_SUBSET_CAP = 20
 
@@ -316,9 +316,6 @@ class Ideal:
             return Ideal(self.generators + other.generators, self.order)
         return NotImplemented
 
-    def serialize(self):
-        return [str(g) for g in self.generators]
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators[:6])
         more = ", ..." if len(self.generators) > 6 else ""
@@ -351,6 +348,29 @@ def intersect(I, J):
     gens += [(g | {m + T: -c % p if p else -c for m, c in g.items()}, _degree(g, dpk) + 1) for g, _ in J.packed()]
     # the t-free elements of the minimal basis reduce by each other alone
     return Ideal._of_packed(I.vars, field, _reduce_basis([d for d in _groebner(gens, pk, field) if d[0] < T], pk, field))
+
+
+def exact_quotient(terms, den, gterms, gden, pk, field):
+    """(nums, den), content-free, of the exact quotient of terms / den by
+    gterms / gden, packed integer term dicts (`terms` is consumed; over
+    GF(p) both dens are 1); raises MadicError if it is not exact.  A lone
+    polynomial is a Groebner basis of the ideal it generates, so one
+    reduction by it decides, under any order.
+    """
+    glt, quo = pk.leading(gterms), {}
+    d = divisor(gterms, glt, pk, field)
+    rem, scale = reduce_terms(terms, [d], pk, field, quo)
+    if rem:
+        raise MadicError("polynomial division is not exact")
+    # terms * scale = quo * d for d = gterms * lc(d) / lc(gterms): the
+    # quotient is quo * lc(d) * gden / (lc(gterms) * den * scale), which
+    # over GF(p) is quo / lc(gterms)
+    lc = gterms[glt]
+    if field.characteristic:
+        inv = field.inv(lc)
+        return {q: c * inv % field.p for q, c in quo.items()}, 1
+    num = d[1] * gden
+    return content_free({q: c * num for q, c in quo.items()}, den * scale * lc)
 
 
 def colon(J, I):

@@ -4,12 +4,13 @@ A polynomial is a map from exponent tuples to nonzero coefficients, together
 with an ordered variable universe and a coefficient field.  All arithmetic is
 exact; no zero coefficient is ever stored.
 
-Coefficients have the one exact form of a series (`fields.exact_form`):
-integer numerators `nums`, content-free over one positive denominator
-`den`, and over GF(p) the residues over 1.  Every operation, the Groebner
-engine's results included, builds its output through `_of_nums`; `==` and
-`hash` compare the form as it is.  `terms`, the field elements, is a view
-built on each read (Fractions over QQ) for printing and for callers.
+A Polynomial is a `fields.ExactForm`, as a series is: integer numerators
+`nums`, content-free over one positive denominator `den`, and over GF(p)
+the residues over 1.  The base class gives the ring check, sums,
+differences, negation, `==`, `hash`, printing and the `terms` view (Fractions
+over QQ, built on each read).  This module gives the constructors and the
+operations only a polynomial has; every operation, the Groebner engine's
+results included, builds its output through `_of_nums`.
 
 Products, powers and substitutions run on the series kernels, with a cap
 above the result's degree so that nothing is truncated.
@@ -25,18 +26,17 @@ from math import comb, prod
 from operator import mul
 
 from .errors import DomainMismatchError, MadicError
-from .fields import QQ, check_same_field, content_free, exact_form, field_terms
-from .monomials import divisor, reduce_terms
-from .series import mul_terms, pow_terms, substitute_numerators, summed
+from .fields import QQ, ExactForm, check_same_field, content_free, exact_form, field_terms, summed
+from .series import mul_terms, pow_terms, substitute_numerators
 
 # Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
 
-class Polynomial:
+class Polynomial(ExactForm):
     """Numerators `nums` over `den` (see the module docstring), and `terms`."""
 
-    __slots__ = ("field", "vars", "nums", "den")
+    __slots__ = ()
 
     def __init__(self, field, vars, terms):
         self.field = field
@@ -53,12 +53,8 @@ class Polynomial:
         out.field, out.vars, out.nums, out.den = field, vars, nums, den
         return out
 
-    @property
-    def terms(self):
-        """The field elements: Fractions over QQ, built on each read, or
-        the residues themselves."""
-        f = self.field
-        return self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
+    def _like(self, nums, den):
+        return Polynomial._of_nums(self.field, self.vars, nums, den)
 
     @classmethod
     def zero(cls, vars, field=QQ):
@@ -70,15 +66,8 @@ class Polynomial:
 
     # -- structural helpers -------------------------------------------
 
-    def _check_compatible(self, other):
-        check_same_field(self.field, other.field)
-        if self.vars != other.vars:
-            raise DomainMismatchError(
-                f"variable universes differ: {self.vars} vs {other.vars}"
-            )
-
-    def is_zero(self):
-        return not self.nums
+    def _key(self):
+        return self.field, self.vars
 
     def degree(self):
         """Max total degree, NEG_INF for the zero polynomial."""
@@ -104,36 +93,19 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other, sign=1):
+    def _plus(self, other, sign):
         """self + sign * other."""
-        if isinstance(other, int):
-            other = Polynomial.constant(other, self.vars, self.field)
-        self._check_compatible(other)
-        nums, den = summed([(self.nums, self.den), (other.nums, sign * other.den)], self.field)
-        return Polynomial._of_nums(self.field, self.vars, nums, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        nums = field_terms(self.field, ((e, -n) for e, n in self.nums.items()), None)
-        return Polynomial._of_nums(self.field, self.vars, nums, self.den)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        other = self._check(other)
+        return self._like(*summed([(self.nums, self.den), (other.nums, sign * other.den)], self.field))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(other, self.vars, self.field)
-        self._check_compatible(other)
+        other = self._check(other)
         f, a, b = self.field, self.nums, other.nums
         if not a or not b:
-            return Polynomial.zero(self.vars, f)
+            return self._like({}, 1)
         # cap one above the product's degree: nothing is truncated
         cap = max(map(sum, a)) + max(map(sum, b)) + 1
-        return Polynomial._of_nums(f, self.vars, *content_free(mul_terms(a, b, f, cap), self.den * other.den))
+        return self._like(*content_free(mul_terms(a, b, f, cap), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -146,20 +118,7 @@ class Polynomial:
         power = pow_terms(nums, n, f, n * max(map(sum, nums), default=0) + 1)
         # n = 1 returns the argument, and no two polynomials share a dict
         power = dict(power) if power is nums else power
-        return Polynomial._of_nums(f, self.vars, *content_free(power, self.den ** n))
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.vars == other.vars
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.vars, self.den, frozenset(self.nums.items())))
+        return self._like(*content_free(power, self.den ** n))
 
     # -- calculus and substitution ------------------------------------
 
@@ -171,14 +130,14 @@ class Polynomial:
         # e -> e - 1 at i is one to one
         nums = field_terms(f, ((e[:i] + (e[i] - 1,) + e[i + 1:], n * e[i])
                                for e, n in self.nums.items() if e[i]), None)
-        return Polynomial._of_nums(f, self.vars, *content_free(nums, self.den))
+        return self._like(*content_free(nums, self.den))
 
     def hasse(self, names):
         """Hasse derivatives in `names`: alpha -> T_alpha with f(u + t) =
         sum_alpha T_alpha(u) t^alpha.  Term c*u^e gives c * prod_j
         binom(e_j, alpha_j) * u^(e - alpha): no division by alpha!"""
         idx = [self.vars.index(v) for v in names]
-        f, p, out = self.field, self.field.characteristic, {}
+        p, out = self.field.characteristic, {}
         for e, n in self.nums.items():
             for alpha in itertools.product(*(range(e[i] + 1) for i in idx)):
                 k = n * prod(map(comb, (e[i] for i in idx), alpha))
@@ -190,7 +149,7 @@ class Polynomial:
                         rest[i] -= a
                     # e -> e - alpha is one to one, so no two terms meet
                     out.setdefault(alpha, {})[tuple(rest)] = k
-        return {a: Polynomial._of_nums(f, self.vars, *content_free(t, self.den)) for a, t in out.items()}
+        return {a: self._like(*content_free(t, self.den)) for a, t in out.items()}
 
     def subs(self, mapping):
         """Substitute polynomials for variables.
@@ -222,59 +181,8 @@ class Polynomial:
         nums, den = substitute_numerators(self.nums, self.den, through, images, len(tvars), field, cap)
         return Polynomial._of_nums(field, tvars, nums, den)
 
-    # -- printing -----------------------------------------------------
-
-    def __str__(self):
-        if not self.nums:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True):
-            factors = []
-            for v, x in zip(self.vars, e):
-                if x == 1:
-                    factors.append(v)
-                elif x > 1:
-                    factors.append(f"{v}^{x}")
-            cs = str(c)
-            if factors and cs == "1":
-                body = "*".join(factors)
-            elif factors and cs == "-1":
-                body = "-" + "*".join(factors)
-            elif factors:
-                body = cs + "*" + "*".join(factors)
-            else:
-                body = cs
-            parts.append(body)
-        s = parts[0]
-        for p in parts[1:]:
-            s += " - " + p[1:] if p.startswith("-") else " + " + p
-        return s
-
     def __repr__(self):
         return f"<poly {self} over {self.field!r}>"
-
-
-def exact_quotient(terms, den, gterms, gden, pk, field):
-    """(nums, den), content-free, of the exact quotient of terms / den by
-    gterms / gden, packed integer term dicts (`terms` is consumed; over
-    GF(p) both dens are 1); raises MadicError if it is not exact.  A lone
-    polynomial is a Groebner basis of the ideal it generates, so one
-    reduction by it decides, under any order.
-    """
-    glt, quo = pk.leading(gterms), {}
-    d = divisor(gterms, glt, pk, field)
-    rem, scale = reduce_terms(terms, [d], pk, field, quo)
-    if rem:
-        raise MadicError("polynomial division is not exact")
-    # terms * scale = quo * d for d = gterms * lc(d) / lc(gterms): the
-    # quotient is quo * lc(d) * gden / (lc(gterms) * den * scale), which
-    # over GF(p) is quo / lc(gterms)
-    lc = gterms[glt]
-    if field.characteristic:
-        inv = field.inv(lc)
-        return {q: c * inv % field.p for q, c in quo.items()}, 1
-    num = d[1] * gden
-    return content_free({q: c * num for q, c in quo.items()}, den * scale * lc)
 
 
 class PolyMatrix:

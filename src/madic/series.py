@@ -8,13 +8,15 @@ truncated series cannot be certified, so `ord` returns a lower-bound marker
 Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
 
-A series has the one exact form of `fields.exact_form`, which it shares
-with `poly.Polynomial`: integer numerators, keyed by exponent tuple, over
-one positive denominator, with their common content removed.  Over GF(p)
-these are the residues over 1, so both fields share it, and `==` and
-`hash` compare it as it is.  The kernels and the series operations take
-and return numerators; `terms`, the Fractions over QQ, is built on first
-read and kept, for printing and JSON.
+A TruncatedSeries is a `fields.ExactForm`, as a polynomial is: integer
+numerators, keyed by exponent tuple, over one positive denominator, with
+their common content removed.  Over GF(p) these are the residues over 1, so
+both fields share it.  The base class gives the ring check, negation, `==`
+and `hash` (which compare the form and the precision), printing (with
+` + O(m^N)` appended) and `terms`, the Fractions over QQ, built on each read
+for printing and JSON; sums and differences are taken at the lower of the
+two precisions.  The kernels and the series operations take and return
+numerators.
 
 Every truncated product of the series and polynomial layers goes through
 one exact sparse kernel, `mul_terms`, over numerator dicts keyed by
@@ -68,12 +70,12 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, itemgetter, mul, sub
 from struct import pack, unpack
 
-from .errors import DomainMismatchError, MadicError, PrecisionError
-from .fields import QQ, check_same_field, content_free, exact_form, field_terms
+from .errors import MadicError, PrecisionError
+from .fields import QQ, ExactForm, content_free, exact_form, field_terms, summed
 
 
 @dataclass(frozen=True)
@@ -373,24 +375,11 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     return content_free(nums, common * scale) if scale != 1 else (nums, common)
 
 
-def summed(parts, field):
-    """(numerators, den), content-free, of the sum of `parts`, pairs
-    (numerator dict, den) over one field; a negative den subtracts."""
-    den = lcm(*(d for _, d in parts))
-    out = {}
-    for nums, d in parts:
-        s = den // d
-        for k, n in nums.items():
-            n *= s
-            out[k] = out[k] + n if k in out else n
-    return content_free(field_terms(field, out.items(), None), den)
-
-
-class TruncatedSeries:
+class TruncatedSeries(ExactForm):
     """k[[x]] or k[[x, y]] mod m^precision: content-free numerators `nums`
     over `den` (see the module docstring), and the view `terms`."""
 
-    __slots__ = ("field", "vars", "precision", "nums", "den", "_terms")
+    __slots__ = ("precision",)
 
     def __init__(self, field, vars, precision, terms):
         vars = tuple(vars)
@@ -398,7 +387,7 @@ class TruncatedSeries:
             raise MadicError("series live in one or two variables")
         if precision <= 0:
             raise MadicError("precision must be positive")
-        self.field, self.vars, self.precision, self._terms = field, vars, precision, None
+        self.field, self.vars, self.precision = field, vars, precision
         self.nums, self.den = exact_form(field, {e: c for e, c in terms.items() if sum(e) < precision})
 
     # -- constructors -------------------------------------------------
@@ -408,9 +397,12 @@ class TruncatedSeries:
         """A series of content-free, nonzero numerators `nums` of degree <
         precision over `den`, as the kernels return them, kept, not copied."""
         out = cls.__new__(cls)
-        out.field, out.vars, out.precision, out._terms = field, vars, precision, None
+        out.field, out.vars, out.precision = field, vars, precision
         out.nums, out.den = nums, den
         return out
+
+    def _like(self, nums, den):
+        return TruncatedSeries._of_nums(self.field, self.vars, self.precision, nums, den)
 
     @classmethod
     def zero(cls, vars, precision, field=QQ):
@@ -428,32 +420,13 @@ class TruncatedSeries:
         out.nums, out.den = content_free(nums, p.den)
         return out
 
-    @property
-    def terms(self):
-        """The field elements: Fractions over QQ, built once, or residues."""
-        if self._terms is None:
-            f = self.field
-            self._terms = self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
-        return self._terms
-
-    def to_polynomial(self):
-        from .poly import Polynomial
-        return Polynomial._of_nums(self.field, self.vars, self.nums, self.den)
-
     # -- basics -------------------------------------------------------
 
-    def _check(self, other):
-        check_same_field(self.field, other.field)
-        if self.vars != other.vars:
-            raise DomainMismatchError(
-                f"series variables differ: {self.vars} vs {other.vars}"
-            )
+    def _key(self):
+        return self.field, self.vars, self.precision
 
-    def is_zero_to_precision(self):
-        return not self.nums
-
-    # read by ring-generic code, such as `poly.determinant`
-    is_zero = is_zero_to_precision
+    def _tail(self):
+        return f" + O(m^{self.precision})"
 
     def order(self):
         if not self.nums:
@@ -479,50 +452,27 @@ class TruncatedSeries:
 
     def _plus(self, other, sign):
         """self + sign * other, at the lower precision."""
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
-        self._check(other)
+        other = self._check(other)
         prec = min(self.precision, other.precision)
         a, b = self.truncate(prec), other.truncate(prec)
         nums, den = summed([(a.nums, a.den), (b.nums, sign * b.den)], self.field)
         return TruncatedSeries._of_nums(self.field, self.vars, prec, nums, den)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        nums = field_terms(self.field, ((e, -n) for e, n in self.nums.items()), None)
-        return TruncatedSeries._of_nums(self.field, self.vars, self.precision, nums, self.den)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(other, self.vars, self.precision, self.field)
-        self._check(other)
+        other = self._check(other)
         f, prec = self.field, min(self.precision, other.precision)
         nums = mul_terms(self.nums, other.nums, f, prec)
         return TruncatedSeries._of_nums(f, self.vars, prec, *content_free(nums, self.den * other.den))
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * TruncatedSeries.constant(c, self.vars, self.precision, self.field)
-
     def __pow__(self, n):
         if n < 0:
             raise MadicError("negative series power")
         if n == 0:
             return TruncatedSeries.constant(1, self.vars, self.precision, self.field)
-        f, prec = self.field, self.precision
-        nums = pow_terms(self.nums, n, f, prec)
-        return TruncatedSeries._of_nums(f, self.vars, prec, *content_free(nums, self.den ** n))
+        nums = pow_terms(self.nums, n, self.field, self.precision)
+        return self._like(*content_free(nums, self.den ** n))
 
     def inverse(self, precision=None):
         """Multiplicative inverse of a unit to `precision` (default and at
@@ -553,24 +503,6 @@ class TruncatedSeries:
             raise PrecisionError(f"cannot divide at precision {precision}")
         nums, den = quotient_numerators(self.nums, self.den, w.nums, w.den, self.field, precision)
         return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.vars == other.vars
-            and self.precision == other.precision
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.vars, self.precision, self.den, frozenset(self.nums.items())))
-
-    def __str__(self):
-        body = str(self.to_polynomial())
-        return f"{body} + O(m^{self.precision})"
 
     def __repr__(self):
         return f"<series {self}>"

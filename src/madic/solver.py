@@ -32,12 +32,12 @@ from .series import (
     SeriesVector,
     TruncatedSeries,
     evaluate,
-    summed,
 )
 from .weierstrass import (
     DistinguishedPolynomial,
     PreparedDivisor,
     divide_series,
+    from_y_coefficients,
     prepare,  # noqa: F401  unused here; perfbench/test_perfbench.py patches solver.prepare
     w_divide,
 )
@@ -348,7 +348,7 @@ def tougeron_refine(fs, columns, zbar, assignment, c, prepared=None, at=None):
 
     quotients = []
     for i, res in enumerate(residuals):
-        if res.is_zero_to_precision():
+        if res.is_zero():
             quotients.append(zero)
             continue
         try:
@@ -596,14 +596,6 @@ def _euclid(slices, a, zero):
     return slices[:r], slices[r:]
 
 
-def _from_y_coefficients(coords, vars, cap, field):
-    """sum_j coords[j] y^j below total degree cap, over vars = (x, y), for
-    coords[j] univariate in x: numerator n of x^d in coords[j] sits at key
-    (d, j)."""
-    parts = [({(d, j): n for (d,), n in s.nums.items() if d + j < cap}, s.den) for j, s in enumerate(coords)]
-    return TruncatedSeries._of_nums(field, vars, cap, *summed(parts, field))
-
-
 class ReducedRows:
     """Rows of a bivariate reduction, read at a point (z_ij, a_p) over
     k[[x]]/x^N, N the point's precision.
@@ -643,7 +635,7 @@ class ReducedRows:
         cap = N + max(1, r - 1) * max(max(g.degree(), 1) for g in self.sources.values())
         z = []
         for i in range(m):
-            zi = _from_y_coefficients(point.entries[i * r : (i + 1) * r], xy, cap, fld)
+            zi = from_y_coefficients(point.entries[i * r : (i + 1) * r], xy, cap, fld)
             z.append(change.inverse().apply_series(zi))
         z, ambient = SeriesVector(z), {u: i for i, u in enumerate(sys.unknowns)}
 
@@ -741,19 +733,19 @@ _NO_NEWTON_MINOR = (
 )
 
 
-def solve_one_var(sys, c, strategy="newton", config=None):
+def solve_one_var(sys, c, config=None):
     """Solve the reduced univariate system to precision, staying within
     distance order c of the approximate point.
 
     The live equations (`OneVarSystem.live`) and their least order at the
     point are read from `sys.f_values`; nothing is evaluated to find them.
     When none is live the point itself is returned, the same object."""
-    _check_strategy(strategy)
     config = config or SolverConfig()
+    _check_strategy(config.strategy)
     live = sys.live()
     if not live:
         return sys.point
-    if strategy == "jet-search":
+    if config.strategy == "jet-search":
         return _one_var_jet_search(sys, c, config)
     residual = min(sys.f_values[key].order().value for key in live)
     return _one_var_newton(sys, live, residual, c, config)
@@ -876,7 +868,7 @@ def _reconstruct(sys, solved, N):
     entries = []
     for i in range(m):
         zi = _lift(dist2_series * _lift(sys.zbar_division[i][0], N), N)
-        zi = zi + _from_y_coefficients(solved.entries[i * r : (i + 1) * r], svars, N, fld)
+        zi = zi + from_y_coefficients(solved.entries[i * r : (i + 1) * r], svars, N, fld)
         entries.append(inv.apply_series(zi))
     return SeriesVector(entries)
 
@@ -940,7 +932,7 @@ def approximate_solve(fs, zbar, assignment, c, config=None):
         # to precision): refine from zbar, with the reduction's quotients
         z2 = zbar
         if sys.live():
-            solved = solve_one_var(sys, c + 2 * s, config.strategy, config)
+            solved = solve_one_var(sys, c + 2 * s, config)
             z2, at = _reconstruct(sys, solved, N), None
         else:
             at.w_quotients = [sys.f_quotients[k] for k in selection.subset]

@@ -42,9 +42,9 @@ from math import comb, lcm
 from struct import pack, unpack
 
 from .errors import MadicError, PrecisionError
-from .fields import QQ, check_same_field, content_free, field_terms
+from .fields import QQ, check_same_field, content_free, field_terms, summed
 from .poly import Polynomial
-from .series import OrderValue, TruncatedSeries, mul_terms, quotient_numerators, summed
+from .series import OrderValue, TruncatedSeries, mul_terms, quotient_numerators
 
 
 def y_regular_order(u):
@@ -165,6 +165,14 @@ def regularize(u):
     raise MadicError("no shear made the series y-regular of its order")
 
 
+def from_y_coefficients(coords, vars, cap, field):
+    """sum_j coords[j] y^j below total degree cap, over vars = (x, y), for
+    coords[j] univariate in x: numerator n of x^d in coords[j] sits at key
+    (d, j)."""
+    parts = [({(d, j): n for (d,), n in s.nums.items() if d + j < cap}, s.den) for j, s in enumerate(coords)]
+    return TruncatedSeries._of_nums(field, tuple(vars), cap, *summed(parts, field))
+
+
 @dataclass
 class DistinguishedPolynomial:
     """y^r + a_1(x) y^(r-1) + ... + a_r(x) with every a_i(0) = 0.
@@ -190,15 +198,10 @@ class DistinguishedPolynomial:
                 raise MadicError("a_i(0) must vanish for a Weierstrass polynomial")
 
     def to_series(self, vars, precision):
-        """The distinguished polynomial as a bivariate series in `vars`."""
-        fld = self.field
-        if self.r == 0:
-            return TruncatedSeries.constant(1, vars, precision, fld)
-        parts = [({(0, self.r): 1} if self.r < precision else {}, 1)] + [
-            ({(i, self.r - p): n for (i,), n in a.nums.items() if i + self.r - p < precision}, a.den)
-            for p, a in enumerate(self.coeffs, start=1)
-        ]
-        return TruncatedSeries._of_nums(fld, tuple(vars), precision, *summed(parts, fld))
+        """The distinguished polynomial as a bivariate series in `vars`:
+        sum_j c_j y^j for (c_0, ..., c_r) = (a_r, ..., a_1, 1)."""
+        one = TruncatedSeries.constant(1, vars[:1], precision, self.field)
+        return from_y_coefficients([*reversed(self.coeffs), one], vars, precision, self.field)
 
     def serialize(self):
         parts = [f"y^{self.r}"]

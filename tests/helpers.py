@@ -2,13 +2,13 @@
 
 The ideal engine keeps its data packed, so the library builds no variable
 as a Polynomial and divides no Polynomial by another; `exact_div` is the
-Polynomial face of its packed division, `poly.exact_quotient`.
+Polynomial face of its packed division, `groebner.exact_quotient`.
 """
 
 from madic.fields import QQ
-from madic.groebner import DEGREVLEX
+from madic.groebner import DEGREVLEX, exact_quotient
 from madic.errors import MadicError
-from madic.poly import Polynomial, exact_quotient
+from madic.poly import Polynomial
 
 
 def variable(name, vars, field=QQ):
@@ -21,7 +21,7 @@ def variable(name, vars, field=QQ):
 
 def exact_div(p, g):
     """Exact division p / g; raises MadicError if g does not divide p."""
-    p._check_compatible(g)
+    p._check(g)
     if g.is_zero():
         raise MadicError("division by the zero polynomial")
     pk, table = DEGREVLEX.packing(len(p.vars)), {}

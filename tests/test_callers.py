@@ -1,9 +1,11 @@
 """Everything in `src/madic` is used by the library, and only `fields`
 imports `fractions`.
 
-A top-level function or a method counts as used when some code in
-`src/madic` outside its own body reads its name (a call, a reference or an
-attribute); the interpreter calls the dunder methods.  A parameter with a
+A top-level function counts as used when some code in `src/madic` outside
+its own body reads its name (a call, a reference or an attribute), and a
+method when such code reads it as an attribute: a local variable or an
+imported function of the same spelling is not a read of the method.  The
+interpreter calls the dunder methods.  A parameter with a
 default counts as used when some call in `src/madic` of a function of that
 name passes it, by keyword or by position, with a value other than a bare
 parameter of the calling function that is itself unused.  What no library
@@ -25,6 +27,10 @@ PUBLIC_API = {
     "bounds.unit_a_fn": (),
     "bounds.isolated_singularity_bound": ("inner_constant",),
     "cli.main": ("argv",),
+    "fields.PrimeField.add": (),
+    "fields.PrimeField.sub": (),
+    "fields.RationalField.add": (),
+    "fields.RationalField.sub": (),
     "groebner.normal_form": ("order",),
     "poly.Polynomial.subs": (),
     "solver.OneVarSystem.from_univariate": (),
@@ -36,16 +42,16 @@ def _trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _names_read(node, skip):
-    """The names read as a Name or an Attribute under `node`, outside the
-    nodes in `skip`."""
+def _names_read(node, skip, method):
+    """The names read under `node`, outside the nodes in `skip`: as an
+    Attribute, and for anything but a `method` as a Name too."""
     out = set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n in skip:
             continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and not method:
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
@@ -124,7 +130,8 @@ def _unused(trees):
         short = fn.name
         dunder = short.startswith("__") and short.endswith("__")
         if not dunder and qual not in PUBLIC_API:
-            if not any(short in _names_read(tree, {fn}) for tree in trees.values()):
+            method = qual.count(".") == 2
+            if not any(short in _names_read(tree, {fn}, method) for tree in trees.values()):
                 unused.append(qual)
     # a parameter stays unused while every value passed for it is a bare
     # unused parameter of the caller, forwarded; an unused function's

@@ -28,6 +28,8 @@ GOLDEN = [
     ("probe", "probe_family", 0, "2701e9cefdd8faf548a62ce7480fbbc716c49c03befb7ef02ca84052196c95e5"),
     ("solve", "solve_basic", 0, "b2b28ecd02575b3c68af7f54b8e826bfec98a18e96e361a82a45b1287fabfe3f"),
     ("refine", "solve_basic", 0, "5167419b31ba94acb00df22df30bedd279612e49ee6b8ca7a659f1f42c454702"),
+    # the live one-variable reduction: one reduced Newton step
+    ("solve", "solve_live", 0, "93a2e7a0b6cf665b1f5b4b92182d84bd0c2fbf29ad1683e7825800fb18a3cc66"),
     ("solve", "solve_insufficient", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("refine", "solve_insufficient", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

@@ -7,10 +7,10 @@ fails in one of the cases.  `__main__` runs the command line when imported
 and is left out.
 
 `poly` imports the product and substitution kernels from `series`, and
-`series` imports `poly` only inside `TruncatedSeries.to_polynomial`; a
-module-level import back would be a cycle that only some import orders hit.
-`series` builds its `terms` view and its stored form with helpers of
-`fields`, which imports nothing of the package but `errors`.
+`series` imports nothing of `poly`: an import back would be a cycle that
+only some import orders hit.  Both classes print, compare and build their
+`terms` view through their base, `fields.ExactForm`, and `fields` imports
+nothing of the package but `errors`.
 
 No module of the package or of the tests imports a name at top level that
 it never reads; `madic/__init__.py`, whose imports are the package's

@@ -3,7 +3,8 @@ references.
 
 A series and a polynomial hold integer numerators over one positive
 denominator with their common content removed (residues over 1 over GF(p)),
-and build their Fraction `terms` on read.  Every operation on that form must
+and build their Fraction `terms` on read; both are `fields.ExactForm`s,
+whose base class alone holds the operations they share.  Every operation on that form must
 give the reduced terms that a plain loop over Fractions, with the field's
 own operations, gives; `==` and `hash` must agree with the terms; and every
 result must be in the stored form.  The references live here only.
@@ -18,9 +19,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from madic import (
-    Ideal, LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries,
+    DomainMismatchError, Ideal, LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries,
     buchberger, colon, evaluate, intersect,
 )
+from madic.fields import ExactForm
 from madic.weierstrass import divide_series
 from helpers import exact_div, variable
 
@@ -171,9 +173,10 @@ def test_every_operation_matches_the_fraction_reference(field, nvars, kind, data
     check(sa + sb, field, vars, prec, ref_add(field, a, b, prec))
     check(sa - sb, field, vars, prec, ref_add(field, a, {e: field.neg(c) for e, c in b.items()}, prec))
     check(-sa, field, vars, pa, {e: field.neg(c) for e, c in a.items()})
+    check(1 - sa, field, vars, pa, ref_add(field, {(0,) * nvars: 1}, {e: field.neg(c) for e, c in a.items()}, pa))
     c = data.draw(st.sampled_from([0, 1, -2, Fraction(3, 7), Fraction(-5, 4)]))
     if field.characteristic not in (2, 7) or c in (0, 1, -2):
-        check(sa.scale(c), field, vars, pa, {e: field.mul(v, field.convert(c)) for e, v in a.items()})
+        check(sa * TruncatedSeries.constant(c, vars, pa, field), field, vars, pa, {e: field.mul(v, field.convert(c)) for e, v in a.items()})
     check(sa * sb, field, vars, prec, ref_mul(field, a, b, prec))
     n = data.draw(st.integers(0, 3))
     check(sa**n, field, vars, pa, ref_pow(field, a, n, pa, nvars))
@@ -348,6 +351,7 @@ def test_every_polynomial_operation_matches_the_fraction_reference(field, data):
     check_poly(pa - pb, field, UVW, ref_add(field, a, {e: field.neg(v) for e, v in b.items()}, inf))
     check_poly(pa - pa, field, UVW, {})
     check_poly(-pa, field, UVW, {e: field.neg(v) for e, v in a.items()})
+    check_poly(1 - pa, field, UVW, ref_add(field, {(0, 0, 0): 1}, {e: field.neg(v) for e, v in a.items()}, inf))
     check_poly(pa * pb, field, UVW, ref_mul(field, a, b, inf))
     check_poly(pa * pa, field, UVW, ref_mul(field, a, a, inf))
     n = data.draw(st.integers(0, 3))
@@ -370,8 +374,56 @@ def test_every_polynomial_operation_matches_the_fraction_reference(field, data):
     left, right = (pa + pb) * pc, pa * pc + pb * pc
     assert left == right and hash(left) == hash(right)
     assert left.nums == right.nums and left.den == right.den
-    s = TruncatedSeries(field, ("u", "v"), 8, {e[:2]: v for e, v in a.items()})
-    check_poly(s.to_polynomial(), field, ("u", "v"), reduced(field, s.terms, inf))
+
+
+# -- the shared class ------------------------------------------------------
+
+
+# what ExactForm gives both kinds; neither defines any of it in its own body
+SHARED = (
+    "terms", "is_zero", "_check", "__add__", "__radd__", "__sub__", "__rsub__",
+    "__neg__", "__eq__", "__hash__", "__str__",
+)
+
+
+@pytest.mark.parametrize("cls", [Polynomial, TruncatedSeries], ids=lambda c: c.__name__)
+def test_the_shared_operations_are_defined_only_on_the_base(cls):
+    assert cls.__bases__ == (ExactForm,)
+    assert set(SHARED) <= set(ExactForm.__dict__)
+    assert not set(SHARED) & set(cls.__dict__)
+    # products stay on each kind, with the alias `__rmul__ = __mul__`
+    assert cls.__dict__["__rmul__"] is cls.__dict__["__mul__"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_equality_compares_the_kind_the_ring_and_the_form(field):
+    half, third = field.convert(Fraction(1, 2)), field.convert(Fraction(1, 3))
+    terms = {(1, 0): half, (0, 1): third}
+    p, s = Polynomial(field, XY, terms), TruncatedSeries(field, XY, 8, terms)
+    # one form, two kinds: unequal, and printed alike up to the O-term
+    assert (p.nums, p.den) == (s.nums, s.den)
+    assert p != s and s != p
+    assert str(s) == f"{p} + O(m^8)" and str(TruncatedSeries.zero(XY, 4)) == "0 + O(m^4)"
+    # equal elements built two ways hash equal; precision is part of a series' ring
+    for a, make in ((p, lambda t: Polynomial(field, XY, t)), (s, lambda t: TruncatedSeries(field, XY, 8, t))):
+        b = make({(1, 0): field.mul(3, half)}) - make({(1, 0): 1, (0, 1): field.neg(third)})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert s.truncate(4) != s
+
+
+def test_one_ring_check_for_both_kinds():
+    xz = ("x", "z")
+    pairs = [
+        (Polynomial.zero(XY), Polynomial.zero(xz)),
+        (TruncatedSeries.zero(XY, 4), TruncatedSeries.zero(xz, 4)),
+    ]
+    messages = set()
+    for a, b in pairs:
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(DomainMismatchError) as err:
+                op()
+            messages.add(str(err.value))
+    assert messages == {"variables differ: ('x', 'y') vs ('x', 'z')"}
 
 
 def sympy_basis(gens, field):
