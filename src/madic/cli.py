@@ -111,6 +111,8 @@ def cmd_groebner(pf, args):
 
 
 def cmd_prepare(pf, args):
+    if len(pf.series_vars()) != 2:
+        raise ParseError(f"prepare needs two series_vars, x and y, in {pf.path}")
     s = pf.series_value("series", pf.require("series"), precision=args.precision)
     inverse, dist = prepare(s)
     unit = inverse.inverse()
@@ -132,6 +134,8 @@ def cmd_prepare(pf, args):
 
 
 def cmd_divide(pf, args):
+    if len(pf.series_vars()) != 2:
+        raise ParseError(f"divide needs two series_vars, x and y, in {pf.path}")
     g = pf.series_value("dividend", pf.require("dividend"), precision=args.precision)
     u = pf.series_value("divisor", pf.require("divisor"), precision=args.precision)
     _, dist = prepare(u)

@@ -52,10 +52,10 @@ cross product is computed once.
 Every quotient by a unit, and so every inverse, goes through one kernel,
 `quotient_numerators`, by the coefficient recurrence of power-series
 division Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0 in order of total
-degree from ord a: each Q_m is one sum of plain numbers reduced once, as in
-`mul_terms`, and a unit of t terms costs t products per output term.  A
-quotient a / w (`TruncatedSeries.over`) so costs about what w^-1 alone
-does, and no product by w^-1 follows; the inverse is the case a = 1.
+degree from ord a: each Q_m is one sum reduced once, as in `mul_terms`, of
+at most min(deg w, cap - 1 - ord a) products in one variable and of t for a
+unit of t terms in two.  A quotient a / w (`TruncatedSeries.over`) costs
+about what w^-1 alone does; the inverse is the case a = 1.
 
 `substitute_numerators` is the one substitution kernel, behind `evaluate`
 and `Polynomial.subs`.  It drops a term before any product once its order
@@ -309,23 +309,23 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     Q_m = (A_m * common - sum) / (n_0 * common), and when its reduced
     denominator does not divide the running one, the running one grows and
     the stored numerators are rescaled.  Only the terms of w with
-    deg k <= deg m - ord a enter Q_m, so a unit of t terms costs t products
-    per output term, and a unit of one term only scales a.
+    deg k <= deg m - ord a enter Q_m, and a unit of one term only scales a.
 
-    Bivariate keys pack as i*2cap + j (`_packed`) and are read at an offset
-    of cap*2cap in a zero-filled table: for a term k of w not below m in both
-    exponents, the packed m - k lands below the offset or on a j slot
-    >= cap, where no key is stored, so it reads 0.
+    Degree and 1-tuple keys are read once into lists by degree, w's
+    reversed: Q_m is one C-level sum over at most min(deg w, cap-1-ord a)
+    terms before it.  Bivariate keys pack as i*2cap + j (`_packed`) into a
+    zero-filled table at an offset of cap*2cap, t products per term for a
+    unit of t terms: for a k of w not below m in both exponents, m - k
+    lands below the offset or on a j slot >= cap, where no key is stored.
     """
     key = next(iter(w), None)
-    bivariate = isinstance(key, tuple) and len(key) == 2
     zero = (0,) * len(key) if isinstance(key, tuple) else 0
     n0 = w.get(zero)
     if n0 is None or field.is_zero(n0):
         raise MadicError("series is not a unit")
+    if zero == (0,):  # as degree keys, which pack to themselves
+        a, w = {e: c for (e,), c in a.items()}, {e: c for (e,), c in w.items()}
     p = field.characteristic
-    width = 2 * cap if bivariate else 1
-    offset = cap * width if bivariate else 0
     top = _packed(a, cap, 2 * cap) if a else []
     if not top:
         return {}, 1
@@ -337,41 +337,57 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
         g = gcd(a_den, w_den)
         first, scale = w_den // g, a_den // g
         top = {k: c * first for k, _, c in top}
-    rest = sorted((d, k, c) for k, d, c in _packed(w, cap, 2 * cap) if d)
+    rest = sorted((d, k, c) for k, d, c in _packed(w, cap, 2 * cap) if 0 < d < cap - low)
     if not rest:
         if p:
             return dict(_unpacked(top.items(), key, 2 * cap)), 1
         nums = dict(_unpacked(((k, c if n0 > 0 else -c) for k, c in top.items()), key, 2 * cap))
         return content_free(nums, scale * abs(n0))
-    degs = [d for d, _, _ in rest]
-    keys = [k for _, k, _ in rest]
+    degs, keys = [d for d, _, _ in rest], [k for _, k, _ in rest]
     coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
-    table = [0] * (offset + (cap - 1) * width + 1)
-    filled = []
-    read, lead = table.__getitem__, top.get
-    common = 1
-    for d in range(low, cap):
-        t = bisect_right(degs, d - low)
-        ks, cs = keys[:t], coeffs[:t]
-        for m in range(offset + d, offset + d * width + 1, width - 1) if bivariate else (d,):
-            g = sum(map(mul, cs, map(read, map(sub, repeat(m), ks))))
-            c = lead(m - offset, 0)
+    lead, common = top.get, 1
+    if zero in (0, (0,)):  # Q[i] is Q_{low+i}; rev[j] is coeffs' number for degree D-j
+        D, rev, Q = degs[-1], dict(zip(degs, coeffs)), []
+        rev = list(map(rev.get, range(D, 0, -1), repeat(0)))
+        for i, c in enumerate(map(lead, range(low, cap), repeat(0))):
+            g = sum(map(mul, Q[i - D :], rev)) if i >= D else sum(map(mul, Q, rev[D - i :]))
             g = (g + c) % p if p else c * common - g
-            if not g:
-                continue
-            if not p:
-                num, below = (g, n0 * common) if n0 > 0 else (-g, -n0 * common)
-                c = gcd(num, below)
-                num, below = num // c, below // c
+            if g and not p:
+                c = gcd(g, n0 * common) * (1 if n0 > 0 else -1)
+                num, below = g // c, n0 * common // c
                 grow = below // gcd(common, below)
                 if grow != 1:
                     common *= grow
-                    for i in filled:
-                        table[i] *= grow
+                    Q = [q * grow for q in Q]
                 g = num * (common // below)
-            table[m] = g
-            filled.append(m)
-    nums = dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap))
+            Q.append(g)
+        nums = {e: q for e, q in zip(zip(range(low, cap)) if zero else range(low, cap), Q) if q}
+    else:
+        width, offset = 2 * cap, 2 * cap * cap
+        table = [0] * (offset + (cap - 1) * width + 1)
+        filled, read = [], table.__getitem__
+        for d in range(low, cap):
+            t = bisect_right(degs, d - low)
+            ks, cs = keys[:t], coeffs[:t]
+            for m in range(offset + d, offset + d * width + 1, width - 1):
+                g = sum(map(mul, cs, map(read, map(sub, repeat(m), ks))))
+                c = lead(m - offset, 0)
+                g = (g + c) % p if p else c * common - g
+                if not g:
+                    continue
+                if not p:
+                    num, below = (g, n0 * common) if n0 > 0 else (-g, -n0 * common)
+                    c = gcd(num, below)
+                    num, below = num // c, below // c
+                    grow = below // gcd(common, below)
+                    if grow != 1:
+                        common *= grow
+                        for i in filled:
+                            table[i] *= grow
+                    g = num * (common // below)
+                table[m] = g
+                filled.append(m)
+        nums = dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap))
     return content_free(nums, common * scale) if scale != 1 else (nums, common)
 
 

@@ -125,6 +125,23 @@ def test_divide_fixture(capsys):
     assert blob["remainders"][1].startswith("x")
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("prepare", "series: 1 + x + O(m^8)\n"),
+        ("divide", "dividend: x^3 + O(m^8)\ndivisor: x^2 + x^3 + O(m^8)\n"),
+    ],
+)
+def test_prepare_and_divide_in_one_variable_are_parse_errors(tmp_path, capsys, command, text):
+    # Weierstrass preparation is in y over k[[x]]: a file over k[[x]] alone
+    # has the wrong shape, which is a parse error (exit 3), not a refusal
+    bad = tmp_path / "one_var.madic"
+    bad.write_text("series_vars: x\n" + text)
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (3, "")
+    assert f"{command} needs two series_vars" in err
+
+
 def test_probe_fixture(capsys):
     code, out, _ = run(capsys, "probe", fx("probe_family.madic"), "--json")
     assert code == 0

@@ -528,8 +528,8 @@ def test_inverse_over_distinct_prime_denominators_sums_fractions():
 
 
 def test_inverse_of_a_sparse_unit_at_long_precision():
-    # 1/(1 + c x^k) = sum (-c)^j x^(jk): t terms cost t products per output
-    # term, so a binomial inverts at precision 20000 at once
+    # 1/(1 + c x^k) = sum (-c)^j x^(jk): a unit of degree k costs at most k
+    # products per output term, so a binomial inverts at precision 20000 at once
     F, k, c, cap = PrimeField(32003), 3, 5, 20000
     expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
     assert inverse_terms({0: 1, k: c}, F, cap) == expected
@@ -584,6 +584,92 @@ def test_quotient_by_a_non_unit_raises():
     for w, one in (({}, {0: 1}), ({1: 3}, {0: 1}), ({(0,): 0, (1,): 1}, {(0,): 1}), ({(1, 0): 1}, {(0, 0): 1})):
         with pytest.raises(MadicError, match="not a unit"):
             quotient_numerators(one, 1, w, 1, QQ, 5)
+
+
+# -- the univariate list arm ----------------------------------------------
+
+
+def as_tuples(terms):
+    return {(e,): c for e, c in terms.items()}
+
+
+def univariate_quotient(a, w, field, cap):
+    """The kernel's a / w on degree keys and on 1-tuple keys, read back as
+    field elements, after checking that both give the same numbers."""
+    a_form, w_form = exact_form(field, a), exact_form(field, w)
+    by_degree = quotient_numerators(*a_form, *w_form, field, cap)
+    by_tuple = quotient_numerators(
+        as_tuples(a_form[0]), a_form[1], as_tuples(w_form[0]), w_form[1], field, cap
+    )
+    assert by_tuple == (as_tuples(by_degree[0]), by_degree[1])
+    nums, den = by_degree
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    return field_terms(field, nums.items(), den)
+
+
+@st.composite
+def univariate_quotients(draw):
+    """(field, a, w, cap): a of order 0-6 and a unit w, dense or sparse,
+    with degree keys up to cap + 3, so that w often has terms at or past
+    cap - ord a, which never enter the quotient."""
+    field = draw(st.sampled_from(FIELDS))
+    cap = draw(st.integers(1, 16))
+    coeff = coefficients(field)
+    degrees = st.integers(1, cap + 3)
+    if draw(st.booleans()):
+        w = {d: draw(coeff) for d in range(1, draw(degrees) + 1)}
+    else:
+        w = draw(st.dictionaries(degrees, coeff, max_size=3))
+    w[0] = draw(coeff.filter(lambda c: not field.is_zero(c)))
+    low = draw(st.integers(0, 6))
+    a = {low + e: c for e, c in draw(term_dicts(field, 0, cap)).items() if not field.is_zero(c)}
+    return field, a, w, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariate_quotients())
+def test_list_arm_matches_the_product_by_newton_inverse(case):
+    field, a, w, cap = case
+    expected = naive_mul_terms(a, newton_inverse_terms(w, field, cap), field, cap)
+    assert univariate_quotient(a, w, field, cap) == expected
+
+
+def test_list_arm_over_qq_with_a_negative_unit_term_and_shared_denominators():
+    # a over 12 and w over 20 share 4, w_0 < 0, and w has terms of degree
+    # cap - ord a - 1 (the last to enter), cap - ord a and cap, which do not
+    F = Fraction
+    for cap in (4, 9, 20):
+        a = {2: F(1, 6), 3: F(-5, 4), 7: F(7, 3), 8: F(1, 12)}
+        w = {0: F(-3, 10), 1: F(7, 4), 2: F(-1, 5), cap - 3: F(9, 20), cap - 2: F(3, 4), cap: F(11, 5)}
+        assert exact_form(QQ, a)[1] == 12 and exact_form(QQ, w)[1] == 20
+        expected = naive_mul_terms(a, newton_inverse_terms(w, QQ, cap), QQ, cap)
+        assert univariate_quotient(a, w, QQ, cap) == expected
+
+
+def test_list_arm_over_gf2():
+    # 1/(1 + x + x^2) = (1 + x)/(1 + x^3) over GF(2): the powers x^d with
+    # d % 3 != 2; it divides x^3 + x^4 + x^5 exactly; 1/(1 + x) is every power
+    F, cap = PrimeField(2), 30
+    assert univariate_quotient({0: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {
+        d: 1 for d in range(cap) if d % 3 != 2
+    }
+    assert univariate_quotient({3: 1, 4: 1, 5: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {3: 1}
+    assert univariate_quotient({0: 1}, {0: 1, 1: 1}, F, cap) == {d: 1 for d in range(cap)}
+
+
+def test_list_arm_window_is_bounded_by_the_unit_degree(monkeypatch):
+    # 1/(1 + c x^k) = sum (-c)^j x^(jk): each quotient term is one sum over
+    # at most the k terms before it, so the products grow with cap * k and
+    # not with cap times the terms computed so far
+    F, k, c = PrimeField(32003), 40, 5
+    expected = {j * k: pow(-c, j, F.p) for j in range((20000 + k - 1) // k)}
+    assert univariate_quotient({0: 1}, {0: 1, k: c}, F, 20000) == expected
+    products = []
+    monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
+    for cap in (1000, 2000):
+        del products[:]
+        quotient_numerators({0: 1}, 1, {0: 1, k: c}, 1, F, cap)
+        assert len(products) == k * (cap - k) + k * (k - 1) // 2
 
 
 # -- linear changes -----------------------------------------------------------
