@@ -52,10 +52,10 @@ cross product is computed once.
 Every quotient by a unit, and so every inverse, goes through one kernel,
 `quotient_numerators`, by the coefficient recurrence of power-series
 division Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0 in order of total
-degree from ord a: each Q_m is one sum reduced once, as in `mul_terms`, of
-at most min(deg w, cap - 1 - ord a) products in one variable and of t for a
-unit of t terms in two.  A quotient a / w (`TruncatedSeries.over`) costs
-about what w^-1 alone does; the inverse is the case a = 1.
+degree from ord a: each Q_m is one sum reduced once, as in `mul_terms`.  A
+unit of t terms costs t products per output term (in one variable at most
+4t: a dense w is one dot product over the deg w <= 4t terms before Q_m).
+A quotient a / w (`TruncatedSeries.over`) costs about w^-1's; 1/w is a = 1.
 
 `substitute_numerators` is the one substitution kernel, behind `evaluate`
 and `Polynomial.subs`.  It drops a term before any product once its order
@@ -291,6 +291,19 @@ def pow_terms(terms, n, field, cap):
     return out
 
 
+def _over_common(g, n0, common, table, filled):
+    """g / (n0 * common) reduced, over the running common denominator grown
+    to a multiple of its own, and that denominator, by which the numerators
+    at `filled` in `table` are rescaled."""
+    c = gcd(g, n0 * common) * (1 if n0 > 0 else -1)
+    num, below = g // c, n0 * common // c
+    grow = below // gcd(common, below)
+    common *= grow
+    for i in filled if grow != 1 else ():
+        table[i] *= grow
+    return num * (common // below), common
+
+
 def quotient_numerators(a, a_den, w, w_den, field, cap):
     """(numerators, den), content-free, of the quotient a / w of the
     numerator dict `a` over a_den by the unit with numerator dict `w` over
@@ -306,17 +319,16 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     int dict, and the result is divided by a_den / g at the end.  Its
     numbers are the numerators n_k of w and those of Q_0, ..., Q_{m-1} over
     their running common denominator, the lcm of their own:
-    Q_m = (A_m * common - sum) / (n_0 * common), and when its reduced
-    denominator does not divide the running one, the running one grows and
-    the stored numerators are rescaled.  Only the terms of w with
+    Q_m = (A_m * common - sum) / (n_0 * common) (`_over_common`, which
+    grows common and rescales the stored ones).  Only the terms of w with
     deg k <= deg m - ord a enter Q_m, and a unit of one term only scales a.
 
-    Degree and 1-tuple keys are read once into lists by degree, w's
-    reversed: Q_m is one C-level sum over at most min(deg w, cap-1-ord a)
-    terms before it.  Bivariate keys pack as i*2cap + j (`_packed`) into a
-    zero-filled table at an offset of cap*2cap, t products per term for a
-    unit of t terms: for a k of w not below m in both exponents, m - k
-    lands below the offset or on a j slot >= cap, where no key is stored.
+    Degree and 1-tuple keys are read once into lists by degree: Q_m is one
+    C-level dot product of the at most deg w terms before it with w's
+    numbers reversed when deg w <= _SLOT_SPAN * t, else of the t that w's terms
+    reach.  Bivariate keys pack as i*2cap + j (`_packed`) into a zero table
+    at an offset of cap*2cap: for a k of w not below m in both exponents,
+    m - k lands below the offset or on a j slot >= cap, where none is kept.
     """
     key = next(iter(w), None)
     zero = (0,) * len(key) if isinstance(key, tuple) else 0
@@ -345,48 +357,36 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
         return content_free(nums, scale * abs(n0))
     degs, keys = [d for d, _, _ in rest], [k for _, k, _ in rest]
     coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
-    lead, common = top.get, 1
-    if zero in (0, (0,)):  # Q[i] is Q_{low+i}; rev[j] is coeffs' number for degree D-j
-        D, rev, Q = degs[-1], dict(zip(degs, coeffs)), []
-        rev = list(map(rev.get, range(D, 0, -1), repeat(0)))
+    lead, common, filled = top.get, 1, []
+    if zero in (0, (0,)):  # Q[D + i] is Q_{low+i}, after D zeros; rev[j] is coeffs' for D - j
+        D, Q, rev = degs[-1], [0] * degs[-1], dict(zip(degs, coeffs))
+        rev = list(map(rev.get, range(D, 0, -1), repeat(0))) if D <= _SLOT_SPAN * len(degs) else None
         for i, c in enumerate(map(lead, range(low, cap), repeat(0))):
-            g = sum(map(mul, Q[i - D :], rev)) if i >= D else sum(map(mul, Q, rev[D - i :]))
+            if rev:
+                g = sum(map(mul, Q[i:], rev)) if i >= D else sum(map(mul, Q[D:], rev[D - i :]))
+            else:
+                g = sum(map(mul, coeffs, map(Q.__getitem__, map(sub, repeat(D + i), degs))))
             g = (g + c) % p if p else c * common - g
             if g and not p:
-                c = gcd(g, n0 * common) * (1 if n0 > 0 else -1)
-                num, below = g // c, n0 * common // c
-                grow = below // gcd(common, below)
-                if grow != 1:
-                    common *= grow
-                    Q = [q * grow for q in Q]
-                g = num * (common // below)
+                g, common = _over_common(g, n0, common, Q, filled)
+                filled.append(len(Q))
             Q.append(g)
-        nums = {e: q for e, q in zip(zip(range(low, cap)) if zero else range(low, cap), Q) if q}
+        nums = {e: q for e, q in zip(zip(range(low, cap)) if zero else range(low, cap), Q[D:]) if q}
     else:
         width, offset = 2 * cap, 2 * cap * cap
         table = [0] * (offset + (cap - 1) * width + 1)
-        filled, read = [], table.__getitem__
         for d in range(low, cap):
             t = bisect_right(degs, d - low)
             ks, cs = keys[:t], coeffs[:t]
             for m in range(offset + d, offset + d * width + 1, width - 1):
-                g = sum(map(mul, cs, map(read, map(sub, repeat(m), ks))))
+                g = sum(map(mul, cs, map(table.__getitem__, map(sub, repeat(m), ks))))
                 c = lead(m - offset, 0)
                 g = (g + c) % p if p else c * common - g
-                if not g:
-                    continue
-                if not p:
-                    num, below = (g, n0 * common) if n0 > 0 else (-g, -n0 * common)
-                    c = gcd(num, below)
-                    num, below = num // c, below // c
-                    grow = below // gcd(common, below)
-                    if grow != 1:
-                        common *= grow
-                        for i in filled:
-                            table[i] *= grow
-                    g = num * (common // below)
-                table[m] = g
-                filled.append(m)
+                if g:
+                    if not p:
+                        g, common = _over_common(g, n0, common, table, filled)
+                    table[m] = g
+                    filled.append(m)
         nums = dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap))
     return content_free(nums, common * scale) if scale != 1 else (nums, common)
 

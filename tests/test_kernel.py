@@ -528,7 +528,7 @@ def test_inverse_over_distinct_prime_denominators_sums_fractions():
 
 
 def test_inverse_of_a_sparse_unit_at_long_precision():
-    # 1/(1 + c x^k) = sum (-c)^j x^(jk): a unit of degree k costs at most k
+    # 1/(1 + c x^k) = sum (-c)^j x^(jk): a unit of t terms costs at most 4t
     # products per output term, so a binomial inverts at precision 20000 at once
     F, k, c, cap = PrimeField(32003), 3, 5, 20000
     expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
@@ -657,19 +657,46 @@ def test_list_arm_over_gf2():
     assert univariate_quotient({0: 1}, {0: 1, 1: 1}, F, cap) == {d: 1 for d in range(cap)}
 
 
-def test_list_arm_window_is_bounded_by_the_unit_degree(monkeypatch):
-    # 1/(1 + c x^k) = sum (-c)^j x^(jk): each quotient term is one sum over
-    # at most the k terms before it, so the products grow with cap * k and
-    # not with cap times the terms computed so far
-    F, k, c = PrimeField(32003), 40, 5
-    expected = {j * k: pow(-c, j, F.p) for j in range((20000 + k - 1) // k)}
-    assert univariate_quotient({0: 1}, {0: 1, k: c}, F, 20000) == expected
+@pytest.mark.parametrize("k", [3, 40, 10000])
+def test_a_binomial_unit_of_any_degree_costs_a_few_products_per_term(monkeypatch, k):
+    # 1/(1 + c x^k) = sum (-c)^j x^(jk).  A unit of t terms and degree D
+    # costs at most D products per output term when it is dense (D <= 4t:
+    # one dot product over the D terms before it), else t, so the count
+    # grows with cap and not with cap * k, nor with cap times the terms
+    # computed so far
+    F, c, cap = PrimeField(32003), 5, 20000
+    expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
+    assert univariate_quotient({0: 1}, {0: 1, k: c}, F, cap) == expected
     products = []
     monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
-    for cap in (1000, 2000):
+    for cap in (k + 1000, k + 2000):
         del products[:]
         quotient_numerators({0: 1}, 1, {0: 1, k: c}, 1, F, cap)
-        assert len(products) == k * (cap - k) + k * (k - 1) // 2
+        assert len(products) == (k * cap - k * (k + 1) // 2 if k <= 4 else cap)
+
+
+def test_a_dense_unit_costs_at_most_four_products_per_unit_term(monkeypatch):
+    # t = 2 terms past w_0 up to degree 5 <= 4t: each term is one dot
+    # product of the (at most) 5 before it; with x^9 added (t = 3, 9 <= 12)
+    # of the 9 before it; with x^13 instead (13 > 12) each term reads only
+    # the 3 that w's terms reach.  Over QQ the same counts hold, and the
+    # quotient is the Newton inverse
+    products = []
+    monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
+    cap = 300
+    dense = {5: 5 * cap - 15, 9: 9 * cap - 45}  # D products a term, fewer for the first D
+    for w, count in (
+        ({0: 1, 1: 2, 5: 3}, dense[5]),
+        ({0: 1, 1: 2, 5: 3, 9: 1}, dense[9]),
+        ({0: 1, 1: 2, 5: 3, 13: 1}, 3 * cap),
+    ):
+        for field in (PrimeField(32003), QQ):
+            del products[:]
+            quotient_numerators({0: 1}, 1, w, 1, field, cap)
+            assert len(products) == count
+    monkeypatch.undo()
+    w = {0: Fraction(-2, 3), 1: 2, 5: 3, 13: Fraction(1, 7)}
+    assert univariate_quotient({0: 1}, w, QQ, 40) == newton_inverse_terms(w, QQ, 40)
 
 
 # -- linear changes -----------------------------------------------------------

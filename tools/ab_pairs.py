@@ -12,10 +12,11 @@ both sides alike.  A run that is not `correct`, has a failed op or prints
 op digests that drift from the recorded reference stops the tool: its
 figures would compare unequal work.
 
-For each end-to-end metric of BENCHMARK.json it prints q1, the median and
-q3 of each side, the change of the median in percent, and the pairs the
-change won in the metric's direction (a tie wins nothing).  Nothing is
-written; each run's figures are printed as they come.
+Every run lasts BENCHMARK.json's `run_seconds`, as the benchmark's own
+runs do.  For each end-to-end metric of BENCHMARK.json the tool prints q1,
+the median and q3 of each side, the change of the median in percent, and
+the pairs the change won in the metric's direction (a tie wins nothing).
+Nothing is written; each run's figures are printed as they come.
 """
 
 from __future__ import annotations
@@ -102,20 +103,20 @@ def main(argv=None):
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
-            got[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            got[side] = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"])
             figures = " ".join(f"{k}={got[side][k]:.4g}" for k in better)
             print(f"pair {i + 1} seed {seed} {side}: {figures}", flush=True)
         pairs.append((got["parent"], got["change"]))
-    print(f"\n{args.workload}: {len(pairs)} pairs, --seconds {args.seconds:g}")
+    print(f"\n{args.workload}: {len(pairs)} pairs of {bench['run_seconds']:g} s runs")
     print(table(summarize(pairs, better)))
     return 0
 
