@@ -292,9 +292,9 @@ def pow_terms(terms, n, field, cap):
 
 
 def _over_common(g, n0, common, table, filled):
-    """g / (n0 * common) reduced, over the running common denominator grown
-    to a multiple of its own, and that denominator, by which the numerators
-    at `filled` in `table` are rescaled."""
+    """(numerator, common): g / (n0 * common) reduced and put over the running
+    common denominator, which grows to a multiple of the reduced one when
+    needed, rescaling the numerators at `filled` in `table` by that factor."""
     c = gcd(g, n0 * common) * (1 if n0 > 0 else -1)
     num, below = g // c, n0 * common // c
     grow = below // gcd(common, below)
