@@ -217,23 +217,26 @@ def check_same_field(a, b):
 
 
 class ExactForm:
-    """Content-free integer numerators `nums`, keyed by exponent tuple, over
-    one positive denominator `den`, in the variables `vars` over `field`.
+    """Content-free integer numerators `nums`, keyed by exponent tuple or by
+    plain degree, over one positive denominator `den`, in `vars` over `field`.
 
     A subclass gives its constructors, `_like(nums, den)` (an element of
     the same kind, ring and precision), `_key()` (the ring, which `==` and
     `hash` compare with the form), `_plus(other, sign)`, `__mul__` with
     `__rmul__ = __mul__`, and `__pow__`; `_tail()` is what its printed form
-    ends with."""
+    ends with, and `_one()` the key of its constant term, of its keys' kind."""
 
     __slots__ = ("field", "vars", "nums", "den")
 
+    def _one(self):
+        return (0,) * len(self.vars)
+
     @property
     def terms(self):
-        """The field elements: Fractions over QQ, built on each read, or
-        the residues themselves."""
-        f = self.field
-        return self.nums if f.characteristic else field_terms(f, self.nums.items(), self.den)
+        """The field elements by exponent tuple, plain degrees read as
+        1-tuples: Fractions over QQ, built on each read, or the residues."""
+        nums = self.nums if isinstance(self._one(), tuple) else dict(zip(zip(self.nums), self.nums.values()))
+        return nums if self.field.characteristic else field_terms(self.field, nums.items(), self.den)
 
     def is_zero(self):
         return not self.nums
@@ -242,7 +245,7 @@ class ExactForm:
         """`other` as an element of this ring, an int as its constant;
         DomainMismatchError when its field or variables differ."""
         if isinstance(other, int):
-            return self._like(field_terms(self.field, [((0,) * len(self.vars), other)], None), 1)
+            return self._like(field_terms(self.field, [(self._one(), other)], None), 1)
         check_same_field(self.field, other.field)
         if self.vars != other.vars:
             raise DomainMismatchError(f"variables differ: {self.vars} vs {other.vars}")

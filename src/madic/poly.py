@@ -178,7 +178,7 @@ class Polynomial(ExactForm):
                 raise MadicError(f"unknown variable {v!r} (universe {tvars})")
         cap = max((sum(map(mul, e, weights)) for e in self.nums), default=0) + 1
         images = [(i, z, d, min(map(sum, z), default=cap)) for i, z, d in images]
-        nums, den = substitute_numerators(self.nums, self.den, through, images, len(tvars), field, cap)
+        nums, den = substitute_numerators(self.nums, self.den, through, images, (0,) * len(tvars), field, cap)
         return Polynomial._of_nums(field, tvars, nums, den)
 
     def __repr__(self):

@@ -9,14 +9,14 @@ Norms e^{-ord} are never materialized as floats: every comparison is an
 integer comparison on orders.
 
 A TruncatedSeries is a `fields.ExactForm`, as a polynomial is: integer
-numerators, keyed by exponent tuple, over one positive denominator, with
-their common content removed.  Over GF(p) these are the residues over 1, so
-both fields share it.  The base class gives the ring check, negation, `==`
-and `hash` (which compare the form and the precision), printing (with
-` + O(m^N)` appended) and `terms`, the Fractions over QQ, built on each read
-for printing and JSON; sums and differences are taken at the lower of the
-two precisions.  The kernels and the series operations take and return
-numerators.
+numerators over one positive denominator, keyed by plain degree in one
+variable and by exponent pair in two, content-free.  Over GF(p) these are
+the residues over 1, so both fields share it.  The base class gives the
+ring check, negation, `==` and `hash` (which compare the form and the
+precision), printing (with ` + O(m^N)` appended) and `terms`, by exponent
+tuple (degrees as 1-tuples), the Fractions over QQ built on each read for
+printing and JSON; sums and differences are taken at the lower of the two
+precisions.  The kernels and the series operations take and return numerators.
 
 Every truncated product of the series and polynomial layers goes through
 one exact sparse kernel, `mul_terms`, over numerator dicts keyed by
@@ -323,20 +323,18 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     grows common and rescales the stored ones).  Only the terms of w with
     deg k <= deg m - ord a enter Q_m, and a unit of one term only scales a.
 
-    Degree and 1-tuple keys are read once into lists by degree: Q_m is one
-    C-level dot product of the at most deg w terms before it with w's
-    numbers reversed when deg w <= _SLOT_SPAN * t, else of the t that w's terms
-    reach.  Bivariate keys pack as i*2cap + j (`_packed`) into a zero table
-    at an offset of cap*2cap: for a k of w not below m in both exponents,
-    m - k lands below the offset or on a j slot >= cap, where none is kept.
+    Degree keys are read once into lists by degree: Q_m is one C-level dot
+    product of the at most deg w terms before it with w's numbers reversed
+    when deg w <= _SLOT_SPAN * t, else of the t that w's terms reach.
+    Exponent tuples pack as i*2cap + j (`_packed`) into a zero table at an
+    offset of cap*2cap: for a k of w not below m in both exponents, m - k
+    lands below the offset or on a j slot >= cap, where none is kept.
     """
     key = next(iter(w), None)
     zero = (0,) * len(key) if isinstance(key, tuple) else 0
     n0 = w.get(zero)
     if n0 is None or field.is_zero(n0):
         raise MadicError("series is not a unit")
-    if zero == (0,):  # as degree keys, which pack to themselves
-        a, w = {e: c for (e,), c in a.items()}, {e: c for (e,), c in w.items()}
     p = field.characteristic
     top = _packed(a, cap, 2 * cap) if a else []
     if not top:
@@ -358,7 +356,7 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     degs, keys = [d for d, _, _ in rest], [k for _, k, _ in rest]
     coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
     lead, common, filled = top.get, 1, []
-    if zero in (0, (0,)):  # Q[D + i] is Q_{low+i}, after D zeros; rev[j] is coeffs' for D - j
+    if zero == 0:  # Q[D + i] is Q_{low+i}, after D zeros; rev[j] is coeffs' for D - j
         D, Q, rev = degs[-1], [0] * degs[-1], dict(zip(degs, coeffs))
         rev = list(map(rev.get, range(D, 0, -1), repeat(0))) if D <= _SLOT_SPAN * len(degs) else None
         for i, c in enumerate(map(lead, range(low, cap), repeat(0))):
@@ -371,7 +369,7 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
                 g, common = _over_common(g, n0, common, Q, filled)
                 filled.append(len(Q))
             Q.append(g)
-        nums = {e: q for e, q in zip(zip(range(low, cap)) if zero else range(low, cap), Q[D:]) if q}
+        nums = {e: q for e, q in zip(range(low, cap), Q[D:]) if q}
     else:
         width, offset = 2 * cap, 2 * cap * cap
         table = [0] * (offset + (cap - 1) * width + 1)
@@ -404,7 +402,7 @@ class TruncatedSeries(ExactForm):
         if precision <= 0:
             raise MadicError("precision must be positive")
         self.field, self.vars, self.precision = field, vars, precision
-        self.nums, self.den = exact_form(field, {e: c for e, c in terms.items() if sum(e) < precision})
+        self.nums, self.den = exact_form(field, self._below(terms, precision))
 
     # -- constructors -------------------------------------------------
 
@@ -432,8 +430,7 @@ class TruncatedSeries(ExactForm):
     @classmethod
     def from_polynomial(cls, p, precision):
         out = cls(p.field, p.vars, precision, {})
-        nums = {e: n for e, n in p.nums.items() if sum(e) < precision}
-        out.nums, out.den = content_free(nums, p.den)
+        out.nums, out.den = content_free(out._below(p.nums, precision), p.den)
         return out
 
     # -- basics -------------------------------------------------------
@@ -441,16 +438,25 @@ class TruncatedSeries(ExactForm):
     def _key(self):
         return self.field, self.vars, self.precision
 
+    def _one(self):
+        return 0 if len(self.vars) == 1 else (0, 0)
+
+    def _below(self, terms, precision):
+        """`terms`, keyed by exponent tuple, cut below degree precision and keyed as stored."""
+        if len(self.vars) == 1:
+            return {d: c for (d,), c in terms.items() if d < precision}
+        return {e: c for e, c in terms.items() if sum(e) < precision}
+
     def _tail(self):
         return f" + O(m^{self.precision})"
 
     def order(self):
         if not self.nums:
             return OrderValue.at_least(self.precision)
-        return OrderValue(min(sum(e) for e in self.nums))
+        return OrderValue(min(self.nums) if len(self.vars) == 1 else min(map(sum, self.nums)))
 
     def is_unit(self):
-        return (0,) * len(self.vars) in self.nums
+        return self._one() in self.nums
 
     def truncate(self, precision):
         if precision > self.precision:
@@ -459,10 +465,9 @@ class TruncatedSeries(ExactForm):
             raise PrecisionError(f"cannot truncate to precision {precision}")
         if precision == self.precision:
             return self
-        nums = {e: n for e, n in self.nums.items() if sum(e) < precision}
-        return TruncatedSeries._of_nums(
-            self.field, self.vars, precision, *content_free(nums, self.den)
-        )
+        degrees = len(self.vars) == 1
+        nums = {e: n for e, n in self.nums.items() if (e if degrees else sum(e)) < precision}
+        return TruncatedSeries._of_nums(self.field, self.vars, precision, *content_free(nums, self.den))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -500,8 +505,7 @@ class TruncatedSeries(ExactForm):
             raise PrecisionError(f"cannot invert at precision {precision} > {self.precision}")
         elif precision <= 0:
             raise PrecisionError(f"cannot invert at precision {precision}")
-        one = {(0,) * len(self.vars): 1}
-        nums, den = quotient_numerators(one, 1, self.nums, self.den, self.field, precision)
+        nums, den = quotient_numerators({self._one(): 1}, 1, self.nums, self.den, self.field, precision)
         return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
 
     def over(self, w, precision=None):
@@ -562,17 +566,17 @@ class SeriesVector:
         return "(" + ", ".join(str(s) for s in self.entries) + ")"
 
 
-def substitute_numerators(nums, den, through, images, width, field, cap):
+def substitute_numerators(nums, den, through, images, one, field, cap):
     """(numerators, den), content-free, below total degree cap, of the
     numerator dict `nums` over `den` with images substituted for some of its
     variables.
 
     Over a prime `field`, `nums` over `den` may also be the form of a QQ
     polynomial: its numbers are read mod p.  Each (i, p) in `through`
-    carries exponent i to position p of the result's keys, tuples of length
-    `width`; each (i, nums, den, order) in `images` replaces the variable of
-    exponent i by the numerator dict `nums` over den, keyed like the result,
-    of that order (cap or more for a zero image).
+    carries exponent i to position p of the result's keys, of the kind of
+    `one`, its constant's key; each (i, nums, den, order) in `images`
+    replaces the variable of exponent i by the numerator dict `nums` over
+    den, keyed like the result, of that order (cap or more for a zero image).
 
     A term c * s * M, with s its monomial in the carried variables and M the
     one in the replaced ones, is dropped before any product when deg(s) +
@@ -584,6 +588,7 @@ def substitute_numerators(nums, den, through, images, width, field, cap):
     p = field.characteristic
     if p:  # den is 1 unless nums over den is a QQ polynomial's
         scale, den = field.inv(den), 1
+    degree = isinstance(one, int)
     groups = {}
     for e, c in nums.items():
         low = 0
@@ -593,12 +598,12 @@ def substitute_numerators(nums, den, through, images, width, field, cap):
             if x:
                 low += x * o
                 mono.append((i, x))
-        key = [0] * width
+        key = [0] if degree else list(one)
         for i, q in through:
             key[q] = e[i]
             low += e[i]
         if low < cap and (c := c * scale % p if p else c):
-            groups.setdefault(tuple(mono), {})[tuple(key)] = c
+            groups.setdefault(tuple(mono), {})[key[0] if degree else tuple(key)] = c
     image = {i: (z, d) for i, z, d, _ in images}
     # values of monomials in the replaced variables, keyed like the groups
     values = {}
@@ -639,9 +644,9 @@ def evaluate(f, zbar, assignment):
             through.append((i, svars.index(v)))
         elif v in assignment:
             z = zbar[assignment[v]]
-            images.append((i, z.nums, z.den, min(map(sum, z.nums), default=prec)))
+            images.append((i, z.nums, z.den, z.order().value))
         elif any(e[i] for e in f.nums):
             raise MadicError(f"unassigned unknown {v!r} in evaluation")
-    nums, den = substitute_numerators(f.nums, f.den, through, images, len(svars), zbar.field, prec)
+    nums, den = substitute_numerators(f.nums, f.den, through, images, zbar[0]._one(), zbar.field, prec)
     return TruncatedSeries._of_nums(zbar.field, svars, prec, nums, den)
 

@@ -644,7 +644,7 @@ class ReducedRows:
             slices = [{} for _ in range(1 + max((e for _, e in P.nums), default=0))]
             for (d, e), n in P.nums.items():
                 if d < N:
-                    slices[e][(d,)] = n
+                    slices[e][d] = n
             return [TruncatedSeries._of_nums(fld, point.vars, N, *content_free(s, P.den)) for s in slices]
 
         a = list(point)[m * r :]

@@ -169,7 +169,7 @@ def from_y_coefficients(coords, vars, cap, field):
     """sum_j coords[j] y^j below total degree cap, over vars = (x, y), for
     coords[j] univariate in x: numerator n of x^d in coords[j] sits at key
     (d, j)."""
-    parts = [({(d, j): n for (d,), n in s.nums.items() if d + j < cap}, s.den) for j, s in enumerate(coords)]
+    parts = [({(d, j): n for d, n in s.nums.items() if d + j < cap}, s.den) for j, s in enumerate(coords)]
     return TruncatedSeries._of_nums(field, tuple(vars), cap, *summed(parts, field))
 
 
@@ -289,7 +289,7 @@ def _slot_slices(p, gslices, uslices, e_inv, caps, r):
                 h[k] = (h[k] + c) % p
         for k, c in enumerate(h[:r]):
             if c:
-                rem_terms[k][(i,)] = c
+                rem_terms[k][i] = c
         q = h[r:]
         if any(q):
             if E:
@@ -360,7 +360,7 @@ def weierstrass_divide(g, u, r):
             tail = {}
             for k, c in h.items():
                 if k < r:
-                    rem_parts[k].append(({(i,): c}, den))
+                    rem_parts[k].append(({i: c}, den))
                 else:
                     tail[k - r] = c
             if e_inv is not None:
@@ -385,6 +385,8 @@ def prepare(u):
     coefficients.
     """
     yo = y_regular_order(u)
+    if u.is_zero():
+        raise PrecisionError("series is zero to precision; cannot prepare")
     if not yo.finite:
         raise MadicError("series is not y-regular; apply regularize() first")
     r = yo.value
@@ -481,8 +483,10 @@ class PreparedDivisor:
             raise MadicError("division by a series that vanishes to precision")
         if len(v.vars) == 1:
             k = uo.value
-            if any(e < k for e, in v.nums):
+            if any(e < k for e in v.nums):
                 raise MadicError("series division is not exact")
+            if min(v.precision, u.precision) <= k:
+                raise PrecisionError("precision too low for series division")
             if self._shifted is None:
                 self._shifted = _shifted(u, k, u.precision - k)
             q = _shifted(v, k, min(v.precision, u.precision) - k).over(self._shifted)
@@ -508,12 +512,10 @@ class PreparedDivisor:
 
 
 def _shifted(s, k, precision):
-    """s / x^k at `precision`, for a univariate s with no term below x^k."""
-    if precision <= 0:
-        raise MadicError("precision must be positive")
+    """s / x^k at `precision` > 0, for a univariate s with no term below x^k."""
     if not k:
         return s.truncate(precision)
-    nums = {(e - k,): n for (e,), n in s.nums.items() if e - k < precision}
+    nums = {e - k: n for e, n in s.nums.items() if e - k < precision}
     return TruncatedSeries._of_nums(s.field, s.vars, precision, *content_free(nums, s.den))
 
 

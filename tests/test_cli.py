@@ -237,6 +237,14 @@ def test_precision_above_written_is_refused(capsys):
     assert "exceeds the written O(m^16)" in err
 
 
+def test_prepare_of_a_series_zero_to_precision_is_a_precondition_failure(capsys):
+    # every term of the fixture has degree >= 2, so at O(m^2) it is 0: no
+    # shear can regularize it, and more precision is what the user can give
+    code, out, err = run(capsys, "prepare", fx("prepare_example.madic"), "--precision", "2")
+    assert (code, out) == (2, "")
+    assert err == "precondition failed: series is zero to precision; cannot prepare\n"
+
+
 def test_precision_below_written_truncates(capsys):
     code, out, _ = run(
         capsys, "prepare", fx("prepare_example.madic"), "--precision", "8", "--json"

@@ -589,20 +589,10 @@ def test_quotient_by_a_non_unit_raises():
 # -- the univariate list arm ----------------------------------------------
 
 
-def as_tuples(terms):
-    return {(e,): c for e, c in terms.items()}
-
-
 def univariate_quotient(a, w, field, cap):
-    """The kernel's a / w on degree keys and on 1-tuple keys, read back as
-    field elements, after checking that both give the same numbers."""
-    a_form, w_form = exact_form(field, a), exact_form(field, w)
-    by_degree = quotient_numerators(*a_form, *w_form, field, cap)
-    by_tuple = quotient_numerators(
-        as_tuples(a_form[0]), a_form[1], as_tuples(w_form[0]), w_form[1], field, cap
-    )
-    assert by_tuple == (as_tuples(by_degree[0]), by_degree[1])
-    nums, den = by_degree
+    """The kernel's a / w on degree keys, the keys of a univariate series,
+    read back as field elements, after checking the form."""
+    nums, den = quotient_numerators(*exact_form(field, a), *exact_form(field, w), field, cap)
     assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
     return field_terms(field, nums.items(), den)
 

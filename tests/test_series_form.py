@@ -16,14 +16,14 @@ from math import comb, gcd, inf, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from madic import (
     DomainMismatchError, Ideal, LinearChange, MadicError, Polynomial, PrimeField, QQ, SeriesVector, TruncatedSeries,
     buchberger, colon, evaluate, intersect,
 )
 from madic.fields import ExactForm
-from madic.weierstrass import divide_series
+from madic.weierstrass import divide_series, weierstrass_divide
 from helpers import exact_div, variable
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)]
@@ -114,14 +114,20 @@ def ref_shear(field, lam, a, cap):
 
 
 def check(s, field, vars, precision, ref):
-    """s has the reference's reduced terms, equals and hashes like the
-    series built from them, and is in the stored form."""
+    """s has the reference's reduced terms, by exponent tuple, equals and
+    hashes like the series built from them, and is in the stored form: its
+    numerators keyed by plain degree in one variable, by exponent pair in
+    two."""
     assert (s.field, s.vars, s.precision) == (field, vars, precision)
     want = reduced(field, ref, precision)
     assert s.terms == want
     built = TruncatedSeries(field, vars, precision, want)
     assert s == built and hash(s) == hash(built)
-    assert all(type(n) is int and n for n in s.nums.values()) and all(sum(e) < precision for e in s.nums)
+    assert all(type(n) is int and n for n in s.nums.values())
+    if len(vars) == 1:
+        assert all(type(e) is int and 0 <= e < precision for e in s.nums)
+    else:
+        assert all(type(e) is tuple and len(e) == 2 and min(e) >= 0 and sum(e) < precision for e in s.nums)
     if field.characteristic:
         assert s.den == 1 and all(0 < n < field.p for n in s.nums.values())
     else:
@@ -170,6 +176,8 @@ def test_every_operation_matches_the_fraction_reference(field, nvars, kind, data
     prec = min(pa, pb)
     sa, sb = TruncatedSeries(field, vars, pa, a), TruncatedSeries(field, vars, pb, b)
     check(sa, field, vars, pa, a)
+    check(TruncatedSeries.from_polynomial(Polynomial(field, vars, a), pa), field, vars, pa, a)
+    check(TruncatedSeries.constant(-2, vars, pa, field), field, vars, pa, {(0,) * nvars: field.convert(-2)})
     check(sa + sb, field, vars, prec, ref_add(field, a, b, prec))
     check(sa - sb, field, vars, prec, ref_add(field, a, {e: field.neg(c) for e, c in b.items()}, prec))
     check(-sa, field, vars, pa, {e: field.neg(c) for e, c in a.items()})
@@ -235,6 +243,27 @@ def test_division_gives_back_the_reference_factor(field, nvars, data):
         assert "no shear made the series y-regular" in str(exc)
         return
     check(q, field, vars, N - r, w)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.data())
+def test_weierstrass_remainders_match_the_fraction_reference(field, data):
+    # g = u*q + sum_j rem_j(x) y^j, j < r, for u y-regular of order r.  The
+    # division at N + r gives the same remainders below x^N (the stored
+    # terms are divided exactly), and g - u*q at N + r, by the reference
+    # product, holds each rem_j y^j below total degree N + r > N - 1 + j
+    N, u, g = data.draw(divisions(field, 2))
+    r = TruncatedSeries(field, XY, N, u).order().value
+    assume(r > 0)
+    u[(0, r)] = field.one()
+    q_high, _ = weierstrass_divide(TruncatedSeries(field, XY, N + r, g), TruncatedSeries(field, XY, N + r, u), r)
+    diff = ref_add(field, g, {e: field.neg(c) for e, c in ref_mul(field, u, q_high.terms, N + r).items()}, N + r)
+    assert all(j < r for _, j in diff)
+    _, rems = weierstrass_divide(TruncatedSeries(field, XY, N, g), TruncatedSeries(field, XY, N, u), r)
+    assert len(rems) == r
+    for j, rem in enumerate(rems):
+        check(rem, field, ("x",), N, {(i,): c for (i, k), c in diff.items() if k == j})
 
 
 def test_operations_on_denominators_past_the_lcm_limit():

@@ -15,6 +15,7 @@ from madic import (
     DistinguishedPolynomial,
     LinearChange,
     MadicError,
+    PrecisionError,
     PreparedDivisor,
     Polynomial,
     PrimeField,
@@ -343,6 +344,22 @@ def test_divide_series_bivariate():
     u = S("x + O(m^14)")
     q = divide_series(v, u)
     assert (q * u.truncate(q.precision)) == v.truncate(q.precision)
+
+
+@pytest.mark.parametrize(
+    "v, u",
+    [
+        # k[[x]]: the quotient's precision min(3, 10) - ord u = 3 - 4 would be below 1
+        (TruncatedSeries(QQ, ("x",), 3, {}), TruncatedSeries(QQ, ("x",), 10, {(4,): 1})),
+        (TruncatedSeries(QQ, ("x",), 4, {}), TruncatedSeries(QQ, ("x",), 10, {(4,): 1})),
+        # k[[x, y]]: N = 5 <= 2r + 1 for r = 2
+        (TruncatedSeries(QQ, XY, 5, {}), TruncatedSeries(QQ, XY, 5, {(0, 2): 1})),
+    ],
+    ids=["univariate", "univariate-at-precision", "bivariate"],
+)
+def test_division_at_too_low_a_precision_is_a_precision_error(v, u):
+    with pytest.raises(PrecisionError, match="precision too low for series division"):
+        divide_series(v, u)
 
 
 def test_divide_series_inexact_fails():

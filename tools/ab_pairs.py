@@ -14,8 +14,17 @@ figures would compare unequal work.
 
 Every run lasts BENCHMARK.json's `run_seconds`, as the benchmark's own
 runs do.  For each end-to-end metric of BENCHMARK.json the tool prints q1,
-the median and q3 of each side, the change of the median in percent, and
-the pairs the change won in the metric's direction (a tie wins nothing).
+the median and q3 of each side, the change of the median in percent, the
+pairs the change won in the metric's direction (a tie wins nothing), and a
+verdict:
+
+- `gain` when the change won at least 9 of every 10 pairs and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+- `worse` when its median is worse than the parent's by more than the
+  metric's `bound`, a fraction of the parent's median;
+- `within` otherwise.
+
 Nothing is written; each run's figures are printed as they come.
 """
 
@@ -40,33 +49,47 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(pairs, better):
-    """One row per metric named in `better` (name -> "higher" or "lower"):
+def verdict(q_old, q_new, won, n, sign, bound):
+    """`gain`, `worse` or `within` (see the module docstring) for parent and
+    change quartiles, `won` of `n` pairs, `sign` 1 when higher is better
+    and -1 when lower is, and the metric's relative `bound`."""
+    gained = sign * (q_new[1] - q_old[1])
+    if 10 * won >= 9 * n and gained > q_old[2] - q_old[0]:
+        return "gain"
+    if -gained > bound * abs(q_old[1]):
+        return "worse"
+    return "within"
+
+
+def summarize(pairs, metrics):
+    """One row per metric of `metrics`, BENCHMARK.json's `end_to_end` list:
     (name, parent quartiles, change quartiles, % change of the median, pairs
-    won by the change, pairs).  `pairs` holds (parent, change) dicts of
-    metric name -> value, one per seed."""
+    won by the change, pairs, verdict).  `pairs` holds (parent, change)
+    dicts of metric name -> value, one per seed."""
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         old = [p[name] for p, _ in pairs]
         new = [c[name] for _, c in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         q_old, q_new = quartiles(old), quartiles(new)
         pct = 100 * (q_new[1] - q_old[1]) / q_old[1] if q_old[1] else float("nan")
-        rows.append((name, q_old, q_new, pct, won, len(pairs)))
+        said = verdict(q_old, q_new, won, len(pairs), sign, metric["bound"])
+        rows.append((name, q_old, q_new, pct, won, len(pairs), said))
     return rows
 
 
 def table(rows):
     """The rows of `summarize` as a markdown table."""
     out = [
-        "| metric | parent q1 / median / q3 | change q1 / median / q3 | median | won |",
-        "|---|---|---|---|---|",
+        "| metric | parent q1 / median / q3 | change q1 / median / q3 | median | won | verdict |",
+        "|---|---|---|---|---|---|",
     ]
-    for name, q_old, q_new, pct, won, n in rows:
+    for name, q_old, q_new, pct, won, n, said in rows:
         old = " / ".join(f"{v:.4g}" for v in q_old)
         new = " / ".join(f"{v:.4g}" for v in q_new)
-        out.append(f"| {name} | {old} | {new} | {pct:+.1f}% | {won}/{n} |")
+        out.append(f"| {name} | {old} | {new} | {pct:+.1f}% | {won}/{n} | {said} |")
     return "\n".join(out)
 
 
@@ -106,18 +129,18 @@ def main(argv=None):
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = bench["end_to_end"]
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
             got[side] = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"])
-            figures = " ".join(f"{k}={got[side][k]:.4g}" for k in better)
+            figures = " ".join(f"{m['name']}={got[side][m['name']]:.4g}" for m in metrics)
             print(f"pair {i + 1} seed {seed} {side}: {figures}", flush=True)
         pairs.append((got["parent"], got["change"]))
     print(f"\n{args.workload}: {len(pairs)} pairs of {bench['run_seconds']:g} s runs")
-    print(table(summarize(pairs, better)))
+    print(table(summarize(pairs, metrics)))
     return 0
 
 
