@@ -49,13 +49,15 @@ On the pairwise loop a square (`a is b`) pairs each term only with the
 terms after it in degree order, doubled, and adds the diagonal, so each
 cross product is computed once.
 
-Every quotient by a unit, and so every inverse, goes through one kernel,
-`quotient_numerators`, by the coefficient recurrence of power-series
-division Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0 in order of total
-degree from ord a: each Q_m is one sum reduced once, as in `mul_terms`.  A
-unit of t terms costs t products per output term (in one variable at most
-4t: a dense w is one dot product over the deg w <= 4t terms before Q_m).
-A quotient a / w (`TruncatedSeries.over`) costs about w^-1's; 1/w is a = 1.
+A quotient a / w by a unit (`TruncatedSeries.over`; `inverse` is a = 1)
+in one variable goes through one kernel, `quotient_numerators`, the
+coefficient recurrence of power-series division
+Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0 on lists by degree from
+ord a: each Q_m is one sum reduced once, as in `mul_terms`, at most 4t
+products for a unit of t terms (a dense w is one dot product over the
+deg w <= 4t terms before Q_m).  In two variables it is Weierstrass
+division by w at r = 0 (`weierstrass.weierstrass_divide`), slice by slice
+in x, whose x^0 slice that kernel inverts.
 
 `substitute_numerators` is the one substitution kernel, behind `evaluate`
 and `Polynomial.subs`.  It drops a term before any product once its order
@@ -66,7 +68,7 @@ operands' orders, and multiplies the rest as numerator dicts through
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -110,36 +112,34 @@ class OrderValue:
 # -- the product kernel ------------------------------------------------
 
 
-def _packed(terms, cap, width=None):
+def _packed(terms, cap):
     """(packed key, degree, coefficient) for each term of degree < cap.
 
     A degree key packs to itself, and an exponent tuple to the number with
-    its exponents as digits in base `width` (cap unless given): (i,) to i,
-    (i, j) to i*width + j, () to 0.  So the sum of two packed keys is the
-    packed key of their product as long as the product's degree stays below
-    cap."""
+    its exponents as digits in base cap: (i,) to i, (i, j) to i*cap + j,
+    () to 0.  So the sum of two packed keys is the packed key of their
+    product as long as the product's degree stays below cap."""
     key = next(iter(terms))
     if isinstance(key, int):
         return [(e, e, c) for e, c in terms.items() if e < cap]
-    width = width or cap
     positions = zip(*terms)
     keys = degs = next(positions, [0] * len(terms))
     for exps in positions:
-        keys = list(map(add, map(mul, keys, repeat(width)), exps))
+        keys = list(map(add, map(mul, keys, repeat(cap)), exps))
         degs = list(map(add, degs, exps))
     return [t for t in zip(keys, degs, terms.values()) if t[1] < cap]
 
 
-def _unpacked(items, key, width):
+def _unpacked(items, key, cap):
     """The (packed key, value) pairs with keys of the same kind as `key`, a
-    degree or a nonempty tuple; `width` is the packing's base (`_packed`)."""
+    degree or a nonempty tuple, packed in base cap (`_packed`)."""
     if isinstance(key, int):
         return items
     items = list(items)
     keys, digits = [k for k, _ in items], []
     for _ in key[1:]:
-        digits.append([k % width for k in keys])
-        keys = [k // width for k in keys]
+        digits.append([k % cap for k in keys])
+        keys = [k // cap for k in keys]
     return zip(zip(keys, *reversed(digits)), [n for _, n in items])
 
 
@@ -307,11 +307,11 @@ def _over_common(g, n0, common, table, filled):
 def quotient_numerators(a, a_den, w, w_den, field, cap):
     """(numerators, den), content-free, of the quotient a / w of the
     numerator dict `a` over a_den by the unit with numerator dict `w` over
-    w_den, keeping the terms of total degree < cap; keys as in `mul_terms`.
-    The inverse of w is the case a = 1.
+    w_den, both keyed by degree, keeping the terms of degree < cap.  The
+    inverse of w is the case a = 1.
 
     By the coefficient recurrence of power-series division (Knuth, TAOCP
-    vol. 2, 4.7), in order of total degree from ord a upward,
+    vol. 2, 4.7), in order of degree from ord a upward,
     Q_m = (a_m - sum_{k != 0} w_k Q_{m-k}) / w_0.  Each Q_m is one sum of
     products of plain numbers, reduced once.  Over GF(p) these are
     residues, with -w_k/w_0 and a_m/w_0 taken once per term.  Over QQ the
@@ -321,71 +321,48 @@ def quotient_numerators(a, a_den, w, w_den, field, cap):
     their running common denominator, the lcm of their own:
     Q_m = (A_m * common - sum) / (n_0 * common) (`_over_common`, which
     grows common and rescales the stored ones).  Only the terms of w with
-    deg k <= deg m - ord a enter Q_m, and a unit of one term only scales a.
+    k <= m - ord a enter Q_m, and a unit of one term only scales a.
 
-    Degree keys are read once into lists by degree: Q_m is one C-level dot
-    product of the at most deg w terms before it with w's numbers reversed
-    when deg w <= _SLOT_SPAN * t, else of the t that w's terms reach.
-    Exponent tuples pack as i*2cap + j (`_packed`) into a zero table at an
-    offset of cap*2cap: for a k of w not below m in both exponents, m - k
-    lands below the offset or on a j slot >= cap, where none is kept.
+    The Q's are kept in a list by degree: Q_m is one C-level dot product of
+    the at most deg w terms before it with w's numbers reversed when
+    deg w <= _SLOT_SPAN * t, else of the t that w's terms reach.
     """
-    key = next(iter(w), None)
-    zero = (0,) * len(key) if isinstance(key, tuple) else 0
-    n0 = w.get(zero)
+    n0 = w.get(0)
     if n0 is None or field.is_zero(n0):
         raise MadicError("series is not a unit")
     p = field.characteristic
-    top = _packed(a, cap, 2 * cap) if a else []
-    if not top:
+    low = min(a, default=cap)
+    if low >= cap:
         return {}, 1
-    low = min(d for _, d, _ in top)
     if p:
         first, scale = pow(n0, p - 2, p), 1
-        top = {k: first * c % p for k, _, c in top}
+        top = {e: first * c % p for e, c in a.items() if e < cap}
     else:
         g = gcd(a_den, w_den)
         first, scale = w_den // g, a_den // g
-        top = {k: c * first for k, _, c in top}
-    rest = sorted((d, k, c) for k, d, c in _packed(w, cap, 2 * cap) if 0 < d < cap - low)
+        top = {e: c * first for e, c in a.items() if e < cap}
+    rest = sorted((d, c) for d, c in w.items() if 0 < d < cap - low)
     if not rest:
         if p:
-            return dict(_unpacked(top.items(), key, 2 * cap)), 1
-        nums = dict(_unpacked(((k, c if n0 > 0 else -c) for k, c in top.items()), key, 2 * cap))
-        return content_free(nums, scale * abs(n0))
-    degs, keys = [d for d, _, _ in rest], [k for _, k, _ in rest]
-    coeffs = [-first * c % p for _, _, c in rest] if p else [c for _, _, c in rest]
-    lead, common, filled = top.get, 1, []
-    if zero == 0:  # Q[D + i] is Q_{low+i}, after D zeros; rev[j] is coeffs' for D - j
-        D, Q, rev = degs[-1], [0] * degs[-1], dict(zip(degs, coeffs))
-        rev = list(map(rev.get, range(D, 0, -1), repeat(0))) if D <= _SLOT_SPAN * len(degs) else None
-        for i, c in enumerate(map(lead, range(low, cap), repeat(0))):
-            if rev:
-                g = sum(map(mul, Q[i:], rev)) if i >= D else sum(map(mul, Q[D:], rev[D - i :]))
-            else:
-                g = sum(map(mul, coeffs, map(Q.__getitem__, map(sub, repeat(D + i), degs))))
-            g = (g + c) % p if p else c * common - g
-            if g and not p:
-                g, common = _over_common(g, n0, common, Q, filled)
-                filled.append(len(Q))
-            Q.append(g)
-        nums = {e: q for e, q in zip(range(low, cap), Q[D:]) if q}
-    else:
-        width, offset = 2 * cap, 2 * cap * cap
-        table = [0] * (offset + (cap - 1) * width + 1)
-        for d in range(low, cap):
-            t = bisect_right(degs, d - low)
-            ks, cs = keys[:t], coeffs[:t]
-            for m in range(offset + d, offset + d * width + 1, width - 1):
-                g = sum(map(mul, cs, map(table.__getitem__, map(sub, repeat(m), ks))))
-                c = lead(m - offset, 0)
-                g = (g + c) % p if p else c * common - g
-                if g:
-                    if not p:
-                        g, common = _over_common(g, n0, common, table, filled)
-                    table[m] = g
-                    filled.append(m)
-        nums = dict(_unpacked(((m - offset, table[m]) for m in filled), key, 2 * cap))
+            return top, 1
+        return content_free(top if n0 > 0 else {e: -c for e, c in top.items()}, scale * abs(n0))
+    degs = [d for d, _ in rest]
+    coeffs = [-first * c % p for _, c in rest] if p else [c for _, c in rest]
+    common, filled = 1, []
+    # Q[D + i] is Q_{low+i}, after D zeros; rev[j] is coeffs' for D - j
+    D, Q, rev = degs[-1], [0] * degs[-1], dict(zip(degs, coeffs))
+    rev = list(map(rev.get, range(D, 0, -1), repeat(0))) if D <= _SLOT_SPAN * len(degs) else None
+    for i, c in enumerate(map(top.get, range(low, cap), repeat(0))):
+        if rev:
+            g = sum(map(mul, Q[i:], rev)) if i >= D else sum(map(mul, Q[D:], rev[D - i :]))
+        else:
+            g = sum(map(mul, coeffs, map(Q.__getitem__, map(sub, repeat(D + i), degs))))
+        g = (g + c) % p if p else c * common - g
+        if g and not p:
+            g, common = _over_common(g, n0, common, Q, filled)
+            filled.append(len(Q))
+        Q.append(g)
+    nums = {e: q for e, q in zip(range(low, cap), Q[D:]) if q}
     return content_free(nums, common * scale) if scale != 1 else (nums, common)
 
 
@@ -497,32 +474,39 @@ class TruncatedSeries(ExactForm):
 
     def inverse(self, precision=None):
         """Multiplicative inverse of a unit to `precision` (default and at
-        most the series' own; the inverse is unique modulo m^precision), by
-        the coefficient recurrence of `quotient_numerators` with a = 1."""
-        if precision is None:
-            precision = self.precision
-        elif precision > self.precision:
-            raise PrecisionError(f"cannot invert at precision {precision} > {self.precision}")
-        elif precision <= 0:
-            raise PrecisionError(f"cannot invert at precision {precision}")
-        nums, den = quotient_numerators({self._one(): 1}, 1, self.nums, self.den, self.field, precision)
-        return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
+        most the series' own; the inverse is unique modulo m^precision):
+        the quotient 1 / self of `_quotient`."""
+        one = TruncatedSeries._of_nums(self.field, self.vars, self.precision, {self._one(): 1}, 1)
+        return TruncatedSeries._quotient(one, self, precision)
 
     def over(self, w, precision=None):
         """The quotient self / w by a unit w to `precision` (default and at
         most the lower of the two; the quotient is unique modulo
-        m^precision), by the coefficient recurrence of
-        `quotient_numerators`: no inverse of w is formed."""
+        m^precision), by `_quotient`: no inverse of w is formed."""
         self._check(w)
-        most = min(self.precision, w.precision)
+        return TruncatedSeries._quotient(self, w, precision)
+
+    @staticmethod
+    def _quotient(a, w, precision):
+        """a / w for a unit w, to `precision` (default and at most the lower
+        of the two precisions): in one variable by the coefficient
+        recurrence of `quotient_numerators`, in two by Weierstrass division
+        by w at r = 0, whose x^0 slice that recurrence inverts."""
+        most = min(a.precision, w.precision)
         if precision is None:
             precision = most
         elif precision > most:
             raise PrecisionError(f"cannot divide at precision {precision} > {most}")
         elif precision <= 0:
             raise PrecisionError(f"cannot divide at precision {precision}")
-        nums, den = quotient_numerators(self.nums, self.den, w.nums, w.den, self.field, precision)
-        return TruncatedSeries._of_nums(self.field, self.vars, precision, nums, den)
+        if not w.is_unit():
+            raise MadicError("series is not a unit")
+        if len(a.vars) == 2:
+            from .weierstrass import weierstrass_divide  # weierstrass imports this module
+
+            return weierstrass_divide(a.truncate(precision), w, 0)[0]
+        nums, den = quotient_numerators(a.nums, a.den, w.nums, w.den, a.field, precision)
+        return TruncatedSeries._of_nums(a.field, a.vars, precision, nums, den)
 
     def __repr__(self):
         return f"<series {self}>"

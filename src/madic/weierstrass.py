@@ -13,7 +13,10 @@ slice and each final quotient slice is packed once into one int, a slot
 per y-degree, and a slice's products with the divisor are one big-int sum
 read back once (Kronecker substitution); otherwise they are summed in one
 integer pass.  A unit part of 1, as in a distinguished divisor, is not
-multiplied at all.
+multiplied at all, and a slice with no term of the dividend and no product
+to sum is skipped.  At r = 0 the division is the quotient by a unit:
+`TruncatedSeries.over` and `inverse` of a bivariate series are this
+division.
 
 Preparation returns the unit's inverse with the distinguished polynomial:
 dividing y^r by u yields the inverse directly, and division needs nothing
@@ -282,6 +285,8 @@ def _slot_slices(p, gslices, uslices, e_inv, caps, r):
                 break
             if i - j in Q:
                 acc += Uj * Q[i - j]
+        if not acc and i not in gslices:
+            continue
         top = cap + r + 1
         h = [-v % p for v in _slot_values(acc, top)] if acc else [0] * top
         for k, c in gslices.get(i, {}).items():
@@ -356,6 +361,8 @@ def weierstrass_divide(g, u, r):
         for i in range(N):
             gi = gslices.get(i)
             pairs = [(uj, q_int[i - j]) for j, uj in u_int.items() if i - j in q_int]
+            if not (gi or pairs):
+                continue
             h, den = _sub_products(fld, _y_slice(gi, g.den) if gi else _NO_SLICE, pairs, caps[i] + r + 1)
             tail = {}
             for k, c in h.items():
@@ -380,9 +387,8 @@ def prepare(u):
     Returns (inverse_of_unit, dist).  Computed by dividing y^r by u; the
     remainder gives the distinguished coefficients and the quotient is the
     unit's inverse, so the unit itself is never computed (callers that want
-    it call `.inverse()`).  For r = 0, u is the unit and its inverse is
-    returned.  Deterministic, so re-running reproduces identical
-    coefficients.
+    it call `.inverse()`).  For r = 0 this is 1 / u, with dist = 1.
+    Deterministic, so re-running reproduces identical coefficients.
     """
     yo = y_regular_order(u)
     if u.is_zero():
@@ -392,8 +398,6 @@ def prepare(u):
     r = yo.value
     if r >= u.precision:
         raise PrecisionError("y-regular order at or beyond precision")
-    if r == 0:
-        return u.inverse(), DistinguishedPolynomial(0, [], u.field)
     fld = u.field
     yr = TruncatedSeries(fld, u.vars, u.precision, {(0, r): 1})
     q, rems = weierstrass_divide(yr, u, r)
@@ -453,7 +457,8 @@ class PreparedDivisor:
     univariate u of order k, the unit u/x^k at precision u.precision - k,
     by which each dividend v/x^k is divided in one recurrence
     (`TruncatedSeries.over`, which forms no inverse); for a bivariate unit
-    u, u^-1; for a bivariate u of order r, the shear from `regularize`
+    u, u^-1, by Weierstrass division at r = 0 (`TruncatedSeries.inverse`);
+    for a bivariate u of order r, the shear from `regularize`
     (which keeps its inverse), the distinguished polynomial from `prepare`
     and the inverse of the unit.  The bivariate preparation runs on the
     first call of `prepare` or bivariate division, so constructing a

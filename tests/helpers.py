@@ -1,9 +1,12 @@
-"""Polynomial constructions that only the tests use.
+"""Polynomial constructions and a time budget that only the tests use.
 
 The ideal engine keeps its data packed, so the library builds no variable
 as a Polynomial and divides no Polynomial by another; `exact_div` is the
 Polynomial face of its packed division, `groebner.exact_quotient`.
 """
+
+import signal
+from contextlib import contextmanager
 
 from madic.fields import QQ
 from madic.groebner import DEGREVLEX, exact_quotient
@@ -27,3 +30,18 @@ def exact_div(p, g):
     pk, table = DEGREVLEX.packing(len(p.vars)), {}
     nums, den = exact_quotient(pk.pack_terms(p.nums, table), p.den, pk.pack_terms(g.nums, table), g.den, pk, p.field)
     return Polynomial._of_nums(p.field, p.vars, pk.unpack_terms(nums, table), den)
+
+
+@contextmanager
+def budget(seconds):
+    """Fail the enclosed block by TimeoutError once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -79,6 +79,28 @@ def test_worse_is_a_median_past_the_bound_in_the_worse_direction():
     assert canned(PARENT, [v + 200 for v in PARENT], "lower", 0.1) == "within"
 
 
+# ten parent runs spread wider than a bound of 0.1 of their median: quartiles
+# 0.4575 / 0.5 / 0.5725, an IQR of 0.115 against 0.05
+WIDE = [0.40, 0.44, 0.45, 0.48, 0.50, 0.50, 0.55, 0.58, 0.60, 0.62]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_change_run_is_better():
+    for better, parent in (("lower", WIDE), ("higher", [1 - v for v in WIDE])):
+        sign = 1 if better == "higher" else -1
+        # the same runs, or shifted by 0.04 either way: no gain, and not
+        # worse by more than the bound
+        for shift in (0, 0.04, -0.04):
+            assert canned(parent, [v + shift for v in parent], better, 0.1) == "unresolved"
+        # every change run better than every parent run, the medians 0.11
+        # apart against an IQR of 0.115: no gain, but resolved
+        edge = min(parent) - 0.01 if better == "lower" else max(parent) + 0.01
+        assert canned(parent, [edge] * 10, better, 0.1) == "within"
+        # worse by more than the bound stays worse
+        assert canned(parent, [v - sign * 0.06 for v in parent], better, 0.1) == "worse"
+        # the same spread under a bound wider than it is resolved
+        assert canned(parent, parent, better, 0.25) == "within"
+
+
 def test_runs_that_are_wrong_failed_or_drifted_are_refused():
     assert ab_pairs.checked(run_json(ops=2100.0), 0, "a") == {"ops": 2100.0}
     with pytest.raises(SystemExit, match="correct=False"):

@@ -2,15 +2,14 @@
 
 import json
 import os
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 
 import pytest
 
 from madic.cli import main
 from madic.parse import MAX_POWER_BITS
+from helpers import budget
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -406,7 +405,7 @@ def test_a_power_past_the_cap_ends_with_exit_4_at_once(tmp_path, capsys):
     # (1+x+y)^400 ran past 20 s while every power was expanded
     big = tmp_path / "power.madic"
     big.write_text("unknowns: x y\nequation: (1+x+y)^400\n")
-    with _budget(2):
+    with budget(2):
         code, out, err = run(capsys, "groebner", str(big))
     assert code == 4
     assert out == ""
@@ -418,7 +417,7 @@ def test_a_product_past_the_cap_ends_with_exit_4_at_once(tmp_path, capsys):
     # count: 100 of them took 0.34 s
     big = tmp_path / "product.madic"
     big.write_text("unknowns: x y\nequation: " + "*".join(["(1+x+y)"] * 400) + "\n")
-    with _budget(2):
+    with budget(2):
         code, out, err = run(capsys, "groebner", str(big))
     assert code == 4
     assert out == ""
@@ -486,25 +485,10 @@ def test_target_order_zero_is_read(capsys, command, fixture, read):
     assert read(json.loads(out)) == 0
 
 
-@contextmanager
-def _budget(seconds):
-    """Fail the enclosed block by TimeoutError once `seconds` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_elkik_hard_ends_within_five_seconds(capsys):
     # 47 raw generators of H up to degree 16, a basis of six: about 35 s
     # while generators entered in the order given and pairs by lcm alone
-    with _budget(5):
+    with budget(5):
         code, out, _ = run(capsys, "elkik", fx("elkik_hard.madic"), "--json")
     assert code == 0
     assert len(json.loads(out)["generators"]) == 6
@@ -532,7 +516,7 @@ def test_a_large_prime_field_is_decided_at_once(tmp_path, capsys):
     # 2^61 - 1 is prime; trial division up to its square root ran for minutes
     prob = tmp_path / "big.madic"
     prob.write_text("field: GF(2305843009213693951)\n" + SOLVE_BODY)
-    with _budget(1):
+    with budget(1):
         code, out, _ = run(capsys, "solve", str(prob), "--json")
     assert code == 0
     assert json.loads(out)["certificate"]["status"] == "certified-to-precision"

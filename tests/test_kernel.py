@@ -11,6 +11,7 @@ oracles.
 
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -25,6 +26,7 @@ from madic import (
 from madic import series
 from madic.fields import exact_form, field_terms
 from madic.series import mul_terms, quotient_numerators
+from helpers import budget
 
 XY = ("x", "y")
 
@@ -80,13 +82,30 @@ def naive_pow(terms, n, field, cap, nvars):
     return out
 
 
+def quotient_terms(a, w, field, cap):
+    """a / w below cap for term dicts of field elements, read back as field
+    elements after checking the form: the kernel's on degree keys, and on
+    exponent tuples (1-tuples in one variable, pairs in two) that of
+    `TruncatedSeries.over`, the inverse's when a is None."""
+    key = next(iter(w), 0)
+    if isinstance(key, tuple):
+        vars = XY[: len(key)]
+        w = TruncatedSeries(field, vars, cap, w)
+        q = w.inverse() if a is None else TruncatedSeries(field, vars, cap, a).over(w)
+        nums, den, terms = q.nums, q.den, q.terms
+    else:
+        a = {0: 1} if a is None else a
+        nums, den = quotient_numerators(*exact_form(field, a), *exact_form(field, w), field, cap)
+        terms = field_terms(field, nums.items(), den)
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    return terms
+
+
 def inverse_terms(terms, field, cap):
-    """The kernel's inverse of a term dict of field elements: the quotient
-    of 1 by it."""
-    key = next(iter(terms), 0)
-    one = {(0,) * len(key) if isinstance(key, tuple) else 0: 1}
-    nums, den = quotient_numerators(one, 1, *exact_form(field, terms), field, cap)
-    return field_terms(field, nums.items(), den)
+    """The inverse of a term dict of field elements below cap, by
+    `quotient_terms`: the kernel's quotient of 1 by it on degree keys,
+    `TruncatedSeries.inverse` on exponent tuples."""
+    return quotient_terms(None, terms, field, cap)
 
 
 def newton_inverse_terms(terms, field, cap):
@@ -529,11 +548,31 @@ def test_inverse_over_distinct_prime_denominators_sums_fractions():
 
 def test_inverse_of_a_sparse_unit_at_long_precision():
     # 1/(1 + c x^k) = sum (-c)^j x^(jk): a unit of t terms costs at most 4t
-    # products per output term, so a binomial inverts at precision 20000 at once
+    # products per output term, so a binomial inverts at precision 20000 at
+    # once, also given to the series as 1-tuples, which it keys by degree
     F, k, c, cap = PrimeField(32003), 3, 5, 20000
     expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
     assert inverse_terms({0: 1, k: c}, F, cap) == expected
+    assert inverse_terms({(0,): 1, (k,): c}, F, cap) == {(e,): v for e, v in expected.items()}
     assert inverse_terms({(0, 0): Fraction(2, 3)}, QQ, 10**6) == {(0, 0): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ])
+def test_a_sparse_bivariate_unit_inverts_at_precision_1000_within_five_seconds(field):
+    # 1/(1 + 5x^3) = sum (-5)^j x^(3j) in k[[x, y]], by Weierstrass division
+    # at r = 0, in bounded time and memory under tracemalloc (a kernel table
+    # of about 4 cap^2 slots took 27 s and a 32 MB peak under it)
+    N = 1000
+    u = TruncatedSeries(field, XY, N, {(0, 0): 1, (3, 0): 5})
+    tracemalloc.start()
+    try:
+        with budget(5):
+            inverse = u.inverse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert inverse.terms == {(3 * j, 0): field.convert((-5) ** j) for j in range((N + 2) // 3)}
 
 
 def test_inverse_of_a_non_unit_raises():
@@ -548,8 +587,9 @@ def test_inverse_of_a_non_unit_raises():
 @settings(max_examples=300, deadline=None)
 @given(units(), st.data())
 def test_quotient_is_the_product_by_the_inverse(case, data):
-    # a / w in one recurrence equals a * w^-1 cut below cap, for a of any
-    # order (its first exponent raised by 0-4) and units of one term or more
+    # a / w, in one recurrence on degree keys and by `TruncatedSeries.over`
+    # on exponent tuples, equals a * w^-1 cut below cap, for a of any order
+    # (its first exponent raised by 0-4) and units of one term or more
     field, w, cap = case
     key = next(iter(w))
     nvars = len(key) if isinstance(key, tuple) else 0
@@ -559,10 +599,8 @@ def test_quotient_is_the_product_by_the_inverse(case, data):
         (k + shift if nvars == 0 else (k[0] + shift,) + k[1:]): c
         for k, c in a.items() if not field.is_zero(c)
     }
-    nums, den = quotient_numerators(*exact_form(field, a), *exact_form(field, w), field, cap)
-    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
     expected = naive_mul_terms(a, newton_inverse_terms(w, field, cap), field, cap)
-    assert field_terms(field, nums.items(), den) == expected
+    assert quotient_terms(a, w, field, cap) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -583,18 +621,10 @@ def test_series_over_is_the_product_by_the_inverse(pair, case):
 def test_quotient_by_a_non_unit_raises():
     for w, one in (({}, {0: 1}), ({1: 3}, {0: 1}), ({(0,): 0, (1,): 1}, {(0,): 1}), ({(1, 0): 1}, {(0, 0): 1})):
         with pytest.raises(MadicError, match="not a unit"):
-            quotient_numerators(one, 1, w, 1, QQ, 5)
+            quotient_terms(one, w, QQ, 5)
 
 
-# -- the univariate list arm ----------------------------------------------
-
-
-def univariate_quotient(a, w, field, cap):
-    """The kernel's a / w on degree keys, the keys of a univariate series,
-    read back as field elements, after checking the form."""
-    nums, den = quotient_numerators(*exact_form(field, a), *exact_form(field, w), field, cap)
-    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
-    return field_terms(field, nums.items(), den)
+# -- the recurrence on degree lists -----------------------------------------
 
 
 @st.composite
@@ -621,7 +651,7 @@ def univariate_quotients(draw):
 def test_list_arm_matches_the_product_by_newton_inverse(case):
     field, a, w, cap = case
     expected = naive_mul_terms(a, newton_inverse_terms(w, field, cap), field, cap)
-    assert univariate_quotient(a, w, field, cap) == expected
+    assert quotient_terms(a, w, field, cap) == expected
 
 
 def test_list_arm_over_qq_with_a_negative_unit_term_and_shared_denominators():
@@ -633,18 +663,18 @@ def test_list_arm_over_qq_with_a_negative_unit_term_and_shared_denominators():
         w = {0: F(-3, 10), 1: F(7, 4), 2: F(-1, 5), cap - 3: F(9, 20), cap - 2: F(3, 4), cap: F(11, 5)}
         assert exact_form(QQ, a)[1] == 12 and exact_form(QQ, w)[1] == 20
         expected = naive_mul_terms(a, newton_inverse_terms(w, QQ, cap), QQ, cap)
-        assert univariate_quotient(a, w, QQ, cap) == expected
+        assert quotient_terms(a, w, QQ, cap) == expected
 
 
 def test_list_arm_over_gf2():
     # 1/(1 + x + x^2) = (1 + x)/(1 + x^3) over GF(2): the powers x^d with
     # d % 3 != 2; it divides x^3 + x^4 + x^5 exactly; 1/(1 + x) is every power
     F, cap = PrimeField(2), 30
-    assert univariate_quotient({0: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {
+    assert quotient_terms({0: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {
         d: 1 for d in range(cap) if d % 3 != 2
     }
-    assert univariate_quotient({3: 1, 4: 1, 5: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {3: 1}
-    assert univariate_quotient({0: 1}, {0: 1, 1: 1}, F, cap) == {d: 1 for d in range(cap)}
+    assert quotient_terms({3: 1, 4: 1, 5: 1}, {0: 1, 1: 1, 2: 1}, F, cap) == {3: 1}
+    assert quotient_terms({0: 1}, {0: 1, 1: 1}, F, cap) == {d: 1 for d in range(cap)}
 
 
 @pytest.mark.parametrize("k", [3, 40, 10000])
@@ -656,7 +686,7 @@ def test_a_binomial_unit_of_any_degree_costs_a_few_products_per_term(monkeypatch
     # computed so far
     F, c, cap = PrimeField(32003), 5, 20000
     expected = {j * k: pow(-c, j, F.p) for j in range((cap + k - 1) // k)}
-    assert univariate_quotient({0: 1}, {0: 1, k: c}, F, cap) == expected
+    assert quotient_terms({0: 1}, {0: 1, k: c}, F, cap) == expected
     products = []
     monkeypatch.setattr(series, "mul", lambda x, y: products.append(1) or x * y)
     for cap in (k + 1000, k + 2000):
@@ -686,7 +716,7 @@ def test_a_dense_unit_costs_at_most_four_products_per_unit_term(monkeypatch):
             assert len(products) == count
     monkeypatch.undo()
     w = {0: Fraction(-2, 3), 1: 2, 5: 3, 13: Fraction(1, 7)}
-    assert univariate_quotient({0: 1}, w, QQ, 40) == newton_inverse_terms(w, QQ, 40)
+    assert quotient_terms({0: 1}, w, QQ, 40) == newton_inverse_terms(w, QQ, 40)
 
 
 # -- linear changes -----------------------------------------------------------

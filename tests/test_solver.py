@@ -4,8 +4,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from sys import setprofile
 from unittest import mock
@@ -54,7 +52,7 @@ from madic.solver import (
 )
 from madic.poly import determinant
 from madic.weierstrass import divide_series, regularize, w_divide
-from helpers import variable as polynomial_variable
+from helpers import budget, variable as polynomial_variable
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -584,7 +582,7 @@ def test_refine_of_a_residual_that_is_no_multiple_is_refused(tmp_path, capsys):
     # the run used to stall after 4 iterations at residual order 12
     problem = tmp_path / "pin.madic"
     problem.write_text(PIN_NOT_MULTIPLE)
-    with _budget(10):
+    with budget(10):
         assert main(["refine", str(problem)]) == 2
     assert capsys.readouterr().err == (
         "precondition failed: residual is not an exact multiple of the "
@@ -1225,21 +1223,6 @@ def test_pipeline_three_unknown_family():
         assert o.ge(2)
 
 
-@contextmanager
-def _budget(seconds):
-    """Fail the enclosed block by TimeoutError once `seconds` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 HARD = """series_vars: x y
 unknowns: z w
 equation: z^2 - w^3
@@ -1266,7 +1249,7 @@ def test_two_unknown_hard_instance_refused_in_bounded_time(tmp_path):
     fs, zbar = _hard_instance()
     problem = tmp_path / "hard.madic"
     problem.write_text(HARD)
-    with _budget(10):
+    with budget(10):
         with pytest.raises(UnsupportedInstanceError, match="newton strategy"):
             approximate_solve(fs, zbar, {"z": 0, "w": 1}, 2)
         assert main(["solve", str(problem)]) == 2
@@ -1298,7 +1281,7 @@ def test_one_var_newton_refuses_before_any_determinant(monkeypatch):
     monkeypatch.setattr(solver, "_one_var_newton", newton)
     monkeypatch.setattr(solver, "determinant", determinant)
     fs, zbar = _hard_instance()
-    with _budget(10):
+    with budget(10):
         with pytest.raises(UnsupportedInstanceError) as err:
             approximate_solve(fs, zbar, {"z": 0, "w": 1}, 2)
     assert str(err.value) == (
@@ -1468,7 +1451,7 @@ def test_live_reduced_newton_is_pinned(field, digest, monkeypatch):
     # reduced Newton moves the point onto the root y
     calls = _spy(monkeypatch, "_one_var_newton")
     fs, zbar, assignment, c = _biv_instance("z^3 - y^3", "y + x^9", 12, field)
-    with _budget(10):
+    with budget(10):
         cert = approximate_solve(fs, zbar, assignment, c)
     assert len(calls) == 1
     assert cert.status == STATUS_OK
@@ -1484,7 +1467,7 @@ def test_live_reduced_jet_search_is_pinned(monkeypatch):
     gf2 = PrimeField(2)
     fs, zbar, assignment, c = _biv_instance("z^2 + x*z - y^2", "y + x^3", 6, gf2)
     cfg = SolverConfig(strategy="jet-search", jet_length=3)
-    with _budget(10):
+    with budget(10):
         with pytest.raises(UnsupportedInstanceError) as err:
             approximate_solve(fs, zbar, assignment, c, cfg)
     assert len(calls) == 1
@@ -1505,7 +1488,7 @@ def test_cubic_with_r_12_is_refused_in_bounded_time(tmp_path, capsys):
     # took over 100 s; the refusal needs only the residual's remainders
     problem = tmp_path / "case267.madic"
     problem.write_text(CASE_267)
-    with _budget(10):
+    with budget(10):
         assert main(["solve", str(problem)]) == 2
     assert capsys.readouterr().err == f"precondition failed: {_NO_NEWTON_MINOR}\n"
 
@@ -1514,7 +1497,7 @@ def test_high_precision_square_is_refused_in_bounded_time():
     # z^2 - x*y^3 at x^15 + O(m^40): building the symbolic reduced system
     # took 75 s and more
     f = parse_polynomial("z^2 - x*y^3", XYZ)
-    with _budget(10):
+    with budget(10):
         with pytest.raises(UnsupportedInstanceError) as err:
             approximate_solve([f], _biv_point("x^15", 40), {"z": 0}, 1)
     assert str(err.value) == _NO_NEWTON_MINOR

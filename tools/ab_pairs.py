@@ -23,6 +23,10 @@ verdict:
   range;
 - `worse` when its median is worse than the parent's by more than the
   metric's `bound`, a fraction of the parent's median;
+- `unresolved` when it is neither, the parent's interquartile range is
+  wider than the bound, so the parent's own runs spread past what the
+  bound can tell apart, and not every run of the change is better than
+  every run of the parent;
 - `within` otherwise.
 
 Nothing is written; each run's figures are printed as they come.
@@ -49,15 +53,19 @@ def quartiles(values):
     return q1, med, q3
 
 
-def verdict(q_old, q_new, won, n, sign, bound):
-    """`gain`, `worse` or `within` (see the module docstring) for parent and
-    change quartiles, `won` of `n` pairs, `sign` 1 when higher is better
-    and -1 when lower is, and the metric's relative `bound`."""
+def verdict(q_old, q_new, won, n, sign, bound, apart):
+    """`gain`, `worse`, `unresolved` or `within` (see the module docstring)
+    for parent and change quartiles, `won` of `n` pairs, `sign` 1 when
+    higher is better and -1 when lower is, the metric's relative `bound`,
+    and `apart`, whether every change run is better than every parent
+    run."""
     gained = sign * (q_new[1] - q_old[1])
     if 10 * won >= 9 * n and gained > q_old[2] - q_old[0]:
         return "gain"
     if -gained > bound * abs(q_old[1]):
         return "worse"
+    if q_old[2] - q_old[0] > bound * abs(q_old[1]) and not apart:
+        return "unresolved"
     return "within"
 
 
@@ -73,9 +81,10 @@ def summarize(pairs, metrics):
         new = [c[name] for _, c in pairs]
         sign = 1 if metric["better"] == "higher" else -1
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        apart = min(sign * b for b in new) > max(sign * a for a in old)
         q_old, q_new = quartiles(old), quartiles(new)
         pct = 100 * (q_new[1] - q_old[1]) / q_old[1] if q_old[1] else float("nan")
-        said = verdict(q_old, q_new, won, len(pairs), sign, metric["bound"])
+        said = verdict(q_old, q_new, won, len(pairs), sign, metric["bound"], apart)
         rows.append((name, q_old, q_new, pct, won, len(pairs), said))
     return rows
 
